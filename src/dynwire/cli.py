@@ -108,7 +108,9 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     diagram = load_diagram(args.diagram)
-    specs = [spec_from_json(load_json(p)) for p in args.models]
+    # A path repeated for many boxes is read and parsed once.
+    by_path = {p: spec_from_json(load_json(p)) for p in dict.fromkeys(args.models)}
+    specs = [by_path[p] for p in args.models]
     config = load_config(args.config)
     labels = load_labels(args.labels) if args.labels else None
     composed = build_system(diagram, specs, labels)

@@ -8,24 +8,27 @@ one, where it is the next-state map.
 
 Composites are closures over the diagram and the component systems: merged
 directed wires sum, wireless in-ports read exactly 0.0, and undirected
-composition glues states by a pushout.  Explicit Euler discretization
-commutes with both compositions, which the test suite exercises as the
-central oracle.
+composition glues states by a pushout.  Boxes that share a batch kernel (as
+equal instantiated specs do) are evaluated together, one call per group;
+the rest call their scalar callables box by box.  Explicit Euler
+discretization commutes with both compositions, which the test suite
+exercises as the central oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ArityError, KindError, SizeMismatchError
-from .finset import FinFunction, compose, pullback_vec, pushforward_vec, pushout
+from .finset import FinFunction, compose, fiber_sum, pullback_vec, pushforward_vec, pushout
 from .wiring import CPGraph, DWDiagram, UWDiagram
 
 __all__ = [
     "Kind",
+    "BatchKernel",
     "Machine",
     "ResourceSharer",
     "eval_dynamics",
@@ -53,13 +56,30 @@ def _as_vector(x: Sequence[float] | np.ndarray, n: int, what: str) -> np.ndarray
     return arr
 
 
+@dataclass(frozen=True, eq=False)
+class BatchKernel:
+    """One model's equations over a block of boxes, one box per row.
+
+    ``dynamics(inputs, states)`` (machines) or ``dynamics(states)`` (sharers)
+    and ``readout(states)`` take ``(k, n)`` blocks and return ``(block, ok)``.
+    ``ok`` is false when some row met a case that the scalar closures report
+    as an error (a zero denominator, a non-finite function or power value, a
+    non-finite result); the caller then re-evaluates with those closures.
+    """
+
+    dynamics: Callable[..., tuple[np.ndarray, bool]]
+    readout: Callable[[np.ndarray], tuple[np.ndarray, bool]] | None = None
+
+
 @dataclass(frozen=True)
 class Machine:
     """A directed open system with ``n_states`` state variables.
 
     ``dynamics(inputs, state)`` returns a state-sized vector, read as the
     derivative (continuous) or the next state (discrete); ``readout(state)``
-    returns the output vector and may depend on state only.
+    returns the output vector and may depend on state only.  ``kernel``, if
+    given, computes the same over a block of boxes; ``oapply_*`` uses it for
+    boxes that share it and the scalar callables otherwise.
     """
 
     n_inputs: int
@@ -68,17 +88,22 @@ class Machine:
     dynamics: Dynamics
     readout: Readout
     kind: Kind
+    kernel: BatchKernel | None = None
 
 
 @dataclass(frozen=True)
 class ResourceSharer:
-    """An undirected open system: ports expose state variables via ``portmap``."""
+    """An undirected open system: ports expose state variables via ``portmap``.
+
+    ``kernel`` is as for :class:`Machine`.
+    """
 
     n_ports: int
     n_states: int
     portmap: FinFunction
     dynamics: SharerDynamics
     kind: Kind
+    kernel: BatchKernel | None = None
 
     def __post_init__(self) -> None:
         if self.portmap.dom_size != self.n_ports or self.portmap.cod_size != self.n_states:
@@ -114,13 +139,106 @@ def _common_kind(kinds: list[Kind], what: str) -> Kind:
     return kinds[0] if kinds else "continuous"
 
 
+class _Box(NamedTuple):
+    """One box of a composite: its system, its state slice, its port indices."""
+
+    system: Machine | ResourceSharer
+    states: slice
+    ins: np.ndarray | None
+    outs: np.ndarray | None
+    readout_of: str  # names the box in size errors
+    dynamics_of: str
+
+
+class _BoxPlan:
+    """How a composite evaluates its boxes: one block call per shared kernel.
+
+    Boxes that share a ``kernel`` object with another box form a group,
+    evaluated by one kernel call on a ``(k, n)`` block gathered by index
+    arrays.  The other boxes (singletons and systems without a kernel, such
+    as hand-written callables) are called one by one with size checks.
+    Groups run first and only flag trouble; if one does, the whole phase is
+    redone box by box in box order, so the scalar closures raise exactly the
+    error, from exactly the box, that an unbatched composite would.
+
+    ``in_ports[i]`` / ``out_ports[i]`` index box ``i``'s ports in the
+    composite's port vectors (directed composites only).
+    """
+
+    def __init__(
+        self,
+        systems: Sequence[Machine] | Sequence[ResourceSharer],
+        offs: np.ndarray,
+        in_ports: Sequence[np.ndarray] = (),
+        out_ports: Sequence[np.ndarray] = (),
+    ):
+        bounds = offs.tolist()
+        self.boxes = [
+            _Box(
+                s,
+                slice(bounds[i], bounds[i + 1]),
+                in_ports[i] if in_ports else None,
+                out_ports[i] if out_ports else None,
+                f"readout of box {i}",
+                f"dynamics of box {i}",
+            )
+            for i, s in enumerate(systems)
+        ]
+        members: dict[BatchKernel, list[int]] = {}
+        for i, s in enumerate(systems):
+            if s.kernel is not None:
+                members.setdefault(s.kernel, []).append(i)
+        self.groups = []
+        grouped: set[int] = set()
+        for kernel, idx in members.items():
+            if len(idx) < 2:
+                continue
+            grouped.update(idx)
+            states = offs[idx][:, None] + np.arange(systems[idx[0]].n_states)
+            ins = np.array([in_ports[i] for i in idx], dtype=np.intp) if in_ports else None
+            outs = np.array([out_ports[i] for i in idx], dtype=np.intp) if out_ports else None
+            self.groups.append((kernel, states, ins, outs))
+        self.singles = [b for i, b in enumerate(self.boxes) if i not in grouped]
+
+    def readouts(self, x: np.ndarray, o: np.ndarray) -> None:
+        """Write every box's readout of ``x`` into the out-port vector ``o``."""
+        boxes = self.singles
+        for kernel, states, _, outs in self.groups:
+            block, ok = kernel.readout(x[states])
+            if not ok:
+                boxes = self.boxes
+                break
+            o[outs] = block
+        for b in boxes:
+            o[b.outs] = _as_vector(b.system.readout(x[b.states]), b.system.n_outputs, b.readout_of)
+
+    def dynamics(self, x: np.ndarray, out: np.ndarray, feed: np.ndarray | None = None) -> None:
+        """Write every box's dynamics into ``out``; ``feed`` holds the in-port
+        values of machines and is ``None`` for sharers."""
+        boxes = self.singles
+        for kernel, states, ins, _ in self.groups:
+            if feed is None:
+                block, ok = kernel.dynamics(x[states])
+            else:
+                block, ok = kernel.dynamics(feed[ins], x[states])
+            if not ok:
+                boxes = self.boxes
+                break
+            out[states] = block
+        for b in boxes:
+            s = b.system
+            v = s.dynamics(x[b.states]) if feed is None else s.dynamics(feed[b.ins], x[b.states])
+            out[b.states] = _as_vector(v, s.n_states, b.dynamics_of)
+
+
 def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     """Compose machines over a directed wiring diagram.
 
     Evaluation order per step: all readouts first (they depend on state
     only), then all in-port sums, then all dynamics; feedback loops resolve
     in one pass.  An in-port fed by several wires receives the sum; one fed
-    by none receives 0.0.
+    by none receives 0.0.  Boxes sharing a ``kernel`` run as one group;
+    singletons and machines without a kernel run their scalar callables.
     """
     if len(machines) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
@@ -145,14 +263,11 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     tgt_in = d.data.part_fn("tgt_in")
     src_out = d.data.part_fn("src_out")
     tgt_out = d.data.part_fn("tgt_out")
-    ms = list(machines)
+    plan = _BoxPlan(machines, offs, in_idx, out_idx)
 
     def all_readouts(x: np.ndarray) -> np.ndarray:
         o = np.empty(n_pout, dtype=np.float64)
-        for i, m in enumerate(ms):
-            o[out_idx[i]] = _as_vector(
-                m.readout(x[offs[i] : offs[i + 1]]), m.n_outputs, f"readout of box {i}"
-            )
+        plan.readouts(x, o)
         return o
 
     def in_port_values(a: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -165,12 +280,7 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
         x = _as_vector(x, n_states, "state vector")
         feed = in_port_values(a, all_readouts(x))
         out = np.empty(n_states, dtype=np.float64)
-        for i, m in enumerate(ms):
-            out[offs[i] : offs[i + 1]] = _as_vector(
-                m.dynamics(feed[in_idx[i]], x[offs[i] : offs[i + 1]]),
-                m.n_states,
-                f"dynamics of box {i}",
-            )
+        plan.dynamics(x, out, feed)
         return out
 
     def readout(x: np.ndarray) -> np.ndarray:
@@ -199,7 +309,8 @@ def oapply_undirected_with_layout(
 
     States mapped to a common junction are glued by the pushout of the total
     portmap against the port-junction assignment.  A junction attached to no
-    port contributes an inert extra state.
+    port contributes an inert extra state.  Sharers with a common ``kernel``
+    run as one group, the others through their scalar callables.
     """
     if len(sharers) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(sharers)} sharers were given")
@@ -222,14 +333,11 @@ def oapply_undirected_with_layout(
     po = pushout(p_total, q_junc)
     state_inj, junc_inj = po.inj_left, po.inj_right
     n_states = po.apex_size
-    ss = list(sharers)
+    plan = _BoxPlan(sharers, offs)
 
     def block_dynamics(y: np.ndarray) -> np.ndarray:
         out = np.empty(n_states_total, dtype=np.float64)
-        for i, s in enumerate(ss):
-            out[offs[i] : offs[i + 1]] = _as_vector(
-                s.dynamics(y[offs[i] : offs[i + 1]]), s.n_states, f"dynamics of box {i}"
-            )
+        plan.dynamics(y, out)
         return out
 
     if kind == "continuous":
@@ -260,7 +368,8 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     """Compose machines over a circular port graph.
 
     Behaviorally equal to ``oapply_directed(cpg_to_dwd(g), machines)`` but
-    skips port duplication and routes neighbor exchange directly.
+    skips port duplication and routes neighbor exchange directly.  Boxes
+    are grouped by shared ``kernel`` as in ``oapply_directed``.
     """
     if len(machines) != g.n_boxes:
         raise ArityError(f"diagram has {g.n_boxes} boxes but {len(machines)} machines were given")
@@ -277,32 +386,23 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     offs = np.cumsum([0] + [m.n_states for m in machines])
     n_states = int(offs[-1])
     src = np.asarray(g.data.parts["src"], dtype=np.intp)
-    tgt = np.asarray(g.data.parts["tgt"], dtype=np.intp)
     expose = np.asarray(g.data.parts["expose"], dtype=np.intp)
-    ms = list(machines)
+    # Wire targets then exposed ports, so one fiber sum adds wires first.
+    feed_idx = np.concatenate([np.asarray(g.data.parts["tgt"], dtype=np.intp), expose])
+    plan = _BoxPlan(machines, offs, port_idx, port_idx)
 
     def all_readouts(x: np.ndarray) -> np.ndarray:
         o = np.empty(n_ports, dtype=np.float64)
-        for i, m in enumerate(ms):
-            o[port_idx[i]] = _as_vector(
-                m.readout(x[offs[i] : offs[i + 1]]), m.n_outputs, f"readout of box {i}"
-            )
+        plan.readouts(x, o)
         return o
 
     def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         a = _as_vector(a, g.n_outer, "input vector")
         x = _as_vector(x, n_states, "state vector")
         o = all_readouts(x)
-        feed = np.zeros(n_ports, dtype=np.float64)
-        np.add.at(feed, tgt, o[src])
-        np.add.at(feed, expose, a)
+        feed = fiber_sum(feed_idx, np.concatenate([o[src], a]), n_ports)
         out = np.empty(n_states, dtype=np.float64)
-        for i, m in enumerate(ms):
-            out[offs[i] : offs[i + 1]] = _as_vector(
-                m.dynamics(feed[port_idx[i]], x[offs[i] : offs[i + 1]]),
-                m.n_states,
-                f"dynamics of box {i}",
-            )
+        plan.dynamics(x, out, feed)
         return out
 
     def readout(x: np.ndarray) -> np.ndarray:

@@ -201,9 +201,17 @@ def pushforward_vec(f: FinFunction, x: Sequence[float] | np.ndarray) -> np.ndarr
         raise SizeMismatchError(
             f"vector has length {arr.shape}, expected ({f.dom_size},)"
         )
-    out = np.zeros(f.cod_size, dtype=np.float64)
-    np.add.at(out, f._indices, arr)
-    return out
+    return fiber_sum(f._indices, arr, f.cod_size)
+
+
+def fiber_sum(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``out[j]`` = sum of ``weights[i]`` over ``index[i] == j``, in index order.
+
+    ``np.bincount`` adds in the same order as ``np.add.at`` into zeros, so the
+    sums are bitwise the same.  The cast matters when ``index`` is empty:
+    then ``bincount`` returns int64 zeros even with float weights.
+    """
+    return np.bincount(index, weights=weights, minlength=n).astype(np.float64, copy=False)
 
 
 def cospan_compose(a: Cospan, b: Cospan) -> Cospan:

@@ -51,9 +51,16 @@ def build_system(
     specs: Sequence[ModelSpec],
     labels: Sequence[str] | None = None,
 ) -> ComposedSystem:
-    """Instantiate the specs and compose them over the diagram."""
+    """Instantiate the specs and compose them over the diagram.
+
+    Each distinct spec is instantiated once and its model shared by every
+    box that uses it, so ``oapply_*`` evaluates those boxes as one group;
+    a spec used by a single box runs that box's scalar closures.
+    """
     box_labels = _labels(diagram.n_boxes, labels)
-    models = [instantiate(s) for s in specs]
+    distinct = {id(s): s for s in specs}
+    model_of = {i: instantiate(s) for i, s in distinct.items()}
+    models = [model_of[id(s)] for s in specs]
 
     if isinstance(diagram, UWDiagram):
         if not all(isinstance(m, ResourceSharer) for m in models):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +144,28 @@ class TestCompose:
         assert "box 0" in capsys.readouterr().err
 
 
+def readme_commands(readme: Path, marker: str) -> list[list[str]]:
+    """Argument lists of the ``dynwire`` commands in the README code block
+    that mentions ``marker``."""
+    for block in readme.read_text(encoding="utf-8").split("```")[1::2]:
+        if marker in block:
+            lines = block.replace("\\\n", " ").splitlines()
+            return [shlex.split(line)[1:] for line in lines if line.startswith("dynwire ")]
+    raise AssertionError(f"no README code block mentions {marker}")
+
+
 class TestSimulate:
+    def test_readme_sir_example(self, tmp_path, repo_root, monkeypatch):
+        shutil.copytree(repo_root / "configs", tmp_path / "configs")
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands(repo_root / "README.md", "labels3.json")
+        assert [argv[0] for argv in commands] == ["validate", "simulate", "plot"]
+        for argv in commands:
+            assert main(argv) == 0, argv
+        header, rows = read_csv(tmp_path / "traj.csv")
+        assert header[1:4] == ["city1.S", "city1.I", "city1.R"]
+        assert rows[0][1:3] == [990.0, 10.0]
+
     def test_constant_trajectory(self, tmp_path):
         diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)
         model = write_json(tmp_path / "m.json", ZERO_FIELD_MODEL)
