@@ -6,13 +6,14 @@ undirected one (ports expose state variables to be identified).  Both come
 in a continuous flavor, where ``dynamics`` is a vector field, and a discrete
 one, where it is the next-state map.
 
-Composites are closures over the diagram and the component systems: merged
-directed wires sum, wireless in-ports read exactly 0.0, and undirected
-composition glues states by a pushout.  Boxes that share a batch kernel (as
-equal instantiated specs do) are evaluated together, one call per group;
-the rest call their scalar callables box by box.  Explicit Euler
-discretization commutes with both compositions, which the test suite
-exercises as the central oracle.
+Composites are closures over the diagram and the component systems.  Both
+directed syntaxes (a CPG read as a DWD through ``DWD_FROM_CPG``) become one
+gather/scatter transport: merged wires sum, wireless in-ports read exactly
+0.0.  Undirected composition glues states by a pushout.  Boxes that share a
+batch kernel (as equal instantiated specs do) are evaluated together, one
+call per group, the rest box by box.  Explicit Euler discretization
+commutes with both compositions, which the test suite exercises as the
+central oracle.
 """
 
 from __future__ import annotations
@@ -169,16 +170,16 @@ class _BoxPlan:
         self,
         systems: Sequence[Machine] | Sequence[ResourceSharer],
         offs: np.ndarray,
-        in_ports: Sequence[np.ndarray] = (),
-        out_ports: Sequence[np.ndarray] = (),
+        in_ports: Sequence[Sequence[int]] = (),
+        out_ports: Sequence[Sequence[int]] = (),
     ):
         bounds = offs.tolist()
         self.boxes = [
             _Box(
                 s,
                 slice(bounds[i], bounds[i + 1]),
-                in_ports[i] if in_ports else None,
-                out_ports[i] if out_ports else None,
+                np.asarray(in_ports[i], dtype=np.intp) if in_ports else None,
+                np.asarray(out_ports[i], dtype=np.intp) if out_ports else None,
                 f"readout of box {i}",
                 f"dynamics of box {i}",
             )
@@ -231,14 +232,62 @@ class _BoxPlan:
             out[b.states] = _as_vector(v, s.n_states, b.dynamics_of)
 
 
+def _oapply_transport(
+    machines: Sequence[Machine],
+    n_outer_in: int,
+    n_outer_out: int,
+    in_ports: Sequence[Sequence[int]],
+    out_ports: Sequence[Sequence[int]],
+    inward: tuple[np.ndarray, np.ndarray],
+    outward: tuple[np.ndarray, np.ndarray],
+) -> Machine:
+    """The directed composite over one (gather, scatter) transport per direction.
+
+    ``inward`` sums ``concat(readouts, inputs)[gather]`` into in-ports
+    ``scatter``; ``outward`` sums ``readouts[gather]`` into outer out-ports.
+    Each is one fiber sum in index order, so box wires are listed first.
+    """
+    kind = _common_kind([m.kind for m in machines], "machines")
+    n_pin = sum(len(p) for p in in_ports)
+    n_pout = sum(len(p) for p in out_ports)
+    offs = np.cumsum([0] + [m.n_states for m in machines])
+    n_states = int(offs[-1])
+    plan = _BoxPlan(machines, offs, in_ports, out_ports)
+    feed_from, feed_to = inward
+    out_from, out_to = outward
+
+    def all_readouts(x: np.ndarray) -> np.ndarray:
+        o = np.empty(n_pout, dtype=np.float64)
+        plan.readouts(x, o)
+        return o
+
+    def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        a = _as_vector(a, n_outer_in, "input vector")
+        x = _as_vector(x, n_states, "state vector")
+        values = np.concatenate([all_readouts(x), a])
+        out = np.empty(n_states, dtype=np.float64)
+        plan.dynamics(x, out, fiber_sum(feed_to, values[feed_from], n_pin))
+        return out
+
+    def readout(x: np.ndarray) -> np.ndarray:
+        x = _as_vector(x, n_states, "state vector")
+        return fiber_sum(out_to, all_readouts(x)[out_from], n_outer_out)
+
+    return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind)
+
+
+def _indices(*columns: Sequence[int]) -> np.ndarray:
+    return np.concatenate([np.asarray(c, dtype=np.intp) for c in columns])
+
+
 def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     """Compose machines over a directed wiring diagram.
 
     Evaluation order per step: all readouts first (they depend on state
     only), then all in-port sums, then all dynamics; feedback loops resolve
-    in one pass.  An in-port fed by several wires receives the sum; one fed
-    by none receives 0.0.  Boxes sharing a ``kernel`` run as one group;
-    singletons and machines without a kernel run their scalar callables.
+    in one pass.  An in-port fed by several wires receives their sum, box
+    wires first; one fed by none receives 0.0.  Boxes sharing a ``kernel``
+    run as one group, the others through their scalar callables.
     """
     if len(machines) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
@@ -248,46 +297,13 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
                 f"box {i} expects (in, out) = ({n_in}, {n_out}), "
                 f"machine has ({m.n_inputs}, {m.n_outputs})"
             )
-    kind = _common_kind([m.kind for m in machines], "machines")
-
-    n_pin = d.data.card["P_in"]
-    n_pout = d.data.card["P_out"]
-    in_idx = [np.asarray(ports, dtype=np.intp) for ports in d.in_ports]
-    out_idx = [np.asarray(ports, dtype=np.intp) for ports in d.out_ports]
-    offs = np.cumsum([0] + [m.n_states for m in machines])
-    n_states = int(offs[-1])
-
-    src = d.data.part_fn("src")
-    tgt = d.data.part_fn("tgt")
-    src_in = d.data.part_fn("src_in")
-    tgt_in = d.data.part_fn("tgt_in")
-    src_out = d.data.part_fn("src_out")
-    tgt_out = d.data.part_fn("tgt_out")
-    plan = _BoxPlan(machines, offs, in_idx, out_idx)
-
-    def all_readouts(x: np.ndarray) -> np.ndarray:
-        o = np.empty(n_pout, dtype=np.float64)
-        plan.readouts(x, o)
-        return o
-
-    def in_port_values(a: np.ndarray, o: np.ndarray) -> np.ndarray:
-        vals = pushforward_vec(tgt, pullback_vec(src, o))
-        vals += pushforward_vec(tgt_in, pullback_vec(src_in, a))
-        return vals
-
-    def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a = _as_vector(a, d.n_outer_in, "input vector")
-        x = _as_vector(x, n_states, "state vector")
-        feed = in_port_values(a, all_readouts(x))
-        out = np.empty(n_states, dtype=np.float64)
-        plan.dynamics(x, out, feed)
-        return out
-
-    def readout(x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, n_states, "state vector")
-        return pushforward_vec(tgt_out, pullback_vec(src_out, all_readouts(x)))
-
-    return Machine(d.n_outer_in, n_states, d.n_outer_out, dynamics, readout, kind)
+    parts = d.data.parts
+    src_in = _indices(parts["src_in"]) + d.data.card["P_out"]
+    inward = (_indices(parts["src"], src_in), _indices(parts["tgt"], parts["tgt_in"]))
+    outward = (_indices(parts["src_out"]), _indices(parts["tgt_out"]))
+    return _oapply_transport(
+        machines, d.n_outer_in, d.n_outer_out, d.in_ports, d.out_ports, inward, outward
+    )
 
 
 @dataclass(frozen=True)
@@ -335,24 +351,15 @@ def oapply_undirected_with_layout(
     n_states = po.apex_size
     plan = _BoxPlan(sharers, offs)
 
-    def block_dynamics(y: np.ndarray) -> np.ndarray:
+    def dynamics(x: np.ndarray) -> np.ndarray:
+        x = _as_vector(x, n_states, "state vector")
+        y = pullback_vec(state_inj, x)
         out = np.empty(n_states_total, dtype=np.float64)
         plan.dynamics(y, out)
-        return out
-
-    if kind == "continuous":
-
-        def dynamics(x: np.ndarray) -> np.ndarray:
-            x = _as_vector(x, n_states, "state vector")
-            y = pullback_vec(state_inj, x)
-            return pushforward_vec(state_inj, block_dynamics(y))
-
-    else:
-
-        def dynamics(x: np.ndarray) -> np.ndarray:
-            x = _as_vector(x, n_states, "state vector")
-            y = pullback_vec(state_inj, x)
-            return x + pushforward_vec(state_inj, block_dynamics(y) - y)
+        if kind == "continuous":
+            return pushforward_vec(state_inj, out)
+        # A discrete box returns its next state; glued states add their increments.
+        return x + pushforward_vec(state_inj, out - y)
 
     portmap = compose(d.data.part_fn("junc_out"), junc_inj)
     sharer = ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind)
@@ -367,9 +374,9 @@ def oapply_undirected(d: UWDiagram, sharers: Sequence[ResourceSharer]) -> Resour
 def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     """Compose machines over a circular port graph.
 
-    Behaviorally equal to ``oapply_directed(cpg_to_dwd(g), machines)`` but
-    skips port duplication and routes neighbor exchange directly.  Boxes
-    are grouped by shared ``kernel`` as in ``oapply_directed``.
+    The composite of ``oapply_directed(cpg_to_dwd(g), machines)``, with the
+    transport read from the CPG tables: each port is both an in-port and an
+    out-port of its box, and outer port ``q`` feeds and reads ``expose[q]``.
     """
     if len(machines) != g.n_boxes:
         raise ArityError(f"diagram has {g.n_boxes} boxes but {len(machines)} machines were given")
@@ -379,37 +386,14 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
                 f"box {i} expects {want} inputs and outputs, "
                 f"machine has ({m.n_inputs}, {m.n_outputs})"
             )
-    kind = _common_kind([m.kind for m in machines], "machines")
-
-    n_ports = len(g.data.parts["box"])
-    port_idx = [np.asarray(ports, dtype=np.intp) for ports in g.box_ports]
-    offs = np.cumsum([0] + [m.n_states for m in machines])
-    n_states = int(offs[-1])
-    src = np.asarray(g.data.parts["src"], dtype=np.intp)
-    expose = np.asarray(g.data.parts["expose"], dtype=np.intp)
-    # Wire targets then exposed ports, so one fiber sum adds wires first.
-    feed_idx = np.concatenate([np.asarray(g.data.parts["tgt"], dtype=np.intp), expose])
-    plan = _BoxPlan(machines, offs, port_idx, port_idx)
-
-    def all_readouts(x: np.ndarray) -> np.ndarray:
-        o = np.empty(n_ports, dtype=np.float64)
-        plan.readouts(x, o)
-        return o
-
-    def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a = _as_vector(a, g.n_outer, "input vector")
-        x = _as_vector(x, n_states, "state vector")
-        o = all_readouts(x)
-        feed = fiber_sum(feed_idx, np.concatenate([o[src], a]), n_ports)
-        out = np.empty(n_states, dtype=np.float64)
-        plan.dynamics(x, out, feed)
-        return out
-
-    def readout(x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, n_states, "state vector")
-        return all_readouts(x)[expose]
-
-    return Machine(g.n_outer, n_states, g.n_outer, dynamics, readout, kind)
+    parts = g.data.parts
+    outer = np.arange(g.n_outer, dtype=np.intp)
+    src_in = outer + len(parts["box"])
+    inward = (_indices(parts["src"], src_in), _indices(parts["tgt"], parts["expose"]))
+    outward = (_indices(parts["expose"]), outer)
+    return _oapply_transport(
+        machines, g.n_outer, g.n_outer, g.box_ports, g.box_ports, inward, outward
+    )
 
 
 def euler_directed(m: Machine, h: float) -> Machine:

@@ -9,6 +9,7 @@ schema names and 0-based indices throughout.  All files are UTF-8; CSV uses
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -131,29 +132,63 @@ class SimulationConfig:
             raise ConfigError("steps must be a positive integer")
 
 
-def load_config(path: str | Path) -> SimulationConfig:
-    data = load_json(path)
+def _finite(path: str | Path, key: str, value: object) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: {key} must be a number, got {value!r}")
     try:
-        h = float(data["h"])
-        steps = int(data["steps"])
-        raw_init = data["init"]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: config is missing key {exc.args[0]!r}") from None
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
+    return x
+
+
+def _finite_list(path: str | Path, key: str, value: object) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: {key} must be a list of numbers, got {value!r}")
+    return tuple(_finite(path, f"{key}[{i}]", v) for i, v in enumerate(value))
+
+
+def load_config(path: str | Path) -> SimulationConfig:
+    """Decode a simulation config; any key of the wrong type raises ``ConfigError``.
+
+    ``h`` is a finite number, ``steps`` an integer (bools and floats are
+    refused, not truncated), and every entry of ``init``, ``inputs`` and the
+    input table a finite number.
+    """
+    data = load_json(path)
+    for key in ("h", "steps", "init"):
+        if key not in data:
+            raise ConfigError(f"{path}: config is missing key {key!r}")
+    h = _finite(path, "'h'", data["h"])
+    steps = data["steps"]
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ConfigError(f"{path}: 'steps' must be an integer, got {steps!r}")
+    raw_init = data["init"]
     if isinstance(raw_init, dict):
-        init: tuple[float, ...] | dict[str, float] = {str(k): float(v) for k, v in raw_init.items()}
+        init: tuple[float, ...] | dict[str, float] = {
+            k: _finite(path, f"init[{k!r}]", v) for k, v in raw_init.items()
+        }
     else:
-        init = tuple(float(v) for v in raw_init)
+        init = _finite_list(path, "init", raw_init)
     inputs = None
     input_table = None
     raw_inputs = data.get("inputs")
     if isinstance(raw_inputs, dict):
         table = raw_inputs.get("table")
-        if table is None:
-            raise ConfigError(f"{path}: inputs object must carry a 'table'")
-        input_table = tuple(tuple(float(v) for v in row) for row in table)
+        if not isinstance(table, list):
+            raise ConfigError(f"{path}: inputs object must carry a 'table' list")
+        input_table = tuple(
+            _finite_list(path, f"inputs.table[{r}]", row) for r, row in enumerate(table)
+        )
     elif raw_inputs is not None:
-        inputs = tuple(float(v) for v in raw_inputs)
-    return SimulationConfig(h=h, steps=steps, init=init, inputs=inputs, input_table=input_table)
+        inputs = _finite_list(path, "inputs", raw_inputs)
+    try:
+        return SimulationConfig(h=h, steps=steps, init=init, inputs=inputs, input_table=input_table)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_labels(path: str | Path) -> list[str]:

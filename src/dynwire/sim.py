@@ -9,15 +9,13 @@ are named ``j<index>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynam import (
     Machine,
     ResourceSharer,
-    euler_directed,
-    euler_undirected,
     oapply_cpg,
     oapply_directed,
     oapply_undirected_with_layout,
@@ -129,18 +127,21 @@ def _input_for_step(
     return np.zeros(n_inputs)
 
 
+def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+    k1 = np.asarray(f(x), dtype=np.float64)
+    k2 = np.asarray(f(x + 0.5 * h * k1), dtype=np.float64)
+    k3 = np.asarray(f(x + 0.5 * h * k2), dtype=np.float64)
+    k4 = np.asarray(f(x + h * k3), dtype=np.float64)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """Classic fourth-order step with inputs held constant over the step.
 
     Convenience only: unlike the Euler map this does not commute with
     composition, so it is applied to the composed system.
     """
-    u = machine.dynamics
-    k1 = np.asarray(u(a, x), dtype=np.float64)
-    k2 = np.asarray(u(a, x + 0.5 * h * k1), dtype=np.float64)
-    k3 = np.asarray(u(a, x + 0.5 * h * k2), dtype=np.float64)
-    k4 = np.asarray(u(a, x + h * k3), dtype=np.float64)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(lambda y: machine.dynamics(a, y), x, h)
 
 
 def run_trajectory(
@@ -148,13 +149,15 @@ def run_trajectory(
 ) -> tuple[list[str], list[list[float]], dict]:
     """Iterate the composed system; returns (header, rows, metadata).
 
-    Continuous systems are discretized by the requested scheme; discrete
-    systems are stepped directly.  Rows include the initial state at ``t=0``
-    and one row per step.
+    One stepper, chosen once, advances the state along step ``k``'s field
+    ``f``: ``system.dynamics`` for a sharer, ``system.dynamics(a_k, .)`` for
+    a machine with inputs ``a_k`` fetched once and held over the step.
+    Discrete systems step directly (``f(x)``); continuous ones by explicit
+    Euler (``x + h * f(x)``) or classic RK4 over ``f``.  Rows include the
+    initial state at ``t=0`` and one row per step.
     """
     system = composed.system
     x = _initial_state(config, composed.state_names)
-    n_inputs = system.n_inputs if isinstance(system, Machine) else 0
     if not composed.directed and (config.inputs is not None or config.input_table is not None):
         raise ConfigError("external inputs apply to directed systems only")
     if config.input_table is not None and len(config.input_table) < config.steps:
@@ -162,52 +165,30 @@ def run_trajectory(
             f"input table has {len(config.input_table)} rows, need {config.steps}"
         )
 
-    if composed.kind == "discrete":
-        if scheme == "rk4":
-            raise KindError("rk4 integrates continuous systems; these models are discrete")
-        stepper = "direct"
-    else:
-        stepper = scheme
-        if scheme not in ("euler", "rk4"):
-            raise ConfigError(f"unknown scheme {scheme!r}")
+    if composed.kind == "discrete" and scheme == "rk4":
+        raise KindError("rk4 integrates continuous systems; these models are discrete")
+    if composed.kind != "discrete" and scheme not in ("euler", "rk4"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    stepper = "direct" if composed.kind == "discrete" else scheme
 
-    if isinstance(system, Machine):
-        if stepper == "euler":
-            discrete: Machine | None = euler_directed(system, config.h)
-        elif stepper == "direct":
-            discrete = system
-        else:
-            discrete = None
+    h = config.h
+    step = {
+        "direct": lambda f, x: np.asarray(f(x), dtype=np.float64),
+        "euler": lambda f, x: x + h * np.asarray(f(x), dtype=np.float64),
+        "rk4": lambda f, x: _rk4(f, x, h),
+    }[stepper]
 
-        def advance(x: np.ndarray, k: int) -> np.ndarray:
-            a = _input_for_step(config, n_inputs, k)
-            if discrete is not None:
-                return np.asarray(discrete.dynamics(a, x), dtype=np.float64)
-            return rk4_step(system, a, x, config.h)
-
-    else:
-        if stepper == "rk4":
-            v = system.dynamics
-            h = config.h
-
-            def advance(x: np.ndarray, k: int) -> np.ndarray:
-                k1 = np.asarray(v(x), dtype=np.float64)
-                k2 = np.asarray(v(x + 0.5 * h * k1), dtype=np.float64)
-                k3 = np.asarray(v(x + 0.5 * h * k2), dtype=np.float64)
-                k4 = np.asarray(v(x + h * k3), dtype=np.float64)
-                return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        else:
-            sharer = euler_undirected(system, config.h) if stepper == "euler" else system
-
-            def advance(x: np.ndarray, k: int) -> np.ndarray:
-                return np.asarray(sharer.dynamics(x), dtype=np.float64)
+    def field(k: int) -> Callable[[np.ndarray], np.ndarray]:
+        if isinstance(system, ResourceSharer):
+            return system.dynamics
+        a = _input_for_step(config, system.n_inputs, k)
+        return lambda y: system.dynamics(a, y)
 
     header = ["t", *composed.state_names]
     rows = [[0.0, *x.tolist()]]
     for k in range(config.steps):
-        x = advance(x, k)
-        rows.append([(k + 1) * config.h, *x.tolist()])
+        x = step(field(k), x)
+        rows.append([(k + 1) * h, *x.tolist()])
 
     metadata = {
         "scheme": stepper,

@@ -154,6 +154,20 @@ def readme_commands(readme: Path, marker: str) -> list[list[str]]:
     raise AssertionError(f"no README code block mentions {marker}")
 
 
+BAD_CONFIGS = {
+    "h-string": ({"h": "abc"}, "'h'"),
+    "h-bool": ({"h": True}, "'h'"),
+    "h-infinite": ({"h": float("inf")}, "'h'"),
+    "steps-float": ({"steps": 2.7}, "'steps'"),
+    "steps-bool": ({"steps": True}, "'steps'"),
+    "init-nan": ({"init": [float("nan")]}, "init[0]"),
+    "init-named-string": ({"init": {"b0.x": "1"}}, "init['b0.x']"),
+    "init-scalar": ({"init": 5}, "init"),
+    "inputs-infinite": ({"inputs": [float("-inf")]}, "inputs[0]"),
+    "table-string": ({"inputs": {"table": [[1.0], ["x"]]}}, "inputs.table[1][0]"),
+}
+
+
 class TestSimulate:
     def test_readme_sir_example(self, tmp_path, repo_root, monkeypatch):
         shutil.copytree(repo_root / "configs", tmp_path / "configs")
@@ -165,6 +179,21 @@ class TestSimulate:
         header, rows = read_csv(tmp_path / "traj.csv")
         assert header[1:4] == ["city1.S", "city1.I", "city1.R"]
         assert rows[0][1:3] == [990.0, 10.0]
+
+    @pytest.mark.parametrize("change, key", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_malformed_config_is_a_located_error(self, tmp_path, capsys, change, key):
+        diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)
+        model = write_json(tmp_path / "m.json", ZERO_FIELD_MODEL)
+        config = write_json(tmp_path / "c.json", {"h": 0.5, "steps": 3, "init": [1.0], **change})
+        assert main([
+            "simulate", "--diagram", str(diagram), "--models", str(model),
+            "--config", str(config), "--out", str(tmp_path / "traj.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert str(config) in err and key in err
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_constant_trajectory(self, tmp_path):
         diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)

@@ -7,6 +7,7 @@ import pytest
 
 from dynwire import (
     ArityError,
+    CPGraph,
     DWDiagram,
     FinFunction,
     KindError,
@@ -121,6 +122,18 @@ class TestOapplyDirected:
         composite = oapply_directed(d, [echo])
         out = composite.readout(np.array([1.0, 10.0]))
         assert out.tolist() == [11.0, 0.0]
+
+    def test_box_wire_and_outer_in_wires_sum_on_one_port(self):
+        source = Machine(0, 1, 1, lambda a, x: np.zeros(1), lambda x: x, "continuous")
+        sink = Machine(1, 1, 0, lambda a, x: a, lambda x: np.zeros(0), "continuous")
+        d = DWDiagram.from_tables(
+            2, box_in=[1], box_out=[0], n_outer_in=2, n_outer_out=2,
+            wires=[(0, 0)], in_wires=[(0, 0), (1, 0)], out_wires=[(0, 0), (0, 1)],
+        )
+        composite = oapply_directed(d, [source, sink])
+        x = np.array([0.5, 0.0])
+        assert composite.dynamics(np.array([0.25, 2.0]), x).tolist() == [0.0, 2.75]
+        assert composite.readout(x).tolist() == [0.5, 0.5]
 
     def test_state_count_law(self):
         rng = random.Random(21)
@@ -357,6 +370,16 @@ class TestOapplyCPG:
         # Box 0's East input should be box 1's readout.
         out = composite.dynamics(np.zeros(6), np.array([3.0, 8.0]))
         assert out.tolist() == [8.0, 0.0]
+
+    def test_wired_port_exposed_twice_sums_both_inputs(self):
+        # Port 1 (box 1) takes box 0's readout by wire and both outer inputs.
+        echo = Machine(1, 1, 1, lambda a, x: a, lambda x: x, "continuous")
+        g = CPGraph.from_tables(2, box=[0, 1], wires=[(0, 1)], expose=[1, 1])
+        a, x = np.array([0.25, 2.0]), np.array([0.5, 3.0])
+        machines = [echo, echo]
+        for composite in (oapply_cpg(g, machines), oapply_directed(cpg_to_dwd(g), machines)):
+            assert composite.dynamics(a, x).tolist() == [0.0, 2.75]
+            assert composite.readout(x).tolist() == [3.0, 3.0]
 
     def test_agrees_with_migrated_path(self):
         rng = random.Random(41)
