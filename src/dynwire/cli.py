@@ -26,21 +26,7 @@ from .fileio import (
 )
 from .modelspec import spec_from_json, spec_violations
 from .sim import build_system, run_trajectory
-from .wiring import (
-    CPGraph,
-    DWDiagram,
-    UWDiagram,
-    canonical,
-    cpg_to_dwd,
-    grid,
-    identity_cpg,
-    identity_dwd,
-    identity_uwd,
-    ocompose_cpg,
-    ocompose_dwd,
-    ocompose_uwd,
-    to_dot,
-)
+from .wiring import CPGraph, canonical, cpg_to_dwd, grid, ocompose, ocompose_at, to_dot
 
 __all__ = ["main"]
 
@@ -73,34 +59,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _identity_for_box(outer, i: int):
-    if isinstance(outer, UWDiagram):
-        return identity_uwd(outer.port_counts[i])
-    if isinstance(outer, DWDiagram):
-        return identity_dwd(*outer.signature[i])
-    return identity_cpg(outer.port_counts[i])
-
-
 def cmd_compose(args: argparse.Namespace) -> int:
     outer = load_diagram(args.outer)
     inners = [load_diagram(p) for p in args.inner]
-    if args.slot is not None:
-        if len(inners) != 1:
-            raise DynwireError("--slot takes exactly one --inner diagram")
-        padded = [_identity_for_box(outer, i) for i in range(outer.n_boxes)]
-        if not 0 <= args.slot < outer.n_boxes:
-            raise DynwireError(f"slot {args.slot} out of range for {outer.n_boxes} boxes")
-        padded[args.slot] = inners[0]
-        inners = padded
-    kinds = {type(d) for d in [outer, *inners]}
-    if len(kinds) > 1:
-        raise DynwireError("outer and inner diagrams must share a schema")
-    if isinstance(outer, UWDiagram):
-        result = ocompose_uwd(outer, inners)
-    elif isinstance(outer, DWDiagram):
-        result = ocompose_dwd(outer, inners)
+    if args.slot is None:
+        result = ocompose(outer, inners)
+    elif len(inners) != 1:
+        raise DynwireError("--slot takes exactly one --inner diagram")
     else:
-        result = ocompose_cpg(outer, inners)
+        result = ocompose_at(outer, args.slot, inners[0])
     dump_diagram(canonical(result), args.out)
     print(f"wrote {args.out}")
     return 0

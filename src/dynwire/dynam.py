@@ -34,6 +34,7 @@ __all__ = [
     "ResourceSharer",
     "eval_dynamics",
     "eval_readout",
+    "eval_sharer",
     "oapply_directed",
     "oapply_undirected",
     "oapply_undirected_with_layout",

@@ -9,15 +9,15 @@ schema names and 0-based indices throughout.  All files are UTF-8; CSV uses
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .cset import SCHEMAS_BY_NAME, CSetInstance
 from .errors import ConfigError, DynwireError, SchemaError
-from .modelspec import ModelSpec, spec_from_json, spec_to_json
-from .wiring import CPGraph, DWDiagram, UWDiagram
+from .modelspec import ModelSpec, _finite_float, spec_from_json, spec_to_json
+from .wiring import _SYNTAX, CPGraph, DWDiagram, UWDiagram
 
 __all__ = [
     "load_json",
@@ -58,7 +58,12 @@ def _write_json(path: str | Path, data: dict) -> None:
 
 
 def instance_from_json(data: Mapping) -> CSetInstance:
-    """Decode a diagram object into a raw instance (not yet validated)."""
+    """Decode a diagram object into a raw instance (not yet validated).
+
+    Every object and morphism of the schema is a required key; cards are
+    integers and columns lists of integers, else ``SchemaError`` names the
+    key and row.
+    """
     name = data.get("schema")
     if name not in SCHEMAS_BY_NAME:
         raise SchemaError(
@@ -69,9 +74,26 @@ def instance_from_json(data: Mapping) -> CSetInstance:
     unknown = sorted(set(data) - known)
     if unknown:
         raise SchemaError(f"unknown keys for schema {name}: {', '.join(unknown)}")
-    card = {ob: int(data.get(ob, 0)) for ob in schema.objects}
-    parts = {m.name: tuple(int(v) for v in data.get(m.name, ())) for m in schema.morphisms}
+    missing = [key for key in known - {"schema"} if key not in data]
+    if missing:
+        raise SchemaError(f"schema {name} requires keys: {', '.join(sorted(missing))}")
+    card = {}
+    for ob in schema.objects:
+        if type(data[ob]) is not int:
+            raise SchemaError(f"{ob!r} must be an integer, got {data[ob]!r}")
+        card[ob] = data[ob]
+    parts = {m.name: _int_column(m.name, data[m.name]) for m in schema.morphisms}
     return CSetInstance(schema, card, parts)
+
+
+def _int_column(key: str, col: object) -> tuple[int, ...]:
+    # ``type(v) is int`` refuses bools and floats instead of truncating them.
+    if not isinstance(col, list):
+        raise SchemaError(f"{key!r} must be a list of integers, got {col!r}")
+    if set(map(type, col)) - {int}:
+        row = next(r for r, v in enumerate(col) if type(v) is not int)
+        raise SchemaError(f"{key}[{row}] must be an integer, got {col[row]!r}")
+    return tuple(col)
 
 
 def instance_to_json(inst: CSetInstance) -> dict:
@@ -85,7 +107,7 @@ def instance_to_json(inst: CSetInstance) -> dict:
 
 def wrap_instance(inst: CSetInstance) -> Diagram:
     """Validate and wrap a raw instance into its diagram type."""
-    wrapper = {"UWD": UWDiagram, "DWD": DWDiagram, "CPG": CPGraph}[inst.schema.name]
+    wrapper = {cls.schema_name: cls for cls in _SYNTAX}[inst.schema.name]
     return wrapper(inst)
 
 
@@ -109,6 +131,23 @@ def dump_model(spec: ModelSpec, path: str | Path) -> None:
     _write_json(path, spec_to_json(spec))
 
 
+def _finite(key: str, value: object) -> float:
+    x = _finite_float(value)
+    if x is None:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
+def _finite_list(key: str, value: object) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    xs = tuple(map(_finite_float, value))
+    if None in xs:
+        i = xs.index(None)
+        raise ConfigError(f"{key}[{i}] must be a finite number, got {value[i]!r}")
+    return xs
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Step size, step count, initial state, and external inputs.
@@ -117,6 +156,12 @@ class SimulationConfig:
     (unnamed states default to 0.0).  ``inputs`` is either a constant vector
     or a per-step table with one row per step; both apply to directed
     systems only.
+
+    Construction checks every field: ``h`` is a finite positive number,
+    ``steps`` a positive integer (bools and floats are refused, not
+    truncated), and every entry of ``init``, ``inputs`` and the input table
+    a finite number; numbers are stored as floats and vectors as tuples.
+    A failure raises ``ConfigError`` naming the field.
     """
 
     h: float
@@ -126,67 +171,46 @@ class SimulationConfig:
     input_table: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.h > 0:
+        h = _finite("'h'", self.h)
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ConfigError(f"'steps' must be an integer, got {self.steps!r}")
+        if isinstance(self.init, dict):
+            init: tuple[float, ...] | dict[str, float] = {
+                k: _finite(f"init[{k!r}]", v) for k, v in self.init.items()
+            }
+        else:
+            init = _finite_list("init", self.init)
+        inputs = None if self.inputs is None else _finite_list("inputs", self.inputs)
+        table = self.input_table
+        if table is not None:
+            table = tuple(_finite_list(f"inputs.table[{r}]", row) for r, row in enumerate(table))
+        if not h > 0:
             raise ConfigError("step size h must be positive")
         if self.steps < 1:
             raise ConfigError("steps must be a positive integer")
-
-
-def _finite(path: str | Path, key: str, value: object) -> float:
-    """``value`` as a float if it is a finite JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: {key} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
-    return x
-
-
-def _finite_list(path: str | Path, key: str, value: object) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: {key} must be a list of numbers, got {value!r}")
-    return tuple(_finite(path, f"{key}[{i}]", v) for i, v in enumerate(value))
+        for name, value in (("h", h), ("init", init), ("inputs", inputs), ("input_table", table)):
+            object.__setattr__(self, name, value)
 
 
 def load_config(path: str | Path) -> SimulationConfig:
-    """Decode a simulation config; any key of the wrong type raises ``ConfigError``.
+    """Decode a simulation config; a missing key or a field that
+    ``SimulationConfig`` refuses raises ``ConfigError`` naming the file.
 
-    ``h`` is a finite number, ``steps`` an integer (bools and floats are
-    refused, not truncated), and every entry of ``init``, ``inputs`` and the
-    input table a finite number.
+    ``inputs`` is a list (one constant vector) or ``{"table": [rows]}``.
     """
     data = load_json(path)
     for key in ("h", "steps", "init"):
         if key not in data:
             raise ConfigError(f"{path}: config is missing key {key!r}")
-    h = _finite(path, "'h'", data["h"])
-    steps = data["steps"]
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise ConfigError(f"{path}: 'steps' must be an integer, got {steps!r}")
-    raw_init = data["init"]
-    if isinstance(raw_init, dict):
-        init: tuple[float, ...] | dict[str, float] = {
-            k: _finite(path, f"init[{k!r}]", v) for k, v in raw_init.items()
-        }
-    else:
-        init = _finite_list(path, "init", raw_init)
-    inputs = None
+    inputs = data.get("inputs")
     input_table = None
-    raw_inputs = data.get("inputs")
-    if isinstance(raw_inputs, dict):
-        table = raw_inputs.get("table")
-        if not isinstance(table, list):
+    if isinstance(inputs, dict):
+        input_table = inputs.get("table")
+        if not isinstance(input_table, list):
             raise ConfigError(f"{path}: inputs object must carry a 'table' list")
-        input_table = tuple(
-            _finite_list(path, f"inputs.table[{r}]", row) for r, row in enumerate(table)
-        )
-    elif raw_inputs is not None:
-        inputs = _finite_list(path, "inputs", raw_inputs)
+        inputs = None
     try:
-        return SimulationConfig(h=h, steps=steps, init=init, inputs=inputs, input_table=input_table)
+        return SimulationConfig(data["h"], data["steps"], data["init"], inputs, input_table)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

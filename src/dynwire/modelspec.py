@@ -737,29 +737,62 @@ def spec_to_json(spec: ModelSpec) -> dict:
     return out
 
 
+def _finite_float(value: object) -> float | None:
+    """``value`` as a float if it is a finite int or float (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _json_strings(key: str, value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelSpecError(f"model key {key!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _json_params(data: Mapping) -> dict[str, float]:
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ModelSpecError(f"model key 'params' must be an object, got {params!r}")
+    out = {}
+    for name, value in params.items():
+        x = _finite_float(value)
+        if x is None:
+            raise ModelSpecError(f"params[{name!r}] must be a finite number, got {value!r}")
+        out[name] = x
+    return out
+
+
 def spec_from_json(data: Mapping) -> ModelSpec:
     """Parse a model JSON object; ``{"builtin": name, "params": {...}}`` is
-    also accepted and resolves through the registry."""
+    also accepted and resolves through the registry.
+
+    ``states``, ``inputs``, ``ports`` and ``readout`` are lists of strings,
+    ``dynamics`` an object of strings, and params finite numbers; any other
+    value raises ``ModelSpecError`` naming its key.
+    """
     if "builtin" in data:
-        return builtin_model(str(data["builtin"]), data.get("params", {}))
+        return builtin_model(str(data["builtin"]), _json_params(data))
     try:
         kind = str(data["kind"])
         flavor = str(data["flavor"])
-        states = tuple(str(s) for s in data["states"])
-        dynamics = {str(s): parse(str(e)) for s, e in dict(data["dynamics"]).items()}
+        states = _json_strings("states", data["states"])
+        dynamics = data["dynamics"]
     except KeyError as exc:
         raise ModelSpecError(f"model JSON is missing key {exc.args[0]!r}") from None
-    params = {str(k): float(v) for k, v in dict(data.get("params", {})).items()}
-    inputs = tuple(str(s) for s in data.get("inputs", ()))
-    readout = tuple(parse(str(e)) for e in data.get("readout", ()))
-    ports = tuple(str(s) for s in data.get("ports", ()))
+    if not isinstance(dynamics, dict) or not all(isinstance(e, str) for e in dynamics.values()):
+        raise ModelSpecError(f"model key 'dynamics' must be an object of strings, got {dynamics!r}")
     return ModelSpec(
         kind=kind,
         flavor=flavor,
         states=states,
-        dynamics=dynamics,
-        inputs=inputs,
-        params=params,
-        readout=readout,
-        ports=ports,
+        dynamics={s: parse(e) for s, e in dynamics.items()},
+        inputs=_json_strings("inputs", data.get("inputs", [])),
+        params=_json_params(data),
+        readout=tuple(parse(e) for e in _json_strings("readout", data.get("readout", []))),
+        ports=_json_strings("ports", data.get("ports", [])),
     )

@@ -16,6 +16,8 @@ import numpy as np
 from .dynam import (
     Machine,
     ResourceSharer,
+    euler_directed,
+    euler_undirected,
     oapply_cpg,
     oapply_directed,
     oapply_undirected_with_layout,
@@ -152,9 +154,11 @@ def run_trajectory(
     One stepper, chosen once, advances the state along step ``k``'s field
     ``f``: ``system.dynamics`` for a sharer, ``system.dynamics(a_k, .)`` for
     a machine with inputs ``a_k`` fetched once and held over the step.
-    Discrete systems step directly (``f(x)``); continuous ones by explicit
-    Euler (``x + h * f(x)``) or classic RK4 over ``f``.  Rows include the
-    initial state at ``t=0`` and one row per step.
+    Discrete systems step directly (``f(x)``); continuous ones by classic
+    RK4 over ``f``, or by explicit Euler, which steps the discrete system
+    ``euler_directed(system, h)`` or ``euler_undirected(system, h)``
+    directly.  Rows include the initial state at ``t=0`` and one row per
+    step.
     """
     system = composed.system
     x = _initial_state(config, composed.state_names)
@@ -172,11 +176,13 @@ def run_trajectory(
     stepper = "direct" if composed.kind == "discrete" else scheme
 
     h = config.h
-    step = {
-        "direct": lambda f, x: np.asarray(f(x), dtype=np.float64),
-        "euler": lambda f, x: x + h * np.asarray(f(x), dtype=np.float64),
-        "rk4": lambda f, x: _rk4(f, x, h),
-    }[stepper]
+    if stepper == "euler":
+        euler = euler_undirected if isinstance(system, ResourceSharer) else euler_directed
+        system = euler(system, h)
+    if stepper == "rk4":
+        step = lambda f, x: _rk4(f, x, h)
+    else:
+        step = lambda f, x: np.asarray(f(x), dtype=np.float64)
 
     def field(k: int) -> Callable[[np.ndarray], np.ndarray]:
         if isinstance(system, ResourceSharer):

@@ -5,6 +5,10 @@ replaces every box of an outer diagram by an inner diagram whose outer
 interface matches that box; junctions are identified by a quotient and wires
 are spliced by chaining through the identified interface ports.
 
+Each syntax's identity, substitution, canonical form and DOT export sit in
+one table keyed by diagram class, behind ``ocompose``, ``ocompose_at``,
+``canonical`` and ``to_dot``.
+
 Canonical forms make diagram equality decidable: ports are grouped by box,
 junctions are renumbered by first use, and wire tables are sorted.  Two
 diagrams represent the same term exactly when their canonical forms are
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 from .cset import CPG_SCHEMA, DWD_FROM_CPG, DWD_SCHEMA, UWD_SCHEMA, CSetInstance, migrate, validate
 from .errors import ArityError, DiagramError, InternalShapeError
@@ -27,6 +32,8 @@ __all__ = [
     "identity_uwd",
     "identity_dwd",
     "identity_cpg",
+    "ocompose",
+    "ocompose_at",
     "ocompose_uwd",
     "ocompose_dwd",
     "ocompose_cpg",
@@ -40,17 +47,6 @@ __all__ = [
 ]
 
 
-def _checked(data: CSetInstance, schema_name: str) -> CSetInstance:
-    if data.schema.name != schema_name:
-        raise DiagramError(f"expected a {schema_name} instance, got {data.schema.name}")
-    problems = validate(data)
-    if problems:
-        raise DiagramError(
-            f"invalid {schema_name} instance: " + "; ".join(str(v) for v in problems)
-        )
-    return data
-
-
 def _ports_by_box(box_col: tuple[int, ...], n_boxes: int) -> tuple[tuple[int, ...], ...]:
     out: list[list[int]] = [[] for _ in range(n_boxes)]
     for port, b in enumerate(box_col):
@@ -58,14 +54,66 @@ def _ports_by_box(box_col: tuple[int, ...], n_boxes: int) -> tuple[tuple[int, ..
     return tuple(tuple(ports) for ports in out)
 
 
+def _slots(ports_by_box: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
+    """Global port -> (box, slot), for ports grouped by box."""
+    return {p: (i, s) for i, ports in enumerate(ports_by_box) for s, p in enumerate(ports)}
+
+
 @dataclass(frozen=True)
-class UWDiagram:
-    """An undirected wiring diagram: box ports and outer ports meet junctions."""
+class _Diagram:
+    """A validated instance of the built-in schema ``schema_name``.
+
+    An inner diagram fits box ``i`` when its ``outer_interface`` is ``interfaces[i]``.
+    """
 
     data: CSetInstance
+    schema_name: ClassVar[str]
+    _mismatch: ClassVar[str]
 
     def __post_init__(self) -> None:
-        _checked(self.data, "UWD")
+        name = self.schema_name
+        if self.data.schema.name != name:
+            raise DiagramError(f"expected a {name} instance, got {self.data.schema.name}")
+        problems = validate(self.data)
+        if problems:
+            raise DiagramError(f"invalid {name} instance: " + "; ".join(str(v) for v in problems))
+
+    @property
+    def n_boxes(self) -> int:
+        return self.data.card["B"]
+
+
+class _PortDiagram(_Diagram):
+    """A diagram whose boxes and outer boundary each carry one list of ports."""
+
+    _mismatch = "box {i} expects {want} ports, inner diagram exposes {got}"
+
+    @property
+    def n_outer(self) -> int:
+        return self.data.card["Q"]
+
+    @cached_property
+    def box_ports(self) -> tuple[tuple[int, ...], ...]:
+        """Global ports of each box, ascending; position gives the port slot."""
+        return _ports_by_box(self.data.parts["box"], self.n_boxes)
+
+    @cached_property
+    def port_counts(self) -> tuple[int, ...]:
+        return tuple(len(p) for p in self.box_ports)
+
+    @property
+    def interfaces(self) -> tuple[int, ...]:
+        return self.port_counts
+
+    @property
+    def outer_interface(self) -> int:
+        return self.n_outer
+
+
+class UWDiagram(_PortDiagram):
+    """An undirected wiring diagram: box ports and outer ports meet junctions."""
+
+    schema_name = "UWD"
 
     @classmethod
     def from_tables(
@@ -81,35 +129,15 @@ class UWDiagram:
         return cls(CSetInstance(UWD_SCHEMA, card, parts))
 
     @property
-    def n_boxes(self) -> int:
-        return self.data.card["B"]
-
-    @property
     def n_junctions(self) -> int:
         return self.data.card["J"]
 
-    @property
-    def n_outer(self) -> int:
-        return self.data.card["Q"]
 
-    @cached_property
-    def box_ports(self) -> tuple[tuple[int, ...], ...]:
-        """Global ports of each box, ascending; position gives the port slot."""
-        return _ports_by_box(self.data.parts["box"], self.n_boxes)
-
-    @cached_property
-    def port_counts(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.box_ports)
-
-
-@dataclass(frozen=True)
-class DWDiagram:
+class DWDiagram(_Diagram):
     """A directed wiring diagram: wires carry values from out-ports to in-ports."""
 
-    data: CSetInstance
-
-    def __post_init__(self) -> None:
-        _checked(self.data, "DWD")
+    schema_name = "DWD"
+    _mismatch = "box {i} expects signature {want}, inner diagram has {got}"
 
     @classmethod
     def from_tables(
@@ -151,10 +179,6 @@ class DWDiagram:
         return cls(CSetInstance(DWD_SCHEMA, card, parts))
 
     @property
-    def n_boxes(self) -> int:
-        return self.data.card["B"]
-
-    @property
     def n_outer_in(self) -> int:
         return self.data.card["Q_in"]
 
@@ -177,15 +201,19 @@ class DWDiagram:
             (len(i), len(o)) for i, o in zip(self.in_ports, self.out_ports)
         )
 
+    @property
+    def interfaces(self) -> tuple[tuple[int, int], ...]:
+        return self.signature
 
-@dataclass(frozen=True)
-class CPGraph:
+    @property
+    def outer_interface(self) -> tuple[int, int]:
+        return (self.n_outer_in, self.n_outer_out)
+
+
+class CPGraph(_PortDiagram):
     """A circular port graph: each port is simultaneously an input and output."""
 
-    data: CSetInstance
-
-    def __post_init__(self) -> None:
-        _checked(self.data, "CPG")
+    schema_name = "CPG"
 
     @classmethod
     def from_tables(
@@ -203,22 +231,6 @@ class CPGraph:
             "expose": tuple(expose),
         }
         return cls(CSetInstance(CPG_SCHEMA, card, parts))
-
-    @property
-    def n_boxes(self) -> int:
-        return self.data.card["B"]
-
-    @property
-    def n_outer(self) -> int:
-        return self.data.card["Q"]
-
-    @cached_property
-    def box_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self.data.parts["box"], self.n_boxes)
-
-    @cached_property
-    def port_counts(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.box_ports)
 
 
 def identity_uwd(k: int) -> UWDiagram:
@@ -253,15 +265,21 @@ def _offsets(sizes: list[int]) -> list[int]:
     return out
 
 
-def _check_uwd_arities(outer: UWDiagram, inners: list[UWDiagram]) -> None:
+def _check_inners(outer: _Diagram, inners: Sequence[_Diagram]) -> None:
+    """One inner diagram per box, of the outer's syntax, exposing that box's interface."""
     if len(inners) != outer.n_boxes:
         raise ArityError(
             f"outer diagram has {outer.n_boxes} boxes but {len(inners)} inner diagrams were given"
         )
-    for i, inner in enumerate(inners):
-        want, got = outer.port_counts[i], inner.n_outer
+    for i, (want, inner) in enumerate(zip(outer.interfaces, inners)):
+        if type(inner) is not type(outer):
+            raise DiagramError(
+                f"box {i}: inner diagram is a {type(inner).__name__}, "
+                f"outer diagram is a {type(outer).__name__}"
+            )
+        got = inner.outer_interface
         if want != got:
-            raise ArityError(f"box {i} expects {want} ports, inner diagram exposes {got}")
+            raise ArityError(outer._mismatch.format(i=i, want=want, got=got))
 
 
 def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
@@ -271,7 +289,7 @@ def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
     identifying, for each box and port slot, the outer port's junction with
     the junction of the matching inner outer-port.
     """
-    _check_uwd_arities(outer, inners)
+    _check_inners(outer, inners)
     j_sizes = [outer.n_junctions] + [d.n_junctions for d in inners]
     j_off = _offsets(j_sizes)
     total_j = sum(j_sizes)
@@ -305,23 +323,13 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     chain contributes one composite wire.  Chains have at most three segments
     by the shape of the schema.
     """
-    if len(inners) != outer.n_boxes:
-        raise ArityError(
-            f"outer diagram has {outer.n_boxes} boxes but {len(inners)} inner diagrams were given"
-        )
-    for i, inner in enumerate(inners):
-        want = outer.signature[i]
-        got = (inner.n_outer_in, inner.n_outer_out)
-        if want != got:
-            raise ArityError(f"box {i} expects signature {want}, inner diagram has {got}")
-
+    _check_inners(outer, inners)
     pin_off = _offsets([len(d.data.parts["box_in"]) for d in inners])
     pout_off = _offsets([len(d.data.parts["box_out"]) for d in inners])
     box_off = _offsets([d.n_boxes for d in inners])
 
-    # Slot lookup for outer ports: global outer port -> (box, slot).
-    in_slot = {p: (i, s) for i, ports in enumerate(outer.in_ports) for s, p in enumerate(ports)}
-    out_slot = {p: (i, s) for i, ports in enumerate(outer.out_ports) for s, p in enumerate(ports)}
+    in_slot = _slots(outer.in_ports)
+    out_slot = _slots(outer.out_ports)
 
     od = outer.data.parts
     # Outer wires indexed by the interface port they leave from.
@@ -410,18 +418,10 @@ def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
     outer-ports; each outer wire becomes one wire between the exposed inner
     ports, and inner wires pass through unchanged.
     """
-    if len(inners) != outer.n_boxes:
-        raise ArityError(
-            f"outer diagram has {outer.n_boxes} boxes but {len(inners)} inner diagrams were given"
-        )
-    for i, inner in enumerate(inners):
-        want, got = outer.port_counts[i], inner.n_outer
-        if want != got:
-            raise ArityError(f"box {i} expects {want} ports, inner diagram exposes {got}")
-
+    _check_inners(outer, inners)
     p_off = _offsets([len(d.data.parts["box"]) for d in inners])
     box_off = _offsets([d.n_boxes for d in inners])
-    slot_of = {p: (i, s) for i, ports in enumerate(outer.box_ports) for s, p in enumerate(ports)}
+    slot_of = _slots(outer.box_ports)
 
     def resolve(outer_port: int) -> int:
         # The inner port exposed at an outer box port.
@@ -448,23 +448,22 @@ def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
     return CPGraph.from_tables(sum(d.n_boxes for d in inners), box, wires, expose)
 
 
-def ocompose_uwd_at(outer: UWDiagram, i: int, inner: UWDiagram) -> UWDiagram:
-    """Single-slot substitution, padding the other boxes with identity diagrams."""
-    inners = [identity_uwd(k) for k in outer.port_counts]
+def ocompose(outer: _Diagram, inners: Sequence[_Diagram]) -> _Diagram:
+    """Full substitution in the outer diagram's syntax; another syntax is a ``DiagramError``."""
+    return _syntax(outer).compose(outer, inners)
+
+
+def ocompose_at(outer: _Diagram, i: int, inner: _Diagram) -> _Diagram:
+    """Single-slot substitution padded with identities; a bad slot ``i`` is an ``ArityError``."""
+    syntax = _syntax(outer)
+    if not 0 <= i < outer.n_boxes:
+        raise ArityError(f"slot {i} out of range for {outer.n_boxes} boxes")
+    inners = [syntax.identity(interface) for interface in outer.interfaces]
     inners[i] = inner
-    return ocompose_uwd(outer, inners)
+    return syntax.compose(outer, inners)
 
 
-def ocompose_dwd_at(outer: DWDiagram, i: int, inner: DWDiagram) -> DWDiagram:
-    inners = [identity_dwd(m, n) for m, n in outer.signature]
-    inners[i] = inner
-    return ocompose_dwd(outer, inners)
-
-
-def ocompose_cpg_at(outer: CPGraph, i: int, inner: CPGraph) -> CPGraph:
-    inners = [identity_cpg(k) for k in outer.port_counts]
-    inners[i] = inner
-    return ocompose_cpg(outer, inners)
+ocompose_uwd_at = ocompose_dwd_at = ocompose_cpg_at = ocompose_at
 
 
 def cpg_to_dwd(g: CPGraph) -> DWDiagram:
@@ -524,18 +523,12 @@ def _permute_column(col: tuple[int, ...], new_of_old: list[int]) -> list[int]:
     return out
 
 
-def canonical(d: UWDiagram | DWDiagram | CPGraph):
+def canonical(d: _Diagram) -> _Diagram:
     """Canonical form: ports grouped by box, junctions renumbered, wires sorted.
 
     Box order and outer-port order are interface data and stay fixed.
     """
-    if isinstance(d, UWDiagram):
-        return _canonical_uwd(d)
-    if isinstance(d, DWDiagram):
-        return _canonical_dwd(d)
-    if isinstance(d, CPGraph):
-        return _canonical_cpg(d)
-    raise TypeError(f"not a diagram: {type(d).__name__}")
+    return _syntax(d).canonical(d)
 
 
 def _canonical_uwd(d: UWDiagram) -> UWDiagram:
@@ -603,56 +596,41 @@ def _canonical_cpg(d: CPGraph) -> CPGraph:
 # DOT export
 
 
-def to_dot(d: UWDiagram | DWDiagram | CPGraph) -> str:
+def to_dot(d: _Diagram) -> str:
     """Deterministic Graphviz text for a diagram.
 
     Boxes are labeled nodes inside an enclosing cluster; junctions are point
     nodes; outer ports sit on the cluster boundary as stub nodes.  Edges are
     undirected for UWD and directed for DWD/CPG.
     """
-    if isinstance(d, UWDiagram):
-        return _dot_uwd(d)
-    if isinstance(d, DWDiagram):
-        return _dot_dwd(d)
-    if isinstance(d, CPGraph):
-        return _dot_cpg(d)
-    raise TypeError(f"not a diagram: {type(d).__name__}")
+    return "\n".join([*_syntax(d).dot(d), "}"]) + "\n"
 
 
-def _dot_uwd(d: UWDiagram) -> str:
-    parts = d.data.parts
-    lines = ["graph diagram {", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
-    for b in range(d.n_boxes):
-        lines.append(f'    b{b} [label="b{b}", shape=box];')
-    for j in range(d.n_junctions):
-        lines.append(f'    j{j} [label="", shape=point];')
+def _dot_head(graph: str, n_boxes: int, n_junctions: int = 0) -> list[str]:
+    lines = [f"{graph} diagram {{", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
+    lines.extend(f'    b{b} [label="b{b}", shape=box];' for b in range(n_boxes))
+    lines.extend(f'    j{j} [label="", shape=point];' for j in range(n_junctions))
     lines.append("  }")
+    return lines
+
+
+def _dot_uwd(d: UWDiagram) -> list[str]:
+    parts = d.data.parts
+    lines = _dot_head("graph", d.n_boxes, d.n_junctions)
     for q in range(d.n_outer):
         lines.append(f'  q{q} [label="q{q}", shape=plaintext];')
     for p in range(len(parts["box"])):
         lines.append(f"  b{parts['box'][p]} -- j{parts['junc_in'][p]};")
     for q, j in enumerate(parts["junc_out"]):
         lines.append(f"  q{q} -- j{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _dwd_slots(box_col: tuple[int, ...], n_boxes: int) -> dict[int, tuple[int, int]]:
-    slots = {}
-    for i, ports in enumerate(_ports_by_box(box_col, n_boxes)):
-        for s, p in enumerate(ports):
-            slots[p] = (i, s)
-    return slots
-
-
-def _dot_dwd(d: DWDiagram) -> str:
+def _dot_dwd(d: DWDiagram) -> list[str]:
     parts = d.data.parts
-    in_slot = _dwd_slots(parts["box_in"], d.n_boxes)
-    out_slot = _dwd_slots(parts["box_out"], d.n_boxes)
-    lines = ["digraph diagram {", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
-    for b in range(d.n_boxes):
-        lines.append(f'    b{b} [label="b{b}", shape=box];')
-    lines.append("  }")
+    in_slot = _slots(d.in_ports)
+    out_slot = _slots(d.out_ports)
+    lines = _dot_head("digraph", d.n_boxes)
     for q in range(d.n_outer_in):
         lines.append(f'  qin{q} [label="in{q}", shape=plaintext];')
     for q in range(d.n_outer_out):
@@ -667,17 +645,13 @@ def _dot_dwd(d: DWDiagram) -> str:
     for s, t in zip(parts["src_out"], parts["tgt_out"]):
         bs, ss = out_slot[s]
         lines.append(f'  b{bs} -> qout{t} [label="o{ss}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _dot_cpg(d: CPGraph) -> str:
+def _dot_cpg(d: CPGraph) -> list[str]:
     parts = d.data.parts
-    slot = _dwd_slots(parts["box"], d.n_boxes)
-    lines = ["digraph diagram {", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
-    for b in range(d.n_boxes):
-        lines.append(f'    b{b} [label="b{b}", shape=box];')
-    lines.append("  }")
+    slot = _slots(d.box_ports)
+    lines = _dot_head("digraph", d.n_boxes)
     for q in range(d.n_outer):
         lines.append(f'  q{q} [label="q{q}", shape=plaintext];')
     for s, t in zip(parts["src"], parts["tgt"]):
@@ -687,5 +661,25 @@ def _dot_cpg(d: CPGraph) -> str:
     for q, p in enumerate(parts["expose"]):
         b, s = slot[p]
         lines.append(f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+class _Syntax(NamedTuple):
+    identity: Callable[..., _Diagram]  # box interface -> identity diagram
+    compose: Callable[..., _Diagram]
+    canonical: Callable[..., _Diagram]
+    dot: Callable[..., list[str]]
+
+
+_SYNTAX: dict[type, _Syntax] = {
+    UWDiagram: _Syntax(identity_uwd, ocompose_uwd, _canonical_uwd, _dot_uwd),
+    DWDiagram: _Syntax(lambda sig: identity_dwd(*sig), ocompose_dwd, _canonical_dwd, _dot_dwd),
+    CPGraph: _Syntax(identity_cpg, ocompose_cpg, _canonical_cpg, _dot_cpg),
+}
+
+
+def _syntax(d: object) -> _Syntax:
+    try:
+        return _SYNTAX[type(d)]
+    except KeyError:
+        raise TypeError(f"not a diagram: {type(d).__name__}") from None

@@ -32,9 +32,11 @@ PACKAGE_NAMES = {
     "to_dot", "validate",
 }
 
+# ``eval_sharer`` was already public through the package; ``dynam.__all__``
+# now lists it too, so ``from dynwire.dynam import *`` sees it.
 DYNAM_ALL = {
     "Kind", "BatchKernel", "Machine", "ResourceSharer", "eval_dynamics", "eval_readout",
-    "oapply_directed", "oapply_undirected", "oapply_undirected_with_layout",
+    "eval_sharer", "oapply_directed", "oapply_undirected", "oapply_undirected_with_layout",
     "UndirectedLayout", "oapply_cpg", "euler_directed", "euler_undirected",
 }
 

@@ -45,7 +45,36 @@ ONE_BOX_DWD = {
 }
 
 
+ONE_PORT_UWD = {
+    "schema": "UWD", "B": 1, "P": 1, "J": 1, "Q": 0,
+    "box": [0], "junc_in": [0], "junc_out": [],
+}
+
+BAD_FILES = {
+    "diagram-missing-keys": ({"schema": "UWD", "B": 1}, "junc_in"),
+    "diagram-string-card": (dict(ONE_PORT_UWD, B="x"), "'B'"),
+    "diagram-float-entry": (dict(ONE_PORT_UWD, box=[0.5]), "box[0]"),
+    "diagram-bool-entry": (dict(ONE_PORT_UWD, junc_in=[True]), "junc_in[0]"),
+    "diagram-scalar-column": (dict(ONE_PORT_UWD, box=0), "'box'"),
+    "model-string-states": (dict(ZERO_FIELD_MODEL, states="x"), "'states'"),
+    "model-string-inputs": (dict(ZERO_FIELD_MODEL, inputs="u"), "'inputs'"),
+    "model-list-dynamics": (dict(ZERO_FIELD_MODEL, dynamics=["x"]), "'dynamics'"),
+    "model-string-param": (dict(ZERO_FIELD_MODEL, params={"a": "x"}), "'a'"),
+    "model-nan-param": (dict(ZERO_FIELD_MODEL, params={"a": float("nan")}), "'a'"),
+    "builtin-string-param": ({"builtin": "heat_node", "params": {"alpha": "x"}}, "'alpha'"),
+    "builtin-bool-param": ({"builtin": "heat_node", "params": {"alpha": True}}, "'alpha'"),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("data, key", BAD_FILES.values(), ids=BAD_FILES.keys())
+    def test_malformed_file_is_a_located_error(self, tmp_path, capsys, data, key):
+        path = write_json(tmp_path / "f.json", data)
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out.startswith(f"{path}: ERROR") and key in captured.out
+
     def test_clean_diagram(self, tmp_path, capsys):
         path = write_json(tmp_path / "d.json", ONE_BOX_DWD)
         assert main(["validate", str(path)]) == 0

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
+import pytest
 
 from dynwire import (
+    ConfigError,
     FinFunction,
     Machine,
     ResourceSharer,
@@ -61,3 +64,11 @@ def test_euler_is_bitwise_the_euler_map():
         _, rows, meta = run_trajectory(composed, CONFIG, "euler")
         assert meta["scheme"] == "euler"
         assert [row[1] for row in rows] == expected
+
+
+@pytest.mark.parametrize(
+    "change, key", [({"steps": 2.5}, "'steps'"), ({"init": (math.nan,)}, "init[0]")]
+)
+def test_config_checks_its_own_fields(change, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        SimulationConfig(**{"h": 0.1, "steps": 2, "init": (1.0,), **change})

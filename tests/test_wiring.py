@@ -18,12 +18,14 @@ from dynwire import (
     identity_dwd,
     identity_uwd,
     ocompose_cpg,
+    ocompose_cpg_at,
     ocompose_dwd,
     ocompose_dwd_at,
     ocompose_uwd,
     ocompose_uwd_at,
     to_dot,
 )
+from dynwire.wiring import ocompose, ocompose_at
 from helpers import (
     nested_cpg_case,
     nested_dwd_case,
@@ -238,6 +240,53 @@ class TestOcomposeCPG:
                 outer, [ocompose_cpg(mid, ds) for mid, ds in zip(mids, deep)]
             )
             assert canonical(flat_first) == canonical(nested_first)
+
+
+# A two-box outer diagram of each syntax, an inner diagram that fits either
+# box, and the per-syntax full and single-slot substitutions.
+TWO_BOX_CASES = {
+    "uwd": (
+        UWDiagram.from_tables(2, 1, box=[0, 1], junc_in=[0, 0], junc_out=[0]),
+        UWDiagram.from_tables(2, 1, box=[0, 1], junc_in=[0, 0], junc_out=[0]),
+        ocompose_uwd,
+        ocompose_uwd_at,
+    ),
+    "dwd": (
+        DWDiagram.from_tables(2, [0, 1], [0, 1], 1, 1, [(0, 1)], [(0, 0)], [(1, 0)]),
+        DWDiagram.from_tables(2, [0, 1], [0, 1], 1, 1, [(1, 0)], [(0, 1)], [(0, 0)]),
+        ocompose_dwd,
+        ocompose_dwd_at,
+    ),
+    "cpg": (
+        CPGraph.from_tables(2, [0, 1], [(0, 1), (1, 0)], [0]),
+        CPGraph.from_tables(2, [0, 1], [(1, 0)], [1]),
+        ocompose_cpg,
+        ocompose_cpg_at,
+    ),
+}
+two_box_cases = pytest.mark.parametrize(
+    "outer, inner, full, at", TWO_BOX_CASES.values(), ids=TWO_BOX_CASES.keys()
+)
+
+
+class TestSyntaxGeneric:
+    @two_box_cases
+    def test_generic_forms_dispatch_on_the_outer_syntax(self, outer, inner, full, at):
+        assert ocompose(outer, [inner, inner]) == full(outer, [inner, inner])
+        for i in range(outer.n_boxes):
+            assert ocompose_at(outer, i, inner) == at(outer, i, inner)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    @two_box_cases
+    def test_slot_out_of_range_is_arity_error(self, outer, inner, full, at, i):
+        with pytest.raises(ArityError, match=f"slot {i} out of range for 2 boxes"):
+            at(outer, i, inner)
+
+    def test_mixed_syntax_is_diagram_error(self):
+        with pytest.raises(DiagramError, match="box 0: inner diagram is a CPGraph"):
+            ocompose(identity_uwd(1), [identity_cpg(1)])
+        with pytest.raises(DiagramError, match="box 0: inner diagram is a UWDiagram"):
+            ocompose_at(identity_dwd(1, 1), 0, identity_uwd(2))
 
 
 class TestGrid:
