@@ -61,7 +61,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     outer = load_diagram(args.outer)
-    inners = [load_diagram(p) for p in args.inner]
+    # A path repeated for many boxes is read and validated once.
+    by_path = {p: load_diagram(p) for p in dict.fromkeys(args.inner)}
+    inners = [by_path[p] for p in args.inner]
     if args.slot is None:
         result = ocompose(outer, inners)
     elif len(inners) != 1:

@@ -135,7 +135,7 @@ class CSetInstance:
             raise SchemaError("instance has cards for undeclared objects")
         parts = {}
         for m in self.schema.morphisms:
-            parts[m.name] = tuple(int(v) for v in self.parts.get(m.name, ()))
+            parts[m.name] = tuple(map(int, self.parts.get(m.name, ())))
         if set(self.parts) - set(parts):
             raise SchemaError("instance has columns for undeclared morphisms")
         object.__setattr__(self, "card", card)
@@ -174,9 +174,12 @@ def validate(x: CSetInstance) -> list[Violation]:
             )
             continue
         bound = x.card[m.cod]
-        for row, v in enumerate(col):
-            if not 0 <= v < bound:
-                out.append(Violation(m.name, row, f"entry {v} outside [0, {bound})"))
+        if col and not (min(col) >= 0 and max(col) < bound):
+            out.extend(
+                Violation(m.name, row, f"entry {v} outside [0, {bound})")
+                for row, v in enumerate(col)
+                if not 0 <= v < bound
+            )
     return out
 
 

@@ -44,7 +44,7 @@ def load_json(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DynwireError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise DynwireError(f"{path}: expected a JSON object")
@@ -52,9 +52,25 @@ def load_json(path: str | Path) -> dict:
 
 
 def _write_json(path: str | Path, data: dict) -> None:
+    """Write ``json.dumps(data, indent=2)`` and a newline, in one call."""
+    text = _encode(data, "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _encode(value: object, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` nested at the indent that ``newline`` carries.
+
+    Objects with string keys are laid out here and lists of plain ints are
+    one join; any other value is ``json.dumps`` output, re-indented.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def instance_from_json(data: Mapping) -> CSetInstance:
@@ -65,7 +81,7 @@ def instance_from_json(data: Mapping) -> CSetInstance:
     key and row.
     """
     name = data.get("schema")
-    if name not in SCHEMAS_BY_NAME:
+    if not isinstance(name, str) or name not in SCHEMAS_BY_NAME:
         raise SchemaError(
             f"unknown or missing schema name {name!r}; expected one of {sorted(SCHEMAS_BY_NAME)}"
         )
@@ -107,7 +123,7 @@ def instance_to_json(inst: CSetInstance) -> dict:
 
 def wrap_instance(inst: CSetInstance) -> Diagram:
     """Validate and wrap a raw instance into its diagram type."""
-    wrapper = {cls.schema_name: cls for cls in _SYNTAX}[inst.schema.name]
+    wrapper = {cls.schema.name: cls for cls in _SYNTAX}[inst.schema.name]
     return wrapper(inst)
 
 
@@ -221,7 +237,10 @@ def load_labels(path: str | Path) -> list[str]:
     boxes = data.get("boxes")
     if not isinstance(boxes, list):
         raise ConfigError(f"{path}: labels file must carry a 'boxes' list")
-    return [str(b) for b in boxes]
+    for i, b in enumerate(boxes):
+        if not isinstance(b, str):
+            raise ConfigError(f"{path}: boxes[{i}] must be a string, got {b!r}")
+    return list(boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +259,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[f
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    """Header and numeric rows; blank lines are skipped.
+
+    A row with another cell count than the header, or a cell that is not a
+    number, raises ``DynwireError`` naming the file, line and column.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DynwireError(f"{path}: {exc}") from None
     if not lines:
         raise DynwireError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    header = lines[0][1].split(",")
+    rows = []
+    for n, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise DynwireError(
+                f"{path}: line {n} has {len(cells)} cells, the header has {len(header)}"
+            )
+        row = []
+        for col, (name, v) in enumerate(zip(header, cells), 1):
+            try:
+                row.append(float(v))
+            except ValueError:
+                raise DynwireError(
+                    f"{path}: line {n}, column {col} ({name!r}): {v!r} is not a number"
+                ) from None
+        rows.append(row)
     return header, rows
 
 

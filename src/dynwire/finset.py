@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,18 +46,19 @@ class FinFunction:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "map", tuple(int(v) for v in self.map))
+        entries = tuple(map(int, self.map))
+        object.__setattr__(self, "map", entries)
         if self.dom_size < 0 or self.cod_size < 0:
             raise SizeMismatchError("set sizes must be nonnegative")
-        if len(self.map) != self.dom_size:
+        if len(entries) != self.dom_size:
             raise SizeMismatchError(
-                f"map has {len(self.map)} entries but dom_size is {self.dom_size}"
+                f"map has {len(entries)} entries but dom_size is {self.dom_size}"
             )
-        for i, v in enumerate(self.map):
-            if not 0 <= v < self.cod_size:
-                raise SizeMismatchError(
-                    f"map entry {i} is {v}, outside codomain [0, {self.cod_size})"
-                )
+        if entries and not (min(entries) >= 0 and max(entries) < self.cod_size):
+            i, v = next((i, v) for i, v in enumerate(entries) if not 0 <= v < self.cod_size)
+            raise SizeMismatchError(
+                f"map entry {i} is {v}, outside codomain [0, {self.cod_size})"
+            )
 
     @classmethod
     def from_entries(cls, entries: Sequence[int], cod_size: int) -> "FinFunction":
@@ -86,7 +88,7 @@ def compose(f: FinFunction, g: FinFunction) -> FinFunction:
         raise SizeMismatchError(
             f"cannot compose: first codomain is {f.cod_size}, second domain is {g.dom_size}"
         )
-    return FinFunction(f.dom_size, g.cod_size, tuple(g.map[v] for v in f.map))
+    return FinFunction(f.dom_size, g.cod_size, tuple(map(g.map.__getitem__, f.map)))
 
 
 @dataclass(frozen=True)
@@ -132,37 +134,44 @@ def merge_classes(size: int, pairs: Iterable[tuple[int, int]]) -> FinFunction:
     """Quotient ``[0, size)`` by the equivalence generated by ``pairs``.
 
     Returns the projection onto classes, numbered ascending by smallest
-    member.  Union-find with path compression and union by rank.
+    member.  Every pair entry must lie in ``[0, size)``.
     """
-    parent = list(range(size))
-    rank = [0] * size
+    ends = np.array(list(pairs), dtype=np.intp)
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise SizeMismatchError(f"pairs must have two entries each, got shape {ends.shape}")
+    if ends.size and not (ends.min() >= 0 and ends.max() < size):
+        raise SizeMismatchError(f"pair entries must lie in [0, {size})")
+    n_classes, classes = _classes(size, ends[:, 0], ends[:, 1])
+    return FinFunction(size, n_classes, classes.tolist())
 
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
 
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if rank[ra] < rank[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        if rank[ra] == rank[rb]:
-            rank[ra] += 1
+def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on ``[0, size)`` with edges ``a[k] -- b[k]``.
 
-    number: dict[int, int] = {}
-    out = []
-    for i in range(size):
-        root = find(i)
-        if root not in number:
-            number[root] = len(number)
-        out.append(number[root])
-    return FinFunction(size, len(number), tuple(out))
+    Returns the number of components and the component of each element,
+    numbered ascending by smallest member.
+
+    Hook and pointer-jump: every element points at a smaller member of its
+    class (``label[i] <= i``).  Each round points the root of each edge's
+    endpoint at the smaller of the two roots, then jumps pointers until every
+    element points at a root.  When every edge joins equal roots, each class
+    has one root, its smallest member, so numbering the roots in order
+    numbers the classes ascending by smallest member.
+    """
+    ids = np.arange(size, dtype=np.intp)
+    label, la, lb = ids.copy(), a, b
+    while np.count_nonzero(la != lb):
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        jumped = label[label]
+        while np.count_nonzero(jumped != label):
+            label, jumped = jumped, jumped[jumped]
+        la, lb = label[a], label[b]
+    number = np.cumsum(label == ids) - 1
+    return (int(number[-1]) + 1 if size else 0), number[label]
 
 
 def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
@@ -176,11 +185,11 @@ def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
             f"span legs have different domains: {f.dom_size} vs {g.dom_size}"
         )
     b, c = f.cod_size, g.cod_size
-    q = merge_classes(b + c, ((f.map[a], b + g.map[a]) for a in range(f.dom_size)))
+    n, classes = _classes(b + c, f._indices, g._indices + b)
     return PushoutResult(
-        apex_size=q.cod_size,
-        inj_left=FinFunction(b, q.cod_size, q.map[:b]),
-        inj_right=FinFunction(c, q.cod_size, q.map[b:]),
+        apex_size=n,
+        inj_left=FinFunction(b, n, classes[:b].tolist()),
+        inj_right=FinFunction(c, n, classes[b:].tolist()),
     )
 
 
@@ -230,15 +239,18 @@ def canonical_cospan(c: Cospan) -> Cospan:
     Apex elements not hit by either leg keep their relative order at the end.
     Isomorphic cospans have equal canonical forms.
     """
-    order: dict[int, int] = {}
-    for v in (*c.left.map, *c.right.map):
-        if v not in order:
-            order[v] = len(order)
-    for v in range(c.apex_size):
-        if v not in order:
-            order[v] = len(order)
     n = c.apex_size
+    renum = _first_use(n, c.left.map, c.right.map)
     return Cospan(
-        FinFunction(c.left.dom_size, n, tuple(order[v] for v in c.left.map)),
-        FinFunction(c.right.dom_size, n, tuple(order[v] for v in c.right.map)),
+        FinFunction(c.left.dom_size, n, list(map(renum.__getitem__, c.left.map))),
+        FinFunction(c.right.dom_size, n, list(map(renum.__getitem__, c.right.map))),
     )
+
+
+def _first_use(n: int, *columns: Sequence[int]) -> dict[int, int]:
+    """Renumbering of ``[0, n)`` by first occurrence along ``columns``, in order.
+
+    Elements that occur in no column keep their relative order after all
+    that do.
+    """
+    return dict(zip(dict.fromkeys(chain(*columns, range(n))), range(n)))

@@ -19,11 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from itertools import accumulate, islice
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
-from .cset import CPG_SCHEMA, DWD_FROM_CPG, DWD_SCHEMA, UWD_SCHEMA, CSetInstance, migrate, validate
-from .errors import ArityError, DiagramError, InternalShapeError
-from .finset import merge_classes
+import numpy as np
+
+from .cset import (
+    CPG_SCHEMA,
+    DWD_FROM_CPG,
+    DWD_SCHEMA,
+    UWD_SCHEMA,
+    CSetInstance,
+    Schema,
+    migrate,
+    validate,
+)
+from .errors import ArityError, DiagramError
+from .finset import _classes, _first_use
 
 __all__ = [
     "UWDiagram",
@@ -47,36 +59,83 @@ __all__ = [
 ]
 
 
-def _ports_by_box(box_col: tuple[int, ...], n_boxes: int) -> tuple[tuple[int, ...], ...]:
-    out: list[list[int]] = [[] for _ in range(n_boxes)]
-    for port, b in enumerate(box_col):
-        out[b].append(port)
-    return tuple(tuple(ports) for ports in out)
+# Columns are handled whole, as index arrays: a stable sort by box groups a
+# box's ports together in ascending order, which is their slot order.
 
 
-def _slots(ports_by_box: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
-    """Global port -> (box, slot), for ports grouped by box."""
-    return {p: (i, s) for i, ports in enumerate(ports_by_box) for s, p in enumerate(ports)}
+def _port_order(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ports stably sorted by box: ``order[new] = old`` and ``rank[old] = new``."""
+    order = np.argsort(box, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return order, rank
+
+
+def _ports_by_box(box: np.ndarray, n_boxes: int) -> tuple[tuple[int, ...], ...]:
+    ports = iter(np.argsort(box, kind="stable").tolist())
+    return tuple(tuple(islice(ports, k)) for k in np.bincount(box, minlength=n_boxes).tolist())
+
+
+def _slots(box: np.ndarray, n_boxes: int) -> np.ndarray:
+    """Each port's slot: its position among the ports of its box."""
+    counts = np.bincount(box, minlength=n_boxes)
+    return _port_order(box)[1] - (np.cumsum(counts) - counts)[box]
+
+
+def _sorted_pairs(src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
+    """The columns of ``sorted(zip(src, tgt))``."""
+    order = np.lexsort((tgt, src))
+    return src[order].tolist(), tgt[order].tolist()
+
+
+def _unzip(pairs: Sequence[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """The source and target columns of a list of (source, target) pairs."""
+    src, tgt = tuple(zip(*pairs, strict=True)) or ((), ())
+    return src, tgt
+
+
+class _Columns(dict):
+    """A diagram's columns as index arrays, each made on first use."""
+
+    def __init__(self, parts: Mapping[str, tuple[int, ...]]) -> None:
+        super().__init__()
+        self.parts = parts
+
+    def __missing__(self, name: str) -> np.ndarray:
+        col = self.parts[name]
+        self[name] = array = np.fromiter(col, dtype=np.intp, count=len(col))
+        return array
 
 
 @dataclass(frozen=True)
 class _Diagram:
-    """A validated instance of the built-in schema ``schema_name``.
+    """A validated instance of the built-in schema ``schema``.
 
     An inner diagram fits box ``i`` when its ``outer_interface`` is ``interfaces[i]``.
     """
 
     data: CSetInstance
-    schema_name: ClassVar[str]
+    schema: ClassVar[Schema]
     _mismatch: ClassVar[str]
 
     def __post_init__(self) -> None:
-        name = self.schema_name
+        name = self.schema.name
         if self.data.schema.name != name:
             raise DiagramError(f"expected a {name} instance, got {self.data.schema.name}")
         problems = validate(self.data)
         if problems:
             raise DiagramError(f"invalid {name} instance: " + "; ".join(str(v) for v in problems))
+
+    @classmethod
+    def _from_columns(cls, card: dict[str, int], columns: Mapping[str, Sequence[int]]):
+        """Build from every morphism's column; each domain's card is its first column's length."""
+        for m in cls.schema.morphisms:
+            card.setdefault(m.dom, len(columns[m.name]))
+        return cls(CSetInstance(cls.schema, card, columns))
+
+    @cached_property
+    def _arrays(self) -> _Columns:
+        return _Columns(self.data.parts)
 
     @property
     def n_boxes(self) -> int:
@@ -95,7 +154,7 @@ class _PortDiagram(_Diagram):
     @cached_property
     def box_ports(self) -> tuple[tuple[int, ...], ...]:
         """Global ports of each box, ascending; position gives the port slot."""
-        return _ports_by_box(self.data.parts["box"], self.n_boxes)
+        return _ports_by_box(self._arrays["box"], self.n_boxes)
 
     @cached_property
     def port_counts(self) -> tuple[int, ...]:
@@ -113,7 +172,7 @@ class _PortDiagram(_Diagram):
 class UWDiagram(_PortDiagram):
     """An undirected wiring diagram: box ports and outer ports meet junctions."""
 
-    schema_name = "UWD"
+    schema = UWD_SCHEMA
 
     @classmethod
     def from_tables(
@@ -124,9 +183,8 @@ class UWDiagram(_PortDiagram):
         junc_in: tuple[int, ...] | list[int],
         junc_out: tuple[int, ...] | list[int],
     ) -> "UWDiagram":
-        card = {"B": n_boxes, "P": len(box), "J": n_junctions, "Q": len(junc_out)}
-        parts = {"box": tuple(box), "junc_in": tuple(junc_in), "junc_out": tuple(junc_out)}
-        return cls(CSetInstance(UWD_SCHEMA, card, parts))
+        columns = {"box": box, "junc_in": junc_in, "junc_out": junc_out}
+        return cls._from_columns({"B": n_boxes, "J": n_junctions}, columns)
 
     @property
     def n_junctions(self) -> int:
@@ -136,7 +194,7 @@ class UWDiagram(_PortDiagram):
 class DWDiagram(_Diagram):
     """A directed wiring diagram: wires carry values from out-ports to in-ports."""
 
-    schema_name = "DWD"
+    schema = DWD_SCHEMA
     _mismatch = "box {i} expects signature {want}, inner diagram has {got}"
 
     @classmethod
@@ -156,27 +214,12 @@ class DWDiagram(_Diagram):
         ``wires`` run out-port to in-port, ``in_wires`` outer-in to in-port,
         ``out_wires`` out-port to outer-out.
         """
-        card = {
-            "B": n_boxes,
-            "P_in": len(box_in),
-            "P_out": len(box_out),
-            "W": len(wires),
-            "W_in": len(in_wires),
-            "W_out": len(out_wires),
-            "Q_in": n_outer_in,
-            "Q_out": n_outer_out,
-        }
-        parts = {
-            "box_in": tuple(box_in),
-            "box_out": tuple(box_out),
-            "src": tuple(s for s, _ in wires),
-            "tgt": tuple(t for _, t in wires),
-            "src_in": tuple(s for s, _ in in_wires),
-            "tgt_in": tuple(t for _, t in in_wires),
-            "src_out": tuple(s for s, _ in out_wires),
-            "tgt_out": tuple(t for _, t in out_wires),
-        }
-        return cls(CSetInstance(DWD_SCHEMA, card, parts))
+        columns = {"box_in": box_in, "box_out": box_out}
+        for (s, t), pairs in ((("src", "tgt"), wires), (("src_in", "tgt_in"), in_wires),
+                              (("src_out", "tgt_out"), out_wires)):
+            columns[s], columns[t] = _unzip(pairs)
+        card = {"B": n_boxes, "Q_in": n_outer_in, "Q_out": n_outer_out}
+        return cls._from_columns(card, columns)
 
     @property
     def n_outer_in(self) -> int:
@@ -188,11 +231,11 @@ class DWDiagram(_Diagram):
 
     @cached_property
     def in_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self.data.parts["box_in"], self.n_boxes)
+        return _ports_by_box(self._arrays["box_in"], self.n_boxes)
 
     @cached_property
     def out_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self.data.parts["box_out"], self.n_boxes)
+        return _ports_by_box(self._arrays["box_out"], self.n_boxes)
 
     @cached_property
     def signature(self) -> tuple[tuple[int, int], ...]:
@@ -213,7 +256,7 @@ class DWDiagram(_Diagram):
 class CPGraph(_PortDiagram):
     """A circular port graph: each port is simultaneously an input and output."""
 
-    schema_name = "CPG"
+    schema = CPG_SCHEMA
 
     @classmethod
     def from_tables(
@@ -223,14 +266,9 @@ class CPGraph(_PortDiagram):
         wires: list[tuple[int, int]] | tuple[tuple[int, int], ...] = (),
         expose: tuple[int, ...] | list[int] = (),
     ) -> "CPGraph":
-        card = {"B": n_boxes, "P": len(box), "W": len(wires), "Q": len(expose)}
-        parts = {
-            "box": tuple(box),
-            "src": tuple(s for s, _ in wires),
-            "tgt": tuple(t for _, t in wires),
-            "expose": tuple(expose),
-        }
-        return cls(CSetInstance(CPG_SCHEMA, card, parts))
+        src, tgt = _unzip(wires)
+        columns = {"box": box, "src": src, "tgt": tgt, "expose": expose}
+        return cls._from_columns({"B": n_boxes}, columns)
 
 
 def identity_uwd(k: int) -> UWDiagram:
@@ -258,11 +296,15 @@ def identity_cpg(k: int) -> CPGraph:
 
 
 def _offsets(sizes: list[int]) -> list[int]:
-    out, acc = [], 0
-    for s in sizes:
-        out.append(acc)
-        acc += s
-    return out
+    return [0, *accumulate(sizes)][:-1]
+
+
+def _stack(diagrams: Sequence[_Diagram], name: str, offsets: list[int]) -> np.ndarray:
+    """Column ``name`` of every diagram end to end, each shifted by its offset."""
+    cols = [d._arrays[name] for d in diagrams]
+    if not cols:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(cols) + np.repeat(offsets, [c.size for c in cols])
 
 
 def _check_inners(outer: _Diagram, inners: Sequence[_Diagram]) -> None:
@@ -291,28 +333,18 @@ def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
     """
     _check_inners(outer, inners)
     j_sizes = [outer.n_junctions] + [d.n_junctions for d in inners]
-    j_off = _offsets(j_sizes)
-    total_j = sum(j_sizes)
-
-    pairs = []
-    junc_in_outer = outer.data.parts["junc_in"]
-    for i, inner in enumerate(inners):
-        junc_out_inner = inner.data.parts["junc_out"]
-        for slot, port in enumerate(outer.box_ports[i]):
-            pairs.append((junc_in_outer[port], j_off[i + 1] + junc_out_inner[slot]))
-    quot = merge_classes(total_j, pairs)
-
-    box_off = _offsets([d.n_boxes for d in inners])
-    box: list[int] = []
-    junc_in: list[int] = []
-    for i, inner in enumerate(inners):
-        box.extend(b + box_off[i] for b in inner.data.parts["box"])
-        junc_in.extend(quot.map[j_off[i + 1] + j] for j in inner.data.parts["junc_in"])
-    junc_out = [quot.map[j] for j in outer.data.parts["junc_out"]]
-
-    return UWDiagram.from_tables(
-        sum(d.n_boxes for d in inners), quot.cod_size, box, junc_in, junc_out
-    )
+    j_off = _offsets(j_sizes)[1:]
+    o = outer._arrays
+    # The inner outer-ports, end to end, are in the order of the outer ports sorted by box.
+    order = np.argsort(o["box"], kind="stable")
+    n_j, quot = _classes(sum(j_sizes), o["junc_in"][order], _stack(inners, "junc_out", j_off))
+    columns = {
+        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])).tolist(),
+        "junc_in": quot[_stack(inners, "junc_in", j_off)].tolist(),
+        "junc_out": quot[o["junc_out"]].tolist(),
+    }
+    card = {"B": sum(d.n_boxes for d in inners), "J": n_j}
+    return UWDiagram._from_columns(card, columns)
 
 
 def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
@@ -326,89 +358,53 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     _check_inners(outer, inners)
     pin_off = _offsets([len(d.data.parts["box_in"]) for d in inners])
     pout_off = _offsets([len(d.data.parts["box_out"]) for d in inners])
-    box_off = _offsets([d.n_boxes for d in inners])
+    od, oa = outer.data.parts, outer._arrays
+    in_at = list(zip(od["box_in"], _slots(oa["box_in"], outer.n_boxes).tolist()))
+    out_at = list(zip(od["box_out"], _slots(oa["box_out"], outer.n_boxes).tolist()))
 
-    in_slot = _slots(outer.in_ports)
-    out_slot = _slots(outer.out_ports)
+    # Inner in-ports that a chain entering (box, in-slot) reaches through the
+    # inner boundary wires, in wire order.
+    pins: dict[tuple[int, int], list[int]] = {}
+    for i, inner in enumerate(inners):
+        ip = inner.data.parts
+        for slot, t in zip(ip["src_in"], ip["tgt_in"]):
+            pins.setdefault((i, slot), []).append(t + pin_off[i])
+    # Where a chain standing at (box, out-slot) ends: inner in-ports through
+    # outer wires, then outer out-ports, each in wire order.
+    onward: dict[tuple[int, int], list[int]] = {}
+    for s, t in zip(od["src"], od["tgt"]):
+        onward.setdefault(out_at[s], []).extend(pins.get(in_at[t], ()))
+    exits: dict[tuple[int, int], list[int]] = {}
+    for s, q in zip(od["src_out"], od["tgt_out"]):
+        exits.setdefault(out_at[s], []).append(q)
 
-    od = outer.data.parts
-    # Outer wires indexed by the interface port they leave from.
-    outer_w_by_src: dict[tuple[int, int], list[int]] = {}
-    for w in range(outer.data.card["W"]):
-        outer_w_by_src.setdefault(out_slot[od["src"][w]], []).append(w)
-    outer_wout_by_src: dict[tuple[int, int], list[int]] = {}
-    for w in range(outer.data.card["W_out"]):
-        outer_wout_by_src.setdefault(out_slot[od["src_out"][w]], []).append(w)
-    # Inner boundary-in wires indexed by the interface slot they enter at.
-    inner_win_by_slot: list[dict[int, list[int]]] = []
-    for inner in inners:
-        by_slot: dict[int, list[int]] = {}
-        for w in range(inner.data.card["W_in"]):
-            by_slot.setdefault(inner.data.parts["src_in"][w], []).append(w)
-        inner_win_by_slot.append(by_slot)
-
-    wires: list[tuple[int, int]] = []
-    in_wires: list[tuple[int, int]] = []
+    in_wires = [(q, t) for q, p in zip(od["src_in"], od["tgt_in"]) for t in pins.get(in_at[p], ())]
+    chained: list[tuple[int, int, int]] = []
     out_wires: list[tuple[int, int]] = []
-
-    def chase_in(i: int, slot: int) -> list[tuple[str, int]]:
-        # A chain arriving at box i's in-slot continues through inner i's
-        # boundary wires and terminates at inner in-ports.
-        inner = inners[i]
-        return [
-            ("pin", inner.data.parts["tgt_in"][w] + pin_off[i])
-            for w in inner_win_by_slot[i].get(slot, ())
-        ]
-
-    def chase_out(i: int, slot: int) -> list[tuple[str, int]]:
-        # A chain standing at box i's out-slot continues through the outer
-        # wires, terminating at inner in-ports or at the composite boundary.
-        ends: list[tuple[str, int]] = []
-        for w in outer_w_by_src.get((i, slot), ()):
-            bi, bslot = in_slot[od["tgt"][w]]
-            ends.extend(chase_in(bi, bslot))
-        for w in outer_wout_by_src.get((i, slot), ()):
-            ends.append(("qout", od["tgt_out"][w]))
-        return ends
-
-    # Chains starting at the composite boundary.
-    for w in range(outer.data.card["W_in"]):
-        i, slot = in_slot[od["tgt_in"][w]]
-        for kind, tgt in chase_in(i, slot):
-            if kind != "pin":
-                raise InternalShapeError(
-                    "wire chain runs from an outer in-port to an outer out-port"
-                )
-            in_wires.append((od["src_in"][w], tgt))
-    # Chains starting at an inner out-port.
     for i, inner in enumerate(inners):
-        idp = inner.data.parts
-        for w in range(inner.data.card["W"]):
-            wires.append((idp["src"][w] + pout_off[i], idp["tgt"][w] + pin_off[i]))
-        for w in range(inner.data.card["W_out"]):
-            source = idp["src_out"][w] + pout_off[i]
-            for kind, tgt in chase_out(i, idp["tgt_out"][w]):
-                if kind == "pin":
-                    wires.append((source, tgt))
-                else:
-                    out_wires.append((source, tgt))
+        ip = inner.data.parts
+        for s, slot in zip(ip["src_out"], ip["tgt_out"]):
+            source = s + pout_off[i]
+            chained.extend((i, source, t) for t in onward.get((i, slot), ()))
+            out_wires.extend((source, q) for q in exits.get((i, slot), ()))
 
-    box_in: list[int] = []
-    box_out: list[int] = []
-    for i, inner in enumerate(inners):
-        box_in.extend(b + box_off[i] for b in inner.data.parts["box_in"])
-        box_out.extend(b + box_off[i] for b in inner.data.parts["box_out"])
-
-    return DWDiagram.from_tables(
-        n_boxes=sum(d.n_boxes for d in inners),
-        box_in=box_in,
-        box_out=box_out,
-        n_outer_in=outer.n_outer_in,
-        n_outer_out=outer.n_outer_out,
-        wires=wires,
-        in_wires=in_wires,
-        out_wires=out_wires,
-    )
+    # Each inner's own wires, then the chains leaving it: a stable sort by inner.
+    owner, src, tgt = np.array(chained, dtype=np.intp).reshape(-1, 3).T
+    n_wires = [d.data.card["W"] for d in inners]
+    own = np.repeat(np.arange(len(inners)), n_wires)
+    order = np.argsort(np.concatenate([own, owner]), kind="stable")
+    box_off = _offsets([d.n_boxes for d in inners])
+    columns = {
+        "box_in": _stack(inners, "box_in", box_off).tolist(),
+        "box_out": _stack(inners, "box_out", box_off).tolist(),
+        "src": np.concatenate([_stack(inners, "src", pout_off), src])[order].tolist(),
+        "tgt": np.concatenate([_stack(inners, "tgt", pin_off), tgt])[order].tolist(),
+    }
+    columns["src_in"], columns["tgt_in"] = _unzip(in_wires)
+    columns["src_out"], columns["tgt_out"] = _unzip(out_wires)
+    card = {"B": sum(d.n_boxes for d in inners), "Q_in": outer.n_outer_in,
+            "Q_out": outer.n_outer_out}
+    return DWDiagram._from_columns(card, columns)
 
 
 def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
@@ -420,32 +416,17 @@ def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
     """
     _check_inners(outer, inners)
     p_off = _offsets([len(d.data.parts["box"]) for d in inners])
-    box_off = _offsets([d.n_boxes for d in inners])
-    slot_of = _slots(outer.box_ports)
-
-    def resolve(outer_port: int) -> int:
-        # The inner port exposed at an outer box port.
-        i, slot = slot_of[outer_port]
-        return inners[i].data.parts["expose"][slot] + p_off[i]
-
-    wires: list[tuple[int, int]] = []
-    for i, inner in enumerate(inners):
-        idp = inner.data.parts
-        wires.extend(
-            (idp["src"][w] + p_off[i], idp["tgt"][w] + p_off[i])
-            for w in range(inner.data.card["W"])
-        )
-    odp = outer.data.parts
-    wires.extend(
-        (resolve(odp["src"][w]), resolve(odp["tgt"][w])) for w in range(outer.data.card["W"])
-    )
-
-    box: list[int] = []
-    for i, inner in enumerate(inners):
-        box.extend(b + box_off[i] for b in inner.data.parts["box"])
-    expose = tuple(resolve(p) for p in odp["expose"])
-
-    return CPGraph.from_tables(sum(d.n_boxes for d in inners), box, wires, expose)
+    o = outer._arrays
+    # The inner port exposed at each outer port: the inner exposes, end to
+    # end, follow the outer ports sorted by box.
+    at = _stack(inners, "expose", p_off)[_port_order(o["box"])[1]]
+    columns = {
+        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])).tolist(),
+        "src": np.concatenate([_stack(inners, "src", p_off), at[o["src"]]]).tolist(),
+        "tgt": np.concatenate([_stack(inners, "tgt", p_off), at[o["tgt"]]]).tolist(),
+        "expose": at[o["expose"]].tolist(),
+    }
+    return CPGraph._from_columns({"B": sum(d.n_boxes for d in inners)}, columns)
 
 
 def ocompose(outer: _Diagram, inners: Sequence[_Diagram]) -> _Diagram:
@@ -506,23 +487,6 @@ def grid(width: int, height: int) -> CPGraph:
 # Canonical forms
 
 
-def _port_permutation(box_col: tuple[int, ...]) -> list[int]:
-    # old -> new index under a stable sort by box; preserves slot order.
-    order = sorted(range(len(box_col)), key=lambda p: (box_col[p], p))
-    new_of_old = [0] * len(box_col)
-    for new, old in enumerate(order):
-        new_of_old[old] = new
-    return new_of_old
-
-
-def _permute_column(col: tuple[int, ...], new_of_old: list[int]) -> list[int]:
-    # Reorder a column indexed by ports: out[new] = col[old].
-    out = [0] * len(col)
-    for old, v in enumerate(col):
-        out[new_of_old[old]] = v
-    return out
-
-
 def canonical(d: _Diagram) -> _Diagram:
     """Canonical form: ports grouped by box, junctions renumbered, wires sorted.
 
@@ -532,64 +496,37 @@ def canonical(d: _Diagram) -> _Diagram:
 
 
 def _canonical_uwd(d: UWDiagram) -> UWDiagram:
-    parts = d.data.parts
-    sigma = _port_permutation(parts["box"])
-    box = _permute_column(parts["box"], sigma)
-    junc_in = _permute_column(parts["junc_in"], sigma)
-    junc_out = list(parts["junc_out"])
-
-    renum: dict[int, int] = {}
-    for j in (*junc_in, *junc_out):
-        if j not in renum:
-            renum[j] = len(renum)
-    for j in range(d.n_junctions):
-        if j not in renum:
-            renum[j] = len(renum)
-
-    return UWDiagram.from_tables(
-        d.n_boxes,
-        d.n_junctions,
-        box,
-        [renum[j] for j in junc_in],
-        [renum[j] for j in junc_out],
-    )
+    a = d._arrays
+    order = np.argsort(a["box"], kind="stable")
+    junc_in = a["junc_in"][order].tolist()
+    junc_out = d.data.parts["junc_out"]
+    renum = _first_use(d.n_junctions, junc_in, junc_out)
+    columns = {
+        "box": a["box"][order].tolist(),
+        "junc_in": list(map(renum.__getitem__, junc_in)),
+        "junc_out": list(map(renum.__getitem__, junc_out)),
+    }
+    return UWDiagram._from_columns({"B": d.n_boxes, "J": d.n_junctions}, columns)
 
 
 def _canonical_dwd(d: DWDiagram) -> DWDiagram:
-    parts = d.data.parts
-    sig_in = _port_permutation(parts["box_in"])
-    sig_out = _port_permutation(parts["box_out"])
-    box_in = _permute_column(parts["box_in"], sig_in)
-    box_out = _permute_column(parts["box_out"], sig_out)
-
-    wires = sorted(
-        (sig_out[s], sig_in[t]) for s, t in zip(parts["src"], parts["tgt"])
-    )
-    in_wires = sorted(
-        (s, sig_in[t]) for s, t in zip(parts["src_in"], parts["tgt_in"])
-    )
-    out_wires = sorted(
-        (sig_out[s], t) for s, t in zip(parts["src_out"], parts["tgt_out"])
-    )
-    return DWDiagram.from_tables(
-        d.n_boxes,
-        box_in,
-        box_out,
-        d.n_outer_in,
-        d.n_outer_out,
-        wires,
-        in_wires,
-        out_wires,
-    )
+    a = d._arrays
+    in_order, in_rank = _port_order(a["box_in"])
+    out_order, out_rank = _port_order(a["box_out"])
+    columns = {"box_in": a["box_in"][in_order].tolist(), "box_out": a["box_out"][out_order].tolist()}
+    columns["src"], columns["tgt"] = _sorted_pairs(out_rank[a["src"]], in_rank[a["tgt"]])
+    columns["src_in"], columns["tgt_in"] = _sorted_pairs(a["src_in"], in_rank[a["tgt_in"]])
+    columns["src_out"], columns["tgt_out"] = _sorted_pairs(out_rank[a["src_out"]], a["tgt_out"])
+    card = {"B": d.n_boxes, "Q_in": d.n_outer_in, "Q_out": d.n_outer_out}
+    return DWDiagram._from_columns(card, columns)
 
 
 def _canonical_cpg(d: CPGraph) -> CPGraph:
-    parts = d.data.parts
-    sigma = _port_permutation(parts["box"])
-    box = _permute_column(parts["box"], sigma)
-    wires = sorted((sigma[s], sigma[t]) for s, t in zip(parts["src"], parts["tgt"]))
-    expose = tuple(sigma[p] for p in parts["expose"])
-    return CPGraph.from_tables(d.n_boxes, box, wires, expose)
+    a = d._arrays
+    order, rank = _port_order(a["box"])
+    columns = {"box": a["box"][order].tolist(), "expose": rank[a["expose"]].tolist()}
+    columns["src"], columns["tgt"] = _sorted_pairs(rank[a["src"]], rank[a["tgt"]])
+    return CPGraph._from_columns({"B": d.n_boxes}, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -608,59 +545,57 @@ def to_dot(d: _Diagram) -> str:
 
 def _dot_head(graph: str, n_boxes: int, n_junctions: int = 0) -> list[str]:
     lines = [f"{graph} diagram {{", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
-    lines.extend(f'    b{b} [label="b{b}", shape=box];' for b in range(n_boxes))
-    lines.extend(f'    j{j} [label="", shape=point];' for j in range(n_junctions))
+    lines += [f'    b{b} [label="b{b}", shape=box];' for b in range(n_boxes)]
+    lines += [f'    j{j} [label="", shape=point];' for j in range(n_junctions)]
     lines.append("  }")
     return lines
+
+
+def _at(box: np.ndarray, slot: np.ndarray, ports: np.ndarray) -> zip:
+    """(box, slot) of each of ``ports``."""
+    return zip(box[ports].tolist(), slot[ports].tolist())
 
 
 def _dot_uwd(d: UWDiagram) -> list[str]:
     parts = d.data.parts
     lines = _dot_head("graph", d.n_boxes, d.n_junctions)
-    for q in range(d.n_outer):
-        lines.append(f'  q{q} [label="q{q}", shape=plaintext];')
-    for p in range(len(parts["box"])):
-        lines.append(f"  b{parts['box'][p]} -- j{parts['junc_in'][p]};")
-    for q, j in enumerate(parts["junc_out"]):
-        lines.append(f"  q{q} -- j{j};")
+    lines += [f'  q{q} [label="q{q}", shape=plaintext];' for q in range(d.n_outer)]
+    lines += [f"  b{b} -- j{j};" for b, j in zip(parts["box"], parts["junc_in"])]
+    lines += [f"  q{q} -- j{j};" for q, j in enumerate(parts["junc_out"])]
     return lines
 
 
 def _dot_dwd(d: DWDiagram) -> list[str]:
-    parts = d.data.parts
-    in_slot = _slots(d.in_ports)
-    out_slot = _slots(d.out_ports)
+    parts, a = d.data.parts, d._arrays
+    box_in, slot_in = a["box_in"], _slots(a["box_in"], d.n_boxes)
+    box_out, slot_out = a["box_out"], _slots(a["box_out"], d.n_boxes)
     lines = _dot_head("digraph", d.n_boxes)
-    for q in range(d.n_outer_in):
-        lines.append(f'  qin{q} [label="in{q}", shape=plaintext];')
-    for q in range(d.n_outer_out):
-        lines.append(f'  qout{q} [label="out{q}", shape=plaintext];')
-    for s, t in zip(parts["src"], parts["tgt"]):
-        bs, ss = out_slot[s]
-        bt, st = in_slot[t]
-        lines.append(f'  b{bs} -> b{bt} [label="o{ss}:i{st}"];')
-    for s, t in zip(parts["src_in"], parts["tgt_in"]):
-        bt, st = in_slot[t]
-        lines.append(f'  qin{s} -> b{bt} [label="i{st}"];')
-    for s, t in zip(parts["src_out"], parts["tgt_out"]):
-        bs, ss = out_slot[s]
-        lines.append(f'  b{bs} -> qout{t} [label="o{ss}"];')
+    lines += [f'  qin{q} [label="in{q}", shape=plaintext];' for q in range(d.n_outer_in)]
+    lines += [f'  qout{q} [label="out{q}", shape=plaintext];' for q in range(d.n_outer_out)]
+    wires = zip(_at(box_out, slot_out, a["src"]), _at(box_in, slot_in, a["tgt"]))
+    lines += [f'  b{bs} -> b{bt} [label="o{ss}:i{st}"];' for (bs, ss), (bt, st) in wires]
+    lines += [
+        f'  qin{q} -> b{bt} [label="i{st}"];'
+        for q, (bt, st) in zip(parts["src_in"], _at(box_in, slot_in, a["tgt_in"]))
+    ]
+    lines += [
+        f'  b{bs} -> qout{q} [label="o{ss}"];'
+        for (bs, ss), q in zip(_at(box_out, slot_out, a["src_out"]), parts["tgt_out"])
+    ]
     return lines
 
 
 def _dot_cpg(d: CPGraph) -> list[str]:
-    parts = d.data.parts
-    slot = _slots(d.box_ports)
+    a = d._arrays
+    box, slot = a["box"], _slots(a["box"], d.n_boxes)
     lines = _dot_head("digraph", d.n_boxes)
-    for q in range(d.n_outer):
-        lines.append(f'  q{q} [label="q{q}", shape=plaintext];')
-    for s, t in zip(parts["src"], parts["tgt"]):
-        bs, ss = slot[s]
-        bt, st = slot[t]
-        lines.append(f'  b{bs} -> b{bt} [label="p{ss}:p{st}"];')
-    for q, p in enumerate(parts["expose"]):
-        b, s = slot[p]
-        lines.append(f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];')
+    lines += [f'  q{q} [label="q{q}", shape=plaintext];' for q in range(d.n_outer)]
+    wires = zip(_at(box, slot, a["src"]), _at(box, slot, a["tgt"]))
+    lines += [f'  b{bs} -> b{bt} [label="p{ss}:p{st}"];' for (bs, ss), (bt, st) in wires]
+    lines += [
+        f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];'
+        for q, (b, s) in enumerate(_at(box, slot, a["expose"]))
+    ]
     return lines
 
 

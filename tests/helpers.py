@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import numpy as np
 
 from dynwire import (
     CPGraph,
+    CSetInstance,
     DWDiagram,
     FinFunction,
     Machine,
@@ -16,6 +18,7 @@ from dynwire import (
     ResourceSharer,
     UndirectedLayout,
     UWDiagram,
+    Violation,
 )
 
 # ---------------------------------------------------------------------------
@@ -319,3 +322,185 @@ def torus(width: int, height: int) -> CPGraph:
     n = width * height
     box = tuple(p // 4 for p in range(4 * n))
     return CPGraph.from_tables(n, box, wires, ())
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row references for the whole-column paths of the library: each walks
+# one entry at a time, the way those paths were first written.
+
+
+def reference_json_text(data: object) -> str:
+    """What a diagram or model file holds: indent-2 JSON and a newline."""
+    return json.dumps(data, indent=2) + "\n"
+
+
+def reference_validate(x: CSetInstance) -> list[Violation]:
+    out: list[Violation] = []
+    for ob in x.schema.objects:
+        if x.card[ob] < 0:
+            out.append(Violation(ob, None, f"negative cardinality {x.card[ob]}"))
+    for m in x.schema.morphisms:
+        col = x.parts[m.name]
+        if len(col) != x.card[m.dom]:
+            out.append(
+                Violation(m.name, None, f"column has {len(col)} rows, card({m.dom}) is {x.card[m.dom]}")
+            )
+            continue
+        bound = x.card[m.cod]
+        for row, v in enumerate(col):
+            if not 0 <= v < bound:
+                out.append(Violation(m.name, row, f"entry {v} outside [0, {bound})"))
+    return out
+
+
+def reference_map_error(dom_size: int, cod_size: int, entries) -> str | None:
+    """The message ``FinFunction(dom_size, cod_size, entries)`` raises, or None."""
+    entries = tuple(int(v) for v in entries)
+    if dom_size < 0 or cod_size < 0:
+        return "set sizes must be nonnegative"
+    if len(entries) != dom_size:
+        return f"map has {len(entries)} entries but dom_size is {dom_size}"
+    for i, v in enumerate(entries):
+        if not 0 <= v < cod_size:
+            return f"map entry {i} is {v}, outside codomain [0, {cod_size})"
+    return None
+
+
+def reference_merge_classes(size: int, pairs) -> FinFunction:
+    """Union-find; classes numbered ascending by smallest member."""
+    parent = list(range(size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    number: dict[int, int] = {}
+    out = [number.setdefault(find(i), len(number)) for i in range(size)]
+    return FinFunction(size, len(number), tuple(out))
+
+
+def _reference_ports_by_box(box_col, n_boxes: int) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(n_boxes)]
+    for port, b in enumerate(box_col):
+        out[b].append(port)
+    return out
+
+
+def _reference_slots(box_col, n_boxes: int) -> dict[int, tuple[int, int]]:
+    ports = _reference_ports_by_box(box_col, n_boxes)
+    return {p: (i, s) for i, box in enumerate(ports) for s, p in enumerate(box)}
+
+
+def _reference_new_of_old(box_col) -> list[int]:
+    order = sorted(range(len(box_col)), key=lambda p: (box_col[p], p))
+    new_of_old = [0] * len(box_col)
+    for new, old in enumerate(order):
+        new_of_old[old] = new
+    return new_of_old
+
+
+def _permuted(col, new_of_old: list[int]) -> list[int]:
+    out = [0] * len(col)
+    for old, v in enumerate(col):
+        out[new_of_old[old]] = v
+    return out
+
+
+def reference_canonical(d):
+    """Ports grouped by box, UWD junctions renumbered by first use, wires sorted."""
+    p = d.data.parts
+    if isinstance(d, UWDiagram):
+        sigma = _reference_new_of_old(p["box"])
+        junc_in = _permuted(p["junc_in"], sigma)
+        renum: dict[int, int] = {}
+        for j in [*junc_in, *p["junc_out"], *range(d.n_junctions)]:
+            renum.setdefault(j, len(renum))
+        return UWDiagram.from_tables(
+            d.n_boxes, d.n_junctions, _permuted(p["box"], sigma),
+            [renum[j] for j in junc_in], [renum[j] for j in p["junc_out"]],
+        )
+    if isinstance(d, DWDiagram):
+        si, so = _reference_new_of_old(p["box_in"]), _reference_new_of_old(p["box_out"])
+        return DWDiagram.from_tables(
+            d.n_boxes, _permuted(p["box_in"], si), _permuted(p["box_out"], so),
+            d.n_outer_in, d.n_outer_out,
+            sorted((so[s], si[t]) for s, t in zip(p["src"], p["tgt"])),
+            sorted((s, si[t]) for s, t in zip(p["src_in"], p["tgt_in"])),
+            sorted((so[s], t) for s, t in zip(p["src_out"], p["tgt_out"])),
+        )
+    sigma = _reference_new_of_old(p["box"])
+    return CPGraph.from_tables(
+        d.n_boxes, _permuted(p["box"], sigma),
+        sorted((sigma[s], sigma[t]) for s, t in zip(p["src"], p["tgt"])),
+        [sigma[q] for q in p["expose"]],
+    )
+
+
+def reference_dot_edges(d) -> list[str]:
+    """The edge lines of ``to_dot(d)``, one wire at a time."""
+    p = d.data.parts
+    if isinstance(d, UWDiagram):
+        return [f"  b{b} -- j{j};" for b, j in zip(p["box"], p["junc_in"])] + [
+            f"  q{q} -- j{j};" for q, j in enumerate(p["junc_out"])
+        ]
+    if isinstance(d, DWDiagram):
+        ins, outs = _reference_slots(p["box_in"], d.n_boxes), _reference_slots(p["box_out"], d.n_boxes)
+        lines = []
+        for s, t in zip(p["src"], p["tgt"]):
+            (bs, ss), (bt, st) = outs[s], ins[t]
+            lines.append(f'  b{bs} -> b{bt} [label="o{ss}:i{st}"];')
+        for s, t in zip(p["src_in"], p["tgt_in"]):
+            bt, st = ins[t]
+            lines.append(f'  qin{s} -> b{bt} [label="i{st}"];')
+        for s, t in zip(p["src_out"], p["tgt_out"]):
+            bs, ss = outs[s]
+            lines.append(f'  b{bs} -> qout{t} [label="o{ss}"];')
+        return lines
+    slot = _reference_slots(p["box"], d.n_boxes)
+    lines = []
+    for s, t in zip(p["src"], p["tgt"]):
+        (bs, ss), (bt, st) = slot[s], slot[t]
+        lines.append(f'  b{bs} -> b{bt} [label="p{ss}:p{st}"];')
+    for q, port in enumerate(p["expose"]):
+        b, s = slot[port]
+        lines.append(f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];')
+    return lines
+
+
+def reference_ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
+    """Wire splicing by chasing each chain from its start, one wire at a time."""
+    od = outer.data.parts
+    in_slot = _reference_slots(od["box_in"], outer.n_boxes)
+    out_slot = _reference_slots(od["box_out"], outer.n_boxes)
+    pin_off = list(itertools.accumulate([0] + [d.data.card["P_in"] for d in inners]))
+    pout_off = list(itertools.accumulate([0] + [d.data.card["P_out"] for d in inners]))
+    box_off = list(itertools.accumulate([0] + [d.n_boxes for d in inners]))
+
+    def chase_in(i: int, slot: int) -> list[int]:
+        ip = inners[i].data.parts
+        return [t + pin_off[i] for s, t in zip(ip["src_in"], ip["tgt_in"]) if s == slot]
+
+    wires, in_wires, out_wires = [], [], []
+    for q, p in zip(od["src_in"], od["tgt_in"]):
+        in_wires.extend((q, t) for t in chase_in(*in_slot[p]))
+    for i, inner in enumerate(inners):
+        ip = inner.data.parts
+        wires.extend((s + pout_off[i], t + pin_off[i]) for s, t in zip(ip["src"], ip["tgt"]))
+        for s, slot in zip(ip["src_out"], ip["tgt_out"]):
+            for os_, ot in zip(od["src"], od["tgt"]):
+                if out_slot[os_] == (i, slot):
+                    wires.extend((s + pout_off[i], t) for t in chase_in(*in_slot[ot]))
+            for os_, q in zip(od["src_out"], od["tgt_out"]):
+                if out_slot[os_] == (i, slot):
+                    out_wires.append((s + pout_off[i], q))
+    return DWDiagram.from_tables(
+        box_off[-1],
+        [b + box_off[i] for i, d in enumerate(inners) for b in d.data.parts["box_in"]],
+        [b + box_off[i] for i, d in enumerate(inners) for b in d.data.parts["box_out"]],
+        outer.n_outer_in, outer.n_outer_out, wires, in_wires, out_wires,
+    )

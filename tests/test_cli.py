@@ -172,6 +172,33 @@ class TestCompose:
         assert code == 1
         assert "box 0" in capsys.readouterr().err
 
+    def test_repeated_inner_path_is_read_once(self, tmp_path, repo_root, monkeypatch):
+        ident = tmp_path / "ident.json"
+        dump_diagram(identity_uwd(1), ident)
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(path)
+            return load_diagram(path)
+
+        monkeypatch.setattr("dynwire.cli.load_diagram", counting_load)
+        outer = str(repo_root / "configs" / "ecosystem" / "total_diagram.json")
+        assert main(["compose", "--outer", outer, "--inner", str(ident), "--inner", str(ident),
+                     "-o", str(tmp_path / "out.json")]) == 0
+        assert loaded == [outer, str(ident)]
+
+    def test_first_bad_inner_path_is_reported(self, tmp_path, repo_root, capsys):
+        ident = tmp_path / "ident.json"
+        dump_diagram(identity_uwd(1), ident)
+        bad1, bad2 = tmp_path / "bad1.json", tmp_path / "bad2.json"
+        bad1.write_text("[]")
+        bad2.write_text("{")
+        outer = str(repo_root / "configs" / "ecosystem" / "total_diagram.json")
+        code = main(["compose", "--outer", outer, "--inner", str(ident), "--inner", str(bad1),
+                     "--inner", str(bad2), "--inner", str(bad1), "-o", str(tmp_path / "out.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad1}: expected a JSON object\n"
+
 
 def readme_commands(readme: Path, marker: str) -> list[list[str]]:
     """Argument lists of the ``dynwire`` commands in the README code block
@@ -271,6 +298,19 @@ class TestSimulate:
         ]) == 0
         header, _ = read_csv(out)
         assert header[1:4] == ["city1.S", "city1.I", "city1.R"]
+
+    @pytest.mark.parametrize("boxes, where", [([1, True, None], "boxes[0]"), (["a", True, "c"], "boxes[1]")])
+    def test_labels_must_be_strings(self, tmp_path, repo_root, capsys, boxes, where):
+        sir = repo_root / "configs" / "sir"
+        labels = write_json(tmp_path / "labels.json", {"boxes": boxes})
+        code = main([
+            "simulate", "--diagram", str(sir / "isolation.json"),
+            "--models", str(sir / "city.json"), str(sir / "city.json"), str(sir / "city.json"),
+            "--config", str(sir / "sim_cities_labelled.json"), "--labels", str(labels),
+            "--out", str(tmp_path / "traj.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {labels}: {where} must be a string")
 
     def test_metadata_flags_rk4_as_non_functorial(self, tmp_path):
         diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)
@@ -469,3 +509,19 @@ class TestExports:
             "plot", "--csv", str(csv_path), "--columns", "zz", "-o", str(svg_path)
         ]) == 1
         assert "zz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("t,a\n0.0,1.0\n\n1.0,x\n", "line 4, column 2 ('a'): 'x' is not a number"),
+            ("t,a\n0.0,1.0\n1.0\n", "line 3 has 1 cells, the header has 2"),
+            ("t,a\n0.0,1.0,2.0\n", "line 2 has 3 cells, the header has 2"),
+        ],
+        ids=["not-a-number", "short-row", "long-row"],
+    )
+    def test_plot_malformed_csv_is_a_located_error(self, tmp_path, capsys, text, where):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(text)
+        assert main(["plot", "--csv", str(csv_path), "-o", str(tmp_path / "t.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_path}: {where}\n"
