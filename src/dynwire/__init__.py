@@ -15,7 +15,6 @@ from .errors import (
     ExprEvalError,
     ExprSyntaxError,
     GluingError,
-    InternalShapeError,
     KindError,
     ModelSpecError,
     NaturalityError,

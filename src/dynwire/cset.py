@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import GluingError, NaturalityError, SchemaError
-from .finset import FinFunction, pushout
+from .finset import FinFunction, int_entries, pushout
 
 __all__ = [
     "SchemaMorphism",
@@ -122,7 +122,9 @@ class CSetInstance:
 
     ``card`` gives the size of each object's part; ``parts`` gives each
     morphism's index column.  The columns are stored raw so an invalid file
-    can be represented and reported on; use :func:`validate`.
+    can be represented and reported on; use :func:`validate`.  Cards and
+    entries must be integers: a float or bool raises ``SchemaError`` naming
+    the object or the column and row, rather than being truncated.
     """
 
     schema: Schema
@@ -130,12 +132,20 @@ class CSetInstance:
     parts: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        card = {ob: int(self.card[ob]) for ob in self.schema.objects}
+        objects = self.schema.objects
+        cards = int_entries(
+            [self.card[ob] for ob in objects],
+            lambda i, v: SchemaError(f"card of {objects[i]!r} must be an integer, got {v!r}"),
+        )
+        card = dict(zip(objects, cards))
         if set(self.card) - set(self.schema.objects):
             raise SchemaError("instance has cards for undeclared objects")
         parts = {}
         for m in self.schema.morphisms:
-            parts[m.name] = tuple(map(int, self.parts.get(m.name, ())))
+            parts[m.name] = int_entries(
+                self.parts.get(m.name, ()),
+                lambda i, v: SchemaError(f"column {m.name!r} row {i} is {v!r}, not an integer"),
+            )
         if set(self.parts) - set(parts):
             raise SchemaError("instance has columns for undeclared morphisms")
         object.__setattr__(self, "card", card)

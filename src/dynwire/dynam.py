@@ -6,14 +6,27 @@ undirected one (ports expose state variables to be identified).  Both come
 in a continuous flavor, where ``dynamics`` is a vector field, and a discrete
 one, where it is the next-state map.
 
-Composites are closures over the diagram and the component systems.  Both
-directed syntaxes (a CPG read as a DWD through ``DWD_FROM_CPG``) become one
-gather/scatter transport: merged wires sum, wireless in-ports read exactly
-0.0.  Undirected composition glues states by a pushout.  Boxes that share a
-batch kernel (as equal instantiated specs do) are evaluated together, one
-call per group, the rest box by box.  Explicit Euler discretization
-commutes with both compositions, which the test suite exercises as the
-central oracle.
+Both directed syntaxes (a CPG read as a DWD through ``DWD_FROM_CPG``)
+become one gather/scatter transport: merged wires sum, wireless in-ports
+read exactly 0.0.  Undirected composition glues states by a pushout.
+Explicit Euler discretization commutes with both compositions, which the
+test suite exercises as the central oracle.
+
+A composite is evaluated one of two ways:
+
+- **Fused**, when every box carries a ``program`` (spec-built models do, and
+  so do composites fused from them), the boxes hold at most
+  ``_FUSE_MAX_STATES`` model states in all and the wiring, nested wiring
+  included, at most ``_FUSE_MAX_WIRES`` wires.  The composite is then one
+  generated function over Python floats: each box's equations inlined with
+  its parameters as literals, the transport and the gluing unrolled into
+  sums in the order ``finset.fiber_sum`` adds.  It carries its own program,
+  so a composite of composites flattens into one function.  Values and
+  errors are bitwise those of the boxes' scalar closures called in turn.
+  The generated code is cached by the value of the diagram and the boxes.
+- **Box by box** otherwise: a closure over the diagram that evaluates the
+  boxes sharing a batch kernel (as equal instantiated specs do) in one call
+  per group, and the rest through their scalar callables.
 """
 
 from __future__ import annotations
@@ -23,6 +36,8 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from ._codegen import Gluing, Program, Transport, fuse
+from ._codegen import as_vector as _as_vector
 from .errors import ArityError, KindError, SizeMismatchError
 from .finset import FinFunction, compose, fiber_sum, pullback_vec, pushforward_vec, pushout
 from .wiring import CPGraph, DWDiagram, UWDiagram
@@ -51,13 +66,6 @@ Readout = Callable[[np.ndarray], np.ndarray]
 SharerDynamics = Callable[[np.ndarray], np.ndarray]
 
 
-def _as_vector(x: Sequence[float] | np.ndarray, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (n,):
-        raise SizeMismatchError(f"{what} has shape {arr.shape}, expected ({n},)")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class BatchKernel:
     """One model's equations over a block of boxes, one box per row.
@@ -81,7 +89,9 @@ class Machine:
     derivative (continuous) or the next state (discrete); ``readout(state)``
     returns the output vector and may depend on state only.  ``kernel``, if
     given, computes the same over a block of boxes; ``oapply_*`` uses it for
-    boxes that share it and the scalar callables otherwise.
+    boxes that share it and the scalar callables otherwise.  ``program``, if
+    given, is the same equations in a form that ``oapply_*`` inlines into
+    the generated code of a small composite (see :func:`oapply_directed`).
     """
 
     n_inputs: int
@@ -91,13 +101,14 @@ class Machine:
     readout: Readout
     kind: Kind
     kernel: BatchKernel | None = None
+    program: Program | None = None
 
 
 @dataclass(frozen=True)
 class ResourceSharer:
     """An undirected open system: ports expose state variables via ``portmap``.
 
-    ``kernel`` is as for :class:`Machine`.
+    ``kernel`` and ``program`` are as for :class:`Machine`.
     """
 
     n_ports: int
@@ -106,6 +117,7 @@ class ResourceSharer:
     dynamics: SharerDynamics
     kind: Kind
     kernel: BatchKernel | None = None
+    program: Program | None = None
 
     def __post_init__(self) -> None:
         if self.portmap.dom_size != self.n_ports or self.portmap.cod_size != self.n_states:
@@ -139,6 +151,30 @@ def _common_kind(kinds: list[Kind], what: str) -> Kind:
     if len(distinct) > 1:
         raise KindError(f"cannot compose mixed kinds {sorted(distinct)} of {what}")
     return kinds[0] if kinds else "continuous"
+
+
+# A composite of at most this many model states, all from boxes that carry a
+# program, is fused into one generated function; larger ones evaluate their
+# boxes through _BoxPlan.  Set from the crossover of the two on heat grids
+# with one shared kernel (see CHANGES.md): fused code costs per box, a numpy
+# block call mostly per group.
+_FUSE_MAX_STATES = 96
+# Fused code also grows by one addition per wire, where a numpy fiber sum
+# hardly grows, so a composite fuses only with at most 4 wires per state of
+# the cutoff, the density of the heat stencil it was measured on.
+_FUSE_MAX_WIRES = 4 * _FUSE_MAX_STATES
+
+
+def _programs(
+    systems: Sequence[Machine] | Sequence[ResourceSharer], n_wires: int = 0
+) -> list[Program] | None:
+    """The boxes' programs if the composite of ``systems``, with ``n_wires``
+    wires of its own, is to be fused."""
+    programs = [s.program for s in systems]
+    if any(p is None for p in programs):
+        return None
+    states, wires = sum(p.size for p in programs), n_wires + sum(p.wires for p in programs)
+    return programs if states <= _FUSE_MAX_STATES and wires <= _FUSE_MAX_WIRES else None
 
 
 class _Box(NamedTuple):
@@ -249,6 +285,12 @@ def _oapply_transport(
     Each is one fiber sum in index order, so box wires are listed first.
     """
     kind = _common_kind([m.kind for m in machines], "machines")
+    programs = _programs(machines, len(inward[0]) + len(outward[0]))
+    if programs is not None:
+        program = Transport(programs, n_outer_in, n_outer_out, in_ports, out_ports, inward, outward)
+        dynamics, readout = fuse(program)
+        n_states = program.n_states
+        return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind, None, program)
     n_pin = sum(len(p) for p in in_ports)
     n_pout = sum(len(p) for p in out_ports)
     offs = np.cumsum([0] + [m.n_states for m in machines])
@@ -287,8 +329,10 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     Evaluation order per step: all readouts first (they depend on state
     only), then all in-port sums, then all dynamics; feedback loops resolve
     in one pass.  An in-port fed by several wires receives their sum, box
-    wires first; one fed by none receives 0.0.  Boxes sharing a ``kernel``
-    run as one group, the others through their scalar callables.
+    wires first; one fed by none receives 0.0.  A small composite of boxes
+    with programs is fused into one cached generated function (see the
+    module docstring); otherwise boxes sharing a ``kernel`` run as one
+    group and the others through their scalar callables.
     """
     if len(machines) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
@@ -326,8 +370,10 @@ def oapply_undirected_with_layout(
 
     States mapped to a common junction are glued by the pushout of the total
     portmap against the port-junction assignment.  A junction attached to no
-    port contributes an inert extra state.  Sharers with a common ``kernel``
-    run as one group, the others through their scalar callables.
+    port contributes an inert extra state.  A small composite of sharers
+    with programs is fused as in :func:`oapply_directed`; otherwise sharers
+    with a common ``kernel`` run as one group and the others through their
+    scalar callables.
     """
     if len(sharers) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(sharers)} sharers were given")
@@ -350,6 +396,13 @@ def oapply_undirected_with_layout(
     po = pushout(p_total, q_junc)
     state_inj, junc_inj = po.inj_left, po.inj_right
     n_states = po.apex_size
+    portmap = compose(d.data.part_fn("junc_out"), junc_inj)
+    layout = UndirectedLayout(state_inj, junc_inj)
+    programs = _programs(sharers)
+    if programs is not None:
+        program = Gluing(programs, state_inj.map, n_states, kind == "discrete")
+        dynamics = fuse(program)[0]
+        return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, None, program), layout
     plan = _BoxPlan(sharers, offs)
 
     def dynamics(x: np.ndarray) -> np.ndarray:
@@ -362,9 +415,7 @@ def oapply_undirected_with_layout(
         # A discrete box returns its next state; glued states add their increments.
         return x + pushforward_vec(state_inj, out - y)
 
-    portmap = compose(d.data.part_fn("junc_out"), junc_inj)
-    sharer = ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind)
-    return sharer, UndirectedLayout(state_inj, junc_inj)
+    return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind), layout
 
 
 def oapply_undirected(d: UWDiagram, sharers: Sequence[ResourceSharer]) -> ResourceSharer:
@@ -378,6 +429,7 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     The composite of ``oapply_directed(cpg_to_dwd(g), machines)``, with the
     transport read from the CPG tables: each port is both an in-port and an
     out-port of its box, and outer port ``q`` feeds and reads ``expose[q]``.
+    Fused or evaluated box by box as in :func:`oapply_directed`.
     """
     if len(machines) != g.n_boxes:
         raise ArityError(f"diagram has {g.n_boxes} boxes but {len(machines)} machines were given")

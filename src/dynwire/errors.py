@@ -35,10 +35,6 @@ class KindError(DynwireError):
     """Continuous and discrete systems were mixed, or the wrong kind was supplied."""
 
 
-class InternalShapeError(DynwireError):
-    """A wire splice produced a chain that the schema shape should forbid."""
-
-
 class ExprSyntaxError(DynwireError):
     """Expression text failed to parse."""
 

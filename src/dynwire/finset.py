@@ -13,10 +13,11 @@ fibers with exactly ``0.0``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,14 +40,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FinFunction:
-    """A total function ``[0, dom_size) -> [0, cod_size)``."""
+    """A total function ``[0, dom_size) -> [0, cod_size)``.
+
+    Entries are stored as Python ints; a float or bool entry raises
+    ``SizeMismatchError`` rather than being truncated.
+    """
 
     dom_size: int
     cod_size: int
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(map(int, self.map))
+        entries = int_entries(
+            self.map, lambda i, v: SizeMismatchError(f"map entry {i} is {v!r}, not an integer")
+        )
         object.__setattr__(self, "map", entries)
         if self.dom_size < 0 or self.cod_size < 0:
             raise SizeMismatchError("set sizes must be nonnegative")
@@ -75,6 +82,25 @@ class FinFunction:
         # Cached index view for vector transport; frozen dataclasses still
         # allow cached_property because it writes to __dict__ directly.
         return np.asarray(self.map, dtype=np.intp)
+
+
+def int_entries(values: Iterable[int], fail: Callable[[int, object], Exception]) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints.
+
+    Integer numpy arrays convert in one call and lists of plain ints after
+    one type scan.  Floats, bools and anything else without ``__index__``
+    are refused rather than truncated: ``fail(i, v)`` is raised for the
+    first such entry ``v``, at index ``i``.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return tuple(values.tolist())
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not hasattr(v, "__index__"):
+            raise fail(i, v)
+    return tuple(map(operator.index, values))
 
 
 def identity(n: int) -> FinFunction:

@@ -19,10 +19,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping
 
-import numpy as np
-
+from ._codegen import FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, define
 from .errors import ExprEvalError, ExprSyntaxError, ModelSpecError
 from .dynam import BatchKernel, Machine, ResourceSharer
 from .finset import FinFunction
@@ -47,47 +46,6 @@ __all__ = [
     "spec_to_json",
     "spec_from_json",
 ]
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float  # nonnegative; negative literals parse as Neg(Num(...))
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str  # one of sin cos exp
-    arg: "Expr"
-
-
-Expr = Union[Num, Var, Neg, BinOp, Call]
-
-FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -270,162 +228,7 @@ def format_expr(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-#
-# Every evaluator here is straight-line Python generated from the AST, one
-# assignment per node: ``compile_expr`` reads a mapping, the closures of
-# ``instantiate`` read one box's vectors as Python floats, and the batch
-# kernels read a block of boxes as numpy columns.
-
-
-class _Emitter:
-    """Generated statements for a set of expressions sharing one namespace.
-
-    Operands are evaluated in the reference order: left before right, except
-    that a division evaluates and checks its denominator before its
-    numerator.  A statement text seen before is not emitted again, so shared
-    subexpressions are computed once, which changes no value and no error.
-
-    ``batched`` emits numpy code over columns, in which nothing raises: zero
-    denominators and non-finite function or power values land in ``checks``,
-    conditions that must all hold for the block to match the scalar path.
-    """
-
-    def __init__(self, batched: bool = False):
-        self.batched = batched
-        self.names: dict[str, str] = {}  # model variable -> operand text
-        self.lines: list[str] = []
-        self.checks: list[str] = []
-        self.constants: dict[str, object] = {}
-        self._seen: dict[str, str] = {}  # statement text -> temporary
-        self._checked: set[tuple[str, str]] = set()  # (check, operand) pairs emitted
-
-    def constant(self, value: float) -> str:
-        value = float(value)
-        if not self.batched and math.isfinite(value):
-            return f"({value!r})"
-        # Batched constants are numpy scalars so that constant subexpressions
-        # follow numpy semantics (1/0 is inf, not an exception) like the rest.
-        name = f"_c{len(self.constants)}"
-        self.constants[name] = np.float64(value) if self.batched else value
-        return name
-
-    def statement(self, rhs: str, caught: str = "", message: str = "") -> str:
-        """Assign ``rhs`` to a fresh temporary; with ``caught``, turn that
-        exception into an ExprEvalError whose message is the source ``message``."""
-        name = self._seen.get(rhs)
-        if name is None:
-            name = self._seen[rhs] = f"_t{len(self._seen)}"
-            if caught:
-                self.lines += [
-                    "try:",
-                    f"    {name} = {rhs}",
-                    f"except {caught} as _exc:",
-                    f"    raise _Err({message}) from None",
-                ]
-            else:
-                self.lines.append(f"{name} = {rhs}")
-        return name
-
-    def checked(self, rhs: str) -> str:
-        """A batched value that must be finite everywhere."""
-        if rhs in self._seen:
-            return self._seen[rhs]
-        name = self.statement(rhs)
-        self.checks.append(f"_np.isfinite({name}).all()")
-        return name
-
-    def emit(self, e: Expr) -> str:
-        """Emit statements computing ``e``; returns the operand holding it."""
-        if isinstance(e, Num):
-            return self.constant(e.value)
-        if isinstance(e, Var):
-            if e.name in self.names:
-                return self.names[e.name]
-            unbound = f"unbound variable {e.name!r}"
-            return self.statement(f"_env[{e.name!r}]", "KeyError", repr(unbound))
-        if isinstance(e, Neg):
-            return self.statement(f"-{self.emit(e.operand)}")
-        if isinstance(e, Call):
-            if e.fn not in FUNCTIONS:  # names reach the source text: allow known ones only
-                raise ExprEvalError(f"unknown function {e.fn!r}")
-            arg = self.emit(e.arg)
-            if self.batched:
-                return self.checked(f"_np.{e.fn}({arg})")
-            return self.statement(f"_{e.fn}({arg})", _MATH_ERRORS, f"{e.fn + ': '!r} + str(_exc)")
-        if isinstance(e, BinOp):
-            if e.op == "/":
-                denom = self.emit(e.right)
-                if ("nonzero", denom) not in self._checked:
-                    self._checked.add(("nonzero", denom))
-                    if self.batched:
-                        self.checks.append(f"{denom}.all()")
-                    else:
-                        self.lines.append(f"if {denom} == 0.0: raise _Err('division by zero')")
-                return self.statement(f"{self.emit(e.left)} / {denom}")
-            left, right = self.emit(e.left), self.emit(e.right)
-            if e.op in ("+", "-", "*"):
-                return self.statement(f"{left} {e.op} {right}")
-            # Any other operator is a power, as the parser only makes "^".
-            if self.batched:
-                return self.checked(f"_np.power({left}, {right})")
-            return self.statement(f"_pow({left}, {right})", _MATH_ERRORS, "'power: ' + str(_exc)")
-        raise TypeError(f"not an expression: {type(e).__name__}")
-
-    def output(self, e: Expr, what: str) -> str:
-        """Emit an output; scalar outputs are checked finite as they come."""
-        value = self.emit(e)
-        # A value that passed its check once needs none again.
-        if not self.batched and ("finite", value) not in self._checked:
-            self._checked.add(("finite", value))
-            message = f"{what} produced a non-finite value"
-            self.lines.append(f"if not _isfinite({value}): raise _Err({message!r})")
-        return value
-
-    def bind(self, names: Sequence[str], source: str) -> None:
-        """Bind model variables to the entries (scalar) or columns (batched) of ``source``."""
-        locals_ = [f"_{source}{k}" for k in range(len(names))]
-        self.names.update(zip(names, locals_))
-        if not names:
-            return
-        if self.batched:
-            self.lines += [f"{v} = {source}[:, {k}]" for k, v in enumerate(locals_)]
-        else:
-            self.lines.append(f"{', '.join(locals_)}, = {source}.tolist()")
-
-    def function(self, params: Sequence[str], results: Sequence[str]) -> Callable:
-        """The generated function of ``params``.  Scalar: the vector of
-        ``results``.  Batched: ``(block, ok)``, one column per result and one
-        row per row of the last parameter."""
-        if not self.batched:
-            body = [*self.lines, f"return _np.array([{', '.join(results)}])"]
-        else:
-            ok = " and ".join([*self.checks, "_np.isfinite(_out).all()"])
-            body = [
-                *self.lines,
-                f"_out = _np.empty(({params[-1]}.shape[0], {len(results)}))",
-                *(f"_out[:, {k}] = {r}" for k, r in enumerate(results)),
-                f"return _out, bool({ok})",
-            ]
-            body = ['with _np.errstate(all="ignore"):', *("    " + line for line in body)]
-        return _define(", ".join(params), body, self.constants)
-
-
-_MATH_ERRORS = "(ValueError, OverflowError)"
-_NAMESPACE = {
-    "_np": np,
-    "_Err": ExprEvalError,
-    "_isfinite": math.isfinite,
-    "_pow": math.pow,
-    **{f"_{name}": fn for name, fn in FUNCTIONS.items()},
-}
-
-
-def _define(signature: str, body: Sequence[str], constants: Mapping[str, object]) -> Callable:
-    source = "\n".join([f"def _generated({signature}):", *("    " + line for line in body)])
-    namespace = {**_NAMESPACE, **constants}
-    exec(compile(source, "<dynwire model>", "exec"), namespace)
-    return namespace["_generated"]
+# Evaluation (the AST and the code generator live in ``_codegen``)
 
 
 def compile_expr(e: Expr) -> Callable[[Mapping[str, float]], float]:
@@ -434,9 +237,9 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, float]], float]:
     Division by zero, math domain and range errors, and unbound names raise
     :class:`ExprEvalError`; non-finite values pass through (see eval_expr).
     """
-    em = _Emitter()
+    em = Emitter()
     result = em.emit(e)
-    return _define("_env", [*em.lines, f"return {result}"], em.constants)
+    return define("_env", [*em.lines, f"return {result}"], em.constants)
 
 
 def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
@@ -523,44 +326,40 @@ def spec_violations(spec: ModelSpec) -> list[str]:
     return problems
 
 
-def _generate(
-    spec: ModelSpec, params: Mapping[str, float], batched: bool
-) -> tuple[Callable, Callable | None]:
-    """The dynamics and, for machines, readout function of a valid spec."""
-
-    def emitter(inputs: Sequence[str]) -> _Emitter:
-        em = _Emitter(batched)
-        em.names.update({p: em.constant(v) for p, v in params.items()})
-        em.bind(inputs, "a")
-        em.bind(spec.states, "x")
-        return em
-
-    machine = spec.kind == "machine"
-    em = emitter(spec.inputs if machine else ())
-    results = [em.output(spec.dynamics[s], f"dynamics of {s!r}") for s in spec.states]
-    dynamics = em.function(["a", "x"] if machine else ["x"], results)
+def _generate(program: Leaf, machine: bool, batched: bool) -> tuple[Callable, Callable | None]:
+    """The dynamics and, for machines, readout function of a model's program."""
+    em = Emitter(batched)
+    a = em.bind(program.n_inputs, "a")
+    x = em.bind(program.n_states, "x")
+    dynamics = em.function(["a", "x"] if machine else ["x"], program.dynamics(em, a, x))
     if not machine:
         return dynamics, None
-    em = emitter(())
-    results = [em.output(e, "readout") for e in spec.readout]
-    return dynamics, em.function(["x"], results)
+    em = Emitter(batched)
+    x = em.bind(program.n_states, "x")
+    return dynamics, em.function(["x"], program.readout(em, x))
 
 
 def _build(spec: ModelSpec) -> Machine | ResourceSharer:
     problems = spec_violations(spec)
     if problems:
         raise ModelSpecError("; ".join(problems))
-    params = {k: float(v) for k, v in spec.params.items()}
-    dynamics, readout = _generate(spec, params, batched=False)
-    kernel = BatchKernel(*_generate(spec, params, batched=True))
     states = spec.states
-    if spec.kind == "machine":
+    program = Leaf(
+        spec.params, spec.inputs, states, [spec.dynamics[s] for s in states], spec.readout
+    )
+    machine = spec.kind == "machine"
+    dynamics, readout = _generate(program, machine, batched=False)
+    kernel = BatchKernel(*_generate(program, machine, batched=True))
+    if machine:
         return Machine(
-            len(spec.inputs), len(states), len(spec.readout), dynamics, readout, spec.flavor, kernel
+            len(spec.inputs), len(states), len(spec.readout), dynamics, readout, spec.flavor,
+            kernel, program,
         )
     index = {s: k for k, s in enumerate(states)}
     portmap = FinFunction(len(spec.ports), len(states), tuple(index[p] for p in spec.ports))
-    return ResourceSharer(len(spec.ports), len(states), portmap, dynamics, spec.flavor, kernel)
+    return ResourceSharer(
+        len(spec.ports), len(states), portmap, dynamics, spec.flavor, kernel, program
+    )
 
 
 class _SpecValue:
@@ -601,13 +400,17 @@ def _build_cached(value: _SpecValue) -> Machine | ResourceSharer:
 def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
     """Build an evaluatable machine or sharer from a spec.
 
-    The result carries scalar closures (one box, Python floats) and a batch
-    kernel over ``(k, n)`` blocks, both generated from the expressions.
-    Results are cached by spec value: equal specs give the same system and
-    so the same kernel, and ``oapply_*`` evaluates every group of boxes that
-    share a kernel in one call, while a box whose spec no other box shares,
-    like a hand-written system without a kernel, runs its scalar closures.
-    (CLI ``simulate`` reads a ``--models`` path given for many boxes once.)
+    The result carries scalar closures (one box, Python floats), a batch
+    kernel over ``(k, n)`` blocks, both generated from the expressions, and
+    its program, the equations in a form a composite inlines.  Results are
+    cached by spec value: equal specs give the same system and so the same
+    kernel.  ``oapply_*`` fuses a small composite (``dynam._FUSE_MAX_STATES``
+    model states, ``dynam._FUSE_MAX_WIRES`` wires) whose boxes all carry
+    programs into one generated function, itself cached by the value of the
+    diagram and the boxes.  A larger composite evaluates every group of boxes that
+    share a kernel in one call, and a box whose spec no other box shares,
+    like a hand-written system, through its scalar closures.  (CLI
+    ``simulate`` reads a ``--models`` path given for many boxes once.)
     """
     return _build_cached(_SpecValue(spec))
 

@@ -9,6 +9,7 @@ are named ``j<index>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,8 +55,12 @@ def build_system(
     """Instantiate the specs and compose them over the diagram.
 
     Each distinct spec is instantiated once and its model shared by every
-    box that uses it, so ``oapply_*`` evaluates those boxes as one group;
-    a spec used by a single box runs that box's scalar closures.
+    box that uses it.  A small composite (``dynam._FUSE_MAX_STATES`` model
+    states, ``dynam._FUSE_MAX_WIRES`` wires) runs as one fused function,
+    whose generated code is cached by value, so rebuilding the same system
+    does not compile it again.  A larger one evaluates the boxes sharing a
+    spec as one numpy group, and a spec used by a single box through that
+    box's scalar closures.
     """
     box_labels = _labels(diagram.n_boxes, labels)
     distinct = {id(s): s for s in specs}
@@ -114,19 +119,26 @@ def _initial_state(config: SimulationConfig, names: tuple[str, ...]) -> np.ndarr
     return np.asarray(config.init, dtype=np.float64)
 
 
-def _input_for_step(
-    config: SimulationConfig, n_inputs: int, step: int
-) -> np.ndarray:
-    if config.input_table is not None:
-        row = config.input_table[step]
-        if len(row) != n_inputs:
-            raise ConfigError(f"input table row {step} has {len(row)} entries, need {n_inputs}")
-        return np.asarray(row, dtype=np.float64)
-    if config.inputs is not None:
-        if len(config.inputs) != n_inputs:
-            raise ConfigError(f"inputs vector has {len(config.inputs)} entries, need {n_inputs}")
-        return np.asarray(config.inputs, dtype=np.float64)
-    return np.zeros(n_inputs)
+def _inputs(config: SimulationConfig, n_inputs: int) -> Callable[[int], np.ndarray]:
+    """Step ``k``'s input vector: row ``k`` of the input table, or else one
+    vector, built once, of the constant inputs or of zeros."""
+    table = config.input_table
+    if table is not None:
+
+        def table_row(k: int) -> np.ndarray:
+            row = table[k]
+            if len(row) != n_inputs:
+                raise ConfigError(f"input table row {k} has {len(row)} entries, need {n_inputs}")
+            return np.asarray(row, dtype=np.float64)
+
+        return table_row
+    if config.inputs is None:
+        a = np.zeros(n_inputs)
+    elif len(config.inputs) != n_inputs:
+        raise ConfigError(f"inputs vector has {len(config.inputs)} entries, need {n_inputs}")
+    else:
+        a = np.asarray(config.inputs, dtype=np.float64)
+    return lambda k: a
 
 
 def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
@@ -184,11 +196,11 @@ def run_trajectory(
     else:
         step = lambda f, x: np.asarray(f(x), dtype=np.float64)
 
-    def field(k: int) -> Callable[[np.ndarray], np.ndarray]:
-        if isinstance(system, ResourceSharer):
-            return system.dynamics
-        a = _input_for_step(config, system.n_inputs, k)
-        return lambda y: system.dynamics(a, y)
+    if isinstance(system, ResourceSharer):
+        field = lambda k: system.dynamics
+    else:
+        inputs = _inputs(config, system.n_inputs)
+        field = lambda k: partial(system.dynamics, inputs(k))
 
     header = ["t", *composed.state_names]
     rows = [[0.0, *x.tolist()]]

@@ -354,8 +354,13 @@ def reference_validate(x: CSetInstance) -> list[Violation]:
 
 
 def reference_map_error(dom_size: int, cod_size: int, entries) -> str | None:
-    """The message ``FinFunction(dom_size, cod_size, entries)`` raises, or None."""
-    entries = tuple(int(v) for v in entries)
+    """The message ``FinFunction(dom_size, cod_size, entries)`` raises, or None.
+
+    Floats and bools are refused, never truncated, before any size check.
+    """
+    for i, v in enumerate(entries):
+        if isinstance(v, bool) or not isinstance(v, int):
+            return f"map entry {i} is {v!r}, not an integer"
     if dom_size < 0 or cod_size < 0:
         return "set sizes must be nonnegative"
     if len(entries) != dom_size:

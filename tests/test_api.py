@@ -16,7 +16,7 @@ PACKAGE_NAMES = {
     "ArityError", "BUILTIN_MODELS", "BinOp", "CPG_SCHEMA", "CPGraph", "CSetInstance",
     "Call", "ConfigError", "Cospan", "DWD_FROM_CPG", "DWD_SCHEMA", "DWDiagram",
     "DiagramError", "DynwireError", "Expr", "ExprEvalError", "ExprSyntaxError",
-    "FinFunction", "GluingError", "InstancePushout", "InternalShapeError", "KindError",
+    "FinFunction", "GluingError", "InstancePushout", "KindError",
     "Machine", "ModelSpec", "ModelSpecError", "NaturalityError", "Neg", "Num",
     "PushoutResult", "ResourceSharer", "Schema", "SchemaError", "SchemaFunctor",
     "SchemaMorphism", "SizeMismatchError", "UWD_SCHEMA", "UWDiagram", "UndirectedLayout",
@@ -39,6 +39,9 @@ DYNAM_ALL = {
     "eval_sharer", "oapply_directed", "oapply_undirected", "oapply_undirected_with_layout",
     "UndirectedLayout", "oapply_cpg", "euler_directed", "euler_undirected",
 }
+
+# ``InternalShapeError`` was dropped from the package: nothing raised it
+# since its only raiser, an unreachable branch of ``ocompose_dwd``, went.
 
 SIM_ALL = {"ComposedSystem", "build_system", "run_trajectory", "rk4_step"}
 

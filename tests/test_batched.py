@@ -1,10 +1,12 @@
 """Batched model kernels against the scalar closures they stand in for.
 
 ``instantiate`` gives every model a kernel over ``(k, n)`` blocks, and the
-``oapply_*`` compositions evaluate all boxes that share one in a single call.
-The scalar closures stay the reference: for values (bitwise for ``+ - * /``,
-within a stated ulp bound for ``sin``/``cos``/``exp``/``^``) and for errors,
-which must be the same exception with the same message from the same box.
+``oapply_*`` compositions above the fusing cutoff evaluate all boxes that
+share one in a single call; smaller composites are fused into one function
+(``tests/test_fused.py``).  The scalar closures stay the reference: for
+values (bitwise for ``+ - * /``, within a stated ulp bound for
+``sin``/``cos``/``exp``/``^``) and for errors, which must be the same
+exception with the same message from the same box.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynwire.modelspec as modelspec
 import dynwire.sim as sim
+from dynwire.dynam import _FUSE_MAX_STATES
 from dynwire import (
     BinOp,
     Call,
@@ -44,8 +47,14 @@ from dynwire.sim import build_system
 
 
 def scalar_only(systems):
-    """The same systems without kernels, so every box takes the scalar path."""
-    return [dataclasses.replace(s, kernel=None) for s in systems]
+    """The same systems without kernels or programs, so every box takes the
+    scalar path: the per-box reference."""
+    return [dataclasses.replace(s, kernel=None, program=None) for s in systems]
+
+
+def fused(system) -> bool:
+    """Whether a composite runs as one fused function (else through its boxes)."""
+    return system.dynamics.__code__.co_filename == "<dynwire composite>"
 
 
 def bits(x: np.ndarray) -> bytes:
@@ -59,12 +68,18 @@ def machine_spec(dynamics: str, **params: float) -> ModelSpec:
     })
 
 
-def three_open_boxes() -> DWDiagram:
-    """Three one-in one-out boxes, each fed by its own outer input."""
+def open_boxes(n: int) -> DWDiagram:
+    """``n`` one-in one-out boxes, each fed by its own outer input."""
+    ports = list(range(n))
     return DWDiagram.from_tables(
-        3, [0, 1, 2], [0, 1, 2], n_outer_in=3, n_outer_out=3,
-        in_wires=[(0, 0), (1, 1), (2, 2)], out_wires=[(0, 0), (1, 1), (2, 2)],
+        n, ports, ports, n_outer_in=n, n_outer_out=n,
+        in_wires=list(zip(ports, ports)), out_wires=list(zip(ports, ports)),
     )
+
+
+# Box counts of one-state composites on each side of the fusing cutoff: fused
+# code up to it, numpy groups beyond; error parity is checked on both.
+SIDES = {"fused": 3, "blocks": _FUSE_MAX_STATES + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +122,19 @@ def test_parse_is_memoised():
 
 @pytest.mark.parametrize("route", ["cpg", "dwd"])
 def test_heat_grid_bitwise_equal_to_scalar_path(route):
-    g = grid(8, 8)
-    ms = [instantiate(builtin_model("heat_node", {"alpha": 0.1}))] * 64
-    oapply = oapply_cpg if route == "cpg" else oapply_directed
-    d = g if route == "cpg" else cpg_to_dwd(g)
-    fast, slow = oapply(d, ms), oapply(d, scalar_only(ms))
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        x = rng.uniform(-1.0, 1.0, 64)
-        a = rng.uniform(-1.0, 1.0, fast.n_inputs)
-        assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
-        assert bits(fast.readout(x)) == bits(slow.readout(x))
+    for side in (8, 12):  # fused, then numpy groups
+        g = grid(side, side)
+        ms = [instantiate(builtin_model("heat_node", {"alpha": 0.1}))] * side**2
+        oapply = oapply_cpg if route == "cpg" else oapply_directed
+        d = g if route == "cpg" else cpg_to_dwd(g)
+        fast, slow = oapply(d, ms), oapply(d, scalar_only(ms))
+        assert fused(fast) == (side**2 <= _FUSE_MAX_STATES) and not fused(slow)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            x = rng.uniform(-1.0, 1.0, side**2)
+            a = rng.uniform(-1.0, 1.0, fast.n_inputs)
+            assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
+            assert bits(fast.readout(x)) == bits(slow.readout(x))
 
 
 def test_sir_cities_bitwise_equal_to_scalar_path(repo_root):
@@ -170,7 +187,8 @@ def test_cpg_without_wires_or_exposed_ports_reads_float_zeros():
 
 
 # ---------------------------------------------------------------------------
-# Error parity: a flagged group is redone box by box
+# Error parity: a fused composite raises what its boxes raise, and a flagged
+# group is redone box by box
 
 
 def assert_same_error(fast, slow, *args):
@@ -207,24 +225,33 @@ def test_sir_empty_city_is_division_by_zero(repo_root):
     ],
 )
 def test_flagged_group_raises_the_scalar_error(dynamics, row, message):
-    ms = [instantiate(machine_spec(dynamics))] * 3
-    d = three_open_boxes()
-    fast, slow = oapply_directed(d, ms), oapply_directed(d, scalar_only(ms))
-    x = np.array([0.25, row, 0.25])
-    assert assert_same_error(fast.dynamics, slow.dynamics, np.ones(3), x) == message
-    _, ok = ms[0].kernel.dynamics(np.ones((3, 1)), x.reshape(3, 1))
-    assert not ok
+    for path, n in SIDES.items():
+        ms = [instantiate(machine_spec(dynamics))] * n
+        d = open_boxes(n)
+        fast, slow = oapply_directed(d, ms), oapply_directed(d, scalar_only(ms))
+        assert fused(fast) == (path == "fused")
+        x = np.full(n, 0.25)
+        x[1] = row
+        assert assert_same_error(fast.dynamics, slow.dynamics, np.ones(n), x) == message
+        _, ok = ms[0].kernel.dynamics(np.ones((n, 1)), x.reshape(n, 1))
+        assert not ok
 
 
 def test_first_failing_box_in_box_order_wins():
     # One box overflows in exp, another divides by zero: the scalar path
     # reports whichever comes first in box order.
-    ms = [instantiate(machine_spec("exp(x)/(x-5) + u"))] * 3
-    d = three_open_boxes()
-    fast, slow = oapply_directed(d, ms), oapply_directed(d, scalar_only(ms))
-    cases = [([0.0, 1000.0, 5.0], "exp: math range error"), ([0.0, 5.0, 1000.0], "division by zero")]
-    for x, message in cases:
-        assert assert_same_error(fast.dynamics, slow.dynamics, np.zeros(3), np.array(x)) == message
+    for path, n in SIDES.items():
+        ms = [instantiate(machine_spec("exp(x)/(x-5) + u"))] * n
+        d = open_boxes(n)
+        fast, slow = oapply_directed(d, ms), oapply_directed(d, scalar_only(ms))
+        assert fused(fast) == (path == "fused")
+        cases = [
+            ([0.0, 1000.0, 5.0], "exp: math range error"),
+            ([0.0, 5.0, 1000.0], "division by zero"),
+        ]
+        for head, message in cases:
+            x = np.array(head + [0.0] * (n - 3))
+            assert assert_same_error(fast.dynamics, slow.dynamics, np.zeros(n), x) == message
 
 
 def test_cli_sir_with_empty_cities_exits_1(tmp_path, repo_root, capsys):

@@ -55,6 +55,17 @@ class TestValidate:
     def test_empty_instance_is_clean(self):
         assert validate(empty_instance(UWD_SCHEMA)) == []
 
+    @pytest.mark.parametrize("column", [[0.5], [True], [1.0]])
+    def test_float_and_bool_entries_are_refused(self, column):
+        message = rf"column 'box' row 0 is {column[0]!r}, not an integer"
+        with pytest.raises(SchemaError, match=message):
+            uwd_instance(1, 1, box=column, junc_in=[0], junc_out=[])
+
+    @pytest.mark.parametrize("card", [1.0, True])
+    def test_float_and_bool_cards_are_refused(self, card):
+        with pytest.raises(SchemaError, match=rf"card of 'B' must be an integer, got {card!r}"):
+            uwd_instance(card, 1, box=[0], junc_in=[0], junc_out=[])
+
     def test_out_of_range_entry_is_located(self):
         bad = uwd_instance(1, 1, box=[0, 0], junc_in=[0, 3], junc_out=[])
         problems = validate(bad)

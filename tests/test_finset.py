@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,21 @@ class TestFinFunction:
     def test_empty_into_anything(self):
         f = FinFunction(0, 3, ())
         assert f.map == ()
+
+    @pytest.mark.parametrize(
+        "entries, shown",
+        [([0.7], "0.7"), ([True], "True"), ([0, 1.0], "1.0"), (np.array([0.0]), "np.float64(0.0)"),
+         (np.array([False]), "np.False_")],
+    )
+    def test_floats_and_bools_are_refused_not_truncated(self, entries, shown):
+        with pytest.raises(SizeMismatchError, match=re.escape(f"is {shown}, not an integer")):
+            FinFunction(len(entries), 2, entries)
+
+    def test_integer_arrays_and_numpy_ints_are_accepted(self):
+        for entries in (np.array([1, 0], dtype=np.int64), np.array([1, 0], dtype=np.uint8),
+                        [np.int64(1), 0], iter([1, 0])):
+            f = FinFunction(2, 2, entries)
+            assert f.map == (1, 0) and all(type(v) is int for v in f.map)
 
 
 class TestCompose:

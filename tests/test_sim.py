@@ -72,3 +72,19 @@ def test_euler_is_bitwise_the_euler_map():
 def test_config_checks_its_own_fields(change, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         SimulationConfig(**{"h": 0.1, "steps": 2, "init": (1.0,), **change})
+
+
+def test_constant_and_default_inputs_drive_every_step():
+    # x' = u - x with u held constant (or 0.0 when no inputs are given).
+    m = Machine(1, 1, 0, lambda a, x: a - x, lambda x: np.zeros(0), "continuous")
+    composed = ComposedSystem(m, ("b0.x",), "continuous", directed=True)
+    for inputs, u in (((2.0,), 2.0), (None, 0.0)):
+        config = SimulationConfig(h=H, steps=STEPS, init=(1.0,), inputs=inputs)
+        _, rows, _ = run_trajectory(composed, config, "euler")
+        x, expected = 1.0, [1.0]
+        for _ in range(STEPS):
+            x = x + H * (u - x)
+            expected.append(x)
+        assert [row[1] for row in rows] == expected
+    with pytest.raises(ConfigError, match="inputs vector has 2 entries, need 1"):
+        run_trajectory(composed, SimulationConfig(h=H, steps=STEPS, init=(1.0,), inputs=(1.0, 2.0)))
