@@ -204,9 +204,7 @@ class Emitter:
             out[d] = self.statement(f"{out[d]} + {values[s]}")
         return out
 
-    def function(
-        self, params: Sequence[str], results: Sequence[str], filename: str = "<dynwire model>"
-    ) -> Callable:
+    def function(self, params: Sequence[str], results: Sequence[str]) -> Callable:
         """The generated function of ``params``.  Scalar: the vector of
         ``results``.  Batched: ``(block, ok)``, one column per result and one
         row per row of the last parameter."""
@@ -221,7 +219,7 @@ class Emitter:
                 f"return _out, bool({ok})",
             ]
             body = ['with _np.errstate(all="ignore"):', *("    " + line for line in body)]
-        return define(", ".join(params), body, self.constants, filename)
+        return define(", ".join(params), body, self.constants)
 
 
 def as_vector(x: Sequence[float] | np.ndarray, n: int, what: str) -> np.ndarray:
@@ -242,15 +240,10 @@ _NAMESPACE = {
 }
 
 
-def define(
-    signature: str,
-    body: Sequence[str],
-    constants: Mapping[str, object],
-    filename: str = "<dynwire model>",
-) -> Callable:
+def define(signature: str, body: Sequence[str], constants: Mapping[str, object]) -> Callable:
     source = "\n".join([f"def _generated({signature}):", *("    " + line for line in body)])
     namespace = {**_NAMESPACE, **constants}
-    exec(compile(source, filename, "exec"), namespace)
+    exec(compile(source, "<dynwire model>", "exec"), namespace)
     return namespace["_generated"]
 
 
@@ -263,19 +256,18 @@ class Program:
 
     ``readout(em, x)`` (machines) and ``dynamics(em, a, x)`` emit the
     system's statements into ``em`` over the operands ``a`` of its inputs and
-    ``x`` of its states, and return the operands of its results.  ``size``
-    counts the states of the models inside, ``wires`` the wires of the
-    directed composites inside (each one addition in the generated code).
-    Programs compare and hash by value (``key``), so the code generated for
-    a composite is cached by the values of its diagram and its boxes.
+    ``x`` of its states, and return the operands of its results.
+    ``statements`` counts what they emit, one statement per operation, per
+    output check and per addition of the wiring: what the size and the run
+    time of fused code grow with.  Programs compare and hash by value
+    (``key``), so the code generated for a composite is cached by the values
+    of its diagram and its boxes.
     """
 
-    def __init__(
-        self, key: tuple, n_inputs: int, n_states: int, n_outputs: int, size: int, wires: int
-    ):
+    def __init__(self, key: tuple, n_inputs: int, n_states: int, n_outputs: int, statements: int):
         self.key = key
         self.n_inputs, self.n_states, self.n_outputs = n_inputs, n_states, n_outputs
-        self.size, self.wires = size, wires
+        self.statements = statements
         self._hash = hash(key)
 
     def __hash__(self) -> int:
@@ -291,6 +283,17 @@ class Program:
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         raise NotImplementedError
+
+
+def _operations(e: Expr) -> int:
+    """The operations of ``e``: one generated statement each."""
+    if isinstance(e, Neg):
+        return 1 + _operations(e.operand)
+    if isinstance(e, Call):
+        return 1 + _operations(e.arg)
+    if isinstance(e, BinOp):
+        return 1 + _operations(e.left) + _operations(e.right)
+    return 0
 
 
 class Leaf(Program):
@@ -310,7 +313,10 @@ class Leaf(Program):
         # Parameters compare by repr, which tells -0.0 from 0.0.
         params_key = tuple((p, repr(v)) for p, v in self.params)
         key = (params_key, self.inputs, self.states, self.equations, self.readouts)
-        super().__init__(key, len(inputs), len(states), len(readouts), len(states), 0)
+        # One statement per operation, and a finiteness check per output.
+        outputs = (*self.equations, *self.readouts)
+        statements = sum(map(_operations, outputs)) + len(outputs)
+        super().__init__(key, len(inputs), len(states), len(readouts), statements)
 
     def _scope(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> None:
         em.names = {p: em.constant(v) for p, v in self.params}
@@ -358,9 +364,13 @@ class Transport(Program):
         tables = (self.in_ports, self.out_ports, self.inward, self.outward)
         key = (self.boxes, n_inputs, n_outputs, *tables)
         n_states = sum(p.n_states for p in self.boxes)
-        size = sum(p.size for p in self.boxes)
-        wires = sum(p.wires for p in self.boxes) + len(self.inward[0]) + len(self.outward[0])
-        super().__init__(key, n_inputs, n_states, n_outputs, size, wires)
+        statements = sum(p.statements for p in self.boxes) + self.glue(inward, outward)
+        super().__init__(key, n_inputs, n_states, n_outputs, statements)
+
+    @staticmethod
+    def glue(inward: tuple[Sequence[int], ...], outward: tuple[Sequence[int], ...]) -> int:
+        """The statements the wiring adds to the boxes': an addition per wire."""
+        return len(inward[0]) + len(outward[0])
 
     def _readouts(self, em: Emitter, x: Sequence[str]) -> list[str]:
         # Every box's readout in box order, placed at its out-ports.
@@ -396,8 +406,15 @@ class Gluing(Program):
         self.discrete = discrete
         self.states = _slices(self.boxes)
         key = (self.boxes, self.injection, n_states, discrete)
-        size, wires = sum(p.size for p in self.boxes), sum(p.wires for p in self.boxes)
-        super().__init__(key, 0, n_states, 0, size, wires)
+        glue = self.glue(len(self.injection), n_states, discrete)
+        super().__init__(key, 0, n_states, 0, sum(p.statements for p in self.boxes) + glue)
+
+    @staticmethod
+    def glue(box_states: int, n_states: int, discrete: bool) -> int:
+        """The statements the gluing adds to the boxes': an addition per box
+        state; a discrete composite also takes an increment per box state
+        and adds one sum per glued state."""
+        return 2 * box_states + n_states if discrete else box_states
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         y = [x[c] for c in self.injection]
@@ -417,22 +434,28 @@ def _slices(boxes: Sequence[Program]) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def generate(
+    program: Program, machine: bool, batched: bool = False, check: bool = False
+) -> tuple[Callable, Callable | None]:
+    """The dynamics and, for a machine, readout of ``program`` as generated
+    functions: over Python floats, or with ``batched`` over ``(k, n)``
+    blocks.  With ``check``, each argument is first converted and
+    size-checked by ``as_vector``."""
+    em = Emitter(batched)
+    a = em.bind(program.n_inputs, "a", "input vector" if check else "") if machine else []
+    x = em.bind(program.n_states, "x", "state vector" if check else "")
+    dynamics = em.function(["a", "x"] if machine else ["x"], program.dynamics(em, a, x))
+    if not machine:
+        return dynamics, None
+    em = Emitter(batched)
+    x = em.bind(program.n_states, "x", "state vector" if check else "")
+    return dynamics, em.function(["x"], program.readout(em, x))
+
+
 # A fused 9x9 heat grid holds about 130 KB of code and program, so the cache
 # is kept small.
 @functools.lru_cache(maxsize=64)
 def fuse(program: Program) -> tuple[Callable, Callable | None]:
-    """A composite's dynamics and, for a machine, readout as generated
-    functions.  Each argument is first converted and size-checked by
-    ``as_vector``, then read as Python floats.  Cached by program value.
-    """
-    filename = "<dynwire composite>"
-    em = Emitter()
-    if isinstance(program, Gluing):
-        x = em.bind(program.n_states, "x", "state vector")
-        return em.function(["x"], program.dynamics(em, (), x), filename), None
-    a = em.bind(program.n_inputs, "a", "input vector")
-    x = em.bind(program.n_states, "x", "state vector")
-    dynamics = em.function(["a", "x"], program.dynamics(em, a, x), filename)
-    em = Emitter()
-    x = em.bind(program.n_states, "x", "state vector")
-    return dynamics, em.function(["x"], program.readout(em, x), filename)
+    """A composite's generated functions (see :func:`generate`), with
+    checked arguments, cached by program value."""
+    return generate(program, not isinstance(program, Gluing), check=True)

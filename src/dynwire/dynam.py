@@ -15,12 +15,12 @@ test suite exercises as the central oracle.
 A composite is evaluated one of two ways:
 
 - **Fused**, when every box carries a ``program`` (spec-built models do, and
-  so do composites fused from them), the boxes hold at most
-  ``_FUSE_MAX_STATES`` model states in all and the wiring, nested wiring
-  included, at most ``_FUSE_MAX_WIRES`` wires.  The composite is then one
-  generated function over Python floats: each box's equations inlined with
-  its parameters as literals, the transport and the gluing unrolled into
-  sums in the order ``finset.fiber_sum`` adds.  It carries its own program,
+  so do composites fused from them) and the composite's code, nested
+  composites and wiring included, has at most ``_FUSE_MAX_STATEMENTS``
+  statements.  The composite is then one generated function over Python
+  floats: each box's equations inlined with its parameters as literals, the
+  transport and the gluing unrolled into sums in the order
+  ``finset.fiber_sum`` adds.  It carries its own program,
   so a composite of composites flattens into one function.  Values and
   errors are bitwise those of the boxes' scalar closures called in turn.
   The generated code is cached by the value of the diagram and the boxes.
@@ -153,28 +153,25 @@ def _common_kind(kinds: list[Kind], what: str) -> Kind:
     return kinds[0] if kinds else "continuous"
 
 
-# A composite of at most this many model states, all from boxes that carry a
-# program, is fused into one generated function; larger ones evaluate their
-# boxes through _BoxPlan.  Set from the crossover of the two on heat grids
-# with one shared kernel (see CHANGES.md): fused code costs per box, a numpy
-# block call mostly per group.
-_FUSE_MAX_STATES = 96
-# Fused code also grows by one addition per wire, where a numpy fiber sum
-# hardly grows, so a composite fuses only with at most 4 wires per state of
-# the cutoff, the density of the heat stencil it was measured on.
-_FUSE_MAX_WIRES = 4 * _FUSE_MAX_STATES
+# A composite whose boxes all carry a program is fused into one generated
+# function if that function has at most this many statements (its
+# ``Program.statements``: the boxes' operations and output checks, plus one
+# addition per wire); larger ones evaluate their boxes through _BoxPlan.
+# Fused code costs per statement, a numpy group call mostly per group, and
+# this is where the two cross on heat grids (see CHANGES.md).
+_FUSE_MAX_STATEMENTS = 1500
 
 
 def _programs(
-    systems: Sequence[Machine] | Sequence[ResourceSharer], n_wires: int = 0
+    systems: Sequence[Machine] | Sequence[ResourceSharer], glue: int
 ) -> list[Program] | None:
-    """The boxes' programs if the composite of ``systems``, with ``n_wires``
-    wires of its own, is to be fused."""
+    """The boxes' programs, if every box carries one and the fused code,
+    with ``glue`` statements of the composite's own, is small enough."""
     programs = [s.program for s in systems]
     if any(p is None for p in programs):
         return None
-    states, wires = sum(p.size for p in programs), n_wires + sum(p.wires for p in programs)
-    return programs if states <= _FUSE_MAX_STATES and wires <= _FUSE_MAX_WIRES else None
+    statements = glue + sum(p.statements for p in programs)
+    return programs if statements <= _FUSE_MAX_STATEMENTS else None
 
 
 class _Box(NamedTuple):
@@ -285,7 +282,7 @@ def _oapply_transport(
     Each is one fiber sum in index order, so box wires are listed first.
     """
     kind = _common_kind([m.kind for m in machines], "machines")
-    programs = _programs(machines, len(inward[0]) + len(outward[0]))
+    programs = _programs(machines, Transport.glue(inward, outward))
     if programs is not None:
         program = Transport(programs, n_outer_in, n_outer_out, in_ports, out_ports, inward, outward)
         dynamics, readout = fuse(program)
@@ -398,9 +395,10 @@ def oapply_undirected_with_layout(
     n_states = po.apex_size
     portmap = compose(d.data.part_fn("junc_out"), junc_inj)
     layout = UndirectedLayout(state_inj, junc_inj)
-    programs = _programs(sharers)
+    discrete = kind == "discrete"
+    programs = _programs(sharers, Gluing.glue(n_states_total, n_states, discrete))
     if programs is not None:
-        program = Gluing(programs, state_inj.map, n_states, kind == "discrete")
+        program = Gluing(programs, state_inj.map, n_states, discrete)
         dynamics = fuse(program)[0]
         return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, None, program), layout
     plan = _BoxPlan(sharers, offs)

@@ -21,7 +21,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from ._codegen import FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, define
+from ._codegen import (
+    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, define, generate,
+)
 from .errors import ExprEvalError, ExprSyntaxError, ModelSpecError
 from .dynam import BatchKernel, Machine, ResourceSharer
 from .finset import FinFunction
@@ -326,19 +328,6 @@ def spec_violations(spec: ModelSpec) -> list[str]:
     return problems
 
 
-def _generate(program: Leaf, machine: bool, batched: bool) -> tuple[Callable, Callable | None]:
-    """The dynamics and, for machines, readout function of a model's program."""
-    em = Emitter(batched)
-    a = em.bind(program.n_inputs, "a")
-    x = em.bind(program.n_states, "x")
-    dynamics = em.function(["a", "x"] if machine else ["x"], program.dynamics(em, a, x))
-    if not machine:
-        return dynamics, None
-    em = Emitter(batched)
-    x = em.bind(program.n_states, "x")
-    return dynamics, em.function(["x"], program.readout(em, x))
-
-
 def _build(spec: ModelSpec) -> Machine | ResourceSharer:
     problems = spec_violations(spec)
     if problems:
@@ -348,8 +337,8 @@ def _build(spec: ModelSpec) -> Machine | ResourceSharer:
         spec.params, spec.inputs, states, [spec.dynamics[s] for s in states], spec.readout
     )
     machine = spec.kind == "machine"
-    dynamics, readout = _generate(program, machine, batched=False)
-    kernel = BatchKernel(*_generate(program, machine, batched=True))
+    dynamics, readout = generate(program, machine)
+    kernel = BatchKernel(*generate(program, machine, batched=True))
     if machine:
         return Machine(
             len(spec.inputs), len(states), len(spec.readout), dynamics, readout, spec.flavor,
@@ -404,12 +393,12 @@ def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
     kernel over ``(k, n)`` blocks, both generated from the expressions, and
     its program, the equations in a form a composite inlines.  Results are
     cached by spec value: equal specs give the same system and so the same
-    kernel.  ``oapply_*`` fuses a small composite (``dynam._FUSE_MAX_STATES``
-    model states, ``dynam._FUSE_MAX_WIRES`` wires) whose boxes all carry
-    programs into one generated function, itself cached by the value of the
-    diagram and the boxes.  A larger composite evaluates every group of boxes that
-    share a kernel in one call, and a box whose spec no other box shares,
-    like a hand-written system, through its scalar closures.  (CLI
+    kernel.  ``oapply_*`` fuses a small composite (at most
+    ``dynam._FUSE_MAX_STATEMENTS`` generated statements) whose boxes all
+    carry programs into one generated function, itself cached by the value of
+    the diagram and the boxes.  A larger composite evaluates every group of
+    boxes that share a kernel in one call, and a box whose spec no other box
+    shares, like a hand-written system, through its scalar closures.  (CLI
     ``simulate`` reads a ``--models`` path given for many boxes once.)
     """
     return _build_cached(_SpecValue(spec))

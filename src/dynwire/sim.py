@@ -55,10 +55,10 @@ def build_system(
     """Instantiate the specs and compose them over the diagram.
 
     Each distinct spec is instantiated once and its model shared by every
-    box that uses it.  A small composite (``dynam._FUSE_MAX_STATES`` model
-    states, ``dynam._FUSE_MAX_WIRES`` wires) runs as one fused function,
-    whose generated code is cached by value, so rebuilding the same system
-    does not compile it again.  A larger one evaluates the boxes sharing a
+    box that uses it.  A small composite (at most
+    ``dynam._FUSE_MAX_STATEMENTS`` generated statements) runs as one fused
+    function, whose generated code is cached by value, so rebuilding the
+    same system does not compile it again.  A larger one evaluates the boxes sharing a
     spec as one numpy group, and a spec used by a single box through that
     box's scalar closures.
     """

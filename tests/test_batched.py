@@ -3,10 +3,12 @@
 ``instantiate`` gives every model a kernel over ``(k, n)`` blocks, and the
 ``oapply_*`` compositions above the fusing cutoff evaluate all boxes that
 share one in a single call; smaller composites are fused into one function
-(``tests/test_fused.py``).  The scalar closures stay the reference: for
-values (bitwise for ``+ - * /``, within a stated ulp bound for
-``sin``/``cos``/``exp``/``^``) and for errors, which must be the same
-exception with the same message from the same box.
+(``tests/test_fused.py``).  Composites here run both ways: fused, and above
+the cutoff or with the programs stripped (``blocks_only``) through groups.
+The scalar closures stay the reference: for values (bitwise for
+``+ - * /``, within a stated ulp bound for ``sin``/``cos``/``exp``/``^``)
+and for errors, which must be the same exception with the same message from
+the same box.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynwire.modelspec as modelspec
 import dynwire.sim as sim
-from dynwire.dynam import _FUSE_MAX_STATES
+from dynwire.dynam import _FUSE_MAX_STATEMENTS
 from dynwire import (
     BinOp,
     Call,
@@ -52,9 +54,14 @@ def scalar_only(systems):
     return [dataclasses.replace(s, kernel=None, program=None) for s in systems]
 
 
+def blocks_only(systems):
+    """The same systems without programs: boxes sharing a kernel run as numpy groups."""
+    return [dataclasses.replace(s, program=None) for s in systems]
+
+
 def fused(system) -> bool:
     """Whether a composite runs as one fused function (else through its boxes)."""
-    return system.dynamics.__code__.co_filename == "<dynwire composite>"
+    return system.program is not None
 
 
 def bits(x: np.ndarray) -> bytes:
@@ -77,9 +84,11 @@ def open_boxes(n: int) -> DWDiagram:
     )
 
 
-# Box counts of one-state composites on each side of the fusing cutoff: fused
-# code up to it, numpy groups beyond; error parity is checked on both.
-SIDES = {"fused": 3, "blocks": _FUSE_MAX_STATES + 1}
+# Box counts of ``open_boxes`` composites on each side of the fusing cutoff:
+# fused code up to it, numpy groups beyond; error parity is checked on both.
+# Each box below has at least two operations, two output checks and two
+# wires, so at least six statements.
+SIDES = {"fused": 3, "blocks": _FUSE_MAX_STATEMENTS // 6 + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +131,13 @@ def test_parse_is_memoised():
 
 @pytest.mark.parametrize("route", ["cpg", "dwd"])
 def test_heat_grid_bitwise_equal_to_scalar_path(route):
-    for side in (8, 12):  # fused, then numpy groups
+    for side in (8, 12):  # fused (992 statements), then numpy groups (2208)
         g = grid(side, side)
         ms = [instantiate(builtin_model("heat_node", {"alpha": 0.1}))] * side**2
         oapply = oapply_cpg if route == "cpg" else oapply_directed
         d = g if route == "cpg" else cpg_to_dwd(g)
         fast, slow = oapply(d, ms), oapply(d, scalar_only(ms))
-        assert fused(fast) == (side**2 <= _FUSE_MAX_STATES) and not fused(slow)
+        assert fused(fast) == (side == 8) and not fused(slow)
         rng = np.random.default_rng(2)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, side**2)
@@ -142,20 +151,29 @@ def test_sir_cities_bitwise_equal_to_scalar_path(repo_root):
 
     d = load_diagram(repo_root / "configs" / "sir" / "cyclic.json")
     ms = [instantiate(builtin_model("sir_city", {"beta": 0.0005, "gamma": 0.25}))] * d.n_boxes
-    fast, slow = oapply_directed(d, ms), oapply_directed(d, scalar_only(ms))
-    x = np.random.default_rng(3).uniform(1.0, 900.0, fast.n_states)
-    a = np.zeros(fast.n_inputs)
-    assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
+    slow = oapply_directed(d, scalar_only(ms))
+    x = np.random.default_rng(3).uniform(1.0, 900.0, slow.n_states)
+    a = np.zeros(slow.n_inputs)
+    for boxes, path in ((ms, True), (blocks_only(ms), False)):  # fused, then one group
+        fast = oapply_directed(d, boxes)
+        assert fused(fast) == path
+        assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
+        assert bits(fast.readout(x)) == bits(slow.readout(x))
 
 
 def test_sharer_group_bitwise_equal_to_scalar_path():
     d = UWDiagram.from_tables(4, 2, box=[0, 1, 2, 3], junc_in=[0, 0, 1, 1], junc_out=[1])
-    growth = instantiate(builtin_model("lv_growth", {"r": 0.3}))
-    decline = instantiate(builtin_model("lv_decline", {"r": 0.2}))
-    ss = [growth, growth, growth, decline]
-    fast, slow = oapply_undirected(d, ss), oapply_undirected(d, scalar_only(ss))
+    growth = builtin_model("lv_growth", {"r": 0.3})
+    specs = [growth, growth, growth, builtin_model("lv_decline", {"r": 0.2})]
     x = np.array([1.5, -0.75])
-    assert bits(fast.dynamics(x)) == bits(slow.dynamics(x))
+    for flavor in ("continuous", "discrete"):  # a discrete composite adds increments
+        ss = [instantiate(dataclasses.replace(s, flavor=flavor)) for s in specs]
+        assert ss[0].kernel is ss[2].kernel
+        slow = oapply_undirected(d, scalar_only(ss))
+        for boxes, path in ((ss, True), (blocks_only(ss), False)):  # fused, then a group
+            fast = oapply_undirected(d, boxes)
+            assert fused(fast) == path
+            assert bits(fast.dynamics(x)) == bits(slow.dynamics(x))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +192,13 @@ def test_zero_wire_cpg_and_dwd_pass_fractional_inputs(shared):
         2, [0, 1], [0, 1], n_outer_in=2, n_outer_out=2,
         in_wires=[(0, 0), (1, 1)], out_wires=[(0, 0), (1, 1)],
     )
-    for composite in (oapply_cpg(g, ms), oapply_directed(d, ms), oapply_directed(cpg_to_dwd(g), ms)):
-        assert composite.dynamics(a, x).tolist() == [0.25, -1.5]
-        assert composite.readout(x).tolist() == [3.0, 4.0]
+    for boxes, path in ((ms, True), (blocks_only(ms), False)):  # fused, then groups or singles
+        for composite in (
+            oapply_cpg(g, boxes), oapply_directed(d, boxes), oapply_directed(cpg_to_dwd(g), boxes)
+        ):
+            assert fused(composite) == path
+            assert composite.dynamics(a, x).tolist() == [0.25, -1.5]
+            assert composite.readout(x).tolist() == [3.0, 4.0]
 
 
 def test_cpg_without_wires_or_exposed_ports_reads_float_zeros():

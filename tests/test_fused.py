@@ -1,13 +1,14 @@
 """Fused composites against the per-box scalar closures they stand in for.
 
 A composite whose boxes all carry a program, with at most
-``_FUSE_MAX_STATES`` model states, runs as one generated function over
-Python floats.  The reference is the same composite over the same models
-stripped of kernels and programs, which calls each box's scalar closure in
-turn.  Values must be bitwise equal, and an ``ExprEvalError`` must be the
+``_FUSE_MAX_STATEMENTS`` generated statements, runs as one generated
+function over Python floats.  The reference is the same composite over the
+same models stripped of kernels and programs, which calls each box's scalar
+closure in turn.  Values must be bitwise equal, and an ``ExprEvalError`` must be the
 same one: box states are named after their box, so a non-finite output
-names the box it came from.  Against the numpy-group path, which evaluates
-``sin``/``cos``/``exp``/``^`` with numpy, values agree to ``ULP_TOLERANCE``.
+names the box it came from.  Against the numpy-group path, values agree
+bitwise on arithmetic and to ``ULP_TOLERANCE`` where ``sin``/``cos``/``exp``/
+``^`` (numpy's there) are the last operation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dynwire import (
     Machine,
     ModelSpec,
     SizeMismatchError,
+    UWDiagram,
     builtin_model,
     euler_undirected,
     grid,
@@ -39,7 +41,7 @@ from dynwire import (
     oapply_undirected_with_layout,
     spec_from_json,
 )
-from dynwire.dynam import _FUSE_MAX_STATES, _FUSE_MAX_WIRES
+from dynwire.dynam import _FUSE_MAX_STATEMENTS
 from dynwire.fileio import load_diagram, load_model
 
 from helpers import (
@@ -50,7 +52,15 @@ from helpers import (
     random_dwd,
     random_uwd,
 )
-from test_batched import ULP_TOLERANCE, arithmetic, bits, fused, scalar_only, transcendental
+from test_batched import (
+    ULP_TOLERANCE,
+    arithmetic,
+    bits,
+    blocks_only,
+    fused,
+    scalar_only,
+    transcendental,
+)
 
 # The box path's numpy arithmetic warns where the fused floats overflow
 # silently; both give the same infinities.
@@ -65,11 +75,6 @@ FLAVORS = st.sampled_from(["continuous", "discrete"])
 OAPPLY = {"dwd": oapply_directed, "cpg": oapply_cpg, "uwd": oapply_undirected}
 RANDOM = {"dwd": random_dwd, "cpg": random_cpg, "uwd": random_uwd}
 NESTED = {"dwd": nested_dwd_case, "cpg": nested_cpg_case, "uwd": nested_uwd_case}
-
-
-def blocks_only(systems):
-    """The same systems without programs: boxes sharing a kernel run as numpy groups."""
-    return [dataclasses.replace(s, program=None) for s in systems]
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,10 +186,14 @@ def test_nested_composites_flatten_bitwise(syntax, seed, flavor, data):
 
 
 def uniform_diagram(syntax: str, rng: random.Random, k: int, ports: int):
-    """``k`` boxes with ``ports`` in-ports and out-ports each (CPG: ports),
-    random wires, and outer ports wired at random."""
+    """``k`` boxes with ``ports`` in-ports and out-ports each (CPG and UWD:
+    ports), random wires or junctions, and outer ports wired at random."""
     box = [b for b in range(k) for _ in range(ports)]
     n = len(box)
+    if syntax == "uwd":
+        nj = rng.randint(1, n + 1)  # some junctions glue several ports, some none
+        junc_out = [rng.randrange(nj) for _ in range(rng.randint(0, 2))]
+        return UWDiagram.from_tables(k, nj, box, [rng.randrange(nj) for _ in box], junc_out)
 
     def pairs(n_src: int, n_tgt: int, most: int) -> list[tuple[int, int]]:
         if not (n_src and n_tgt):
@@ -201,17 +210,24 @@ def uniform_diagram(syntax: str, rng: random.Random, k: int, ports: int):
 
 
 @settings(max_examples=100, deadline=None)
-@given(syntax=st.sampled_from(["cpg", "dwd"]), seed=st.integers(0, 2**32 - 1),
-       k=st.integers(2, 5), ports=st.integers(0, 2), data=st.data())
-def test_fused_within_ulps_of_numpy_groups(syntax, seed, k, ports, data):
-    # One model for every box, so all boxes form one numpy group; readouts
-    # are arithmetic (bitwise on both paths) and each state's dynamics has
-    # one sin/cos/exp/^ at its root.
+@given(syntax=st.sampled_from(sorted(OAPPLY)), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(2, 5), ports=st.integers(0, 2), flavor=FLAVORS, data=st.data())
+def test_fused_within_ulps_of_numpy_groups(syntax, seed, k, ports, flavor, data):
+    # One model for every box, so all boxes form one numpy group.  Directed:
+    # readouts are arithmetic (bitwise on both paths) and each state's
+    # dynamics has one sin/cos/exp/^ at its root.  Undirected: a glued state
+    # sums several boxes' values (or increments), where an ulp in each need
+    # not stay an ulp of the sum, so the dynamics are arithmetic and the
+    # pullback, pushforward and increments must agree bitwise.
     d = uniform_diagram(syntax, random.Random(seed), k, ports)
-    spec = data.draw(box_specs(0, "continuous", (ports, ports), dynamics=transcendental))
+    if syntax == "uwd":
+        spec, ulps = data.draw(box_specs(0, flavor, ports)), None
+    else:
+        spec = data.draw(box_specs(0, flavor, (ports, ports), dynamics=transcendental))
+        ulps = ULP_TOLERANCE
     ms = [instantiate(spec)] * k
     oapply = OAPPLY[syntax]
-    compare(oapply(d, ms), oapply(d, blocks_only(ms)), data, ulps=ULP_TOLERANCE)
+    compare(oapply(d, ms), oapply(d, blocks_only(ms)), data, ulps=ulps)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +239,17 @@ def heat_nodes(n: int, alpha: float = 0.1) -> list[Machine]:
 
 
 def test_cutoff_decides_between_fused_code_and_blocks():
-    side = int(_FUSE_MAX_STATES**0.5)
-    small, large = grid(side, side), grid(side + 1, side + 1)
-    assert side**2 <= _FUSE_MAX_STATES < (side + 1) ** 2
-    fast = oapply_cpg(small, heat_nodes(side**2))
-    assert fused(fast) and fast.program is not None
-    blocks = oapply_cpg(large, heat_nodes((side + 1) ** 2))
-    assert not fused(blocks) and blocks.program is None
+    # A heat node emits 6 operations and 5 output checks (its dynamics and 4
+    # readouts).  A side x side grid adds one addition per wire: 4 * side *
+    # (side - 1) between nodes, and its 4 * side boundary ports exposed both ways.
+    def statements(side: int) -> int:
+        return 11 * side**2 + 4 * side * (side - 1) + 8 * side
+
+    assert heat_nodes(1)[0].program.statements == 11
+    fast = oapply_cpg(grid(9, 9), heat_nodes(81))
+    assert fused(fast) and fast.program.statements == statements(9) == 1251
+    assert statements(9) <= _FUSE_MAX_STATEMENTS < statements(10) == 1540
+    assert not fused(oapply_cpg(grid(10, 10), heat_nodes(100)))
 
 
 def test_wire_heavy_composite_keeps_the_box_path():
@@ -239,7 +259,8 @@ def test_wire_heavy_composite_keeps_the_box_path():
         "params": {}, "dynamics": {"x": "u - x"}, "readout": ["x"],
     })
     m = instantiate(spec)
-    for n, fuses in ((_FUSE_MAX_WIRES, True), (_FUSE_MAX_WIRES + 1, False), (10**4, False)):
+    most = _FUSE_MAX_STATEMENTS - m.program.statements
+    for n, fuses in ((most, True), (most + 1, False), (10**4, False)):
         d = DWDiagram.from_tables(1, [0], [0], wires=[(0, 0)] * n)
         composite, boxes = oapply_directed(d, [m]), oapply_directed(d, scalar_only([m]))
         assert fused(composite) == fuses
