@@ -1,13 +1,14 @@
 """Expression trees and the straight-line Python generated from them.
 
 ``modelspec`` parses model equations into the AST defined here and turns
-each model into generated functions: scalar closures over one box's vectors
-and batch kernels over ``(k, n)`` blocks.  ``dynam`` fuses a small composite
-into one generated function over Python floats: every box's equations are
-inlined, and the wiring becomes plain sums.  Both go through one
-:class:`Emitter`, so a fused composite performs the same floating-point
-operations, and raises the same errors in the same order, as its boxes'
-scalar closures called one after another.
+each model into generated functions: one over Python floats, and batch
+kernels over ``(k, n)`` blocks.  ``dynam`` fuses a small composite, or the
+Euler map of one, into one generated function over Python floats: every
+box's equations are inlined, and the wiring becomes plain sums.  ``sim``
+steps such a system through that function, with RK4's stages generated
+around it.  All go through one :class:`Emitter`, so a fused composite
+performs the same floating-point operations, and raises the same errors in
+the same order, as its boxes' closures called one after another.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 # Code generation
 #
 # Every evaluator is straight-line Python generated from the AST, one
-# assignment per node: ``compile_expr`` reads a mapping, the closures of
-# ``instantiate`` and fused composites read vectors as Python floats, and the
-# batch kernels read a block of boxes as numpy columns.
+# assignment per node: ``compile_expr`` reads a mapping, the functions of
+# models, fused composites and steppers read sequences of Python floats, and
+# the batch kernels read a block of boxes as numpy columns.
 
 
 class Emitter:
@@ -176,18 +177,14 @@ class Emitter:
             self.lines.append(f"if not _isfinite({value}): raise _Err({message!r})")
         return value
 
-    def bind(self, n: int, source: str, check: str = "") -> list[str]:
-        """Operands for the ``n`` entries (scalar) or columns (batched) of
-        ``source``.  With ``check``, a scalar ``source`` is first converted and
-        size-checked by ``as_vector(source, n, check)``."""
+    def bind(self, n: int, source: str) -> list[str]:
+        """Operands for the ``n`` entries (scalar: a sequence of Python
+        floats) or columns (batched) of ``source``."""
         operands = [f"_{source}{k}" for k in range(n)]
-        vector = f"_vec({source}, {n}, {check!r})" if check else source
         if self.batched:
             self.lines += [f"{v} = {source}[:, {k}]" for k, v in enumerate(operands)]
         elif n:
-            self.lines.append(f"{', '.join(operands)}, = {vector}.tolist()")
-        elif check:
-            self.lines.append(vector)
+            self.lines.append(f"{', '.join(operands)}, = {source}")
         return operands
 
     def sums(
@@ -205,11 +202,11 @@ class Emitter:
         return out
 
     def function(self, params: Sequence[str], results: Sequence[str]) -> Callable:
-        """The generated function of ``params``.  Scalar: the vector of
+        """The generated function of ``params``.  Scalar: the tuple of
         ``results``.  Batched: ``(block, ok)``, one column per result and one
         row per row of the last parameter."""
         if not self.batched:
-            body = [*self.lines, f"return _np.array([{', '.join(results)}])"]
+            body = [*self.lines, f"return {_tuple(results)}"]
         else:
             ok = " and ".join([*self.checks, "_np.isfinite(_out).all()"])
             body = [
@@ -232,7 +229,6 @@ def as_vector(x: Sequence[float] | np.ndarray, n: int, what: str) -> np.ndarray:
 _MATH_ERRORS = "(ValueError, OverflowError)"
 _NAMESPACE = {
     "_np": np,
-    "_vec": as_vector,
     "_Err": ExprEvalError,
     "_isfinite": math.isfinite,
     "_pow": math.pow,
@@ -429,33 +425,120 @@ class Gluing(Program):
         return [em.statement(f"{v} + {s}") for v, s in zip(x, sums)]
 
 
+class Euler(Program):
+    """The explicit Euler map of a continuous system: its dynamics ``u``,
+    then ``x_i + h*u_i`` per state, the operations of numpy's ``x + h * u``.
+    Its readout is the system's own."""
+
+    def __init__(self, inner: Program, h: float):
+        self.inner, self.h = inner, float(h)
+        n = inner.n_states  # and one statement per state, its step
+        super().__init__((inner, self.h), inner.n_inputs, n, inner.n_outputs, inner.statements + n)
+
+    def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
+        return self.inner.readout(em, x)
+
+    def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
+        u = self.inner.dynamics(em, a, x)
+        h = em.constant(self.h)
+        return [em.statement(f"{v} + {h} * {d}") for v, d in zip(x, u)]
+
+
 def _slices(boxes: Sequence[Program]) -> list[slice]:
     bounds = [0, *itertools.accumulate(p.n_states for p in boxes)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def generate(
-    program: Program, machine: bool, batched: bool = False, check: bool = False
-) -> tuple[Callable, Callable | None]:
-    """The dynamics and, for a machine, readout of ``program`` as generated
-    functions: over Python floats, or with ``batched`` over ``(k, n)``
-    blocks.  With ``check``, each argument is first converted and
-    size-checked by ``as_vector``."""
-    em = Emitter(batched)
-    a = em.bind(program.n_inputs, "a", "input vector" if check else "") if machine else []
-    x = em.bind(program.n_states, "x", "state vector" if check else "")
-    dynamics = em.function(["a", "x"] if machine else ["x"], program.dynamics(em, a, x))
-    if not machine:
-        return dynamics, None
-    em = Emitter(batched)
-    x = em.bind(program.n_states, "x", "state vector" if check else "")
-    return dynamics, em.function(["x"], program.readout(em, x))
+def _tuple(operands: Sequence[str]) -> str:
+    """Source of a tuple display (or assignment target) of ``operands``."""
+    return f"({''.join(v + ', ' for v in operands)})"
 
 
-# A fused 9x9 heat grid holds about 130 KB of code and program, so the cache
-# is kept small.
+# ---------------------------------------------------------------------------
+# Generated functions
+
+
+def _generate(program: Program, batched: bool, params: Sequence[str], readout: bool = False):
+    """The generated dynamics, or with ``readout`` readout, of ``program``."""
+    em = Emitter(batched)
+    a = [] if readout else em.bind(program.n_inputs, "a")
+    x = em.bind(program.n_states, "x")
+    return em.function(params, program.readout(em, x) if readout else program.dynamics(em, a, x))
+
+
+def kernels(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
+    """The batch kernels of ``program`` (see ``dynam.BatchKernel``)."""
+    dynamics = _generate(program, True, ["a", "x"] if machine else ["x"])
+    return dynamics, _generate(program, True, ["x"], readout=True) if machine else None
+
+
+# A fused 9x9 heat grid holds about 130 KB of code and program, so the
+# caches are kept small.
 @functools.lru_cache(maxsize=64)
-def fuse(program: Program) -> tuple[Callable, Callable | None]:
-    """A composite's generated functions (see :func:`generate`), with
-    checked arguments, cached by program value."""
-    return generate(program, not isinstance(program, Gluing), check=True)
+def raw(program: Program) -> Callable:
+    """``program``'s dynamics over Python floats: ``(a, x)``, sequences of
+    the input values (empty for a sharer) and the state values, to the tuple
+    of its results.  Compiled once per program value and shared by the
+    system's array callables, its Euler map's and its steppers."""
+    return _generate(program, False, ["a", "x"])
+
+
+def _floats(v: Sequence[float] | np.ndarray, n: int, what: str) -> list[float]:
+    return as_vector(v, n, what).tolist()
+
+
+def arrays(
+    program: Program, machine: bool, dynamics: Callable, readout: Callable | None = None
+) -> tuple[Callable, Callable | None]:
+    """Array callables around functions over Python floats: the dynamics
+    ``(a, x)`` of a machine or ``(x)`` of a sharer, and the readout ``(x)``
+    if given, convert and size-check each argument with ``as_vector`` and
+    return a float64 array."""
+    n_in, n = program.n_inputs, program.n_states
+    if not machine:
+        return lambda x: np.array(dynamics((), _floats(x, n, "state vector"))), None
+    return (
+        lambda a, x: np.array(dynamics(_floats(a, n_in, "input vector"), _floats(x, n, "state vector"))),
+        readout and (lambda x: np.array(readout(_floats(x, n, "state vector")))),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def compiled(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
+    """The array callables (see :func:`arrays`) of a model or a fused
+    composite with ``program``, cached by program value."""
+    readout = _generate(program, False, ["x"], readout=True) if machine else None
+    return arrays(program, machine, raw(program), readout)
+
+
+@functools.lru_cache(maxsize=64)
+def stepper(program: Program, scheme: str, h: float) -> Callable:
+    """One step ``(a, x) -> next x`` over Python floats of a system with
+    ``program``, inputs ``a`` held over the step, cached by value.
+
+    ``direct`` is :func:`raw` itself: the next-state map of a discrete
+    system, an :class:`Euler` map among them.  ``rk4`` is classic RK4 of a
+    continuous system, generated around four calls of :func:`raw` with the
+    operations of ``sim._rk4`` on numpy vectors, so the two agree bitwise:
+    stages at ``x_i + (0.5*h)*k_i`` and ``x_i + h*k3_i``, then
+    ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i) + k4_i)``.
+    """
+    f = raw(program)
+    if scheme == "direct":
+        return f
+    em = Emitter()
+    x = em.bind(program.n_states, "x")
+    em.constants["_f"] = f
+    ks: list[list[str]] = []
+    point = "x"
+    for c in (em.constant(0.5 * h), em.constant(0.5 * h), em.constant(h), ""):
+        k = [f"_k{len(ks)}_{i}" for i in range(len(x))]
+        em.lines.append(f"{_tuple(k)} = _f(a, {point})")
+        ks.append(k)
+        point = _tuple([f"{v} + {c} * {d}" for v, d in zip(x, k)])
+    sixth, (k1, k2, k3, k4) = em.constant(h / 6.0), ks
+    step = [
+        f"{v} + {sixth} * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+        for v, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+    return em.function(["a", "x"], step)

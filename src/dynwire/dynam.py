@@ -15,18 +15,21 @@ test suite exercises as the central oracle.
 A composite is evaluated one of two ways:
 
 - **Fused**, when every box carries a ``program`` (spec-built models do, and
-  so do composites fused from them) and the composite's code, nested
-  composites and wiring included, has at most ``_FUSE_MAX_STATEMENTS``
-  statements.  The composite is then one generated function over Python
-  floats: each box's equations inlined with its parameters as literals, the
-  transport and the gluing unrolled into sums in the order
-  ``finset.fiber_sum`` adds.  It carries its own program,
-  so a composite of composites flattens into one function.  Values and
-  errors are bitwise those of the boxes' scalar closures called in turn.
-  The generated code is cached by the value of the diagram and the boxes.
+  so do composites fused from them and their Euler maps) and the
+  composite's code, nested composites and wiring included, has at most
+  ``_FUSE_MAX_STATEMENTS`` statements.  The composite is then one generated
+  function over Python floats: each box's equations inlined with its
+  parameters as literals, the transport and the gluing unrolled into sums in
+  the order ``finset.fiber_sum`` adds.  It carries its own program, so a
+  composite of composites flattens into one function, and so does the Euler
+  map of a composite or a composite of Euler maps.  Its ``dynamics`` and
+  ``readout`` convert their arrays to floats and back around that function;
+  ``sim.run_trajectory`` steps the floats directly.  Values and errors are
+  bitwise those of the boxes' closures called in turn.  The generated code
+  is cached by the value of the diagram and the boxes.
 - **Box by box** otherwise: a closure over the diagram that evaluates the
   boxes sharing a batch kernel (as equal instantiated specs do) in one call
-  per group, and the rest through their scalar callables.
+  per group, and the rest through their own callables.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from ._codegen import Gluing, Program, Transport, fuse
+from ._codegen import Euler, Gluing, Program, Transport, arrays, compiled, raw
 from ._codegen import as_vector as _as_vector
 from .errors import ArityError, KindError, SizeMismatchError
 from .finset import FinFunction, compose, fiber_sum, pullback_vec, pushforward_vec, pushout
@@ -285,7 +288,7 @@ def _oapply_transport(
     programs = _programs(machines, Transport.glue(inward, outward))
     if programs is not None:
         program = Transport(programs, n_outer_in, n_outer_out, in_ports, out_ports, inward, outward)
-        dynamics, readout = fuse(program)
+        dynamics, readout = compiled(program, True)
         n_states = program.n_states
         return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind, None, program)
     n_pin = sum(len(p) for p in in_ports)
@@ -399,7 +402,7 @@ def oapply_undirected_with_layout(
     programs = _programs(sharers, Gluing.glue(n_states_total, n_states, discrete))
     if programs is not None:
         program = Gluing(programs, state_inj.map, n_states, discrete)
-        dynamics = fuse(program)[0]
+        dynamics = compiled(program, False)[0]
         return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, None, program), layout
     plan = _BoxPlan(sharers, offs)
 
@@ -447,31 +450,36 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     )
 
 
-def euler_directed(m: Machine, h: float) -> Machine:
-    """Explicit Euler step of a continuous machine: ``x + h * u(a, x)``."""
-    if m.kind != "continuous":
-        raise KindError("euler_directed requires a continuous machine")
+def _euler(
+    system: Machine | ResourceSharer, h: float, refusal: str
+) -> tuple[Callable, Program | None]:
+    """The dynamics and program of the explicit Euler map ``x + h * u`` of
+    ``system``.  With a program, the map is the generated function of
+    :class:`Euler` over it, so Euler-then-compose fuses too."""
+    if system.kind != "continuous":
+        raise KindError(refusal)
     if not h > 0:
         raise ValueError("step size must be positive")
-    u = m.dynamics
+    if system.program is not None:
+        program = Euler(system.program, h)
+        return arrays(program, isinstance(system, Machine), raw(program))[0], program
+    u = system.dynamics
 
-    def step(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def step(*args: np.ndarray) -> np.ndarray:  # (a, x), or (x) for a sharer
+        *a, x = args
         x = np.asarray(x, dtype=np.float64)
-        return x + h * np.asarray(u(a, x), dtype=np.float64)
+        return x + h * np.asarray(u(*a, x), dtype=np.float64)
 
-    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, m.readout, "discrete")
+    return step, None
+
+
+def euler_directed(m: Machine, h: float) -> Machine:
+    """Explicit Euler step of a continuous machine: ``x + h * u(a, x)``."""
+    step, program = _euler(m, h, "euler_directed requires a continuous machine")
+    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, m.readout, "discrete", None, program)
 
 
 def euler_undirected(s: ResourceSharer, h: float) -> ResourceSharer:
     """Explicit Euler step of a continuous sharer: ``x + h * v(x)``."""
-    if s.kind != "continuous":
-        raise KindError("euler_undirected requires a continuous sharer")
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    v = s.dynamics
-
-    def step(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return x + h * np.asarray(v(x), dtype=np.float64)
-
-    return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete")
+    step, program = _euler(s, h, "euler_undirected requires a continuous sharer")
+    return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete", None, program)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ._codegen import (
-    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, define, generate,
+    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, compiled, define, kernels,
 )
 from .errors import ExprEvalError, ExprSyntaxError, ModelSpecError
 from .dynam import BatchKernel, Machine, ResourceSharer
@@ -337,8 +337,8 @@ def _build(spec: ModelSpec) -> Machine | ResourceSharer:
         spec.params, spec.inputs, states, [spec.dynamics[s] for s in states], spec.readout
     )
     machine = spec.kind == "machine"
-    dynamics, readout = generate(program, machine)
-    kernel = BatchKernel(*generate(program, machine, batched=True))
+    dynamics, readout = compiled(program, machine)
+    kernel = BatchKernel(*kernels(program, machine))
     if machine:
         return Machine(
             len(spec.inputs), len(states), len(spec.readout), dynamics, readout, spec.flavor,
@@ -389,9 +389,10 @@ def _build_cached(value: _SpecValue) -> Machine | ResourceSharer:
 def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
     """Build an evaluatable machine or sharer from a spec.
 
-    The result carries scalar closures (one box, Python floats), a batch
-    kernel over ``(k, n)`` blocks, both generated from the expressions, and
-    its program, the equations in a form a composite inlines.  Results are
+    The result carries scalar closures (one box's vectors, size-checked,
+    around one generated function over Python floats), a batch kernel over
+    ``(k, n)`` blocks, both generated from the expressions, and its
+    program, the equations in a form a composite inlines.  Results are
     cached by spec value: equal specs give the same system and so the same
     kernel.  ``oapply_*`` fuses a small composite (at most
     ``dynam._FUSE_MAX_STATEMENTS`` generated statements) whose boxes all

@@ -8,12 +8,13 @@ are named ``j<index>``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._codegen import as_vector, stepper
 from .dynam import (
     Machine,
     ResourceSharer,
@@ -119,26 +120,18 @@ def _initial_state(config: SimulationConfig, names: tuple[str, ...]) -> np.ndarr
     return np.asarray(config.init, dtype=np.float64)
 
 
-def _inputs(config: SimulationConfig, n_inputs: int) -> Callable[[int], np.ndarray]:
-    """Step ``k``'s input vector: row ``k`` of the input table, or else one
-    vector, built once, of the constant inputs or of zeros."""
-    table = config.input_table
-    if table is not None:
-
-        def table_row(k: int) -> np.ndarray:
-            row = table[k]
+def _inputs(config: SimulationConfig, n_inputs: int) -> Iterable[tuple[float, ...]]:
+    """Each step's inputs, as the config's float tuples: the rows of the
+    input table, or else the constant inputs (or zeros) at every step."""
+    if config.input_table is not None:
+        for k, row in enumerate(config.input_table[: config.steps]):
             if len(row) != n_inputs:
                 raise ConfigError(f"input table row {k} has {len(row)} entries, need {n_inputs}")
-            return np.asarray(row, dtype=np.float64)
-
-        return table_row
-    if config.inputs is None:
-        a = np.zeros(n_inputs)
-    elif len(config.inputs) != n_inputs:
-        raise ConfigError(f"inputs vector has {len(config.inputs)} entries, need {n_inputs}")
-    else:
-        a = np.asarray(config.inputs, dtype=np.float64)
-    return lambda k: a
+        return config.input_table
+    a = config.inputs if config.inputs is not None else (0.0,) * n_inputs
+    if len(a) != n_inputs:
+        raise ConfigError(f"inputs vector has {len(a)} entries, need {n_inputs}")
+    return itertools.repeat(a)
 
 
 def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
@@ -149,8 +142,28 @@ def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.n
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step(system: Machine | ResourceSharer, scheme: str, h: float) -> Callable:
+    """The ``direct`` or ``rk4`` step ``(a, x) -> next x`` of ``system`` over
+    Python floats, inputs ``a`` held over the step (sharers ignore them).
+    A system with a program steps through generated code
+    (``_codegen.stepper``); any other through its callables and numpy, with
+    the same IEEE operations."""
+    if system.program is not None:
+        return stepper(system.program, scheme, h)
+    f = system.dynamics if isinstance(system, Machine) else lambda a, x: system.dynamics(x)
+
+    def step(a: Sequence[float], x: Sequence[float]) -> list[float]:
+        a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
+        y = _rk4(lambda v: f(a, v), x, h) if scheme == "rk4" else f(a, x)
+        return np.asarray(y, dtype=np.float64).tolist()
+
+    return step
+
+
 def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Classic fourth-order step with inputs held constant over the step.
+    """Classic fourth-order step with inputs held constant over the step, in
+    numpy.  ``run_trajectory``'s ``rk4`` step performs the same IEEE
+    operations over Python floats, so the two agree bitwise.
 
     Convenience only: unlike the Euler map this does not commute with
     composition, so it is applied to the composed system.
@@ -163,54 +176,50 @@ def run_trajectory(
 ) -> tuple[list[str], list[list[float]], dict]:
     """Iterate the composed system; returns (header, rows, metadata).
 
-    One stepper, chosen once, advances the state along step ``k``'s field
-    ``f``: ``system.dynamics`` for a sharer, ``system.dynamics(a_k, .)`` for
-    a machine with inputs ``a_k`` fetched once and held over the step.
-    Discrete systems step directly (``f(x)``); continuous ones by classic
-    RK4 over ``f``, or by explicit Euler, which steps the discrete system
+    ``scheme`` is ``"euler"`` or ``"rk4"``.  A discrete system steps
+    directly under ``"euler"`` (the metadata says ``"direct"``); a
+    continuous one by explicit Euler, which steps the discrete system
     ``euler_directed(system, h)`` or ``euler_undirected(system, h)``
-    directly.  Rows include the initial state at ``t=0`` and one row per
-    step.
+    directly, or by classic RK4.  The state is a list of Python floats, and
+    one step kind advances it with step ``k``'s inputs held over the step
+    (see :func:`_step`): a system with a program, and so the Euler map of
+    one, runs its generated code with no numpy work per step.  Rows include
+    the initial state at ``t=0`` and one row per step.
     """
     system = composed.system
-    x = _initial_state(config, composed.state_names)
+    x0 = _initial_state(config, composed.state_names)
     if not composed.directed and (config.inputs is not None or config.input_table is not None):
         raise ConfigError("external inputs apply to directed systems only")
     if config.input_table is not None and len(config.input_table) < config.steps:
         raise ConfigError(
             f"input table has {len(config.input_table)} rows, need {config.steps}"
         )
-
+    if scheme not in ("euler", "rk4"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
     if composed.kind == "discrete" and scheme == "rk4":
         raise KindError("rk4 integrates continuous systems; these models are discrete")
-    if composed.kind != "discrete" and scheme not in ("euler", "rk4"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    stepper = "direct" if composed.kind == "discrete" else scheme
+    method = "direct" if composed.kind == "discrete" else scheme
 
     h = config.h
-    if stepper == "euler":
+    if method == "euler":
         euler = euler_undirected if isinstance(system, ResourceSharer) else euler_directed
         system = euler(system, h)
-    if stepper == "rk4":
-        step = lambda f, x: _rk4(f, x, h)
-    else:
-        step = lambda f, x: np.asarray(f(x), dtype=np.float64)
-
+    step = _step(system, "rk4" if method == "rk4" else "direct", h)
     if isinstance(system, ResourceSharer):
-        field = lambda k: system.dynamics
+        inputs: Iterable[tuple[float, ...]] = itertools.repeat(())
     else:
         inputs = _inputs(config, system.n_inputs)
-        field = lambda k: partial(system.dynamics, inputs(k))
 
     header = ["t", *composed.state_names]
-    rows = [[0.0, *x.tolist()]]
-    for k in range(config.steps):
-        x = step(field(k), x)
-        rows.append([(k + 1) * h, *x.tolist()])
+    x = as_vector(x0, system.n_states, "state vector").tolist()
+    rows = [[0.0, *x]]
+    for k, a in zip(range(config.steps), inputs):
+        x = step(a, x)
+        rows.append([(k + 1) * h, *x])
 
     metadata = {
-        "scheme": stepper,
-        "functorial": stepper in ("euler", "direct"),
+        "scheme": method,
+        "functorial": method in ("euler", "direct"),
         "kind": composed.kind,
         "h": config.h,
         "steps": config.steps,

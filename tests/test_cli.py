@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,34 @@ class TestSimulate:
         ])
         assert code == 1
         assert "init vector" in capsys.readouterr().err
+
+    # SIR cyclic failing as it steps.  City 0 starting at 1e150 makes S*I
+    # overflow after one large step; h = 1e308 overflows the step itself;
+    # city 2 starting empty divides by S+I+R = 0.
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("h, init, message", [
+        (1000.0, {"b0.S": 1e150, "b0.I": 1e150, "b1.S": 1000.0, "b2.S": 500.0},
+         "dynamics of 'S' produced a non-finite value"),
+        (1e308, {"b0.S": 990.0, "b0.I": 10.0, "b1.S": 1000.0, "b2.S": 500.0},
+         "readout produced a non-finite value"),
+        (0.01, {"b0.S": 990.0, "b0.I": 10.0, "b1.S": 1000.0}, "division by zero"),
+    ], ids=["overflow", "step-overflow", "empty-city"])
+    def test_numeric_failure_exits_1_with_its_message(
+        self, tmp_path, repo_root, capsys, scheme, h, init, message
+    ):
+        sir = repo_root / "configs" / "sir"
+        config = write_json(tmp_path / "c.json", {"h": h, "steps": 50, "init": init})
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            code = main([
+                "simulate", "--diagram", str(sir / "cyclic.json"),
+                "--models", *[str(sir / "city.json")] * 3,
+                "--config", str(config), "--out", str(out), "--scheme", scheme,
+            ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestTwoStrategyEquivalence:
