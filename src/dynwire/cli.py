@@ -7,13 +7,13 @@ numeric failures), 2 usage error.  All indices in files are 0-based.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .cset import validate
 from .errors import DynwireError
 from .fileio import (
+    _write_json,
     dump_diagram,
     instance_from_json,
     load_config,
@@ -86,9 +86,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header, rows, metadata = run_trajectory(composed, config, scheme=args.scheme)
     write_csv(args.out, header, rows)
     meta_path = Path(str(args.out) + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2)
-        fh.write("\n")
+    _write_json(meta_path, metadata)
     if args.svg:
         t = [row[0] for row in rows]
         columns = {

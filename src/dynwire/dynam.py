@@ -29,13 +29,18 @@ A composite is evaluated one of two ways:
   is cached by the value of the diagram and the boxes.
 - **Box by box** otherwise: a closure over the diagram that evaluates the
   boxes sharing a batch kernel (as equal instantiated specs do) in one call
-  per group, and the rest through their own callables.
+  per group, and the rest through their own callables.  Its plan is built
+  from the diagram's index columns with a few numpy calls per group; per-box
+  records exist only for the boxes called alone, and for every box once a
+  group has flagged an error and the phase is redone box by box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Sequence
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,6 +182,37 @@ def _programs(
     return programs if statements <= _FUSE_MAX_STATEMENTS else None
 
 
+class _Fibers(NamedTuple):
+    """The fibers of a map given as a column of codes: the elements sent to
+    code ``c`` are ``order[bounds[c]:bounds[c + 1]]``, ascending.
+
+    ``order`` is the stable argsort of the column and ``bounds`` the running
+    sum of the fiber sizes.  Over a box column, a box's fiber is its ports in
+    slot order.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, column: np.ndarray, n_codes: int) -> "_Fibers":
+        bounds = np.zeros(n_codes + 1, dtype=np.intp)
+        np.bincount(column, minlength=n_codes).cumsum(out=bounds[1:])
+        return cls(column.argsort(kind="stable"), bounds)
+
+    def sizes(self) -> np.ndarray:
+        return self.bounds[1:] - self.bounds[:-1]
+
+    def block(self, codes: np.ndarray, k: int) -> np.ndarray:
+        """The fibers of ``codes``, ``k`` elements each, one code per row."""
+        return self.order[self.bounds[codes][:, None] + np.arange(k)]
+
+    def split(self, codes: Iterable[int]) -> list[np.ndarray]:
+        """The fiber of each of ``codes``, as views of ``order``."""
+        b = self.bounds.tolist()
+        return [self.order[b[c]:b[c + 1]] for c in codes]
+
+
 class _Box(NamedTuple):
     """One box of a composite: its system, its state slice, its port indices."""
 
@@ -192,54 +228,63 @@ class _BoxPlan:
     """How a composite evaluates its boxes: one block call per shared kernel.
 
     Boxes that share a ``kernel`` object with another box form a group,
-    evaluated by one kernel call on a ``(k, n)`` block gathered by index
-    arrays.  The other boxes (singletons and systems without a kernel, such
-    as hand-written callables) are called one by one with size checks.
-    Groups run first and only flag trouble; if one does, the whole phase is
-    redone box by box in box order, so the scalar closures raise exactly the
-    error, from exactly the box, that an unbatched composite would.
-
-    ``in_ports[i]`` / ``out_ports[i]`` index box ``i``'s ports in the
-    composite's port vectors (directed composites only).
+    evaluated by one kernel call on a ``(k, n)`` block.  The plan is read off
+    the diagram's columns: one pass over the boxes' kernels forms the groups,
+    a group's state block is its boxes' state offsets plus ``arange(n)``, and
+    its port blocks come from the port order of the box columns (``ins`` and
+    ``outs``, directed composites only).  The other boxes (singletons and
+    systems without a kernel, such as hand-written callables) are called one
+    by one with size checks, through a :class:`_Box` record each.  Groups run
+    first and only flag trouble; if one does, the whole phase is redone box by
+    box in box order, so the scalar closures raise exactly the error, from
+    exactly the box, that an unbatched composite would.  The records of every
+    box that this walks are built the first time a group flags, then kept.
     """
 
     def __init__(
         self,
         systems: Sequence[Machine] | Sequence[ResourceSharer],
         offs: np.ndarray,
-        in_ports: Sequence[Sequence[int]] = (),
-        out_ports: Sequence[Sequence[int]] = (),
+        ins: _Fibers | None = None,
+        outs: _Fibers | None = None,
     ):
-        bounds = offs.tolist()
-        self.boxes = [
-            _Box(
-                s,
-                slice(bounds[i], bounds[i + 1]),
-                np.asarray(in_ports[i], dtype=np.intp) if in_ports else None,
-                np.asarray(out_ports[i], dtype=np.intp) if out_ports else None,
-                f"readout of box {i}",
-                f"dynamics of box {i}",
-            )
-            for i, s in enumerate(systems)
-        ]
-        members: dict[BatchKernel, list[int]] = {}
-        for i, s in enumerate(systems):
-            if s.kernel is not None:
-                members.setdefault(s.kernel, []).append(i)
-        self.groups = []
-        grouped: set[int] = set()
-        for kernel, idx in members.items():
-            if len(idx) < 2:
+        # A copy: the fallback's records are built later, from these systems.
+        self.systems, self.offs, self.ins, self.outs = tuple(systems), offs, ins, outs
+        kernels = list(map(attrgetter("kernel"), systems))
+        code = {k: c for c, k in enumerate(dict.fromkeys(kernels))}
+        column = np.fromiter(map(code.__getitem__, kernels), np.intp, len(kernels))
+        self.groups, alone = [], []
+        for kernel, rows in zip(code, _Fibers.of(column, len(code)).split(range(len(code)))):
+            if kernel is None or len(rows) < 2:
+                alone += rows.tolist()
                 continue
-            grouped.update(idx)
-            states = offs[idx][:, None] + np.arange(systems[idx[0]].n_states)
-            ins = np.array([in_ports[i] for i in idx], dtype=np.intp) if in_ports else None
-            outs = np.array([out_ports[i] for i in idx], dtype=np.intp) if out_ports else None
-            self.groups.append((kernel, states, ins, outs))
-        self.singles = [b for i, b in enumerate(self.boxes) if i not in grouped]
+            s = systems[rows[0]]
+            states = offs[rows][:, None] + np.arange(s.n_states)
+            block_ins = ins.block(rows, s.n_inputs) if ins is not None else None
+            block_outs = outs.block(rows, s.n_outputs) if outs is not None else None
+            self.groups.append((kernel, states, block_ins, block_outs))
+        self.singles = self._records(sorted(alone))
+
+    def _records(self, boxes: list[int]) -> list[_Box]:
+        offs = self.offs.tolist()
+        none = [None] * len(boxes)
+        ins = self.ins.split(boxes) if self.ins is not None else none
+        outs = self.outs.split(boxes) if self.outs is not None else none
+        return [
+            _Box(
+                self.systems[i], slice(offs[i], offs[i + 1]), a, o,
+                f"readout of box {i}", f"dynamics of box {i}",
+            )
+            for i, a, o in zip(boxes, ins, outs)
+        ]
+
+    @cached_property
+    def boxes(self) -> list[_Box]:
+        """Every box in box order: what the scalar fallback walks."""
+        return self._records(list(range(len(self.systems))))
 
     def readouts(self, x: np.ndarray, o: np.ndarray) -> None:
-        """Write every box's readout of ``x`` into the out-port vector ``o``."""
+        """Write every box's readout of ``x`` at its out-ports in ``o``."""
         boxes = self.singles
         for kernel, states, _, outs in self.groups:
             block, ok = kernel.readout(x[states])
@@ -273,8 +318,8 @@ def _oapply_transport(
     machines: Sequence[Machine],
     n_outer_in: int,
     n_outer_out: int,
-    in_ports: Sequence[Sequence[int]],
-    out_ports: Sequence[Sequence[int]],
+    ins: _Fibers,
+    outs: _Fibers,
     inward: tuple[np.ndarray, np.ndarray],
     outward: tuple[np.ndarray, np.ndarray],
 ) -> Machine:
@@ -283,44 +328,51 @@ def _oapply_transport(
     ``inward`` sums ``concat(readouts, inputs)[gather]`` into in-ports
     ``scatter``; ``outward`` sums ``readouts[gather]`` into outer out-ports.
     Each is one fiber sum in index order, so box wires are listed first.
+    ``ins`` and ``outs`` group the in-ports and out-ports by box.
     """
     kind = _common_kind([m.kind for m in machines], "machines")
     programs = _programs(machines, Transport.glue(inward, outward))
     if programs is not None:
-        program = Transport(programs, n_outer_in, n_outer_out, in_ports, out_ports, inward, outward)
+        every = range(len(machines))
+        program = Transport(
+            programs, n_outer_in, n_outer_out, ins.split(every), outs.split(every), inward, outward
+        )
         dynamics, readout = compiled(program, True)
         n_states = program.n_states
         return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind, None, program)
-    n_pin = sum(len(p) for p in in_ports)
-    n_pout = sum(len(p) for p in out_ports)
+    n_pin, n_pout = len(ins.order), len(outs.order)
     offs = np.cumsum([0] + [m.n_states for m in machines])
     n_states = int(offs[-1])
-    plan = _BoxPlan(machines, offs, in_ports, out_ports)
+    plan = _BoxPlan(machines, offs, ins, outs)
     feed_from, feed_to = inward
     out_from, out_to = outward
-
-    def all_readouts(x: np.ndarray) -> np.ndarray:
-        o = np.empty(n_pout, dtype=np.float64)
-        plan.readouts(x, o)
-        return o
 
     def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         a = _as_vector(a, n_outer_in, "input vector")
         x = _as_vector(x, n_states, "state vector")
-        values = np.concatenate([all_readouts(x), a])
+        values = np.empty(n_pout + n_outer_in, dtype=np.float64)  # readouts, then inputs
+        plan.readouts(x, values)
+        values[n_pout:] = a
         out = np.empty(n_states, dtype=np.float64)
         plan.dynamics(x, out, fiber_sum(feed_to, values[feed_from], n_pin))
         return out
 
     def readout(x: np.ndarray) -> np.ndarray:
         x = _as_vector(x, n_states, "state vector")
-        return fiber_sum(out_to, all_readouts(x)[out_from], n_outer_out)
+        values = np.empty(n_pout, dtype=np.float64)
+        plan.readouts(x, values)
+        return fiber_sum(out_to, values[out_from], n_outer_out)
 
     return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind)
 
 
-def _indices(*columns: Sequence[int]) -> np.ndarray:
-    return np.concatenate([np.asarray(c, dtype=np.intp) for c in columns])
+def _misfit(machines: Sequence[Machine], ins: _Fibers, outs: _Fibers) -> int | None:
+    """The first box whose machine's (inputs, outputs) differ from its port counts."""
+    have = list(map(attrgetter("n_inputs", "n_outputs"), machines))
+    want = list(zip(ins.sizes().tolist(), outs.sizes().tolist()))
+    if have == want:
+        return None
+    return next(i for i, (h, w) in enumerate(zip(have, want)) if h != w)
 
 
 def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
@@ -336,19 +388,20 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     """
     if len(machines) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
-    for i, (m, (n_in, n_out)) in enumerate(zip(machines, d.signature)):
-        if (m.n_inputs, m.n_outputs) != (n_in, n_out):
-            raise ArityError(
-                f"box {i} expects (in, out) = ({n_in}, {n_out}), "
-                f"machine has ({m.n_inputs}, {m.n_outputs})"
-            )
-    parts = d.data.parts
-    src_in = _indices(parts["src_in"]) + d.data.card["P_out"]
-    inward = (_indices(parts["src"], src_in), _indices(parts["tgt"], parts["tgt_in"]))
-    outward = (_indices(parts["src_out"]), _indices(parts["tgt_out"]))
-    return _oapply_transport(
-        machines, d.n_outer_in, d.n_outer_out, d.in_ports, d.out_ports, inward, outward
-    )
+    ins = _Fibers.of(d.column("box_in"), d.n_boxes)
+    outs = _Fibers.of(d.column("box_out"), d.n_boxes)
+    i = _misfit(machines, ins, outs)
+    if i is not None:
+        n_in, n_out = ins.sizes()[i], outs.sizes()[i]
+        raise ArityError(
+            f"box {i} expects (in, out) = ({n_in}, {n_out}), "
+            f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
+        )
+    src_in = d.column("src_in") + d.data.card["P_out"]
+    tgt = np.concatenate((d.column("tgt"), d.column("tgt_in")))
+    inward = (np.concatenate((d.column("src"), src_in)), tgt)
+    outward = (d.column("src_out"), d.column("tgt_out"))
+    return _oapply_transport(machines, d.n_outer_in, d.n_outer_out, ins, outs, inward, outward)
 
 
 @dataclass(frozen=True)
@@ -434,20 +487,19 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     """
     if len(machines) != g.n_boxes:
         raise ArityError(f"diagram has {g.n_boxes} boxes but {len(machines)} machines were given")
-    for i, (m, want) in enumerate(zip(machines, g.port_counts)):
-        if (m.n_inputs, m.n_outputs) != (want, want):
-            raise ArityError(
-                f"box {i} expects {want} inputs and outputs, "
-                f"machine has ({m.n_inputs}, {m.n_outputs})"
-            )
-    parts = g.data.parts
+    ports = _Fibers.of(g.column("box"), g.n_boxes)
+    i = _misfit(machines, ports, ports)
+    if i is not None:
+        raise ArityError(
+            f"box {i} expects {ports.sizes()[i]} inputs and outputs, "
+            f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
+        )
+    expose = g.column("expose")
     outer = np.arange(g.n_outer, dtype=np.intp)
-    src_in = outer + len(parts["box"])
-    inward = (_indices(parts["src"], src_in), _indices(parts["tgt"], parts["expose"]))
-    outward = (_indices(parts["expose"]), outer)
-    return _oapply_transport(
-        machines, g.n_outer, g.n_outer, g.box_ports, g.box_ports, inward, outward
-    )
+    src_in = outer + len(ports.order)
+    inward = (np.concatenate((g.column("src"), src_in)), np.concatenate((g.column("tgt"), expose)))
+    outward = (expose, outer)
+    return _oapply_transport(machines, g.n_outer, g.n_outer, ports, ports, inward, outward)
 
 
 def _euler(

@@ -9,6 +9,7 @@ are named ``j<index>``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +25,7 @@ from .dynam import (
     oapply_directed,
     oapply_undirected_with_layout,
 )
-from .errors import ArityError, ConfigError, KindError
+from .errors import ArityError, ConfigError, ExprEvalError, KindError
 from .fileio import SimulationConfig
 from .modelspec import ModelSpec, instantiate
 from .wiring import CPGraph, DWDiagram, UWDiagram
@@ -69,20 +70,18 @@ def build_system(
     models = [model_of[id(s)] for s in specs]
 
     if isinstance(diagram, UWDiagram):
-        if not all(isinstance(m, ResourceSharer) for m in models):
+        if not all(isinstance(m, ResourceSharer) for m in model_of.values()):
             raise ArityError("an undirected diagram needs sharer models")
-        sharers = [m for m in models if isinstance(m, ResourceSharer)]
-        sharer, layout = oapply_undirected_with_layout(diagram, sharers)
+        sharer, layout = oapply_undirected_with_layout(diagram, models)
         names = _undirected_names(sharer.n_states, specs, box_labels, layout)
         return ComposedSystem(sharer, names, sharer.kind, directed=False)
 
-    if not all(isinstance(m, Machine) for m in models):
+    if not all(isinstance(m, Machine) for m in model_of.values()):
         raise ArityError("a directed diagram needs machine models")
-    machines = [m for m in models if isinstance(m, Machine)]
     if isinstance(diagram, DWDiagram):
-        machine = oapply_directed(diagram, machines)
+        machine = oapply_directed(diagram, models)
     else:
-        machine = oapply_cpg(diagram, machines)
+        machine = oapply_cpg(diagram, models)
     names = tuple(
         f"{box_labels[i]}.{s}" for i, spec in enumerate(specs) for s in spec.states
     )
@@ -171,6 +170,20 @@ def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.nda
     return _rk4(lambda y: machine.dynamics(a, y), x, h)
 
 
+def _raise_non_finite(rows: list[list[float]], header: list[str]) -> None:
+    """Raise for the first non-finite state of the trajectory ``rows``, if any.
+
+    Only the next evaluation reads a step's result, so nothing else checks
+    the last state, or a state that no equation reads.
+    """
+    for k, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise ExprEvalError(
+                    f"step {k} (t={row[0]!r}) left state {header[j]!r} non-finite: {value!r}"
+                )
+
+
 def run_trajectory(
     composed: ComposedSystem, config: SimulationConfig, scheme: str = "euler"
 ) -> tuple[list[str], list[list[float]], dict]:
@@ -184,7 +197,8 @@ def run_trajectory(
     one step kind advances it with step ``k``'s inputs held over the step
     (see :func:`_step`): a system with a program, and so the Euler map of
     one, runs its generated code with no numpy work per step.  Rows include
-    the initial state at ``t=0`` and one row per step.
+    the initial state at ``t=0`` and one row per step.  A state that is not
+    finite after some step is an error naming the first such step and state.
     """
     system = composed.system
     x0 = _initial_state(config, composed.state_names)
@@ -216,6 +230,8 @@ def run_trajectory(
     for k, a in zip(range(config.steps), inputs):
         x = step(a, x)
         rows.append([(k + 1) * h, *x])
+    if not math.isfinite(sum(map(sum, rows))):
+        _raise_non_finite(rows, header)
 
     metadata = {
         "scheme": method,

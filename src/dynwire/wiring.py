@@ -141,6 +141,10 @@ class _Diagram:
     def n_boxes(self) -> int:
         return self.data.card["B"]
 
+    def column(self, name: str) -> np.ndarray:
+        """Morphism ``name``'s column as an index array, made once; read only."""
+        return self._arrays[name]
+
 
 class _PortDiagram(_Diagram):
     """A diagram whose boxes and outer boundary each carry one list of ports."""

@@ -430,6 +430,28 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # x' = x from 2e307 doubles under Euler with h = 1 and overflows at the
+    # last step, where no evaluation reads it: the trajectory screen names it.
+    @pytest.mark.parametrize("diagram, model", [
+        (ONE_BOX_DWD, dict(ZERO_FIELD_MODEL, dynamics={"x": "x"})),
+        (ONE_PORT_UWD, {"kind": "sharer", "flavor": "continuous", "states": ["x"],
+                        "ports": ["x"], "params": {}, "dynamics": {"x": "x"}}),
+    ], ids=["machine", "sharer"])
+    def test_last_step_overflow_exits_1_naming_step_and_state(
+        self, tmp_path, capsys, diagram, model
+    ):
+        out = tmp_path / "t.csv"
+        config = {"h": 1.0, "steps": 4, "init": [2e307]}
+        code = main([
+            "simulate", "--diagram", str(write_json(tmp_path / "d.json", diagram)),
+            "--models", str(write_json(tmp_path / "m.json", model)),
+            "--config", str(write_json(tmp_path / "c.json", config)), "--out", str(out),
+        ])
+        assert code == 1
+        message = "step 4 (t=4.0) left state 'b0.x' non-finite: inf"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTwoStrategyEquivalence:
     def test_compose_then_simulate_matches_library_nesting(self, tmp_path, repo_root):
