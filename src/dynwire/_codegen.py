@@ -1,14 +1,15 @@
 """Expression trees and the straight-line Python generated from them.
 
-``modelspec`` parses model equations into the AST defined here and turns
-each model into generated functions: one over Python floats, and batch
-kernels over ``(k, n)`` blocks.  ``dynam`` fuses a small composite, or the
-Euler map of one, into one generated function over Python floats: every
+``modelspec`` parses model equations into the AST defined here and gives
+each model a :class:`Program`, from which all its code is generated: a
+function over Python floats, and batch kernels over ``(k, n)`` blocks for
+the boxes of a large composite that share it.  ``dynam`` fuses a small
+composite, or the Euler map of one, into one function over floats: every
 box's equations are inlined, and the wiring becomes plain sums.  ``sim``
 steps such a system through that function, with RK4's stages generated
-around it.  All go through one :class:`Emitter`, so a fused composite
-performs the same floating-point operations, and raises the same errors in
-the same order, as its boxes' closures called one after another.
+around it.  All go through one :class:`Emitter`, so generated code performs
+the same floating-point operations, and meets the same errors in the same
+order, as the boxes' closures called one after another.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class Emitter:
     subexpressions are computed once, which changes no value and no error.
 
     ``batched`` emits numpy code over columns, in which nothing raises: zero
-    denominators and non-finite function or power values land in ``checks``,
-    conditions that must all hold for the block to match the scalar path.
+    denominators, non-finite function or power values and non-finite
+    outputs land in ``checks``, conditions that must all hold for the block
+    to match the scalar path.
     """
 
     def __init__(self, batched: bool = False):
@@ -122,14 +124,6 @@ class Emitter:
                 self.lines.append(f"{name} = {rhs}")
         return name
 
-    def checked(self, rhs: str) -> str:
-        """A batched value that must be finite everywhere."""
-        if rhs in self._seen:
-            return self._seen[rhs]
-        name = self.statement(rhs)
-        self.checks.append(f"_np.isfinite({name}).all()")
-        return name
-
     def emit(self, e: Expr) -> str:
         """Emit statements computing ``e``; returns the operand holding it."""
         if isinstance(e, Num):
@@ -146,7 +140,7 @@ class Emitter:
                 raise ExprEvalError(f"unknown function {e.fn!r}")
             arg = self.emit(e.arg)
             if self.batched:
-                return self.checked(f"_np.{e.fn}({arg})")
+                return self.finite(self.statement(f"_np.{e.fn}({arg})"))
             return self.statement(f"_{e.fn}({arg})", _MATH_ERRORS, f"{e.fn + ': '!r} + str(_exc)")
         if isinstance(e, BinOp):
             if e.op == "/":
@@ -163,19 +157,26 @@ class Emitter:
                 return self.statement(f"{left} {e.op} {right}")
             # Any other operator is a power, as the parser only makes "^".
             if self.batched:
-                return self.checked(f"_np.power({left}, {right})")
+                return self.finite(self.statement(f"_np.power({left}, {right})"))
             return self.statement(f"_pow({left}, {right})", _MATH_ERRORS, "'power: ' + str(_exc)")
         raise TypeError(f"not an expression: {type(e).__name__}")
 
-    def output(self, e: Expr, what: str) -> str:
-        """Emit an output; scalar outputs are checked finite as they come."""
-        value = self.emit(e)
+    def finite(self, value: str, what: str = "") -> str:
+        """``value``, checked finite: batched, by a check; scalar, by raising
+        that ``what`` produced a non-finite value."""
         # A value that passed its check once needs none again.
-        if not self.batched and ("finite", value) not in self._checked:
+        if ("finite", value) not in self._checked:
             self._checked.add(("finite", value))
-            message = f"{what} produced a non-finite value"
-            self.lines.append(f"if not _isfinite({value}): raise _Err({message!r})")
+            if self.batched:
+                self.checks.append(f"_np.isfinite({value}).all()")
+            else:
+                message = f"{what} produced a non-finite value"
+                self.lines.append(f"if not _isfinite({value}): raise _Err({message!r})")
         return value
+
+    def output(self, e: Expr, what: str) -> str:
+        """Emit an output, checked finite as it comes."""
+        return self.finite(self.emit(e), what)
 
     def bind(self, n: int, source: str) -> list[str]:
         """Operands for the ``n`` entries (scalar: a sequence of Python
@@ -208,7 +209,7 @@ class Emitter:
         if not self.batched:
             body = [*self.lines, f"return {_tuple(results)}"]
         else:
-            ok = " and ".join([*self.checks, "_np.isfinite(_out).all()"])
+            ok = " and ".join(self.checks) or "True"
             body = [
                 *self.lines,
                 f"_out = _np.empty(({params[-1]}.shape[0], {len(results)}))",
@@ -466,14 +467,19 @@ def _generate(program: Program, batched: bool, params: Sequence[str], readout: b
     return em.function(params, program.readout(em, x) if readout else program.dynamics(em, a, x))
 
 
+# A fused 9x9 heat grid holds about 130 KB of code and program, so the
+# caches are kept small.
+@functools.lru_cache(maxsize=64)
 def kernels(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
-    """The batch kernels of ``program`` (see ``dynam.BatchKernel``)."""
+    """The batch kernels of ``program``, cached by its value: ``dynamics(a, x)``
+    (machines) or ``dynamics(x)`` (sharers), and a machine's ``readout(x)``,
+    over ``(k, n)`` blocks of one box per row, each returning ``(block, ok)``.
+    ``ok`` is false when some row met what the scalar code raises for (see
+    :class:`Emitter`); the caller then redoes the boxes with that code."""
     dynamics = _generate(program, True, ["a", "x"] if machine else ["x"])
     return dynamics, _generate(program, True, ["x"], readout=True) if machine else None
 
 
-# A fused 9x9 heat grid holds about 130 KB of code and program, so the
-# caches are kept small.
 @functools.lru_cache(maxsize=64)
 def raw(program: Program) -> Callable:
     """``program``'s dynamics over Python floats: ``(a, x)``, sequences of

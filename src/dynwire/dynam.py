@@ -28,23 +28,25 @@ A composite is evaluated one of two ways:
   bitwise those of the boxes' closures called in turn.  The generated code
   is cached by the value of the diagram and the boxes.
 - **Box by box** otherwise: a closure over the diagram that evaluates the
-  boxes sharing a batch kernel (as equal instantiated specs do) in one call
-  per group, and the rest through their own callables.  Its plan is built
-  from the diagram's index columns with a few numpy calls per group; per-box
-  records exist only for the boxes called alone, and for every box once a
-  group has flagged an error and the phase is redone box by box.
+  boxes sharing a program (as equal instantiated specs do) in one call per
+  group of the batch kernel generated from it, and the rest through their
+  own callables.  Its plan is built from the diagram's index columns with a
+  few numpy calls per group; per-box records exist only for the boxes called
+  alone, and for every box once a group has flagged an error and the phase
+  is redone box by box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from ._codegen import Euler, Gluing, Program, Transport, arrays, compiled, raw
+from ._codegen import Euler, Gluing, Program, Transport, arrays, compiled, kernels, raw
 from ._codegen import as_vector as _as_vector
 from .errors import ArityError, KindError, SizeMismatchError
 from .finset import FinFunction, compose, fiber_sum, pullback_vec, pushforward_vec, pushout
@@ -52,7 +54,6 @@ from .wiring import CPGraph, DWDiagram, UWDiagram
 
 __all__ = [
     "Kind",
-    "BatchKernel",
     "Machine",
     "ResourceSharer",
     "eval_dynamics",
@@ -74,32 +75,16 @@ Readout = Callable[[np.ndarray], np.ndarray]
 SharerDynamics = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class BatchKernel:
-    """One model's equations over a block of boxes, one box per row.
-
-    ``dynamics(inputs, states)`` (machines) or ``dynamics(states)`` (sharers)
-    and ``readout(states)`` take ``(k, n)`` blocks and return ``(block, ok)``.
-    ``ok`` is false when some row met a case that the scalar closures report
-    as an error (a zero denominator, a non-finite function or power value, a
-    non-finite result); the caller then re-evaluates with those closures.
-    """
-
-    dynamics: Callable[..., tuple[np.ndarray, bool]]
-    readout: Callable[[np.ndarray], tuple[np.ndarray, bool]] | None = None
-
-
 @dataclass(frozen=True)
 class Machine:
     """A directed open system with ``n_states`` state variables.
 
     ``dynamics(inputs, state)`` returns a state-sized vector, read as the
     derivative (continuous) or the next state (discrete); ``readout(state)``
-    returns the output vector and may depend on state only.  ``kernel``, if
-    given, computes the same over a block of boxes; ``oapply_*`` uses it for
-    boxes that share it and the scalar callables otherwise.  ``program``, if
-    given, is the same equations in a form that ``oapply_*`` inlines into
-    the generated code of a small composite (see :func:`oapply_directed`).
+    returns the output vector and may depend on state only.  ``program``, if
+    given, is the same equations in the one form a composite reads: it is
+    inlined into a small composite's code, and a larger one evaluates the
+    boxes that share it through one batch kernel generated from it.
     """
 
     n_inputs: int
@@ -108,7 +93,6 @@ class Machine:
     dynamics: Dynamics
     readout: Readout
     kind: Kind
-    kernel: BatchKernel | None = None
     program: Program | None = None
 
 
@@ -116,7 +100,7 @@ class Machine:
 class ResourceSharer:
     """An undirected open system: ports expose state variables via ``portmap``.
 
-    ``kernel`` and ``program`` are as for :class:`Machine`.
+    ``program`` is as for :class:`Machine`.
     """
 
     n_ports: int
@@ -124,7 +108,6 @@ class ResourceSharer:
     portmap: FinFunction
     dynamics: SharerDynamics
     kind: Kind
-    kernel: BatchKernel | None = None
     program: Program | None = None
 
     def __post_init__(self) -> None:
@@ -175,10 +158,12 @@ def _programs(
 ) -> list[Program] | None:
     """The boxes' programs, if every box carries one and the fused code,
     with ``glue`` statements of the composite's own, is small enough."""
-    programs = [s.program for s in systems]
-    if any(p is None for p in programs):
-        return None
-    statements = glue + sum(p.statements for p in programs)
+    programs, statements = [], glue
+    for s in systems:
+        if s.program is None or statements > _FUSE_MAX_STATEMENTS:
+            return None
+        programs.append(s.program)
+        statements += s.program.statements
     return programs if statements <= _FUSE_MAX_STATEMENTS else None
 
 
@@ -225,20 +210,21 @@ class _Box(NamedTuple):
 
 
 class _BoxPlan:
-    """How a composite evaluates its boxes: one block call per shared kernel.
+    """How a composite evaluates its boxes: one block call per shared program.
 
-    Boxes that share a ``kernel`` object with another box form a group,
-    evaluated by one kernel call on a ``(k, n)`` block.  The plan is read off
-    the diagram's columns: one pass over the boxes' kernels forms the groups,
-    a group's state block is its boxes' state offsets plus ``arange(n)``, and
-    its port blocks come from the port order of the box columns (``ins`` and
-    ``outs``, directed composites only).  The other boxes (singletons and
-    systems without a kernel, such as hand-written callables) are called one
-    by one with size checks, through a :class:`_Box` record each.  Groups run
-    first and only flag trouble; if one does, the whole phase is redone box by
-    box in box order, so the scalar closures raise exactly the error, from
-    exactly the box, that an unbatched composite would.  The records of every
-    box that this walks are built the first time a group flags, then kept.
+    Boxes that share a ``program`` object with another box form a group,
+    evaluated by one call of that program's batch kernel on a ``(k, n)``
+    block.  The plan is read off the diagram's columns: one pass over the
+    identities of the boxes' programs forms the groups, a group's state block
+    is its boxes' state offsets plus ``arange(n)``, and its port blocks come
+    from the port order of the box columns (``ins`` and ``outs``, directed
+    composites only).  The other boxes (singletons and systems without a
+    program, such as hand-written callables) are called one by one with size
+    checks, through a :class:`_Box` record each.  Groups run first and only
+    flag trouble; if one does, the whole phase is redone box by box in box
+    order, so the scalar closures raise exactly the error, from exactly the
+    box, that an unbatched composite would.  The records of every box that
+    this walks are built the first time a group flags, then kept.
     """
 
     def __init__(
@@ -250,19 +236,23 @@ class _BoxPlan:
     ):
         # A copy: the fallback's records are built later, from these systems.
         self.systems, self.offs, self.ins, self.outs = tuple(systems), offs, ins, outs
-        kernels = list(map(attrgetter("kernel"), systems))
-        code = {k: c for c, k in enumerate(dict.fromkeys(kernels))}
-        column = np.fromiter(map(code.__getitem__, kernels), np.intp, len(kernels))
+        # By identity: ``id`` is a C call, hashing a program's value a Python one.
+        programs = list(map(attrgetter("program"), systems))
+        ids = list(map(id, programs))
+        heads = dict(zip(ids, programs))  # one program per code, in first-seen order
+        code = {k: c for c, k in enumerate(heads)}
+        column = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+        groups = _Fibers.of(column, len(code)).split(range(len(code)))
         self.groups, alone = [], []
-        for kernel, rows in zip(code, _Fibers.of(column, len(code)).split(range(len(code)))):
-            if kernel is None or len(rows) < 2:
+        for program, rows in zip(heads.values(), groups):
+            if program is None or len(rows) < 2:
                 alone += rows.tolist()
                 continue
             s = systems[rows[0]]
             states = offs[rows][:, None] + np.arange(s.n_states)
             block_ins = ins.block(rows, s.n_inputs) if ins is not None else None
             block_outs = outs.block(rows, s.n_outputs) if outs is not None else None
-            self.groups.append((kernel, states, block_ins, block_outs))
+            self.groups.append((*kernels(program, ins is not None), states, block_ins, block_outs))
         self.singles = self._records(sorted(alone))
 
     def _records(self, boxes: list[int]) -> list[_Box]:
@@ -286,8 +276,8 @@ class _BoxPlan:
     def readouts(self, x: np.ndarray, o: np.ndarray) -> None:
         """Write every box's readout of ``x`` at its out-ports in ``o``."""
         boxes = self.singles
-        for kernel, states, _, outs in self.groups:
-            block, ok = kernel.readout(x[states])
+        for _, readout, states, _, outs in self.groups:
+            block, ok = readout(x[states])
             if not ok:
                 boxes = self.boxes
                 break
@@ -299,11 +289,11 @@ class _BoxPlan:
         """Write every box's dynamics into ``out``; ``feed`` holds the in-port
         values of machines and is ``None`` for sharers."""
         boxes = self.singles
-        for kernel, states, ins, _ in self.groups:
+        for dynamics, _, states, ins, _ in self.groups:
             if feed is None:
-                block, ok = kernel.dynamics(x[states])
+                block, ok = dynamics(x[states])
             else:
-                block, ok = kernel.dynamics(feed[ins], x[states])
+                block, ok = dynamics(feed[ins], x[states])
             if not ok:
                 boxes = self.boxes
                 break
@@ -339,9 +329,9 @@ def _oapply_transport(
         )
         dynamics, readout = compiled(program, True)
         n_states = program.n_states
-        return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind, None, program)
+        return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind, program)
     n_pin, n_pout = len(ins.order), len(outs.order)
-    offs = np.cumsum([0] + [m.n_states for m in machines])
+    offs = np.fromiter(accumulate(map(attrgetter("n_states"), machines), initial=0), np.intp)
     n_states = int(offs[-1])
     plan = _BoxPlan(machines, offs, ins, outs)
     feed_from, feed_to = inward
@@ -383,7 +373,7 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     in one pass.  An in-port fed by several wires receives their sum, box
     wires first; one fed by none receives 0.0.  A small composite of boxes
     with programs is fused into one cached generated function (see the
-    module docstring); otherwise boxes sharing a ``kernel`` run as one
+    module docstring); otherwise boxes sharing a ``program`` run as one
     group and the others through their scalar callables.
     """
     if len(machines) != d.n_boxes:
@@ -425,25 +415,26 @@ def oapply_undirected_with_layout(
     portmap against the port-junction assignment.  A junction attached to no
     port contributes an inert extra state.  A small composite of sharers
     with programs is fused as in :func:`oapply_directed`; otherwise sharers
-    with a common ``kernel`` run as one group and the others through their
+    with a common ``program`` run as one group and the others through their
     scalar callables.
     """
     if len(sharers) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(sharers)} sharers were given")
-    for i, (s, want) in enumerate(zip(sharers, d.port_counts)):
-        if s.n_ports != want:
-            raise ArityError(f"box {i} expects {want} ports, sharer has {s.n_ports}")
+    ports = _Fibers.of(d.column("box"), d.n_boxes)
+    have, sizes = [s.n_ports for s in sharers], ports.sizes().tolist()
+    if have != sizes:
+        i = next(i for i, (h, w) in enumerate(zip(have, sizes)) if h != w)
+        raise ArityError(f"box {i} expects {sizes[i]} ports, sharer has {have[i]}")
     kind = _common_kind([s.kind for s in sharers], "sharers")
 
-    offs = np.cumsum([0] + [s.n_states for s in sharers])
+    offs = np.fromiter(accumulate(map(attrgetter("n_states"), sharers), initial=0), np.intp)
     n_states_total = int(offs[-1])
-    # Total portmap over the diagram's global port order.
-    total_map = [0] * len(d.data.parts["box"])
-    for i, ports in enumerate(d.box_ports):
-        s = sharers[i]
-        for slot, port in enumerate(ports):
-            total_map[port] = int(offs[i]) + s.portmap.map[slot]
-    p_total = FinFunction(len(total_map), n_states_total, tuple(total_map))
+    # Total portmap over the diagram's global port order: the ports of each
+    # box, in slot order, map to its portmap shifted by its state offset.
+    total_map = np.empty(len(ports.order), dtype=np.intp)
+    slots = np.fromiter(chain.from_iterable(s.portmap.map for s in sharers), np.intp)
+    total_map[ports.order] = slots + np.repeat(offs[:-1], sizes)
+    p_total = FinFunction(len(total_map), n_states_total, total_map)
     q_junc = d.data.part_fn("junc_in")
 
     po = pushout(p_total, q_junc)
@@ -456,7 +447,7 @@ def oapply_undirected_with_layout(
     if programs is not None:
         program = Gluing(programs, state_inj.map, n_states, discrete)
         dynamics = compiled(program, False)[0]
-        return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, None, program), layout
+        return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, program), layout
     plan = _BoxPlan(sharers, offs)
 
     def dynamics(x: np.ndarray) -> np.ndarray:
@@ -528,10 +519,10 @@ def _euler(
 def euler_directed(m: Machine, h: float) -> Machine:
     """Explicit Euler step of a continuous machine: ``x + h * u(a, x)``."""
     step, program = _euler(m, h, "euler_directed requires a continuous machine")
-    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, m.readout, "discrete", None, program)
+    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, m.readout, "discrete", program)
 
 
 def euler_undirected(s: ResourceSharer, h: float) -> ResourceSharer:
     """Explicit Euler step of a continuous sharer: ``x + h * v(x)``."""
     step, program = _euler(s, h, "euler_undirected requires a continuous sharer")
-    return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete", None, program)
+    return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete", program)

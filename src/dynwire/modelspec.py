@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ._codegen import (
-    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, compiled, define, kernels,
+    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, compiled, define,
 )
 from .errors import ExprEvalError, ExprSyntaxError, ModelSpecError
-from .dynam import BatchKernel, Machine, ResourceSharer
+from .dynam import Machine, ResourceSharer
 from .finset import FinFunction
 
 __all__ = [
@@ -338,17 +338,12 @@ def _build(spec: ModelSpec) -> Machine | ResourceSharer:
     )
     machine = spec.kind == "machine"
     dynamics, readout = compiled(program, machine)
-    kernel = BatchKernel(*kernels(program, machine))
     if machine:
-        return Machine(
-            len(spec.inputs), len(states), len(spec.readout), dynamics, readout, spec.flavor,
-            kernel, program,
-        )
+        n_in, n_out = len(spec.inputs), len(spec.readout)
+        return Machine(n_in, len(states), n_out, dynamics, readout, spec.flavor, program)
     index = {s: k for k, s in enumerate(states)}
     portmap = FinFunction(len(spec.ports), len(states), tuple(index[p] for p in spec.ports))
-    return ResourceSharer(
-        len(spec.ports), len(states), portmap, dynamics, spec.flavor, kernel, program
-    )
+    return ResourceSharer(len(spec.ports), len(states), portmap, dynamics, spec.flavor, program)
 
 
 class _SpecValue:
@@ -389,18 +384,18 @@ def _build_cached(value: _SpecValue) -> Machine | ResourceSharer:
 def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
     """Build an evaluatable machine or sharer from a spec.
 
-    The result carries scalar closures (one box's vectors, size-checked,
-    around one generated function over Python floats), a batch kernel over
-    ``(k, n)`` blocks, both generated from the expressions, and its
-    program, the equations in a form a composite inlines.  Results are
+    The result carries its program, the equations in the form a composite
+    reads, and the scalar closures generated from it (one box's vectors,
+    size-checked, around one function over Python floats).  Results are
     cached by spec value: equal specs give the same system and so the same
-    kernel.  ``oapply_*`` fuses a small composite (at most
+    program.  ``oapply_*`` fuses a small composite (at most
     ``dynam._FUSE_MAX_STATEMENTS`` generated statements) whose boxes all
     carry programs into one generated function, itself cached by the value of
     the diagram and the boxes.  A larger composite evaluates every group of
-    boxes that share a kernel in one call, and a box whose spec no other box
-    shares, like a hand-written system, through its scalar closures.  (CLI
-    ``simulate`` reads a ``--models`` path given for many boxes once.)
+    boxes that share a program in one call of the batch kernel generated from
+    it, and a box whose spec no other box shares, like a hand-written system,
+    through its scalar closures.  (CLI ``simulate`` reads a ``--models`` path
+    given for many boxes once.)
     """
     return _build_cached(_SpecValue(spec))
 

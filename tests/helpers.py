@@ -9,6 +9,7 @@ import random
 import numpy as np
 
 from dynwire import (
+    ArityError,
     CPGraph,
     CSetInstance,
     DWDiagram,
@@ -394,6 +395,29 @@ def _reference_ports_by_box(box_col, n_boxes: int) -> list[list[int]]:
     for port, b in enumerate(box_col):
         out[b].append(port)
     return out
+
+
+def reference_undirected_layout(d: UWDiagram, sharers: list[ResourceSharer]) -> UndirectedLayout:
+    """The layout of ``oapply_undirected_with_layout``, box by box: the ports
+    of box ``i``, in slot order, map to its portmap shifted by its state
+    offset, and that total portmap is glued to ``junc_in`` by union-find.
+    Raises the arity error of the first box whose port count differs."""
+    box = d.data.parts["box"]
+    total, n_states = [0] * len(box), 0
+    for i, (s, ports) in enumerate(zip(sharers, _reference_ports_by_box(box, d.n_boxes))):
+        if s.n_ports != len(ports):
+            raise ArityError(f"box {i} expects {len(ports)} ports, sharer has {s.n_ports}")
+        for slot, port in enumerate(ports):
+            total[port] = n_states + s.portmap.map[slot]
+        n_states += s.n_states
+    junc_in = d.data.parts["junc_in"]
+    q = reference_merge_classes(
+        n_states + d.n_junctions, [(t, n_states + j) for t, j in zip(total, junc_in)]
+    )
+    return UndirectedLayout(
+        FinFunction(n_states, q.cod_size, q.map[:n_states]),
+        FinFunction(d.n_junctions, q.cod_size, q.map[n_states:]),
+    )
 
 
 def _reference_slots(box_col, n_boxes: int) -> dict[int, tuple[int, int]]:

@@ -1,11 +1,13 @@
-"""The public names of the package and of ``dynam`` and ``sim`` are pinned.
+"""The public names of the package and of ``dynam`` and ``sim``, and the
+fields of the two system types, are pinned.
 
-Adding or dropping a public name is an API change; update these sets only
-together with a note saying why it changed.
+Adding or dropping a public name or a field is an API change; update these
+sets only together with a note saying why it changed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import types
 
 import dynwire
@@ -34,8 +36,10 @@ PACKAGE_NAMES = {
 
 # ``eval_sharer`` was already public through the package; ``dynam.__all__``
 # now lists it too, so ``from dynwire.dynam import *`` sees it.
+# ``BatchKernel`` was dropped: a box's batch kernels are generated from its
+# ``program`` (``_codegen.kernels``), so a box carries its equations once.
 DYNAM_ALL = {
-    "Kind", "BatchKernel", "Machine", "ResourceSharer", "eval_dynamics", "eval_readout",
+    "Kind", "Machine", "ResourceSharer", "eval_dynamics", "eval_readout",
     "eval_sharer", "oapply_directed", "oapply_undirected", "oapply_undirected_with_layout",
     "UndirectedLayout", "oapply_cpg", "euler_directed", "euler_undirected",
 }
@@ -44,6 +48,12 @@ DYNAM_ALL = {
 # since its only raiser, an unreachable branch of ``ocompose_dwd``, went.
 
 SIM_ALL = {"ComposedSystem", "build_system", "run_trajectory", "rk4_step"}
+
+# The ``kernel`` field was dropped for the reason ``BatchKernel`` was, so
+# ``program`` moved up one place: the 7th positional field of a machine and
+# the 6th of a sharer.
+MACHINE_FIELDS = ("n_inputs", "n_states", "n_outputs", "dynamics", "readout", "kind", "program")
+SHARER_FIELDS = ("n_ports", "n_states", "portmap", "dynamics", "kind", "program")
 
 
 def test_package_namespace_is_pinned():
@@ -59,3 +69,8 @@ def test_module_all_lists_are_pinned_and_importable():
         assert len(module.__all__) == len(set(module.__all__))
         assert set(module.__all__) == pinned
         assert all(hasattr(module, name) for name in module.__all__)
+
+
+def test_system_fields_are_pinned():
+    for cls, pinned in ((dynwire.Machine, MACHINE_FIELDS), (dynwire.ResourceSharer, SHARER_FIELDS)):
+        assert tuple(f.name for f in dataclasses.fields(cls)) == pinned

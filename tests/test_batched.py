@@ -1,10 +1,11 @@
-"""Batched model kernels against the scalar closures they stand in for.
+"""Batch kernels against the scalar closures they stand in for.
 
-``instantiate`` gives every model a kernel over ``(k, n)`` blocks, and the
-``oapply_*`` compositions above the fusing cutoff evaluate all boxes that
-share one in a single call; smaller composites are fused into one function
-(``tests/test_fused.py``).  Composites here run both ways: fused, and above
-the cutoff or with the programs stripped (``blocks_only``) through groups.
+A model's batch kernels over ``(k, n)`` blocks are generated from its
+program (``_codegen.kernels``), and the ``oapply_*`` compositions above the
+fusing cutoff evaluate all boxes that share a program in a single call;
+smaller composites are fused into one function (``tests/test_fused.py``).
+Composites here run both ways: fused, and above the cutoff or with fusing
+turned off (the ``blocks_only`` fixture) through groups.
 The scalar closures stay the reference: for values (bitwise for
 ``+ - * /``, within a stated ulp bound for ``sin``/``cos``/``exp``/``^``)
 and for errors, which must be the same exception with the same message from
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynwire.modelspec as modelspec
 import dynwire.sim as sim
+from dynwire._codegen import kernels
 from dynwire.dynam import _FUSE_MAX_STATEMENTS
 from dynwire import (
     BinOp,
@@ -49,14 +51,15 @@ from dynwire.sim import build_system
 
 
 def scalar_only(systems):
-    """The same systems without kernels or programs, so every box takes the
-    scalar path: the per-box reference."""
-    return [dataclasses.replace(s, kernel=None, program=None) for s in systems]
-
-
-def blocks_only(systems):
-    """The same systems without programs: boxes sharing a kernel run as numpy groups."""
+    """The same systems without programs, so every box takes the scalar
+    path: the per-box reference."""
     return [dataclasses.replace(s, program=None) for s in systems]
+
+
+def both_paths(blocks_only, oapply, *args):
+    """``oapply(*args)`` as built, then with fusing turned off, each with
+    whether it should be fused: as built, these small composites are."""
+    return ((oapply(*args), True), (blocks_only(oapply, *args), False))
 
 
 def fused(system) -> bool:
@@ -75,12 +78,14 @@ def machine_spec(dynamics: str, **params: float) -> ModelSpec:
     })
 
 
-def open_boxes(n: int) -> DWDiagram:
-    """``n`` one-in one-out boxes, each fed by its own outer input."""
+def open_boxes(n: int, outs: int = 1) -> DWDiagram:
+    """``n`` one-in boxes with ``outs`` out-ports each: each box is fed by its
+    own outer input, and its first out-port is an outer output; any others
+    are unwired."""
     ports = list(range(n))
     return DWDiagram.from_tables(
-        n, ports, ports, n_outer_in=n, n_outer_out=n,
-        in_wires=list(zip(ports, ports)), out_wires=list(zip(ports, ports)),
+        n, ports, [b for b in ports for _ in range(outs)], n_outer_in=n, n_outer_out=n,
+        in_wires=list(zip(ports, ports)), out_wires=[(outs * b, b) for b in ports],
     )
 
 
@@ -99,8 +104,12 @@ def test_equal_specs_share_one_system_and_kernel():
     a = instantiate(builtin_model("heat_node", {"alpha": 0.1}))
     b = instantiate(builtin_model("heat_node", {"alpha": 0.1}))
     c = instantiate(builtin_model("heat_node", {"alpha": 0.2}))
-    assert a is b and a.kernel is b.kernel
-    assert c.kernel is not a.kernel
+    assert a is b and a.program is b.program
+    assert c.program != a.program
+    # One compiled kernel pair per program value, whichever object holds it.
+    fresh = modelspec._build(builtin_model("heat_node", {"alpha": 0.1})).program
+    assert fresh is not a.program and kernels(fresh, True) is kernels(a.program, True)
+    assert kernels(c.program, True) is not kernels(a.program, True)
 
 
 def test_1024_heat_nodes_compile_one_kernel_and_instantiate_once(monkeypatch):
@@ -109,13 +118,15 @@ def test_1024_heat_nodes_compile_one_kernel_and_instantiate_once(monkeypatch):
     monkeypatch.setattr(modelspec, "_build", lambda s: builds.append(s) or build(s))
     monkeypatch.setattr(sim, "instantiate", lambda s: calls.append(s) or inst(s))
     modelspec._build_cached.cache_clear()
+    kernels.cache_clear()
     spec = builtin_model("heat_node", {"alpha": 0.1})
     composed = build_system(grid(32, 32), [spec] * 1024)
     assert (len(builds), len(calls)) == (1, 1)
+    assert kernels.cache_info().misses == 1  # one group, one kernel pair
     # Equal but distinct spec objects still compile once.
     modelspec._build_cached.cache_clear()
     build_system(grid(32, 32), [builtin_model("heat_node", {"alpha": 0.1}) for _ in range(1024)])
-    assert len(builds) == 2
+    assert len(builds) == 2 and kernels.cache_info().misses == 1
     system = composed.system
     x = np.random.default_rng(1).uniform(0.0, 1.0, 1024)
     assert system.dynamics(np.zeros(system.n_inputs), x).shape == (1024,)
@@ -146,7 +157,7 @@ def test_heat_grid_bitwise_equal_to_scalar_path(route):
             assert bits(fast.readout(x)) == bits(slow.readout(x))
 
 
-def test_sir_cities_bitwise_equal_to_scalar_path(repo_root):
+def test_sir_cities_bitwise_equal_to_scalar_path(repo_root, blocks_only):
     from dynwire.fileio import load_diagram
 
     d = load_diagram(repo_root / "configs" / "sir" / "cyclic.json")
@@ -154,24 +165,27 @@ def test_sir_cities_bitwise_equal_to_scalar_path(repo_root):
     slow = oapply_directed(d, scalar_only(ms))
     x = np.random.default_rng(3).uniform(1.0, 900.0, slow.n_states)
     a = np.zeros(slow.n_inputs)
-    for boxes, path in ((ms, True), (blocks_only(ms), False)):  # fused, then one group
-        fast = oapply_directed(d, boxes)
+    kernels.cache_clear()
+    oapply_directed(d, ms)
+    assert kernels.cache_info().misses == 0  # fused: no batch kernel
+    composites = both_paths(blocks_only, oapply_directed, d, ms)
+    assert kernels.cache_info().misses == 1  # the group's
+    for fast, path in composites:  # fused, then one group
         assert fused(fast) == path
         assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
         assert bits(fast.readout(x)) == bits(slow.readout(x))
 
 
-def test_sharer_group_bitwise_equal_to_scalar_path():
+def test_sharer_group_bitwise_equal_to_scalar_path(blocks_only):
     d = UWDiagram.from_tables(4, 2, box=[0, 1, 2, 3], junc_in=[0, 0, 1, 1], junc_out=[1])
     growth = builtin_model("lv_growth", {"r": 0.3})
     specs = [growth, growth, growth, builtin_model("lv_decline", {"r": 0.2})]
     x = np.array([1.5, -0.75])
     for flavor in ("continuous", "discrete"):  # a discrete composite adds increments
         ss = [instantiate(dataclasses.replace(s, flavor=flavor)) for s in specs]
-        assert ss[0].kernel is ss[2].kernel
+        assert ss[0].program is ss[2].program
         slow = oapply_undirected(d, scalar_only(ss))
-        for boxes, path in ((ss, True), (blocks_only(ss), False)):  # fused, then a group
-            fast = oapply_undirected(d, boxes)
+        for fast, path in both_paths(blocks_only, oapply_undirected, d, ss):  # fused, then a group
             assert fused(fast) == path
             assert bits(fast.dynamics(x)) == bits(slow.dynamics(x))
 
@@ -181,10 +195,10 @@ def test_sharer_group_bitwise_equal_to_scalar_path():
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["group", "singletons"])
-def test_zero_wire_cpg_and_dwd_pass_fractional_inputs(shared):
+def test_zero_wire_cpg_and_dwd_pass_fractional_inputs(shared, blocks_only):
     specs = [machine_spec("u"), machine_spec("u" if shared else "u+0")]
     ms = [instantiate(s) for s in specs]
-    assert (ms[0].kernel is ms[1].kernel) == shared
+    assert (ms[0].program is ms[1].program) == shared
     a = np.array([0.25, -1.5])
     x = np.array([3.0, 4.0])
     g = CPGraph.from_tables(2, box=[0, 1], expose=[0, 1])
@@ -192,10 +206,10 @@ def test_zero_wire_cpg_and_dwd_pass_fractional_inputs(shared):
         2, [0, 1], [0, 1], n_outer_in=2, n_outer_out=2,
         in_wires=[(0, 0), (1, 1)], out_wires=[(0, 0), (1, 1)],
     )
-    for boxes, path in ((ms, True), (blocks_only(ms), False)):  # fused, then groups or singles
-        for composite in (
-            oapply_cpg(g, boxes), oapply_directed(d, boxes), oapply_directed(cpg_to_dwd(g), boxes)
-        ):
+    routes = ((oapply_cpg, g), (oapply_directed, d), (oapply_directed, cpg_to_dwd(g)))
+    for oapply, diagram in routes:
+        # fused, then groups or singles
+        for composite, path in both_paths(blocks_only, oapply, diagram, ms):
             assert fused(composite) == path
             assert composite.dynamics(a, x).tolist() == [0.25, -1.5]
             assert composite.readout(x).tolist() == [3.0, 4.0]
@@ -231,7 +245,7 @@ def test_sir_empty_city_is_division_by_zero(repo_root):
     x = np.array([990.0, 10.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     message = assert_same_error(fast.dynamics, slow.dynamics, np.zeros(0), x)
     assert message == "division by zero"
-    block, ok = ms[0].kernel.dynamics(np.zeros((3, 2)), x.reshape(3, 3))
+    block, ok = kernels(ms[0].program, True)[0](np.zeros((3, 2)), x.reshape(3, 3))
     assert not ok
 
 
@@ -255,7 +269,7 @@ def test_flagged_group_raises_the_scalar_error(dynamics, row, message):
         x = np.full(n, 0.25)
         x[1] = row
         assert assert_same_error(fast.dynamics, slow.dynamics, np.ones(n), x) == message
-        _, ok = ms[0].kernel.dynamics(np.ones((n, 1)), x.reshape(n, 1))
+        _, ok = kernels(ms[0].program, True)[0](np.ones((n, 1)), x.reshape(n, 1))
         assert not ok
 
 
@@ -360,9 +374,11 @@ def compare(spec, k, data, exact):
         return np.array(data.draw(st.lists(VALUES, min_size=k * n, max_size=k * n))).reshape(k, n)
 
     x, a = block(m.n_states), block(len(spec.inputs))
-    cases = [(m.kernel.dynamics, m.dynamics, (a, x) if spec.kind == "machine" else (x,))]
-    if spec.kind == "machine":
-        cases.append((m.kernel.readout, m.readout, (x,)))
+    machine = spec.kind == "machine"
+    dynamics, readout = kernels(m.program, machine)
+    cases = [(dynamics, m.dynamics, (a, x) if machine else (x,))]
+    if machine:
+        cases.append((readout, m.readout, (x,)))
     for kernel, scalar, blocks in cases:
         got, ok = kernel(*blocks)
         rows = scalar_rows(scalar, *blocks)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwire import (
     CPG_SCHEMA,
+    ArityError,
     DWD_SCHEMA,
     UWD_SCHEMA,
     CSetInstance,
@@ -17,6 +19,7 @@ from dynwire import (
     SizeMismatchError,
     canonical,
     merge_classes,
+    oapply_undirected_with_layout,
     ocompose_dwd,
     pushout,
     spec_to_json,
@@ -30,6 +33,7 @@ from helpers import (
     nested_dwd_case,
     random_cpg,
     random_dwd,
+    random_sharer,
     random_uwd,
     reference_canonical,
     reference_dot_edges,
@@ -37,6 +41,7 @@ from helpers import (
     reference_map_error,
     reference_merge_classes,
     reference_ocompose_dwd,
+    reference_undirected_layout,
     reference_validate,
 )
 
@@ -211,3 +216,30 @@ def test_ocompose_dwd_matches_chain_chasing():
         outer, inners = nested_dwd_case(rng)
         assert ocompose_dwd(outer, inners) == reference_ocompose_dwd(outer, inners)
 
+
+
+# ---------------------------------------------------------------------------
+# The total portmap of an undirected composite
+
+
+def test_undirected_layout_matches_box_by_box():
+    # ``random_uwd`` shuffles the box column, so a box's ports are scattered
+    # over the port order; the composite reads them off the column.
+    rng, nprng = random.Random(12), np.random.default_rng(12)
+    for _ in range(200):
+        d = random_uwd(rng, max_boxes=5, max_ports=4)
+        counts = [d.data.parts["box"].count(i) for i in range(d.n_boxes)]
+        sharers = [random_sharer(nprng, n) for n in counts]
+        composite, layout = oapply_undirected_with_layout(d, sharers)
+        assert layout == reference_undirected_layout(d, sharers)
+        assert composite.portmap.map == tuple(
+            layout.junction_injection.map[j] for j in d.data.parts["junc_out"]
+        )
+        # One box with a port too many or too few: the first misfit is named.
+        i = rng.randrange(d.n_boxes)
+        sharers[i] = random_sharer(nprng, counts[i] + rng.choice((-1, 1)) if counts[i] else 1)
+        with pytest.raises(ArityError) as want:
+            reference_undirected_layout(d, sharers)
+        with pytest.raises(ArityError) as got:
+            oapply_undirected_with_layout(d, sharers)
+        assert str(got.value) == str(want.value)

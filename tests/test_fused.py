@@ -3,7 +3,7 @@
 A composite whose boxes all carry a program, with at most
 ``_FUSE_MAX_STATEMENTS`` generated statements, runs as one generated
 function over Python floats.  The reference is the same composite over the
-same models stripped of kernels and programs, which calls each box's scalar
+same models stripped of their programs, which calls each box's scalar
 closure in turn.  Values must be bitwise equal, and an ``ExprEvalError`` must be the
 same one: box states are named after their box, so a non-finite output
 names the box it came from.  Against the numpy-group path, values agree
@@ -56,7 +56,6 @@ from test_batched import (
     ULP_TOLERANCE,
     arithmetic,
     bits,
-    blocks_only,
     fused,
     scalar_only,
     transcendental,
@@ -212,7 +211,7 @@ def uniform_diagram(syntax: str, rng: random.Random, k: int, ports: int):
 @settings(max_examples=100, deadline=None)
 @given(syntax=st.sampled_from(sorted(OAPPLY)), seed=st.integers(0, 2**32 - 1),
        k=st.integers(2, 5), ports=st.integers(0, 2), flavor=FLAVORS, data=st.data())
-def test_fused_within_ulps_of_numpy_groups(syntax, seed, k, ports, flavor, data):
+def test_fused_within_ulps_of_numpy_groups(syntax, seed, k, ports, flavor, data, blocks_only):
     # One model for every box, so all boxes form one numpy group.  Directed:
     # readouts are arithmetic (bitwise on both paths) and each state's
     # dynamics has one sin/cos/exp/^ at its root.  Undirected: a glued state
@@ -227,7 +226,7 @@ def test_fused_within_ulps_of_numpy_groups(syntax, seed, k, ports, flavor, data)
         ulps = ULP_TOLERANCE
     ms = [instantiate(spec)] * k
     oapply = OAPPLY[syntax]
-    compare(oapply(d, ms), oapply(d, blocks_only(ms)), data, ulps=ulps)
+    compare(oapply(d, ms), blocks_only(oapply, d, ms), data, ulps=ulps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The box-by-box plan of composites too large to fuse, against the scalar path.
 
 ``_BoxPlan`` reads the diagram's columns: one kernel group per shared
-kernel, with state and port blocks cut from the columns, and a ``_Box``
+program, with state and port blocks cut from the columns, and a ``_Box``
 record only for a box that runs alone.  The records of every box, which the
 scalar fallback of a flagged group walks, are built on the first flag and
 kept.  The reference is the same composite over ``scalar_only`` models.
@@ -20,6 +20,7 @@ from dynwire import (
     Machine,
     builtin_model,
     cpg_to_dwd,
+    euler_directed,
     grid,
     instantiate,
     oapply_cpg,
@@ -27,12 +28,13 @@ from dynwire import (
     ocompose_uwd,
     spec_from_json,
 )
+from dynwire._codegen import kernels
 from dynwire.dynam import _FUSE_MAX_STATEMENTS, _Fibers
 from dynwire.fileio import load_diagram, load_model
 from dynwire.sim import build_system
 
 from helpers import random_cpg, random_dwd, shuffled_box_column
-from test_batched import assert_same_error, bits, fused, scalar_only
+from test_batched import assert_same_error, bits, fused, open_boxes, scalar_only
 
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
@@ -53,7 +55,7 @@ def cell(alpha: float) -> Machine:
 
 
 def hand_written() -> Machine:
-    """A 4-port heat cell written as numpy callables: no kernel, no program."""
+    """A 4-port heat cell written as numpy callables: no program."""
     return Machine(
         4, 1, 4,
         lambda a, x: np.array([0.25 * (a[0] + a[1] + a[2] + a[3] - 4.0 * x[0])]),
@@ -63,7 +65,7 @@ def hand_written() -> Machine:
 
 
 def mixed(side: int) -> list[Machine]:
-    """A kernel group, a singleton spec at box 5 and a hand-written box at 9."""
+    """A group, a singleton spec at box 5 and a hand-written box at 9."""
     ms = [cell(0.1)] * side**2
     ms[5], ms[9] = cell(0.2), hand_written()
     return ms
@@ -239,3 +241,47 @@ def test_shipped_workload_shapes_take_their_paths(repo_root, monkeypatch):
     assert flat.n_boxes == 5
     assert fused(build_system(flat, [load_model(eco / f"{n}.json") for n in names]).system)
     assert plans.made == []
+
+
+# ---------------------------------------------------------------------------
+# Any program heads a group: a fused composite, an Euler map
+
+
+def planted() -> Machine:
+    """``x' = u - x`` with readouts ``x`` and ``x*x*x``; the second overflows
+    from ``x = 1e110`` and is left unwired below."""
+    return instantiate(spec_from_json({
+        "kind": "machine", "flavor": "continuous", "states": ["x"], "inputs": ["u"],
+        "params": {}, "dynamics": {"x": "u - x"}, "readout": ["x", "x*x*x"],
+    }))
+
+
+@pytest.mark.parametrize("kind", ["composite", "euler"])
+def test_groups_of_composites_and_euler_maps_equal_the_scalar_path(kind, monkeypatch):
+    # A fused composite of two planted boxes in a row hides both overflowing
+    # readouts inside; an Euler map shows its one as its second out-port,
+    # which the outer diagram leaves unwired.
+    if kind == "composite":
+        row = DWDiagram.from_tables(2, [0, 1], [0, 0, 1, 1], 1, 1, [(0, 1)], [(0, 0)], [(2, 0)])
+        box, outs = oapply_directed(row, [planted()] * 2), 1
+    else:
+        box, outs = euler_directed(planted(), 0.5), 2
+    assert box.program is not None
+    k = _FUSE_MAX_STATEMENTS // box.program.statements + 1
+    d = open_boxes(k, outs)
+    plans = Plans(monkeypatch)
+    fast, slow = oapply_directed(d, [box] * k), oapply_directed(d, scalar_only([box] * k))
+    assert not fused(fast)
+    assert [len(p.groups) for p in plans.made] == [1, 0]  # one group, then the reference
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        x, a = rng.uniform(-2.0, 2.0, fast.n_states), rng.uniform(-2.0, 2.0, k)
+        assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
+        assert bits(fast.readout(x)) == bits(slow.readout(x))
+    x[7] = 1e110
+    message = "readout produced a non-finite value"
+    assert assert_same_error(fast.dynamics, slow.dynamics, a, x) == message
+    assert assert_same_error(fast.readout, slow.readout, x) == message
+    # The group's kernel flags the unwired readout itself, not only its outputs.
+    _, ok = kernels(box.program, True)[1](x.reshape(k, box.n_states))
+    assert not ok
