@@ -7,6 +7,7 @@ numeric failures), 2 usage error.  All indices in files are 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -138,6 +139,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: parsing leaves the parser unchanged, and the
+# ``--inner`` list default is copied before each append.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynwire",

@@ -2,16 +2,23 @@
 
 A schema is a finite graph of objects and typed arrows (no path equations);
 an instance assigns a cardinality to each object and a total index column to
-each arrow.  Instances can hold invalid data so they can be loaded from
-files and *then* validated; :func:`validate` reports violations instead of
-raising.
+each arrow.  Columns are read-only 1-D ``np.intp`` arrays, views of one
+buffer per instance, and each is checked once: its type when the instance
+is built (an integer array proves it by its dtype, a Python sequence by one
+scan), its bounds by :func:`validate`, one vectorised comparison for all
+columns.  Instances can hold out-of-range entries so they can be loaded
+from files and *then* validated; :func:`validate` reports violations
+instead of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from itertools import accumulate, chain
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import GluingError, NaturalityError, SchemaError
 from .finset import FinFunction, int_entries, pushout
@@ -116,45 +123,132 @@ CPG_SCHEMA = Schema(
 SCHEMAS_BY_NAME = {s.name: s for s in (UWD_SCHEMA, DWD_SCHEMA, CPG_SCHEMA)}
 
 
-@dataclass(frozen=True)
+# Entries are stored as np.intp; a Python int outside [-_INDEX_LIMIT,
+# _INDEX_LIMIT) cannot be, and no valid index reaches _INDEX_LIMIT.
+_INTP = np.dtype(np.intp)
+_INDEX_LIMIT = 2 ** (8 * _INTP.itemsize - 1)
+_ZERO = np.zeros(1, _INTP)
+_EMPTY = np.zeros(0, _INTP)  # every empty column, read only
+_EMPTY.setflags(write=False)
+
+
+class _EntryError(SchemaError):
+    """A column entry that is not an integer, located by column and row."""
+
+    def __init__(self, column: str, row: int, value: object):
+        super().__init__(f"column {column!r} row {row} is {value!r}, not an integer")
+        self.column, self.row, self.value = column, row, value
+
+
+@dataclass(frozen=True, eq=False)
 class CSetInstance:
     """A tabular instance of a schema.
 
     ``card`` gives the size of each object's part; ``parts`` gives each
-    morphism's index column.  The columns are stored raw so an invalid file
-    can be represented and reported on; use :func:`validate`.  Cards and
+    morphism's index column as a read-only 1-D ``np.intp`` array.  The
+    columns are views of one buffer that construction fills, in schema
+    order, from integer arrays or Python sequences of integers.  Cards and
     entries must be integers: a float or bool raises ``SchemaError`` naming
-    the object or the column and row, rather than being truncated.
+    the object or the column and row, rather than being truncated, and so
+    does an entry too large for an index.  Only types are checked here, so
+    an invalid file can be represented and reported on; use
+    :func:`validate` for the bounds.  Instances compare by schema, cards and
+    column values.
     """
 
     schema: Schema
     card: Mapping[str, int]
-    parts: Mapping[str, tuple[int, ...]]
+    parts: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
         objects = self.schema.objects
-        cards = int_entries(
-            [self.card[ob] for ob in objects],
-            lambda i, v: SchemaError(f"card of {objects[i]!r} must be an integer, got {v!r}"),
-        )
-        card = dict(zip(objects, cards))
-        if set(self.card) - set(self.schema.objects):
-            raise SchemaError("instance has cards for undeclared objects")
-        parts = {}
-        for m in self.schema.morphisms:
-            parts[m.name] = int_entries(
-                self.parts.get(m.name, ()),
-                lambda i, v: SchemaError(f"column {m.name!r} row {i} is {v!r}, not an integer"),
+        cards = [self.card[ob] for ob in objects]
+        if not set(map(type, cards)) <= {int}:
+            cards = int_entries(
+                cards,
+                lambda i, v: SchemaError(f"card of {objects[i]!r} must be an integer, got {v!r}"),
             )
-        if set(self.parts) - set(parts):
+        card = dict(zip(objects, cards))
+        if len(self.card) > len(card):
+            raise SchemaError("instance has cards for undeclared objects")
+        names = self.schema.morphism_by_name
+        columns = [self.parts.get(name, ()) for name in names]
+        arrays = [type(c) is np.ndarray and c.dtype == _INTP and c.ndim == 1 for c in columns]
+        if not all(arrays):
+            columns = _int_lists(names, columns, arrays)
+        if not self.parts.keys() <= names.keys():
             raise SchemaError("instance has columns for undeclared morphisms")
+        ends = list(accumulate(map(len, columns)))
+        try:
+            entries = _buffer(columns, arrays, ends[-1])
+        except OverflowError:
+            raise _overflow(self.schema, card, columns) from None
+        entries.setflags(write=False)
+        parts = {
+            name: entries[end - len(c):end] if len(c) else _EMPTY
+            for name, c, end in zip(names, columns, ends)
+        }
         object.__setattr__(self, "card", card)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CSetInstance):
+            return NotImplemented
+        return (
+            self.schema == other.schema
+            and self.card == other.card
+            and list(map(len, self.parts.values())) == list(map(len, other.parts.values()))
+            and np.array_equal(self._entries, other._entries)
+        )
 
     def part_fn(self, name: str) -> FinFunction:
         """The column of a morphism as a total map; raises if out of range."""
         m = self.schema.morphism(name)
         return FinFunction(self.card[m.dom], self.card[m.cod], self.parts[name])
+
+
+def _int_lists(names: Iterable[str], columns: list, arrays: list[bool]) -> list:
+    """``columns`` with every one but the ``np.intp`` arrays (``arrays``) as
+    a list of Python ints, checked by one type scan of them all.  Only when
+    it finds an entry that is not a Python int are they walked column by
+    column, so that a float or bool is refused where it sits and other
+    integer types (numpy ints) become Python ints."""
+    columns = [
+        c if ok or isinstance(c, (list, tuple))
+        else c.tolist() if isinstance(c, np.ndarray)
+        else list(c)
+        for c, ok in zip(columns, arrays)
+    ]
+    if set(map(type, chain(*[c for c, ok in zip(columns, arrays) if not ok]))) <= {int}:
+        return columns
+    return [
+        c if ok else int_entries(c, lambda i, v, name=name: _EntryError(name, i, v))
+        for name, c, ok in zip(names, columns, arrays)
+    ]
+
+
+def _buffer(columns: list, arrays: list[bool], size: int) -> np.ndarray:
+    """The columns end to end in one new ``np.intp`` array of ``size``
+    entries and a trailing 0 (see :func:`validate`): Python ints through one
+    iterator, ``np.intp`` arrays copied whole."""
+    if not any(arrays):
+        return np.fromiter(chain(*columns, (0,)), _INTP, size + 1)
+    columns = [c if ok else np.fromiter(c, _INTP, len(c)) for c, ok in zip(columns, arrays)]
+    return np.concatenate(columns + [_ZERO])
+
+
+def _overflow(schema: Schema, card: Mapping[str, int], columns: list) -> SchemaError:
+    """The error for the first entry too large for an index, worded as the
+    violation :func:`validate` reports for an entry out of range."""
+    m, row, v = next(
+        (m, row, v)
+        for m, col in zip(schema.morphisms, columns)
+        if not isinstance(col, np.ndarray)
+        for row, v in enumerate(col)
+        if not -_INDEX_LIMIT <= v < _INDEX_LIMIT
+    )
+    return SchemaError(str(_outside(m, row, v, card)))
 
 
 @dataclass(frozen=True)
@@ -170,26 +264,37 @@ class Violation:
         return f"{where}: {self.message}"
 
 
+def _outside(m: SchemaMorphism, row: int, v: int, card: Mapping[str, int]) -> Violation:
+    return Violation(m.name, row, f"entry {v} outside [0, {card[m.cod]})")
+
+
 def validate(x: CSetInstance) -> list[Violation]:
-    """Check totality of every column; returns violations instead of raising."""
-    out: list[Violation] = []
-    for ob in x.schema.objects:
-        if x.card[ob] < 0:
-            out.append(Violation(ob, None, f"negative cardinality {x.card[ob]}"))
-    for m in x.schema.morphisms:
-        col = x.parts[m.name]
-        if len(col) != x.card[m.dom]:
-            out.append(
-                Violation(m.name, None, f"column has {len(col)} rows, card({m.dom}) is {x.card[m.dom]}")
-            )
-            continue
-        bound = x.card[m.cod]
-        if col and not (min(col) >= 0 and max(col) < bound):
-            out.extend(
-                Violation(m.name, row, f"entry {v} outside [0, {bound})")
-                for row, v in enumerate(col)
-                if not 0 <= v < bound
-            )
+    """Check totality of every column; returns violations instead of raising.
+
+    One ``maximum.reduceat`` over all entries, read as unsigned integers,
+    gives each column's largest entry; a negative entry reads as at least
+    ``_INDEX_LIMIT``, above every valid index.  The buffer's trailing 0 makes
+    every column's start an index into it, and adds 0 to the last column's
+    maximum.  Only a column whose largest entry reaches its bound is
+    searched for the rows to report.
+    """
+    card = x.card
+    out = [
+        Violation(ob, None, f"negative cardinality {card[ob]}")
+        for ob in x.schema.objects
+        if card[ob] < 0
+    ]
+    sizes = list(map(len, x.parts.values()))
+    starts = [0, *accumulate(sizes)][:-1]
+    tops = np.maximum.reduceat(x._entries.view(np.uintp), starts).tolist()
+    for m, n, top in zip(x.schema.morphisms, sizes, tops):
+        if n != card[m.dom]:
+            message = f"column has {n} rows, card({m.dom}) is {card[m.dom]}"
+            out.append(Violation(m.name, None, message))
+        elif n and (top >= card[m.cod] or top >= _INDEX_LIMIT):
+            col = x.parts[m.name]
+            rows = np.flatnonzero(col.view(np.uintp) >= min(max(card[m.cod], 0), _INDEX_LIMIT))
+            out.extend(_outside(m, row, int(col[row]), card) for row in rows.tolist())
     return out
 
 
@@ -264,11 +369,11 @@ def migrate(functor: SchemaFunctor, x: CSetInstance) -> CSetInstance:
             f"instance is over schema {x.schema.name!r}, functor expects {functor.target.name!r}"
         )
     card = {ob: x.card[functor.object_map[ob]] for ob in functor.source.objects}
-    parts: dict[str, tuple[int, ...]] = {}
+    parts: dict[str, np.ndarray] = {}
     for m in functor.source.morphisms:
         img = functor.morphism_map[m.name]
         if img is None:
-            parts[m.name] = tuple(range(card[m.dom]))
+            parts[m.name] = np.arange(card[m.dom], dtype=np.intp)
         else:
             parts[m.name] = x.parts[img]
     return CSetInstance(functor.source, card, parts)

@@ -28,18 +28,18 @@ A composite is evaluated one of two ways:
   bitwise those of the boxes' closures called in turn.  The generated code
   is cached by the value of the diagram and the boxes.
 - **Box by box** otherwise: a closure over the diagram that evaluates the
-  boxes sharing a program (as equal instantiated specs do) in one call per
-  group of the batch kernel generated from it, and the rest through their
-  own callables.  Its plan is built from the diagram's index columns with a
-  few numpy calls per group; per-box records exist only for the boxes called
-  alone, and for every box once a group has flagged an error and the phase
-  is redone box by box.
+  boxes sharing a program (as equal instantiated specs and their Euler maps
+  do) in one call per group of the batch kernel generated from it, and the
+  rest through their own callables.  Its plan is built from the diagram's
+  index columns with a few numpy calls per group; per-box records exist
+  only for the boxes called alone, and for every box once a group has
+  flagged an error and the phase is redone box by box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
@@ -493,18 +493,26 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     return _oapply_transport(machines, g.n_outer, g.n_outer, ports, ports, inward, outward)
 
 
+# Interned like the programs of instantiated specs: Euler maps of equal
+# systems, made one by one, then share one program object and so group.
+@lru_cache(maxsize=64)
+def _euler_program(inner: Program, h: float) -> Euler:
+    return Euler(inner, h)
+
+
 def _euler(
     system: Machine | ResourceSharer, h: float, refusal: str
 ) -> tuple[Callable, Program | None]:
     """The dynamics and program of the explicit Euler map ``x + h * u`` of
     ``system``.  With a program, the map is the generated function of
-    :class:`Euler` over it, so Euler-then-compose fuses too."""
+    :class:`Euler` over it, one program object per ``(program, h)`` value,
+    so Euler-then-compose fuses too."""
     if system.kind != "continuous":
         raise KindError(refusal)
     if not h > 0:
         raise ValueError("step size must be positive")
     if system.program is not None:
-        program = Euler(system.program, h)
+        program = _euler_program(system.program, float(h))
         return arrays(program, isinstance(system, Machine), raw(program))[0], program
     u = system.dynamics
 

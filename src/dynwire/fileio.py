@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cset import SCHEMAS_BY_NAME, CSetInstance
+import numpy as np
+
+from .cset import SCHEMAS_BY_NAME, CSetInstance, _EntryError
 from .errors import ConfigError, DynwireError, SchemaError
 from .modelspec import ModelSpec, _finite_float, spec_from_json, spec_to_json
 from .wiring import _SYNTAX, CPGraph, DWDiagram, UWDiagram
@@ -42,8 +44,8 @@ Diagram = UWDiagram | DWDiagram | CPGraph
 
 def load_json(path: str | Path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DynwireError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
@@ -61,16 +63,29 @@ def _write_json(path: str | Path, data: dict) -> None:
 def _encode(value: object, newline: str) -> str:
     """``json.dumps(value, indent=2)`` nested at the indent that ``newline`` carries.
 
-    Objects with string keys are laid out here and lists of plain ints are
-    one join; any other value is ``json.dumps`` output, re-indented.
+    Objects with string keys are laid out here, and lists of plain ints and
+    integer arrays (index columns, which need no scan) are one join; any
+    other value is ``json.dumps`` output, re-indented.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
         items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+        ints = bool(value)
+    else:
+        ints = isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}
+    if ints:
         return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
     return json.dumps(value, indent=2).replace("\n", newline)
+
+
+# The keys a diagram object of each schema needs besides "schema".
+_KEYS = {
+    name: frozenset(schema.objects) | schema.morphism_by_name.keys()
+    for name, schema in SCHEMAS_BY_NAME.items()
+}
 
 
 def instance_from_json(data: Mapping) -> CSetInstance:
@@ -78,53 +93,56 @@ def instance_from_json(data: Mapping) -> CSetInstance:
 
     Every object and morphism of the schema is a required key; cards are
     integers and columns lists of integers, else ``SchemaError`` names the
-    key and row.
+    key and row.  The entries' types are checked once, by ``CSetInstance``.
     """
     name = data.get("schema")
     if not isinstance(name, str) or name not in SCHEMAS_BY_NAME:
         raise SchemaError(
             f"unknown or missing schema name {name!r}; expected one of {sorted(SCHEMAS_BY_NAME)}"
         )
-    schema = SCHEMAS_BY_NAME[name]
-    known = {"schema"} | set(schema.objects) | {m.name for m in schema.morphisms}
-    unknown = sorted(set(data) - known)
+    schema, keys = SCHEMAS_BY_NAME[name], _KEYS[name]
+    unknown = sorted(data.keys() - keys - {"schema"})
     if unknown:
         raise SchemaError(f"unknown keys for schema {name}: {', '.join(unknown)}")
-    missing = [key for key in known - {"schema"} if key not in data]
+    missing = sorted(keys - data.keys())
     if missing:
-        raise SchemaError(f"schema {name} requires keys: {', '.join(sorted(missing))}")
+        raise SchemaError(f"schema {name} requires keys: {', '.join(missing)}")
     card = {}
     for ob in schema.objects:
         if type(data[ob]) is not int:
             raise SchemaError(f"{ob!r} must be an integer, got {data[ob]!r}")
         card[ob] = data[ob]
-    parts = {m.name: _int_column(m.name, data[m.name]) for m in schema.morphisms}
-    return CSetInstance(schema, card, parts)
+    parts = {}
+    for m in schema.morphisms:
+        if not isinstance(data[m.name], list):
+            raise SchemaError(f"{m.name!r} must be a list of integers, got {data[m.name]!r}")
+        parts[m.name] = data[m.name]
+    try:
+        return CSetInstance(schema, card, parts)
+    except _EntryError as exc:
+        where = f"{exc.column}[{exc.row}]"
+        raise SchemaError(f"{where} must be an integer, got {exc.value!r}") from None
 
 
-def _int_column(key: str, col: object) -> tuple[int, ...]:
-    # ``type(v) is int`` refuses bools and floats instead of truncating them.
-    if not isinstance(col, list):
-        raise SchemaError(f"{key!r} must be a list of integers, got {col!r}")
-    if set(map(type, col)) - {int}:
-        row = next(r for r, v in enumerate(col) if type(v) is not int)
-        raise SchemaError(f"{key}[{row}] must be an integer, got {col[row]!r}")
-    return tuple(col)
+def _columns(inst: CSetInstance) -> dict:
+    """A diagram object with the instance's columns as they are stored."""
+    out: dict = {"schema": inst.schema.name}
+    out.update(inst.card)
+    out.update(inst.parts)
+    return out
 
 
 def instance_to_json(inst: CSetInstance) -> dict:
-    out: dict = {"schema": inst.schema.name}
-    for ob in inst.schema.objects:
-        out[ob] = inst.card[ob]
-    for m in inst.schema.morphisms:
-        out[m.name] = list(inst.parts[m.name])
-    return out
+    out = _columns(inst)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+
+
+_WRAPPERS = {cls.schema.name: cls for cls in _SYNTAX}
 
 
 def wrap_instance(inst: CSetInstance) -> Diagram:
     """Validate and wrap a raw instance into its diagram type."""
-    wrapper = {cls.schema.name: cls for cls in _SYNTAX}[inst.schema.name]
-    return wrapper(inst)
+    return _WRAPPERS[inst.schema.name](inst)
 
 
 def load_instance(path: str | Path) -> CSetInstance:
@@ -136,7 +154,7 @@ def load_diagram(path: str | Path) -> Diagram:
 
 
 def dump_diagram(d: Diagram, path: str | Path) -> None:
-    _write_json(path, instance_to_json(d.data))
+    _write_json(path, _columns(d.data))
 
 
 def load_model(path: str | Path) -> ModelSpec:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -196,7 +195,7 @@ def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
         while np.count_nonzero(jumped != label):
             label, jumped = jumped, jumped[jumped]
         la, lb = label[a], label[b]
-    number = np.cumsum(label == ids) - 1
+    number = (label == ids).cumsum() - 1
     return (int(number[-1]) + 1 if size else 0), number[label]
 
 
@@ -266,17 +265,27 @@ def canonical_cospan(c: Cospan) -> Cospan:
     Isomorphic cospans have equal canonical forms.
     """
     n = c.apex_size
-    renum = _first_use(n, c.left.map, c.right.map)
+    renum = _first_use(n, c.left._indices, c.right._indices)
     return Cospan(
-        FinFunction(c.left.dom_size, n, list(map(renum.__getitem__, c.left.map))),
-        FinFunction(c.right.dom_size, n, list(map(renum.__getitem__, c.right.map))),
+        FinFunction(c.left.dom_size, n, renum[c.left._indices]),
+        FinFunction(c.right.dom_size, n, renum[c.right._indices]),
     )
 
 
-def _first_use(n: int, *columns: Sequence[int]) -> dict[int, int]:
-    """Renumbering of ``[0, n)`` by first occurrence along ``columns``, in order.
+def _first_use(n: int, *columns: np.ndarray) -> np.ndarray:
+    """Renumbering ``renum[old] = new`` of ``[0, n)`` by first occurrence
+    along ``columns``, in order.
 
     Elements that occur in no column keep their relative order after all
-    that do.
+    that do: each element is ranked by the position of its first
+    occurrence, and one that never occurs by ``len(seq)`` plus itself.
     """
-    return dict(zip(dict.fromkeys(chain(*columns, range(n))), range(n)))
+    seq = np.concatenate(columns)
+    first = np.arange(seq.size, seq.size + n)
+    np.minimum.at(first, seq, np.arange(seq.size))
+    renum = np.empty(n, dtype=np.intp)
+    # The ranks are distinct, so any sort orders them alike; a stable one is
+    # what the rest of the package uses, and numpy's default sort would add
+    # its own code, ~0.4 MB of resident memory, to a process that runs it.
+    renum[first.argsort(kind="stable")] = np.arange(n)
+    return renum

@@ -65,14 +65,14 @@ __all__ = [
 
 def _port_order(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ports stably sorted by box: ``order[new] = old`` and ``rank[old] = new``."""
-    order = np.argsort(box, kind="stable")
+    order = box.argsort(kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return order, rank
 
 
 def _ports_by_box(box: np.ndarray, n_boxes: int) -> tuple[tuple[int, ...], ...]:
-    ports = iter(np.argsort(box, kind="stable").tolist())
+    ports = iter(box.argsort(kind="stable").tolist())
     return tuple(tuple(islice(ports, k)) for k in np.bincount(box, minlength=n_boxes).tolist())
 
 
@@ -82,29 +82,16 @@ def _slots(box: np.ndarray, n_boxes: int) -> np.ndarray:
     return _port_order(box)[1] - (np.cumsum(counts) - counts)[box]
 
 
-def _sorted_pairs(src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
+def _sorted_pairs(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns of ``sorted(zip(src, tgt))``."""
     order = np.lexsort((tgt, src))
-    return src[order].tolist(), tgt[order].tolist()
+    return src[order], tgt[order]
 
 
 def _unzip(pairs: Sequence[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:
     """The source and target columns of a list of (source, target) pairs."""
     src, tgt = tuple(zip(*pairs, strict=True)) or ((), ())
     return src, tgt
-
-
-class _Columns(dict):
-    """A diagram's columns as index arrays, each made on first use."""
-
-    def __init__(self, parts: Mapping[str, tuple[int, ...]]) -> None:
-        super().__init__()
-        self.parts = parts
-
-    def __missing__(self, name: str) -> np.ndarray:
-        col = self.parts[name]
-        self[name] = array = np.fromiter(col, dtype=np.intp, count=len(col))
-        return array
 
 
 @dataclass(frozen=True)
@@ -133,17 +120,13 @@ class _Diagram:
             card.setdefault(m.dom, len(columns[m.name]))
         return cls(CSetInstance(cls.schema, card, columns))
 
-    @cached_property
-    def _arrays(self) -> _Columns:
-        return _Columns(self.data.parts)
-
     @property
     def n_boxes(self) -> int:
         return self.data.card["B"]
 
     def column(self, name: str) -> np.ndarray:
-        """Morphism ``name``'s column as an index array, made once; read only."""
-        return self._arrays[name]
+        """Morphism ``name``'s column: a read-only ``np.intp`` array."""
+        return self.data.parts[name]
 
 
 class _PortDiagram(_Diagram):
@@ -158,7 +141,7 @@ class _PortDiagram(_Diagram):
     @cached_property
     def box_ports(self) -> tuple[tuple[int, ...], ...]:
         """Global ports of each box, ascending; position gives the port slot."""
-        return _ports_by_box(self._arrays["box"], self.n_boxes)
+        return _ports_by_box(self.column("box"), self.n_boxes)
 
     @cached_property
     def port_counts(self) -> tuple[int, ...]:
@@ -235,11 +218,11 @@ class DWDiagram(_Diagram):
 
     @cached_property
     def in_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self._arrays["box_in"], self.n_boxes)
+        return _ports_by_box(self.column("box_in"), self.n_boxes)
 
     @cached_property
     def out_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self._arrays["box_out"], self.n_boxes)
+        return _ports_by_box(self.column("box_out"), self.n_boxes)
 
     @cached_property
     def signature(self) -> tuple[tuple[int, int], ...]:
@@ -305,10 +288,10 @@ def _offsets(sizes: list[int]) -> list[int]:
 
 def _stack(diagrams: Sequence[_Diagram], name: str, offsets: list[int]) -> np.ndarray:
     """Column ``name`` of every diagram end to end, each shifted by its offset."""
-    cols = [d._arrays[name] for d in diagrams]
+    cols = [d.data.parts[name] for d in diagrams]
     if not cols:
         return np.empty(0, dtype=np.intp)
-    return np.concatenate(cols) + np.repeat(offsets, [c.size for c in cols])
+    return np.concatenate(cols) + np.array(offsets, dtype=np.intp).repeat([c.size for c in cols])
 
 
 def _check_inners(outer: _Diagram, inners: Sequence[_Diagram]) -> None:
@@ -338,14 +321,14 @@ def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
     _check_inners(outer, inners)
     j_sizes = [outer.n_junctions] + [d.n_junctions for d in inners]
     j_off = _offsets(j_sizes)[1:]
-    o = outer._arrays
+    o = outer.data.parts
     # The inner outer-ports, end to end, are in the order of the outer ports sorted by box.
-    order = np.argsort(o["box"], kind="stable")
+    order = o["box"].argsort(kind="stable")
     n_j, quot = _classes(sum(j_sizes), o["junc_in"][order], _stack(inners, "junc_out", j_off))
     columns = {
-        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])).tolist(),
-        "junc_in": quot[_stack(inners, "junc_in", j_off)].tolist(),
-        "junc_out": quot[o["junc_out"]].tolist(),
+        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])),
+        "junc_in": quot[_stack(inners, "junc_in", j_off)],
+        "junc_out": quot[o["junc_out"]],
     }
     card = {"B": sum(d.n_boxes for d in inners), "J": n_j}
     return UWDiagram._from_columns(card, columns)
@@ -362,7 +345,9 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     _check_inners(outer, inners)
     pin_off = _offsets([len(d.data.parts["box_in"]) for d in inners])
     pout_off = _offsets([len(d.data.parts["box_out"]) for d in inners])
-    od, oa = outer.data.parts, outer._arrays
+    # The chains are followed in Python, over the columns as lists.
+    oa = outer.data.parts
+    od = {name: col.tolist() for name, col in oa.items()}
     in_at = list(zip(od["box_in"], _slots(oa["box_in"], outer.n_boxes).tolist()))
     out_at = list(zip(od["box_out"], _slots(oa["box_out"], outer.n_boxes).tolist()))
 
@@ -371,7 +356,7 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     pins: dict[tuple[int, int], list[int]] = {}
     for i, inner in enumerate(inners):
         ip = inner.data.parts
-        for slot, t in zip(ip["src_in"], ip["tgt_in"]):
+        for slot, t in zip(ip["src_in"].tolist(), ip["tgt_in"].tolist()):
             pins.setdefault((i, slot), []).append(t + pin_off[i])
     # Where a chain standing at (box, out-slot) ends: inner in-ports through
     # outer wires, then outer out-ports, each in wire order.
@@ -387,7 +372,7 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     out_wires: list[tuple[int, int]] = []
     for i, inner in enumerate(inners):
         ip = inner.data.parts
-        for s, slot in zip(ip["src_out"], ip["tgt_out"]):
+        for s, slot in zip(ip["src_out"].tolist(), ip["tgt_out"].tolist()):
             source = s + pout_off[i]
             chained.extend((i, source, t) for t in onward.get((i, slot), ()))
             out_wires.extend((source, q) for q in exits.get((i, slot), ()))
@@ -399,13 +384,13 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     order = np.argsort(np.concatenate([own, owner]), kind="stable")
     box_off = _offsets([d.n_boxes for d in inners])
     columns = {
-        "box_in": _stack(inners, "box_in", box_off).tolist(),
-        "box_out": _stack(inners, "box_out", box_off).tolist(),
-        "src": np.concatenate([_stack(inners, "src", pout_off), src])[order].tolist(),
-        "tgt": np.concatenate([_stack(inners, "tgt", pin_off), tgt])[order].tolist(),
+        "box_in": _stack(inners, "box_in", box_off),
+        "box_out": _stack(inners, "box_out", box_off),
+        "src": np.concatenate([_stack(inners, "src", pout_off), src])[order],
+        "tgt": np.concatenate([_stack(inners, "tgt", pin_off), tgt])[order],
     }
-    columns["src_in"], columns["tgt_in"] = _unzip(in_wires)
-    columns["src_out"], columns["tgt_out"] = _unzip(out_wires)
+    columns["src_in"], columns["tgt_in"] = np.array(in_wires, dtype=np.intp).reshape(-1, 2).T
+    columns["src_out"], columns["tgt_out"] = np.array(out_wires, dtype=np.intp).reshape(-1, 2).T
     card = {"B": sum(d.n_boxes for d in inners), "Q_in": outer.n_outer_in,
             "Q_out": outer.n_outer_out}
     return DWDiagram._from_columns(card, columns)
@@ -420,15 +405,15 @@ def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
     """
     _check_inners(outer, inners)
     p_off = _offsets([len(d.data.parts["box"]) for d in inners])
-    o = outer._arrays
+    o = outer.data.parts
     # The inner port exposed at each outer port: the inner exposes, end to
     # end, follow the outer ports sorted by box.
     at = _stack(inners, "expose", p_off)[_port_order(o["box"])[1]]
     columns = {
-        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])).tolist(),
-        "src": np.concatenate([_stack(inners, "src", p_off), at[o["src"]]]).tolist(),
-        "tgt": np.concatenate([_stack(inners, "tgt", p_off), at[o["tgt"]]]).tolist(),
-        "expose": at[o["expose"]].tolist(),
+        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])),
+        "src": np.concatenate([_stack(inners, "src", p_off), at[o["src"]]]),
+        "tgt": np.concatenate([_stack(inners, "tgt", p_off), at[o["tgt"]]]),
+        "expose": at[o["expose"]],
     }
     return CPGraph._from_columns({"B": sum(d.n_boxes for d in inners)}, columns)
 
@@ -500,24 +485,19 @@ def canonical(d: _Diagram) -> _Diagram:
 
 
 def _canonical_uwd(d: UWDiagram) -> UWDiagram:
-    a = d._arrays
-    order = np.argsort(a["box"], kind="stable")
-    junc_in = a["junc_in"][order].tolist()
-    junc_out = d.data.parts["junc_out"]
-    renum = _first_use(d.n_junctions, junc_in, junc_out)
-    columns = {
-        "box": a["box"][order].tolist(),
-        "junc_in": list(map(renum.__getitem__, junc_in)),
-        "junc_out": list(map(renum.__getitem__, junc_out)),
-    }
+    a = d.data.parts
+    order = a["box"].argsort(kind="stable")
+    junc_in = a["junc_in"][order]
+    renum = _first_use(d.n_junctions, junc_in, a["junc_out"])
+    columns = {"box": a["box"][order], "junc_in": renum[junc_in], "junc_out": renum[a["junc_out"]]}
     return UWDiagram._from_columns({"B": d.n_boxes, "J": d.n_junctions}, columns)
 
 
 def _canonical_dwd(d: DWDiagram) -> DWDiagram:
-    a = d._arrays
+    a = d.data.parts
     in_order, in_rank = _port_order(a["box_in"])
     out_order, out_rank = _port_order(a["box_out"])
-    columns = {"box_in": a["box_in"][in_order].tolist(), "box_out": a["box_out"][out_order].tolist()}
+    columns = {"box_in": a["box_in"][in_order], "box_out": a["box_out"][out_order]}
     columns["src"], columns["tgt"] = _sorted_pairs(out_rank[a["src"]], in_rank[a["tgt"]])
     columns["src_in"], columns["tgt_in"] = _sorted_pairs(a["src_in"], in_rank[a["tgt_in"]])
     columns["src_out"], columns["tgt_out"] = _sorted_pairs(out_rank[a["src_out"]], a["tgt_out"])
@@ -526,9 +506,9 @@ def _canonical_dwd(d: DWDiagram) -> DWDiagram:
 
 
 def _canonical_cpg(d: CPGraph) -> CPGraph:
-    a = d._arrays
+    a = d.data.parts
     order, rank = _port_order(a["box"])
-    columns = {"box": a["box"][order].tolist(), "expose": rank[a["expose"]].tolist()}
+    columns = {"box": a["box"][order], "expose": rank[a["expose"]]}
     columns["src"], columns["tgt"] = _sorted_pairs(rank[a["src"]], rank[a["tgt"]])
     return CPGraph._from_columns({"B": d.n_boxes}, columns)
 
@@ -564,13 +544,13 @@ def _dot_uwd(d: UWDiagram) -> list[str]:
     parts = d.data.parts
     lines = _dot_head("graph", d.n_boxes, d.n_junctions)
     lines += [f'  q{q} [label="q{q}", shape=plaintext];' for q in range(d.n_outer)]
-    lines += [f"  b{b} -- j{j};" for b, j in zip(parts["box"], parts["junc_in"])]
-    lines += [f"  q{q} -- j{j};" for q, j in enumerate(parts["junc_out"])]
+    lines += [f"  b{b} -- j{j};" for b, j in zip(parts["box"].tolist(), parts["junc_in"].tolist())]
+    lines += [f"  q{q} -- j{j};" for q, j in enumerate(parts["junc_out"].tolist())]
     return lines
 
 
 def _dot_dwd(d: DWDiagram) -> list[str]:
-    parts, a = d.data.parts, d._arrays
+    a = d.data.parts
     box_in, slot_in = a["box_in"], _slots(a["box_in"], d.n_boxes)
     box_out, slot_out = a["box_out"], _slots(a["box_out"], d.n_boxes)
     lines = _dot_head("digraph", d.n_boxes)
@@ -580,17 +560,17 @@ def _dot_dwd(d: DWDiagram) -> list[str]:
     lines += [f'  b{bs} -> b{bt} [label="o{ss}:i{st}"];' for (bs, ss), (bt, st) in wires]
     lines += [
         f'  qin{q} -> b{bt} [label="i{st}"];'
-        for q, (bt, st) in zip(parts["src_in"], _at(box_in, slot_in, a["tgt_in"]))
+        for q, (bt, st) in zip(a["src_in"].tolist(), _at(box_in, slot_in, a["tgt_in"]))
     ]
     lines += [
         f'  b{bs} -> qout{q} [label="o{ss}"];'
-        for (bs, ss), q in zip(_at(box_out, slot_out, a["src_out"]), parts["tgt_out"])
+        for (bs, ss), q in zip(_at(box_out, slot_out, a["src_out"]), a["tgt_out"].tolist())
     ]
     return lines
 
 
 def _dot_cpg(d: CPGraph) -> list[str]:
-    a = d._arrays
+    a = d.data.parts
     box, slot = a["box"], _slots(a["box"], d.n_boxes)
     lines = _dot_head("digraph", d.n_boxes)
     lines += [f'  q{q} [label="q{q}", shape=plaintext];' for q in range(d.n_outer)]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import types
 
+import numpy as np
+
 import dynwire
 import dynwire.dynam
 import dynwire.sim
@@ -56,6 +58,13 @@ MACHINE_FIELDS = ("n_inputs", "n_states", "n_outputs", "dynamics", "readout", "k
 SHARER_FIELDS = ("n_ports", "n_states", "portmap", "dynamics", "kind", "program")
 
 
+# ``CSetInstance.parts`` maps each morphism to a read-only 1-D ``np.intp``
+# array; it held tuples of Python ints.  Each column is then type-checked
+# once, when the instance is built, and the library passes its index arrays
+# on without converting them to lists and back.
+INSTANCE_FIELDS = ("schema", "card", "parts")
+
+
 def test_package_namespace_is_pinned():
     public = {
         name for name, value in vars(dynwire).items()
@@ -74,3 +83,14 @@ def test_module_all_lists_are_pinned_and_importable():
 def test_system_fields_are_pinned():
     for cls, pinned in ((dynwire.Machine, MACHINE_FIELDS), (dynwire.ResourceSharer, SHARER_FIELDS)):
         assert tuple(f.name for f in dataclasses.fields(cls)) == pinned
+
+
+def test_instance_columns_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(dynwire.CSetInstance)) == INSTANCE_FIELDS
+    inst = dynwire.CSetInstance(
+        dynwire.UWD_SCHEMA, {"B": 1, "P": 2, "J": 1, "Q": 0}, {"box": [0, 0], "junc_in": (0, 0)}
+    )
+    assert list(inst.parts) == ["box", "junc_in", "junc_out"]
+    for col in inst.parts.values():
+        assert type(col) is np.ndarray and col.dtype == np.intp and col.ndim == 1
+        assert not col.flags.writeable

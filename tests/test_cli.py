@@ -17,6 +17,7 @@ from dynwire import (
     oapply_directed,
     spec_from_json,
 )
+from dynwire import cli
 from dynwire.cli import main
 from dynwire.fileio import dump_diagram, load_diagram, read_csv
 from dynwire.wiring import DWDiagram, UWDiagram
@@ -56,6 +57,7 @@ BAD_FILES = {
     "diagram-string-card": (dict(ONE_PORT_UWD, B="x"), "'B'"),
     "diagram-float-entry": (dict(ONE_PORT_UWD, box=[0.5]), "box[0]"),
     "diagram-bool-entry": (dict(ONE_PORT_UWD, junc_in=[True]), "junc_in[0]"),
+    "diagram-huge-entry": (dict(ONE_PORT_UWD, junc_in=[10**30]), "junc_in[0]"),
     "diagram-scalar-column": (dict(ONE_PORT_UWD, box=0), "'box'"),
     "model-string-states": (dict(ZERO_FIELD_MODEL, states="x"), "'states'"),
     "model-string-inputs": (dict(ZERO_FIELD_MODEL, inputs="u"), "'inputs'"),
@@ -108,6 +110,22 @@ class TestValidate:
         ]
         assert checkable
         assert main(["validate", *map(str, checkable)]) == 0
+
+
+@pytest.mark.parametrize("command", ["compose", "simulate"])
+def test_entry_too_large_for_an_index_is_a_located_error(tmp_path, capsys, command):
+    diagram = write_json(tmp_path / "d.json", dict(ONE_PORT_UWD, junc_in=[-(10**30)]))
+    model = write_json(tmp_path / "m.json", ZERO_FIELD_MODEL)
+    config = write_json(tmp_path / "c.json", {"h": 0.5, "steps": 3, "init": [1.0]})
+    argv = {
+        "compose": ["--outer", str(diagram), "--inner", str(diagram), "-o", str(tmp_path / "o")],
+        "simulate": ["--diagram", str(diagram), "--models", str(model), "--config", str(config),
+                     "--out", str(tmp_path / "o")],
+    }[command]
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: junc_in[0]: entry {-(10**30)} outside [0, 1)\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestCompose:
@@ -187,6 +205,24 @@ class TestCompose:
         assert main(["compose", "--outer", outer, "--inner", str(ident), "--inner", str(ident),
                      "-o", str(tmp_path / "out.json")]) == 0
         assert loaded == [outer, str(ident)]
+
+    def test_parser_is_built_once_and_keeps_no_inner_paths(self, tmp_path, repo_root, monkeypatch):
+        eco = repo_root / "configs" / "ecosystem"
+        total, land, river = (str(eco / f"{n}_diagram.json") for n in ("total", "land", "river"))
+        loaded = []
+
+        def recording_load(path):
+            loaded.append(path)
+            return load_diagram(path)
+
+        monkeypatch.setattr("dynwire.cli.load_diagram", recording_load)
+        assert main(["compose", "--outer", total, "--inner", land, "--inner", river,
+                     "-o", str(tmp_path / "full.json")]) == 0
+        # ``--slot`` takes exactly one ``--inner``: the first call's must not linger.
+        assert main(["compose", "--outer", total, "--inner", land, "--slot", "0",
+                     "-o", str(tmp_path / "slot.json")]) == 0
+        assert loaded == [total, land, river, total, land]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_first_bad_inner_path_is_reported(self, tmp_path, repo_root, capsys):
         ident = tmp_path / "ident.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynwire.cset
 from dynwire import (
     CPG_SCHEMA,
     ArityError,
@@ -18,6 +19,8 @@ from dynwire import (
     FinFunction,
     SizeMismatchError,
     canonical,
+    cpg_to_dwd,
+    grid,
     merge_classes,
     oapply_undirected_with_layout,
     ocompose_dwd,
@@ -26,7 +29,8 @@ from dynwire import (
     to_dot,
     validate,
 )
-from dynwire.fileio import _write_json, dump_diagram, instance_to_json
+from dynwire.fileio import _write_json, dump_diagram, instance_to_json, load_diagram
+from dynwire.wiring import _SYNTAX, ocompose
 from dynwire.modelspec import builtin_model
 
 from helpers import (
@@ -49,15 +53,22 @@ SCHEMAS = (UWD_SCHEMA, DWD_SCHEMA, CPG_SCHEMA)
 RANDOM_DIAGRAM = (random_uwd, random_dwd, random_cpg)
 
 
+INDEX = np.iinfo(np.intp)
+
+
 @st.composite
 def raw_instances(draw) -> CSetInstance:
-    """Cards in [-1, 5] and columns of any length with entries that may fall outside them."""
+    """Cards in [-1, 5], or too large for an index, and columns of any
+    length, as lists or index arrays, with entries that may fall outside
+    the cards, down to the ends of the index range."""
     schema = draw(st.sampled_from(SCHEMAS))
-    card = {ob: draw(st.integers(-1, 5)) for ob in schema.objects}
+    card = {ob: draw(st.integers(-1, 5) | st.just(10**30)) for ob in schema.objects}
+    entries = st.integers(-3, 7) | st.sampled_from((INDEX.min, INDEX.max))
     parts = {}
     for m in schema.morphisms:
-        n = max(card[m.dom], 0) + draw(st.sampled_from((0, 0, 0, -1, 1)))
-        parts[m.name] = draw(st.lists(st.integers(-3, 7), min_size=max(n, 0), max_size=max(n, 0)))
+        n = max(min(card[m.dom], 5), 0) + draw(st.sampled_from((0, 0, 0, -1, 1)))
+        col = draw(st.lists(entries, min_size=max(n, 0), max_size=max(n, 0)))
+        parts[m.name] = np.array(col, dtype=np.intp) if draw(st.booleans()) else col
     return CSetInstance(schema, card, parts)
 
 
@@ -109,6 +120,44 @@ def test_writer_on_library_diagrams_and_specs(tmp_path):
         spec = spec_to_json(builtin_model(name, params))
         _write_json(path, spec)
         assert path.read_text(encoding="utf-8") == reference_json_text(spec)
+
+
+def test_load_then_dump_is_byte_identical(tmp_path):
+    rng = random.Random(4)
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    for k in range(60):
+        text = reference_json_text(instance_to_json(RANDOM_DIAGRAM[k % 3](rng).data))
+        path.write_text(text, encoding="utf-8")
+        dump_diagram(load_diagram(path), out)
+        assert out.read_text(encoding="utf-8") == text
+
+
+# ---------------------------------------------------------------------------
+# Index columns
+
+
+@pytest.mark.parametrize("make", RANDOM_DIAGRAM, ids=["uwd", "dwd", "cpg"])
+def test_library_built_columns_are_not_type_scanned(make, monkeypatch):
+    # A diagram built from index arrays proves its entries are integers by
+    # their dtype; only Python sequences (files, from_tables) are scanned.
+    rng = random.Random(9)
+    cases = []
+    for _ in range(40):
+        d = make(rng)
+        cases.append((d, [_SYNTAX[type(d)].identity(i) for i in d.interfaces]))
+    grids = [grid(3, 2), random_cpg(rng)]
+    nested = nested_dwd_case(rng)
+
+    def refuse(*args):
+        raise AssertionError("a library-built column was type-scanned")
+
+    monkeypatch.setattr(dynwire.cset, "_int_lists", refuse)
+    for outer, inners in cases:
+        for built in (ocompose(outer, inners), canonical(outer)):
+            assert all(not col.flags.writeable for col in built.data.parts.values())
+    for g in grids:
+        cpg_to_dwd(g)
+    ocompose_dwd(*nested)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +277,7 @@ def test_undirected_layout_matches_box_by_box():
     rng, nprng = random.Random(12), np.random.default_rng(12)
     for _ in range(200):
         d = random_uwd(rng, max_boxes=5, max_ports=4)
-        counts = [d.data.parts["box"].count(i) for i in range(d.n_boxes)]
+        counts = [d.data.parts["box"].tolist().count(i) for i in range(d.n_boxes)]
         sharers = [random_sharer(nprng, n) for n in counts]
         composite, layout = oapply_undirected_with_layout(d, sharers)
         assert layout == reference_undirected_layout(d, sharers)

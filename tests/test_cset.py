@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
 from dynwire import (
@@ -66,6 +69,22 @@ class TestValidate:
         with pytest.raises(SchemaError, match=rf"card of 'B' must be an integer, got {card!r}"):
             uwd_instance(card, 1, box=[0], junc_in=[0], junc_out=[])
 
+    @pytest.mark.parametrize(
+        "entry", [np.iinfo(np.intp).max + 1, np.iinfo(np.intp).min - 1, 10**30]
+    )
+    def test_entry_outside_the_index_range_is_located(self, entry):
+        # An entry an index array cannot hold is refused where it sits, in
+        # the words ``validate`` uses for an entry out of range.
+        message = re.escape(f"junc_in[1]: entry {entry} outside [0, 2)")
+        with pytest.raises(SchemaError, match=message):
+            uwd_instance(1, 2, box=[0, 0], junc_in=[0, entry], junc_out=[])
+        with pytest.raises(SchemaError, match=message):
+            CSetInstance(
+                UWD_SCHEMA,
+                {"B": 1, "P": 2, "J": 2, "Q": 0},
+                {"box": np.zeros(2, dtype=np.intp), "junc_in": [0, entry], "junc_out": []},
+            )
+
     def test_out_of_range_entry_is_located(self):
         bad = uwd_instance(1, 1, box=[0, 0], junc_in=[0, 3], junc_out=[])
         problems = validate(bad)
@@ -92,6 +111,43 @@ class TestValidate:
         )
         problems = validate(inst)
         assert any(v.morphism == "box" and v.row is None for v in problems)
+
+
+class TestColumns:
+    def test_columns_are_read_only_intp_copies(self):
+        box, junc_in = np.array([0, 0, 1]), np.array([1, 0, 1], dtype=np.int32)
+        made = {
+            "tuples": uwd_instance(2, 2, box=[0, 0, 1], junc_in=[1, 0, 1], junc_out=[0]),
+            "arrays": CSetInstance(
+                UWD_SCHEMA, {"B": 2, "P": 3, "J": 2, "Q": 1},
+                {"box": box, "junc_in": junc_in, "junc_out": [np.int64(0)]},
+            ),
+        }
+        made["migrated"] = migrate(identity_functor(UWD_SCHEMA), made["arrays"])
+        box[0] = junc_in[0] = 1  # the caller's arrays were copied, not kept
+        for how, inst in made.items():
+            assert {k: v.tolist() for k, v in inst.parts.items()} == {
+                "box": [0, 0, 1], "junc_in": [1, 0, 1], "junc_out": [0],
+            }, how
+            for col in inst.parts.values():
+                assert col.dtype == np.intp and col.ndim == 1
+                with pytest.raises(ValueError, match="read-only"):
+                    col[:] = 0
+
+    def test_equality_compares_values_and_never_raises(self):
+        a = uwd_instance(2, 2, box=[0, 0, 1], junc_in=[1, 0, 1], junc_out=[0])
+        same = CSetInstance(UWD_SCHEMA, dict(a.card), {k: np.array(v) for k, v in a.parts.items()})
+        assert a == same and not a != same
+        other_value = uwd_instance(2, 2, box=[0, 1, 1], junc_in=[1, 0, 1], junc_out=[0])
+        # The same entries end to end, split differently between the columns.
+        other_lengths = CSetInstance(
+            UWD_SCHEMA, dict(a.card), {"box": [0, 0, 1, 1], "junc_in": [0, 1], "junc_out": [0]}
+        )
+        other_schema = CSetInstance(
+            CPG_SCHEMA, {"B": 2, "P": 3, "W": 0, "Q": 1}, {"box": [0, 0, 1], "expose": [0]}
+        )
+        for other in (other_value, other_lengths, other_schema, empty_instance(UWD_SCHEMA), None):
+            assert a != other and not a == other
 
 
 def cpg_instance(n_boxes, box, wires, expose, n_ports=None) -> CSetInstance:
@@ -121,17 +177,17 @@ class TestMigrate:
             "B": 1, "P_in": 2, "P_out": 2, "W": 0,
             "W_in": 0, "W_out": 0, "Q_in": 0, "Q_out": 0,
         }
-        assert d.parts["box_in"] == d.parts["box_out"] == (0, 0)
+        assert d.parts["box_in"].tolist() == d.parts["box_out"].tolist() == [0, 0]
 
     def test_cpg_functor_on_exposed_ports(self):
         g = cpg_instance(1, box=[0, 0], wires=[], expose=[1, 0])
         d = migrate(DWD_FROM_CPG, g)
         assert d.card["Q_in"] == d.card["Q_out"] == d.card["W_in"] == d.card["W_out"] == 2
         # Boundary wires: identity on the outer side, exposure on the inner side.
-        assert d.parts["src_in"] == (0, 1)
-        assert d.parts["tgt_in"] == (1, 0)
-        assert d.parts["src_out"] == (1, 0)
-        assert d.parts["tgt_out"] == (0, 1)
+        assert d.parts["src_in"].tolist() == [0, 1]
+        assert d.parts["tgt_in"].tolist() == [1, 0]
+        assert d.parts["src_out"].tolist() == [1, 0]
+        assert d.parts["tgt_out"].tolist() == [0, 1]
 
     def test_collapsing_functor_copies_card(self):
         target = CSetInstance(UWD_SCHEMA, {"B": 0, "P": 0, "J": 3, "Q": 0}, {})
@@ -143,7 +199,7 @@ class TestMigrate:
         )
         out = migrate(collapse, target)
         assert out.card["B"] == out.card["P"] == 3
-        assert out.parts["box"] == (0, 1, 2)
+        assert out.parts["box"].tolist() == [0, 1, 2]
 
     def test_functoriality_with_identities(self):
         g = cpg_instance(2, box=[0, 0, 1], wires=[(0, 2)], expose=[1])

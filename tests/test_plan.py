@@ -243,6 +243,22 @@ def test_shipped_workload_shapes_take_their_paths(repo_root, monkeypatch):
     assert plans.made == []
 
 
+def test_euler_maps_made_one_by_one_share_a_group(monkeypatch):
+    # Equal Euler maps made separately share one program object, so they
+    # group as one map repeated does.
+    plans = Plans(monkeypatch)
+    m, g = cell(0.1), grid(32, 32)
+    apart = [euler_directed(m, 0.01) for _ in range(1024)]
+    fast, repeated = oapply_cpg(g, apart), oapply_cpg(g, [euler_directed(m, 0.01)] * 1024)
+    plan = plans.made[0]
+    assert len(plan.groups) == 1 and plan.singles == [] and "boxes" not in vars(plan)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        x, a = rng.uniform(-2.0, 2.0, fast.n_states), rng.uniform(-2.0, 2.0, fast.n_inputs)
+        assert bits(fast.dynamics(a, x)) == bits(repeated.dynamics(a, x))
+        assert bits(fast.readout(x)) == bits(repeated.readout(x))
+
+
 # ---------------------------------------------------------------------------
 # Any program heads a group: a fused composite, an Euler map
 

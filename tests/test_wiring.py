@@ -55,18 +55,18 @@ class TestIdentities:
     def test_identity_uwd_three(self):
         d = identity_uwd(3)
         assert d.data.card == {"B": 1, "P": 3, "J": 3, "Q": 3}
-        assert d.data.parts["junc_in"] == d.data.parts["junc_out"] == (0, 1, 2)
+        assert d.data.parts["junc_in"].tolist() == d.data.parts["junc_out"].tolist() == [0, 1, 2]
 
     def test_identity_dwd(self):
         d = identity_dwd(2, 3)
         assert d.data.card["W"] == 0
-        assert d.data.parts["src_in"] == d.data.parts["tgt_in"] == (0, 1)
-        assert d.data.parts["src_out"] == d.data.parts["tgt_out"] == (0, 1, 2)
+        assert d.data.parts["src_in"].tolist() == d.data.parts["tgt_in"].tolist() == [0, 1]
+        assert d.data.parts["src_out"].tolist() == d.data.parts["tgt_out"].tolist() == [0, 1, 2]
 
     def test_identity_cpg(self):
         d = identity_cpg(4)
         assert d.data.card == {"B": 1, "P": 4, "W": 0, "Q": 4}
-        assert d.data.parts["expose"] == (0, 1, 2, 3)
+        assert d.data.parts["expose"].tolist() == [0, 1, 2, 3]
 
 
 class TestOcomposeUWD:
@@ -171,8 +171,8 @@ class TestOcomposeDWD:
         out = ocompose_dwd(outer, [inner_src, inner_tgt])
         assert out.data.card["W"] == 1
         # inner_src's out-port feeds inner_tgt's in-port (global index 1).
-        assert out.data.parts["src"] == (0,)
-        assert out.data.parts["tgt"] == (1,)
+        assert out.data.parts["src"].tolist() == [0]
+        assert out.data.parts["tgt"].tolist() == [1]
         assert out.data.card["W_in"] == out.data.card["W_out"] == 0
 
     def test_fanning_splice_multiplies(self):
@@ -306,7 +306,7 @@ class TestGrid:
 
     def test_outer_ports_ordered(self):
         g = grid(2, 1)
-        assert g.data.parts["expose"] == (0, 2, 3, 4, 5, 6)
+        assert g.data.parts["expose"].tolist() == [0, 2, 3, 4, 5, 6]
 
 
 class TestCpgToDwd:
