@@ -15,6 +15,7 @@ from .cset import validate
 from .errors import DynwireError
 from .fileio import (
     _write_json,
+    _write_text,
     dump_diagram,
     instance_from_json,
     load_config,
@@ -102,9 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     diagram = load_diagram(args.diagram)
-    text = to_dot(diagram)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(args.out, to_dot(diagram))
     print(f"wrote {args.out}")
     return 0
 

@@ -271,6 +271,9 @@ def _outside(m: SchemaMorphism, row: int, v: int, card: Mapping[str, int]) -> Vi
 def validate(x: CSetInstance) -> list[Violation]:
     """Check totality of every column; returns violations instead of raising.
 
+    A cardinality must be at least 0 and below ``_INDEX_LIMIT``: no part
+    larger than that can be indexed, stored or written out.
+
     One ``maximum.reduceat`` over all entries, read as unsigned integers,
     gives each column's largest entry; a negative entry reads as at least
     ``_INDEX_LIMIT``, above every valid index.  The buffer's trailing 0 makes
@@ -279,11 +282,13 @@ def validate(x: CSetInstance) -> list[Violation]:
     searched for the rows to report.
     """
     card = x.card
-    out = [
-        Violation(ob, None, f"negative cardinality {card[ob]}")
-        for ob in x.schema.objects
-        if card[ob] < 0
-    ]
+    out = []
+    for ob in x.schema.objects:
+        if card[ob] < 0:
+            out.append(Violation(ob, None, f"negative cardinality {card[ob]}"))
+        elif card[ob] >= _INDEX_LIMIT:
+            message = f"cardinality {card[ob]} is not below the index limit {_INDEX_LIMIT}"
+            out.append(Violation(ob, None, message))
     sizes = list(map(len, x.parts.values()))
     starts = [0, *accumulate(sizes)][:-1]
     tops = np.maximum.reduceat(x._entries.view(np.uintp), starts).tolist()

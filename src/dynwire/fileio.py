@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._textcols import format_rows
 from .cset import SCHEMAS_BY_NAME, CSetInstance, _EntryError
 from .errors import ConfigError, DynwireError, SchemaError
 from .modelspec import ModelSpec, _finite_float, spec_from_json, spec_to_json
@@ -53,30 +54,33 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line endings on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_json(path: str | Path, data: dict) -> None:
     """Write ``json.dumps(data, indent=2)`` and a newline, in one call."""
-    text = _encode(data, "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, _encode(data, "\n") + "\n")
 
 
 def _encode(value: object, newline: str) -> str:
     """``json.dumps(value, indent=2)`` nested at the indent that ``newline`` carries.
 
-    Objects with string keys are laid out here, and lists of plain ints and
-    integer arrays (index columns, which need no scan) are one join; any
-    other value is ``json.dumps`` output, re-indented.
+    Objects with string keys are laid out here.  An integer array (an index
+    column, which needs no scan) is formatted in one numpy pass, and a list
+    of plain ints, which may exceed ``int64``, is one join; any other value
+    is ``json.dumps`` output, re-indented.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
         items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, np.ndarray):
-        value = value.tolist()
-        ints = bool(value)
-    else:
-        ints = isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}
-    if ints:
+        rows = format_rows(("", ""), (value,), "," + inner)
+        return "[" + inner + rows + newline + "]" if rows else "[]"
+    if isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
         return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
     return json.dumps(value, indent=2).replace("\n", newline)
 
@@ -270,10 +274,8 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
@@ -368,5 +370,4 @@ def write_svg_lineplot(
             f'<text x="{ml + plot_w + 36}" y="{ly}" font-size="12">{name}</text>'
         )
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

@@ -64,6 +64,8 @@ def build_system(
     spec as one numpy group, and a spec used by a single box through that
     box's scalar closures.
     """
+    if len(specs) != diagram.n_boxes:
+        raise ArityError(f"diagram has {diagram.n_boxes} boxes but {len(specs)} models were given")
     box_labels = _labels(diagram.n_boxes, labels)
     distinct = {id(s): s for s in specs}
     model_of = {i: instantiate(s) for i, s in distinct.items()}

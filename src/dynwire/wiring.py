@@ -24,6 +24,7 @@ from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._textcols import format_rows
 from .cset import (
     CPG_SCHEMA,
     DWD_FROM_CPG,
@@ -76,9 +77,9 @@ def _ports_by_box(box: np.ndarray, n_boxes: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(islice(ports, k)) for k in np.bincount(box, minlength=n_boxes).tolist())
 
 
-def _slots(box: np.ndarray, n_boxes: int) -> np.ndarray:
+def _slots(box: np.ndarray) -> np.ndarray:
     """Each port's slot: its position among the ports of its box."""
-    counts = np.bincount(box, minlength=n_boxes)
+    counts = np.bincount(box)
     return _port_order(box)[1] - (np.cumsum(counts) - counts)[box]
 
 
@@ -348,8 +349,8 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     # The chains are followed in Python, over the columns as lists.
     oa = outer.data.parts
     od = {name: col.tolist() for name, col in oa.items()}
-    in_at = list(zip(od["box_in"], _slots(oa["box_in"], outer.n_boxes).tolist()))
-    out_at = list(zip(od["box_out"], _slots(oa["box_out"], outer.n_boxes).tolist()))
+    in_at = list(zip(od["box_in"], _slots(oa["box_in"]).tolist()))
+    out_at = list(zip(od["box_out"], _slots(oa["box_out"]).tolist()))
 
     # Inner in-ports that a chain entering (box, in-slot) reaches through the
     # inner boundary wires, in wire order.
@@ -522,65 +523,63 @@ def to_dot(d: _Diagram) -> str:
 
     Boxes are labeled nodes inside an enclosing cluster; junctions are point
     nodes; outer ports sit on the cluster boundary as stub nodes.  Edges are
-    undirected for UWD and directed for DWD/CPG.
+    undirected for UWD and directed for DWD/CPG.  Each block of like lines
+    is one template filled from index columns in one numpy pass.
     """
-    return "\n".join([*_syntax(d).dot(d), "}"]) + "\n"
+    return "\n".join([*filter(None, _syntax(d).dot(d)), "}"]) + "\n"
+
+
+def _lines(template: str, *columns: Sequence[int]) -> str:
+    """One line per row: ``template`` with each ``{}`` replaced by the next column's entry."""
+    return format_rows(template.split("{}"), columns, "\n")
 
 
 def _dot_head(graph: str, n_boxes: int, n_junctions: int = 0) -> list[str]:
-    lines = [f"{graph} diagram {{", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
-    lines += [f'    b{b} [label="b{b}", shape=box];' for b in range(n_boxes)]
-    lines += [f'    j{j} [label="", shape=point];' for j in range(n_junctions)]
-    lines.append("  }")
-    return lines
-
-
-def _at(box: np.ndarray, slot: np.ndarray, ports: np.ndarray) -> zip:
-    """(box, slot) of each of ``ports``."""
-    return zip(box[ports].tolist(), slot[ports].tolist())
+    boxes = range(n_boxes)
+    return [
+        f"{graph} diagram {{\n  rankdir=LR;\n  subgraph cluster_body {{\n    style=rounded;",
+        _lines('    b{} [label="b{}", shape=box];', boxes, boxes),
+        _lines('    j{} [label="", shape=point];', range(n_junctions)),
+        "  }",
+    ]
 
 
 def _dot_uwd(d: UWDiagram) -> list[str]:
-    parts = d.data.parts
-    lines = _dot_head("graph", d.n_boxes, d.n_junctions)
-    lines += [f'  q{q} [label="q{q}", shape=plaintext];' for q in range(d.n_outer)]
-    lines += [f"  b{b} -- j{j};" for b, j in zip(parts["box"].tolist(), parts["junc_in"].tolist())]
-    lines += [f"  q{q} -- j{j};" for q, j in enumerate(parts["junc_out"].tolist())]
-    return lines
+    a, outer = d.data.parts, range(d.n_outer)
+    return _dot_head("graph", d.n_boxes, d.n_junctions) + [
+        _lines('  q{} [label="q{}", shape=plaintext];', outer, outer),
+        _lines("  b{} -- j{};", a["box"], a["junc_in"]),
+        _lines("  q{} -- j{};", outer, a["junc_out"]),
+    ]
 
 
 def _dot_dwd(d: DWDiagram) -> list[str]:
     a = d.data.parts
-    box_in, slot_in = a["box_in"], _slots(a["box_in"], d.n_boxes)
-    box_out, slot_out = a["box_out"], _slots(a["box_out"], d.n_boxes)
-    lines = _dot_head("digraph", d.n_boxes)
-    lines += [f'  qin{q} [label="in{q}", shape=plaintext];' for q in range(d.n_outer_in)]
-    lines += [f'  qout{q} [label="out{q}", shape=plaintext];' for q in range(d.n_outer_out)]
-    wires = zip(_at(box_out, slot_out, a["src"]), _at(box_in, slot_in, a["tgt"]))
-    lines += [f'  b{bs} -> b{bt} [label="o{ss}:i{st}"];' for (bs, ss), (bt, st) in wires]
-    lines += [
-        f'  qin{q} -> b{bt} [label="i{st}"];'
-        for q, (bt, st) in zip(a["src_in"].tolist(), _at(box_in, slot_in, a["tgt_in"]))
+    box_in, slot_in = a["box_in"], _slots(a["box_in"])
+    box_out, slot_out = a["box_out"], _slots(a["box_out"])
+    src, tgt, tgt_in, src_out = a["src"], a["tgt"], a["tgt_in"], a["src_out"]
+    outer_in, outer_out = range(d.n_outer_in), range(d.n_outer_out)
+    return _dot_head("digraph", d.n_boxes) + [
+        _lines('  qin{} [label="in{}", shape=plaintext];', outer_in, outer_in),
+        _lines('  qout{} [label="out{}", shape=plaintext];', outer_out, outer_out),
+        _lines(
+            '  b{} -> b{} [label="o{}:i{}"];',
+            box_out[src], box_in[tgt], slot_out[src], slot_in[tgt],
+        ),
+        _lines('  qin{} -> b{} [label="i{}"];', a["src_in"], box_in[tgt_in], slot_in[tgt_in]),
+        _lines('  b{} -> qout{} [label="o{}"];', box_out[src_out], a["tgt_out"], slot_out[src_out]),
     ]
-    lines += [
-        f'  b{bs} -> qout{q} [label="o{ss}"];'
-        for (bs, ss), q in zip(_at(box_out, slot_out, a["src_out"]), a["tgt_out"].tolist())
-    ]
-    return lines
 
 
 def _dot_cpg(d: CPGraph) -> list[str]:
     a = d.data.parts
-    box, slot = a["box"], _slots(a["box"], d.n_boxes)
-    lines = _dot_head("digraph", d.n_boxes)
-    lines += [f'  q{q} [label="q{q}", shape=plaintext];' for q in range(d.n_outer)]
-    wires = zip(_at(box, slot, a["src"]), _at(box, slot, a["tgt"]))
-    lines += [f'  b{bs} -> b{bt} [label="p{ss}:p{st}"];' for (bs, ss), (bt, st) in wires]
-    lines += [
-        f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];'
-        for q, (b, s) in enumerate(_at(box, slot, a["expose"]))
+    box, slot = a["box"], _slots(a["box"])
+    src, tgt, expose, outer = a["src"], a["tgt"], a["expose"], range(d.n_outer)
+    return _dot_head("digraph", d.n_boxes) + [
+        _lines('  q{} [label="q{}", shape=plaintext];', outer, outer),
+        _lines('  b{} -> b{} [label="p{}:p{}"];', box[src], box[tgt], slot[src], slot[tgt]),
+        _lines('  q{} -> b{} [dir=none, style=dashed, label="p{}"];', outer, box[expose], slot[expose]),
     ]
-    return lines
 
 
 class _Syntax(NamedTuple):

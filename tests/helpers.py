@@ -335,11 +335,25 @@ def reference_json_text(data: object) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def reference_format_rows(parts, columns, sep: str) -> str:
+    """``_textcols.format_rows``, one f-string per line."""
+    lines = []
+    for i in range(len(columns[0])):
+        line = parts[0]
+        for col, part in zip(columns, parts[1:]):
+            line += f"{col[i]}{part}"
+        lines.append(line)
+    return sep.join(lines)
+
+
 def reference_validate(x: CSetInstance) -> list[Violation]:
     out: list[Violation] = []
     for ob in x.schema.objects:
         if x.card[ob] < 0:
             out.append(Violation(ob, None, f"negative cardinality {x.card[ob]}"))
+        elif x.card[ob] >= 2**63:
+            message = f"cardinality {x.card[ob]} is not below the index limit {2**63}"
+            out.append(Violation(ob, None, message))
     for m in x.schema.morphisms:
         col = x.parts[m.name]
         if len(col) != x.card[m.dom]:
@@ -470,16 +484,30 @@ def reference_canonical(d):
     )
 
 
-def reference_dot_edges(d) -> list[str]:
-    """The edge lines of ``to_dot(d)``, one wire at a time."""
+def reference_dot(d) -> str:
+    """``to_dot(d)``, one line at a time: header, boxes, junctions, outer
+    ports, edges and the closing brace."""
     p = d.data.parts
+    graph = "graph" if isinstance(d, UWDiagram) else "digraph"
+    lines = [f"{graph} diagram {{", "  rankdir=LR;", "  subgraph cluster_body {", "    style=rounded;"]
+    for b in range(d.n_boxes):
+        lines.append(f'    b{b} [label="b{b}", shape=box];')
+    for j in range(d.n_junctions if isinstance(d, UWDiagram) else 0):
+        lines.append(f'    j{j} [label="", shape=point];')
+    lines.append("  }")
     if isinstance(d, UWDiagram):
-        return [f"  b{b} -- j{j};" for b, j in zip(p["box"], p["junc_in"])] + [
-            f"  q{q} -- j{j};" for q, j in enumerate(p["junc_out"])
-        ]
-    if isinstance(d, DWDiagram):
+        for q in range(d.n_outer):
+            lines.append(f'  q{q} [label="q{q}", shape=plaintext];')
+        for b, j in zip(p["box"], p["junc_in"]):
+            lines.append(f"  b{b} -- j{j};")
+        for q, j in enumerate(p["junc_out"]):
+            lines.append(f"  q{q} -- j{j};")
+    elif isinstance(d, DWDiagram):
+        for q in range(d.n_outer_in):
+            lines.append(f'  qin{q} [label="in{q}", shape=plaintext];')
+        for q in range(d.n_outer_out):
+            lines.append(f'  qout{q} [label="out{q}", shape=plaintext];')
         ins, outs = _reference_slots(p["box_in"], d.n_boxes), _reference_slots(p["box_out"], d.n_boxes)
-        lines = []
         for s, t in zip(p["src"], p["tgt"]):
             (bs, ss), (bt, st) = outs[s], ins[t]
             lines.append(f'  b{bs} -> b{bt} [label="o{ss}:i{st}"];')
@@ -489,16 +517,18 @@ def reference_dot_edges(d) -> list[str]:
         for s, t in zip(p["src_out"], p["tgt_out"]):
             bs, ss = outs[s]
             lines.append(f'  b{bs} -> qout{t} [label="o{ss}"];')
-        return lines
-    slot = _reference_slots(p["box"], d.n_boxes)
-    lines = []
-    for s, t in zip(p["src"], p["tgt"]):
-        (bs, ss), (bt, st) = slot[s], slot[t]
-        lines.append(f'  b{bs} -> b{bt} [label="p{ss}:p{st}"];')
-    for q, port in enumerate(p["expose"]):
-        b, s = slot[port]
-        lines.append(f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];')
-    return lines
+    else:
+        for q in range(d.n_outer):
+            lines.append(f'  q{q} [label="q{q}", shape=plaintext];')
+        slot = _reference_slots(p["box"], d.n_boxes)
+        for s, t in zip(p["src"], p["tgt"]):
+            (bs, ss), (bt, st) = slot[s], slot[t]
+            lines.append(f'  b{bs} -> b{bt} [label="p{ss}:p{st}"];')
+        for q, port in enumerate(p["expose"]):
+            b, s = slot[port]
+            lines.append(f'  q{q} -> b{b} [dir=none, style=dashed, label="p{s}"];')
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)
 
 
 def reference_ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynwire.cset
+import dynwire.fileio
 from dynwire import (
     CPG_SCHEMA,
+    CPGraph,
+    DWDiagram,
+    UWDiagram,
     ArityError,
     DWD_SCHEMA,
     UWD_SCHEMA,
@@ -29,7 +33,17 @@ from dynwire import (
     to_dot,
     validate,
 )
-from dynwire.fileio import _write_json, dump_diagram, instance_to_json, load_diagram
+from dynwire._textcols import format_rows
+from dynwire.cli import main
+from dynwire.errors import DynwireError
+from dynwire.fileio import (
+    _write_json,
+    dump_diagram,
+    instance_to_json,
+    load_diagram,
+    write_csv,
+    write_svg_lineplot,
+)
 from dynwire.wiring import _SYNTAX, ocompose
 from dynwire.modelspec import builtin_model
 
@@ -40,7 +54,8 @@ from helpers import (
     random_sharer,
     random_uwd,
     reference_canonical,
-    reference_dot_edges,
+    reference_dot,
+    reference_format_rows,
     reference_json_text,
     reference_map_error,
     reference_merge_classes,
@@ -70,6 +85,50 @@ def raw_instances(draw) -> CSetInstance:
         col = draw(st.lists(entries, min_size=max(n, 0), max_size=max(n, 0)))
         parts[m.name] = np.array(col, dtype=np.intp) if draw(st.booleans()) else col
     return CSetInstance(schema, card, parts)
+
+
+# ---------------------------------------------------------------------------
+# Integer columns as text
+
+# Entries at every digit-width boundary, and the top of the index range.
+WIDTH_EDGES = sorted({0, 9, 10, 99, 100, INDEX.max} | {10**k + d for k in range(1, 19) for d in (-1, 1)})
+entries = st.sampled_from(WIDTH_EDGES) | st.integers(0, INDEX.max) | st.integers(0, 12)
+literals = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)
+
+
+@st.composite
+def text_columns(draw) -> tuple[list[str], list[np.ndarray], str]:
+    n = draw(st.sampled_from((0, 1, 1, 2, 3, 7)))
+    k = draw(st.integers(1, 4))
+    columns = [np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=np.intp)
+               for _ in range(k)]
+    parts = draw(st.lists(literals, min_size=k + 1, max_size=k + 1))
+    sep = draw(st.sampled_from(("\n", ",\n    ", "", ", ")) | literals)
+    return parts, columns, sep
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=text_columns())
+def test_format_rows_matches_f_string_join(case):
+    parts, columns, sep = case
+    assert format_rows(parts, columns, sep) == reference_format_rows(parts, columns, sep)
+
+
+def test_format_rows_takes_ranges_and_unsigned_columns_and_refuses_negatives():
+    wide = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
+    expected = reference_format_rows(["<", ":", ">"], [range(5, 8), wide.tolist()], ";")
+    assert format_rows(["<", ":", ">"], [range(5, 8), wide], ";") == expected
+    assert format_rows(["x", ""], [range(0)], "\n") == ""
+    with pytest.raises(TypeError, match="non-negative integers"):
+        format_rows(["", ""], [np.array([3, -1])], ",")
+    with pytest.raises(TypeError, match="non-negative integers"):
+        format_rows(["", ""], [np.array([0.5])], ",")
+
+
+def test_format_rows_names_the_row_count_it_cannot_allocate():
+    # numpy refuses an array of 2**60 entries by its size alone.
+    with pytest.raises(DynwireError, match=f"cannot write {2**60} lines of text"):
+        format_rows(["b", ""], [range(2**60)], "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +179,25 @@ def test_writer_on_library_diagrams_and_specs(tmp_path):
         spec = spec_to_json(builtin_model(name, params))
         _write_json(path, spec)
         assert path.read_text(encoding="utf-8") == reference_json_text(spec)
+
+
+def test_every_text_writer_writes_utf8_with_lf_newlines(tmp_path, monkeypatch):
+    opened = []
+
+    def spy(path, mode="r", **kwargs):
+        opened.append((mode, kwargs.get("encoding"), kwargs.get("newline")))
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(dynwire.fileio, "open", spy, raising=False)
+    dump_diagram(grid(2, 2), tmp_path / "grid.json")
+    _write_json(tmp_path / "spec.json", {"a": [1, 2]})
+    write_csv(tmp_path / "t.csv", ["t", "x"], [[0.0, 1.0]])
+    write_svg_lineplot(tmp_path / "t.svg", [0.0, 1.0], {"x": [1.0, 2.0]})
+    out = tmp_path / "grid.dot"
+    assert main(["export-dot", "--diagram", str(tmp_path / "grid.json"), "-o", str(out)]) == 0
+    writes = [call for call in opened if "w" in call[0]]
+    assert writes == [("w", "utf-8", "\n")] * 5
+    assert b"\r" not in out.read_bytes()
 
 
 def test_load_then_dump_is_byte_identical(tmp_path):
@@ -254,9 +332,25 @@ def test_canonical_and_dot_match_row_by_row(make):
     for _ in range(150):
         d = make(rng)
         assert canonical(d) == reference_canonical(d)
-        edges = reference_dot_edges(d)
-        lines = to_dot(d).splitlines()
-        assert lines[len(lines) - 1 - len(edges):-1] == edges
+        assert to_dot(d) == reference_dot(d)
+
+
+def test_dot_of_empty_and_wide_diagrams_matches_row_by_row():
+    rng = random.Random(13)
+    diagrams = [
+        UWDiagram.from_tables(0, 0, [], [], []),
+        UWDiagram.from_tables(0, 3, [], [], [2, 0]),
+        DWDiagram.from_tables(0, [], [], 0, 0, [], [], []),
+        DWDiagram.from_tables(0, [], [], 2, 1, [], [], []),
+        CPGraph.from_tables(0, [], [], []),
+        grid(12, 11),
+        cpg_to_dwd(grid(12, 11)),
+        random_uwd(rng, max_boxes=150, max_ports=4, max_junctions=1200),
+        random_dwd(rng, max_boxes=150, max_ports=4),
+        random_cpg(rng, max_boxes=150, max_ports=4),
+    ]
+    for d in diagrams:
+        assert to_dot(d) == reference_dot(d)
 
 
 def test_ocompose_dwd_matches_chain_chasing():

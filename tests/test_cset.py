@@ -69,6 +69,14 @@ class TestValidate:
         with pytest.raises(SchemaError, match=rf"card of 'B' must be an integer, got {card!r}"):
             uwd_instance(card, 1, box=[0], junc_in=[0], junc_out=[])
 
+    @pytest.mark.parametrize("card", [2**63, 10**30])
+    def test_cardinality_at_the_index_limit_is_located(self, card):
+        # No part that large can be indexed, stored or written out.
+        x = uwd_instance(card, 0, box=[], junc_in=[], junc_out=[])
+        message = f"B: cardinality {card} is not below the index limit {2**63}"
+        assert [str(v) for v in validate(x)] == [message]
+        assert validate(uwd_instance(2**63 - 1, 0, box=[], junc_in=[], junc_out=[])) == []
+
     @pytest.mark.parametrize(
         "entry", [np.iinfo(np.intp).max + 1, np.iinfo(np.intp).min - 1, 10**30]
     )

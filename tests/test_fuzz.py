@@ -6,6 +6,10 @@ one key replaced or removed, and runs ``dynwire.cli.main`` in-process; an
 exception escaping ``main`` fails the test with its traceback.  Generated
 integers stay small so that a fuzzed step count or size keeps each example
 to milliseconds.
+
+A corpus of hostile files (cardinalities no command can build, too few
+models) is run through the CLI in a subprocess under a timeout, so that a
+hang fails the test instead of stalling the suite.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,6 +30,11 @@ from hypothesis import strategies as st
 from dynwire import grid
 from dynwire.cli import main
 from dynwire.fileio import instance_to_json
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -151,4 +163,86 @@ def test_any_json_in_any_file_slot_exits_cleanly(data):
     with tempfile.TemporaryDirectory() as tmp:
         code, output = _run(name, files, Path(tmp))
     assert code in (0, 1, 2), output
+    assert "Traceback" not in output
+
+
+# ---------------------------------------------------------------------------
+# Hostile sizes: each command line must exit 1 with a located message, fast.
+
+
+def _uwd(boxes: int, junctions: int = 0) -> dict:
+    return {"schema": "UWD", "B": boxes, "J": junctions, "P": 0, "Q": 0,
+            "box": [], "junc_in": [], "junc_out": []}
+
+
+def _cpg(boxes: int) -> dict:
+    return {"schema": "CPG", "B": boxes, "P": 0, "W": 0, "Q": 0,
+            "box": [], "src": [], "tgt": [], "expose": []}
+
+
+# 2**60 boxes are a valid card, but numpy refuses an array of that many
+# entries by its size alone, before asking the system for memory.
+HOSTILE_FILES = {
+    "uwd-boxes-1e30": _uwd(10**30),
+    "uwd-boxes-2^63": _uwd(2**63),
+    "uwd-junctions-1e30": _uwd(1, 10**30),
+    "uwd-boxes-2^60": _uwd(2**60),
+    "uwd-junctions-2^60": _uwd(1, 2**60),
+    "cpg-boxes-2^60": _cpg(2**60),
+}
+
+TOO_LARGE = "cardinality {} is not below the index limit 9223372036854775808"
+VALIDATE = ["validate", "{file}"]
+SIMULATE = ["simulate", "--diagram", "{file}", "--models", "configs/sir/city.json",
+            "--config", "configs/sir/sim_single.json", "--out", "{out}"]
+EXPORT_DOT = ["export-dot", "--diagram", "{file}", "-o", "{out}"]
+
+# name -> (hostile file or None, argv with {file} and {out}, expected message)
+HOSTILE = {
+    **{
+        f"{command}-{name}": (name, argv, "B: " + TOO_LARGE.format(boxes))
+        for name, boxes in (("uwd-boxes-1e30", 10**30), ("uwd-boxes-2^63", 2**63))
+        for command, argv in (("validate", VALIDATE), ("simulate", SIMULATE), ("export-dot", EXPORT_DOT))
+    },
+    "export-dot-uwd-junctions-1e30": ("uwd-junctions-1e30", EXPORT_DOT, "J: " + TOO_LARGE.format(10**30)),
+    **{
+        f"export-dot-{name}": (name, EXPORT_DOT, f"cannot write {2**60} lines of text")
+        for name in ("uwd-boxes-2^60", "uwd-junctions-2^60", "cpg-boxes-2^60")
+    },
+    "simulate-uwd-boxes-2^60": (
+        "uwd-boxes-2^60", SIMULATE, f"diagram has {2**60} boxes but 1 models were given",
+    ),
+    "simulate-too-few-models": (
+        None,
+        ["simulate", "--diagram", "configs/sir/cyclic.json", "--models",
+         "configs/sir/city.json", "configs/sir/city.json",
+         "--config", "configs/sir/sim_cyclic.json", "--out", "{out}"],
+        "diagram has 3 boxes but 2 models were given",
+    ),
+}
+
+
+def _limit_memory() -> None:
+    # A command that loops over the declared boxes instead of refusing them
+    # runs into this limit and fails, rather than filling the machine.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_sizes_exit_1_with_a_located_message(case, tmp_path, repo_root):
+    name, argv, message = HOSTILE[case]
+    path = tmp_path / "diagram.json"
+    if name is not None:
+        path.write_text(json.dumps(HOSTILE_FILES[name]), encoding="utf-8")
+    args = [a.format(file=path, out=tmp_path / "out") for a in argv]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynwire.cli", *args],
+        cwd=repo_root, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory if resource is not None else None,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert message in output
     assert "Traceback" not in output

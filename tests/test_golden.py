@@ -1,10 +1,11 @@
-"""Golden digests of CLI ``simulate`` output on the shipped examples.
+"""Golden digests of CLI output on the shipped examples.
 
-Each case runs ``dynwire simulate`` under Euler and RK4 and compares the
-SHA-256 of the trajectory CSV and of its ``.meta.json`` sidecar with a
-digest recorded before composites were fused into generated code.  Any
-change to evaluation order, summation order or CSV formatting shows up
-here as a changed digest.
+Each ``simulate`` case runs under Euler and RK4 and compares the SHA-256 of
+the trajectory CSV and of its ``.meta.json`` sidecar with a digest recorded
+before composites were fused into generated code.  Any change to evaluation
+order, summation order or CSV formatting shows up here as a changed digest.
+The files that ``compose``, ``grid``, ``migrate`` and ``export-dot`` write
+are pinned the same way.
 """
 
 from __future__ import annotations
@@ -121,3 +122,54 @@ def simulate_digests(tmp_path: Path, repo_root: Path, case: str, scheme: str) ->
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_simulate_output_matches_golden_digest(tmp_path, repo_root, case, scheme):
     assert simulate_digests(tmp_path, repo_root, case, scheme) == DIGESTS[case, scheme]
+
+
+# ---------------------------------------------------------------------------
+# Syntax outputs: diagram files written by compose, grid and migrate, and DOT
+# text, pinned by digests recorded before index columns were formatted in
+# one numpy pass.
+
+ECO_COMPOSE = [
+    "compose", "--outer", f"{ECO}/total_diagram.json",
+    "--inner", f"{ECO}/land_diagram.json", "--inner", f"{ECO}/river_diagram.json",
+]
+
+# name -> (argv, the output's name); "{x}" is the output of case x.
+SYNTAX = {
+    "compose_ecosystem": (ECO_COMPOSE, "eco.json"),
+    "grid_3x3": (["grid", "3", "3"], "grid3.json"),
+    "grid_32x32": (["grid", "32", "32"], "grid32.json"),
+    "migrate_3x3": (["migrate", "--cpg", "{grid_3x3}"], "dwd3.json"),
+    "migrate_32x32": (["migrate", "--cpg", "{grid_32x32}"], "dwd32.json"),
+    "dot_sir_cyclic": (["export-dot", "--diagram", f"{SIR}/cyclic.json"], "cyclic.dot"),
+    "dot_ecosystem": (["export-dot", "--diagram", "{compose_ecosystem}"], "eco.dot"),
+    "dot_grid_32x32": (["export-dot", "--diagram", "{grid_32x32}"], "grid32.dot"),
+}
+
+SYNTAX_DIGESTS = {
+    "compose_ecosystem": "692758386bcca4b85bbc11f3d6fab7e6b95c6e2f742aa042d6906ac4d8290e16",
+    "grid_3x3": "a49047da00709ab93603ae2b7fb0aa88eb03fb30cdfb2350fe9dd532e29fd9f2",
+    "grid_32x32": "fcb1fe84c691125a7740a34c7553bc355f59943a8ba5925a7b7e7dd1a4396560",
+    "migrate_3x3": "33d9addd6a70a0696128a22339971d70073655e4c05c92a361e6aa1940f333d8",
+    "migrate_32x32": "2f2f9cdcbc55d5b0aaa1f153095106c2ef663749a494fa2a94d2d8a0e257a9a2",
+    "dot_sir_cyclic": "b1899c2c3f144147fef1482123c166bb8fa274d682ff3f07de1554cc5d77a039",
+    "dot_ecosystem": "acb5cc29e2d7da08f91491f482fcbc4e462cf117f2e5c43e2561c164dea76d93",
+    "dot_grid_32x32": "02223ae80e949307d1402a6a4b821883745231fa59c2ad6df717b0dac0709ac3",
+}
+
+
+def syntax_digests(tmp_path: Path, repo_root: Path) -> dict[str, str]:
+    """Run every ``SYNTAX`` case in order; the SHA-256 of each output."""
+    outputs: dict[str, str] = {}
+
+    def where(arg: str) -> str:
+        return str(repo_root / arg) if arg.startswith("configs/") else arg.format(**outputs)
+
+    for name, (argv, out) in SYNTAX.items():
+        assert main([*map(where, argv), "-o", str(tmp_path / out)]) == 0
+        outputs[name] = str(tmp_path / out)
+    return {name: _sha(Path(path)) for name, path in outputs.items()}
+
+
+def test_syntax_outputs_match_golden_digests(tmp_path, repo_root):
+    assert syntax_digests(tmp_path, repo_root) == SYNTAX_DIGESTS

@@ -8,11 +8,16 @@ import re
 import numpy as np
 import pytest
 
+import dynwire.sim
+
 from dynwire import (
+    ArityError,
     ConfigError,
     FinFunction,
     Machine,
     ResourceSharer,
+    UWDiagram,
+    builtin_model,
     euler_directed,
     identity_dwd,
     identity_uwd,
@@ -20,7 +25,7 @@ from dynwire import (
     oapply_undirected,
 )
 from dynwire.fileio import SimulationConfig
-from dynwire.sim import ComposedSystem, run_trajectory
+from dynwire.sim import ComposedSystem, build_system, run_trajectory
 
 H, STEPS = 0.01, 100
 CONFIG = SimulationConfig(h=H, steps=STEPS, init=(1.0,))
@@ -88,3 +93,16 @@ def test_constant_and_default_inputs_drive_every_step():
         assert [row[1] for row in rows] == expected
     with pytest.raises(ConfigError, match="inputs vector has 2 entries, need 1"):
         run_trajectory(composed, SimulationConfig(h=H, steps=STEPS, init=(1.0,), inputs=(1.0, 2.0)))
+
+
+def test_model_count_is_checked_before_labels_are_made(monkeypatch):
+    # Labels are one string per box; a file may declare far more boxes than
+    # that could be made for, so the count is checked first.
+    def no_labels(n, labels):
+        raise AssertionError("labels made before the model count was checked")
+
+    monkeypatch.setattr(dynwire.sim, "_labels", no_labels)
+    city = builtin_model("sir_city", {"beta": 0.5, "gamma": 0.25})
+    three = UWDiagram.from_tables(3, 0, [], [], [])
+    with pytest.raises(ArityError, match="diagram has 3 boxes but 2 models were given"):
+        build_system(three, [city, city], labels=["a", "b"])
