@@ -1,4 +1,4 @@
-"""Integer columns as decimal text, one numpy pass per column.
+"""Integer columns as decimal text and back, one numpy pass each way.
 
 ``format_rows(parts, columns, sep)`` is the text of
 ``sep.join(parts[0] + str(c0[i]) + parts[1] + ... + parts[m] for i in range(n))``
@@ -9,17 +9,26 @@ in that column's widest number of cells, and a boolean mask keeps each
 line's literal cells and the cells its numbers use.  Digits come from floor
 division by the scalar 10, one digit position at a time, which numpy does
 without a hardware divide.
+
+``parse_lists(data)`` reads the other way: every plain integer list of a
+JSON text (``[`` digits, commas and whitespace ``]``, outside any string),
+all of them in one ``np.fromstring`` pass, with the text left once they are
+cut out.  It returns lists only when they provably equal what ``json.loads``
+returns, and otherwise ``None``, so that the caller reads the text with
+``json`` instead.
 """
 
 from __future__ import annotations
 
+import warnings
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DynwireError
 
-__all__ = ["format_rows"]
+__all__ = ["format_rows", "parse_lists"]
 
 _ZERO = ord("0")
 
@@ -88,3 +97,80 @@ def format_rows(parts: Sequence[str], columns: Sequence[Sequence[int]], sep: str
     kept = text[keep]
     del text, keep
     return str(kept, "ascii")
+
+
+# What a plain list holds besides digits: commas and JSON whitespace.
+_SEPARATORS = b",\t\n\r "
+# Entries below 10**_MAX_DIGITS are stored exactly; np.fromstring clamps a
+# larger number to the np.intp maximum, which is at or above that bound.
+_MAX_DIGITS = len(str(np.iinfo(np.intp).max)) - 1
+
+
+def parse_lists(data: bytes) -> tuple[bytes, list[np.ndarray]] | None:
+    """The plain integer lists of the JSON text ``data``, as ``np.intp`` arrays.
+
+    A plain list lies outside any string and holds at least one digit and
+    otherwise only commas and JSON whitespace.  Returns ``data`` with the
+    k-th plain list replaced by the JSON string ``"\\u0000k"``, and the
+    lists in order.  Returns ``None`` when ``data`` has a backslash (so a
+    string may hide a quote or the marker), has no plain list, or has one
+    that ``json.loads`` would not read as the same integers: a stray
+    comma, a leading zero, digits split by whitespace, an entry of more
+    than ``_MAX_DIGITS`` digits.  Such a text is left to ``json``.
+    """
+    if b"\\" in data:
+        return None
+    view = memoryview(data)
+    kept: list = []  # the text outside plain lists, with their markers
+    bodies: list = []
+    counts: list[int] = []
+    digits = done = pos = 0
+    # Without escapes, each quote opens or closes a string: text outside
+    # strings runs from a closing quote (or the start) to the next quote.
+    while True:
+        quote = data.find(b'"', pos)
+        end = len(data) if quote < 0 else quote
+        close = data.find(b"]", pos, end)
+        while close >= 0:
+            open_ = data.rfind(b"[", pos, close)
+            if open_ >= 0:
+                body = data[open_ + 1:close]
+                numerals = body.translate(None, _SEPARATORS)
+                if numerals.isdigit():
+                    kept += (view[done:open_], b'"\\u0000%d"' % len(bodies))
+                    bodies.append(view[open_ + 1:close])
+                    counts.append(body.count(b",") + 1)
+                    digits += len(numerals)
+                    done = close + 1
+            pos = close + 1
+            close = data.find(b"]", pos, end)
+        if quote < 0:
+            break
+        pos = data.find(b'"', quote + 1) + 1
+        if not pos:  # an unclosed string runs to the end
+            break
+    if not bodies:
+        return None
+    kept.append(view[done:])
+    total = sum(counts)
+    with warnings.catch_warnings():
+        # Older numpy warns, rather than raises, on text it cannot read to
+        # its end, and returns the entries before it; the count refuses them.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(b",".join(bodies), np.intp, sep=",")
+        except ValueError:
+            return None
+    if len(values) != total:
+        return None
+    top = int(values.max())
+    if top >= 10**_MAX_DIGITS:
+        return None
+    # Each entry must use exactly its value's digits: no leading zero, and
+    # no digits left unread or split into two entries.  An entry has one
+    # digit, and one more for each of 10, 100, ... at or below it.
+    more = sum(np.count_nonzero(values >= 10**k) for k in range(1, len(str(top))))
+    if total + more != digits:
+        return None
+    ends = accumulate(counts)
+    return b"".join(kept), [values[e - n:e] for n, e in zip(counts, ends)]

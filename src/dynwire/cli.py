@@ -11,9 +11,12 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .cset import validate
 from .errors import DynwireError
 from .fileio import (
+    _load,
     _write_json,
     _write_text,
     dump_diagram,
@@ -34,12 +37,13 @@ __all__ = ["main"]
 
 
 def _validate_one(path: str) -> list[str]:
-    data = load_json(path)
+    data = _load(path, True)
     if "schema" in data:
         inst = instance_from_json(data)
         return [str(v) for v in validate(inst)]
-    spec = spec_from_json(data)
-    return spec_violations(spec)
+    # A model spec takes its lists as load_json returns them.
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
+    return spec_violations(spec_from_json(plain))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

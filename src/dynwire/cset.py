@@ -234,7 +234,9 @@ def _buffer(columns: list, arrays: list[bool], size: int) -> np.ndarray:
     iterator, ``np.intp`` arrays copied whole."""
     if not any(arrays):
         return np.fromiter(chain(*columns, (0,)), _INTP, size + 1)
-    columns = [c if ok else np.fromiter(c, _INTP, len(c)) for c, ok in zip(columns, arrays)]
+    columns = [
+        c if ok else np.fromiter(c, _INTP, len(c)) for c, ok in zip(columns, arrays) if len(c)
+    ]
     return np.concatenate(columns + [_ZERO])
 
 

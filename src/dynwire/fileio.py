@@ -4,6 +4,13 @@ Diagram files are the instance itself: ``{"schema": "UWD"|"DWD"|"CPG",
 "<Object>": card, ..., "<morphism>": [indices], ...}`` with the built-in
 schema names and 0-based indices throughout.  All files are UTF-8; CSV uses
 ',' separators, '.' decimals, and a leading ``t`` column.
+
+Diagram files are read column-wise: the integer lists of a file of at least
+``_COLUMNWISE_BYTES`` bytes are parsed in one numpy pass
+(``_textcols.parse_lists``) and ``json`` reads only the rest.  A file that
+pass cannot read exactly as ``json.loads`` would, and every smaller file or
+other kind of file, is read by ``json.loads`` alone, so the same files are
+accepted with the same errors either way.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._textcols import format_rows
+from ._textcols import format_rows, parse_lists
 from .cset import SCHEMAS_BY_NAME, CSetInstance, _EntryError
 from .errors import ConfigError, DynwireError, SchemaError
 from .modelspec import ModelSpec, _finite_float, spec_from_json, spec_to_json
@@ -44,14 +51,50 @@ Diagram = UWDiagram | DWDiagram | CPGraph
 
 
 def load_json(path: str | Path) -> dict:
+    return _load(path, False)
+
+
+# Below this size a file is read by json.loads alone, which is then faster.
+_COLUMNWISE_BYTES = 4096
+
+
+def _load(path: str | Path, columnwise: bool) -> dict:
+    """The JSON object in the file; with ``columnwise``, each integer list
+    of a large file's top-level object is an ``np.intp`` array."""
     try:
         with open(path, "rb") as fh:
-            data = json.loads(fh.read().decode("utf-8"))
+            text = fh.read()
+        data = _columnwise(text) if columnwise and len(text) >= _COLUMNWISE_BYTES else None
+        if data is None:
+            data = json.loads(text.decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DynwireError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise DynwireError(f"{path}: expected a JSON object")
     return data
+
+
+def _columnwise(text: bytes) -> dict | None:
+    """``json.loads`` of ``text`` with its plain integer lists as arrays, or
+    ``None`` where the result could differ: ``json`` refuses the rest, or a
+    list's marker lands anywhere but on a value of the top-level object
+    (in a nested value, as a key, or under a duplicate key)."""
+    parsed = parse_lists(text)
+    if parsed is None:
+        return None
+    rest, columns = parsed
+    try:
+        data = json.loads(rest.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    if type(data) is not dict:
+        return None
+    placed = 0
+    for key, value in data.items():
+        if type(value) is str and value[:1] == "\0":
+            data[key] = columns[int(value[1:])]
+            placed += 1
+    return data if placed == len(columns) else None
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -92,12 +135,16 @@ _KEYS = {
 }
 
 
+_COLUMN_TYPES = (list, np.ndarray)
+
+
 def instance_from_json(data: Mapping) -> CSetInstance:
     """Decode a diagram object into a raw instance (not yet validated).
 
     Every object and morphism of the schema is a required key; cards are
-    integers and columns lists of integers, else ``SchemaError`` names the
-    key and row.  The entries' types are checked once, by ``CSetInstance``.
+    integers and columns lists (or arrays) of integers, else ``SchemaError``
+    names the key and row.  The entries' types are checked once, by
+    ``CSetInstance``; an ``np.intp`` array needs no check.
     """
     name = data.get("schema")
     if not isinstance(name, str) or name not in SCHEMAS_BY_NAME:
@@ -118,7 +165,7 @@ def instance_from_json(data: Mapping) -> CSetInstance:
         card[ob] = data[ob]
     parts = {}
     for m in schema.morphisms:
-        if not isinstance(data[m.name], list):
+        if not isinstance(data[m.name], _COLUMN_TYPES):
             raise SchemaError(f"{m.name!r} must be a list of integers, got {data[m.name]!r}")
         parts[m.name] = data[m.name]
     try:
@@ -150,7 +197,7 @@ def wrap_instance(inst: CSetInstance) -> Diagram:
 
 
 def load_instance(path: str | Path) -> CSetInstance:
-    return instance_from_json(load_json(path))
+    return instance_from_json(_load(path, True))
 
 
 def load_diagram(path: str | Path) -> Diagram:

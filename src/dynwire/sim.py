@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -41,12 +42,35 @@ class ComposedSystem:
     directed: bool
 
 
-def _labels(n: int, labels: Sequence[str] | None) -> list[str]:
+def _labels(n: int, labels: Sequence[str] | None) -> list[str] | None:
+    """The labels as a list, checked against the box count; ``None`` stands
+    for the default labels ``b0 .. b<n-1>``."""
     if labels is None:
-        return [f"b{i}" for i in range(n)]
+        return None
     if len(labels) != n:
         raise ConfigError(f"labels file names {len(labels)} boxes, diagram has {n}")
     return list(labels)
+
+
+_STATES = operator.attrgetter("states")
+
+
+def _qualified(specs: Sequence[ModelSpec], labels: list[str] | None) -> list[str]:
+    """``<label>.<state>`` for every state of every box, box by box.
+
+    When every box has the same states, as in a grid, each state names all
+    the boxes by one join of their labels (or of their numbers after a ``b``)
+    and one split at the NULs that the join puts between the names, unless
+    a label or the state holds a NUL.
+    """
+    head, keys = ("b", list(map(str, range(len(specs))))) if labels is None else ("", labels)
+    states = specs[0].states if specs else ()
+    if list(map(_STATES, specs)).count(states) == len(specs):
+        columns = [(head + f".{s}\0{head}".join(keys) + f".{s}").split("\0") for s in states]
+        # A split never yields fewer names than were joined, and more only at a NUL.
+        if sum(map(len, columns)) == len(keys) * len(states):
+            return list(itertools.chain.from_iterable(zip(*columns)))
+    return [f"{head}{key}.{s}" for key, spec in zip(keys, specs) for s in spec.states]
 
 
 def build_system(
@@ -84,14 +108,12 @@ def build_system(
         machine = oapply_directed(diagram, models)
     else:
         machine = oapply_cpg(diagram, models)
-    names = tuple(
-        f"{box_labels[i]}.{s}" for i, spec in enumerate(specs) for s in spec.states
-    )
+    names = tuple(_qualified(specs, box_labels))
     return ComposedSystem(machine, names, machine.kind, directed=True)
 
 
 def _undirected_names(n_states, specs, box_labels, layout) -> tuple[str, ...]:
-    flat = [f"{box_labels[i]}.{s}" for i, spec in enumerate(specs) for s in spec.states]
+    flat = _qualified(specs, box_labels)
     names: list[str | None] = [None] * n_states
     # Smallest contributing component state names the class; junction-only
     # classes fall back to the smallest junction index.

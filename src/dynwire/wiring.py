@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .cset import (
     migrate,
     validate,
 )
-from .errors import ArityError, DiagramError
+from .errors import ArityError, DiagramError, DynwireError
 from .finset import _classes, _first_use
 
 __all__ = [
@@ -72,9 +72,16 @@ def _port_order(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, rank
 
 
-def _ports_by_box(box: np.ndarray, n_boxes: int) -> tuple[tuple[int, ...], ...]:
-    ports = iter(box.argsort(kind="stable").tolist())
-    return tuple(tuple(islice(ports, k)) for k in np.bincount(box, minlength=n_boxes).tolist())
+def _port_counts(box: np.ndarray, n_boxes: int) -> tuple[int, ...]:
+    return tuple(np.bincount(box, minlength=n_boxes).tolist())
+
+
+def _ports_by_box(box: np.ndarray, counts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Each box's ports, ascending, given how many each box has: slices of
+    the ports sorted by box."""
+    order = tuple(box.argsort(kind="stable").tolist())
+    ends = list(accumulate(counts))
+    return tuple(map(order.__getitem__, map(slice, [0, *ends], ends)))
 
 
 def _slots(box: np.ndarray) -> np.ndarray:
@@ -142,11 +149,11 @@ class _PortDiagram(_Diagram):
     @cached_property
     def box_ports(self) -> tuple[tuple[int, ...], ...]:
         """Global ports of each box, ascending; position gives the port slot."""
-        return _ports_by_box(self.column("box"), self.n_boxes)
+        return _ports_by_box(self.column("box"), self.port_counts)
 
     @cached_property
     def port_counts(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.box_ports)
+        return _port_counts(self.column("box"), self.n_boxes)
 
     @property
     def interfaces(self) -> tuple[int, ...]:
@@ -219,11 +226,13 @@ class DWDiagram(_Diagram):
 
     @cached_property
     def in_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self.column("box_in"), self.n_boxes)
+        col = self.column("box_in")
+        return _ports_by_box(col, _port_counts(col, self.n_boxes))
 
     @cached_property
     def out_ports(self) -> tuple[tuple[int, ...], ...]:
-        return _ports_by_box(self.column("box_out"), self.n_boxes)
+        col = self.column("box_out")
+        return _ports_by_box(col, _port_counts(col, self.n_boxes))
 
     @cached_property
     def signature(self) -> tuple[tuple[int, int], ...]:
@@ -325,7 +334,11 @@ def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
     o = outer.data.parts
     # The inner outer-ports, end to end, are in the order of the outer ports sorted by box.
     order = o["box"].argsort(kind="stable")
-    n_j, quot = _classes(sum(j_sizes), o["junc_in"][order], _stack(inners, "junc_out", j_off))
+    n_all = sum(j_sizes)
+    try:
+        n_j, quot = _classes(n_all, o["junc_in"][order], _stack(inners, "junc_out", j_off))
+    except (MemoryError, ValueError) as exc:  # numpy cannot allocate n_all entries
+        raise DynwireError(f"cannot compose diagrams of {n_all} junctions in all: {exc}") from None
     columns = {
         "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])),
         "junc_in": quot[_stack(inners, "junc_in", j_off)],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from dynwire import (
     UWDiagram,
     Violation,
 )
+from dynwire.errors import DynwireError
+from dynwire.fileio import instance_from_json
 
 # ---------------------------------------------------------------------------
 # Random diagrams
@@ -335,6 +338,23 @@ def reference_json_text(data: object) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def reference_load_instance(path) -> CSetInstance:
+    """``fileio.load_instance`` as ``json.loads`` alone reads the file, with
+    every column a list of Python ints, and its errors worded the same."""
+    try:
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DynwireError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise DynwireError(f"{path}: expected a JSON object")
+    return instance_from_json(data)
+
+
+def reference_state_names(box_labels, specs) -> list[str]:
+    """``sim._qualified``, one f-string per box and state."""
+    return [f"{box_labels[i]}.{s}" for i, spec in enumerate(specs) for s in spec.states]
+
+
 def reference_format_rows(parts, columns, sep: str) -> str:
     """``_textcols.format_rows``, one f-string per line."""
     lines = []
@@ -404,7 +424,7 @@ def reference_merge_classes(size: int, pairs) -> FinFunction:
     return FinFunction(size, len(number), tuple(out))
 
 
-def _reference_ports_by_box(box_col, n_boxes: int) -> list[list[int]]:
+def reference_ports_by_box(box_col, n_boxes: int) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(n_boxes)]
     for port, b in enumerate(box_col):
         out[b].append(port)
@@ -418,7 +438,7 @@ def reference_undirected_layout(d: UWDiagram, sharers: list[ResourceSharer]) -> 
     Raises the arity error of the first box whose port count differs."""
     box = d.data.parts["box"]
     total, n_states = [0] * len(box), 0
-    for i, (s, ports) in enumerate(zip(sharers, _reference_ports_by_box(box, d.n_boxes))):
+    for i, (s, ports) in enumerate(zip(sharers, reference_ports_by_box(box, d.n_boxes))):
         if s.n_ports != len(ports):
             raise ArityError(f"box {i} expects {len(ports)} ports, sharer has {s.n_ports}")
         for slot, port in enumerate(ports):
@@ -435,7 +455,7 @@ def reference_undirected_layout(d: UWDiagram, sharers: list[ResourceSharer]) -> 
 
 
 def _reference_slots(box_col, n_boxes: int) -> dict[int, tuple[int, int]]:
-    ports = _reference_ports_by_box(box_col, n_boxes)
+    ports = reference_ports_by_box(box_col, n_boxes)
     return {p: (i, s) for i, box in enumerate(ports) for s, p in enumerate(box)}
 
 

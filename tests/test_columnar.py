@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from dynwire import (
     to_dot,
     validate,
 )
-from dynwire._textcols import format_rows
+from dynwire._textcols import format_rows, parse_lists
 from dynwire.cli import main
 from dynwire.errors import DynwireError
 from dynwire.fileio import (
@@ -41,10 +44,11 @@ from dynwire.fileio import (
     dump_diagram,
     instance_to_json,
     load_diagram,
+    load_instance,
     write_csv,
     write_svg_lineplot,
 )
-from dynwire.wiring import _SYNTAX, ocompose
+from dynwire.wiring import _SYNTAX, _port_counts, _ports_by_box, ocompose
 from dynwire.modelspec import builtin_model
 
 from helpers import (
@@ -57,13 +61,17 @@ from helpers import (
     reference_dot,
     reference_format_rows,
     reference_json_text,
+    reference_load_instance,
     reference_map_error,
     reference_merge_classes,
     reference_ocompose_dwd,
+    reference_ports_by_box,
     reference_undirected_layout,
     reference_validate,
+    shuffled_box_column,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SCHEMAS = (UWD_SCHEMA, DWD_SCHEMA, CPG_SCHEMA)
 RANDOM_DIAGRAM = (random_uwd, random_dwd, random_cpg)
 
@@ -211,6 +219,220 @@ def test_load_then_dump_is_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The diagram reader: integer lists column-wise, the rest through json
+
+# Texts that replace one entry of a list, one whole column, or one string
+# value: integers json reads, tokens it reads as other values or refuses,
+# and lists that np.fromstring would read differently from json.
+ENTRY_TEXTS = (
+    "0", "7", "00", "01", "-1", "-0", "+1", "1.0", "1e3", "true", "null", '"1"', "1 2", "",
+    " ", "0x1", str(10**18 - 1), str(10**18), "9" * 19, "9" * 20, str(2**63 - 1), str(2**63),
+    str(2**64), "[1, 2]", "[]", "[ ]", "{}",
+)
+COLUMN_TEXTS = (
+    "[]", "[ \n  ]", "[\t]", "[[1, 2], [3]]", "[[]]", "[1,]", "[,1]", "[1,,2]", "[1 2]",
+    "[ 1 , 2 ]", "[1,\r\n2]", "[0]", "[,]", "[ , ]", "[1.0]", "[-1]", '"[1]"', "{}",
+    '{"a": [1, 2]}', "[", "]",
+)
+# Strings with brackets, quotes and other characters, written as UTF-8; a
+# quote, a backslash or a control character is escaped by json.dumps.
+STRING_TEXTS = ("[1]", "]", "[", "[0, 1", '"', "\\", '"[1]"', "\u0000", "\u00001", "é")
+MARK = "\u0001mark"  # stands for the edited value until the text is laid out
+
+
+@st.composite
+def diagram_texts(draw) -> bytes:
+    """A diagram file, valid or edited: every schema, both layouts."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        make = draw(st.sampled_from(RANDOM_DIAGRAM))
+        obj = instance_to_json(make(rng, max_boxes=draw(st.integers(1, 30))).data)
+    else:
+        obj = draw(diagram_objects())
+    columns = [k for k, v in obj.items() if isinstance(v, list)]
+    edit = draw(st.sampled_from(
+        ("none", "none", "entry", "column", "string", "key", "duplicate", "trailing comma",
+         "bom", "truncate", "bad utf-8", "array")
+    ))
+    replacement = None
+    if edit == "entry" and any(obj[k] for k in columns):
+        key = draw(st.sampled_from([k for k in columns if obj[k]]))
+        row = draw(st.integers(0, len(obj[key]) - 1))
+        obj[key] = obj[key][:row] + [MARK] + obj[key][row + 1:]
+        replacement = draw(st.sampled_from(ENTRY_TEXTS))
+    elif edit == "column":
+        obj[draw(st.sampled_from(columns))] = MARK
+        replacement = draw(st.sampled_from(COLUMN_TEXTS))
+    elif edit == "string":
+        obj["schema"] = obj["schema"] + draw(st.sampled_from(STRING_TEXTS))
+    elif edit == "key":
+        obj[draw(st.sampled_from(STRING_TEXTS))] = draw(st.sampled_from(([1, 2], "[3]", 0)))
+    if draw(st.booleans()):
+        text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    else:
+        text = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    if replacement is not None:
+        text = text.replace(json.dumps(MARK), replacement)
+    end = text.rindex("}")
+    if edit == "duplicate":
+        key = draw(st.sampled_from(columns))
+        text = text[:end] + f', "{key}": [0, 1]' + text[end:]
+    elif edit == "trailing comma":
+        text = text[:end] + "," + text[end:]
+    elif edit == "array":
+        text = json.dumps([obj[k] for k in columns])
+    data = text.encode("utf-8")
+    if edit == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif edit == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif edit == "bad utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=diagram_texts())
+def test_reader_matches_json_loads(data, tmp_path_factory):
+    # Every text reads to the instance, or fails with the error, that
+    # json.loads and instance_from_json give, through the column-wise
+    # reader (the size cutoff lowered to 0) and at the shipped cutoff.
+    path = tmp_path_factory.getbasetemp() / "reader.json"
+    path.write_bytes(data)
+    want = _outcome(reference_load_instance, path)
+    assert _outcome(load_instance, path) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynwire.fileio, "_COLUMNWISE_BYTES", 0)
+        assert _outcome(load_instance, path) == want
+
+
+BASE = {"schema": "UWD", "B": 2, "P": 3, "J": 2, "Q": 1,
+        "box": [0, 1, 1], "junc_in": [0, 1, 1], "junc_out": [1]}
+
+
+def _corpus(indent: int | None) -> dict[str, str]:
+    """Named texts of one layout: each entry, column and string edit on
+    ``BASE``, and whole-text edits."""
+
+    def text(replacement: str | None = None, **edits) -> str:
+        out = json.dumps(dict(BASE, **edits), indent=indent, ensure_ascii=False)
+        return out if replacement is None else out.replace(json.dumps(MARK), replacement)
+
+    valid = text()
+    return {
+        **{f"entry {t!r}": text(t, box=[0, MARK, 1]) for t in ENTRY_TEXTS},
+        **{f"last entry {t!r}": text(t, junc_out=[MARK]) for t in ENTRY_TEXTS},
+        **{f"column {t!r}": text(t, junc_in=MARK) for t in COLUMN_TEXTS},
+        **{f"schema {t!r}": text(schema="UWD" + t) for t in STRING_TEXTS},
+        **{f"key {t!r}": text(**{t: [1, 2]}) for t in STRING_TEXTS},
+        "valid": valid,
+        "duplicate key": valid[:-1] + ', "box": [1, 0, 0]}',
+        "trailing comma": valid[:-1] + ",}",
+        "list as a key": valid[:-1] + ", [1]: 0}",
+        "top-level array": json.dumps([BASE["box"], BASE["junc_in"]], indent=indent),
+        # A string spelling a marker, while the list it names is nested.
+        "forged marker": text(box="\x000", junc_in=[[0, 1, 1]]),
+        "forged marker, no list": text(box="\x000"),
+        **{f"truncated to {k}/8": valid[: len(valid) * k // 8] for k in range(8)},
+    }
+
+
+CORPUS = {f"{name}, {layout}": t
+          for layout, indent in (("compact", None), ("indent 2", 2))
+          for name, t in _corpus(indent).items()}
+
+
+@pytest.mark.parametrize("text", CORPUS.values(), ids=CORPUS.keys())
+def test_reader_matches_json_loads_on_a_corpus(text, tmp_path, monkeypatch):
+    path = tmp_path / "diagram.json"
+    monkeypatch.setattr(dynwire.fileio, "_COLUMNWISE_BYTES", 0)
+    for data in (text.encode("utf-8"), b"\xef\xbb\xbf" + text.encode("utf-8")):
+        path.write_bytes(data)
+        assert _outcome(load_instance, path) == _outcome(reference_load_instance, path)
+
+
+def test_reader_parses_plain_lists_as_index_arrays(tmp_path):
+    # Both layouts of a file are read column-wise, with no type scan, and
+    # a list json must read (a negative entry) is left to it.
+    d = grid(30, 30)
+    obj = instance_to_json(d.data)
+
+    def refuse(*args):
+        raise AssertionError("a column parsed column-wise was type-scanned")
+
+    path = tmp_path / "grid.json"
+    for text in (json.dumps(obj, indent=2) + "\n", json.dumps(obj, separators=(",", ":"))):
+        assert len(text) >= dynwire.fileio._COLUMNWISE_BYTES
+        data = dynwire.fileio._columnwise(text.encode("ascii"))
+        assert data.keys() == obj.keys()
+        assert all(type(data[m]) is np.ndarray for m in ("src", "tgt", "box", "expose"))
+        path.write_text(text, encoding="utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynwire.cset, "_int_lists", refuse)
+            assert load_instance(path) == d.data
+    obj["src"][0] = -1
+    data = dynwire.fileio._columnwise(json.dumps(obj).encode("ascii"))
+    assert data["src"][:2] == [-1, obj["src"][1]] and type(data["tgt"]) is np.ndarray
+
+
+def test_reader_refuses_a_partial_fromstring_result(monkeypatch, tmp_path):
+    # Older numpy warns on text it cannot read to its end and returns the
+    # entries before it: the entry count refuses such a result, and the
+    # file is read by json instead, with no DeprecationWarning let out.
+    real = np.fromstring
+
+    def partial(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return real(text, dtype, sep=sep)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", partial)
+    # The entry left out is one digit, so the digit count alone would pass.
+    n = 2000
+    obj = {"schema": "UWD", "B": n, "P": n, "J": 1, "Q": 1,
+           "box": list(range(n)), "junc_in": [0] * n, "junc_out": [0]}
+    text = (json.dumps(obj, indent=2) + "\n").encode("ascii")
+    path = tmp_path / "uwd.json"
+    path.write_bytes(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_lists(text) is None
+        assert load_instance(path) == reference_load_instance(path)
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+def test_reader_on_shipped_and_large_diagrams(tmp_path):
+    paths = [p for p in sorted(CONFIGS.glob("*/*.json")) if b'"schema"' in p.read_bytes()]
+    rng = random.Random(5)
+    large = (random_uwd(rng, max_boxes=500, max_junctions=400), cpg_to_dwd(grid(20, 20)), grid(20, 20))
+    for k, d in enumerate(large):
+        paths.append(tmp_path / f"large{k}.json")
+        dump_diagram(d, paths[-1])
+    for path in paths:
+        assert load_instance(path) == reference_load_instance(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynwire.fileio, "_COLUMNWISE_BYTES", 0)
+            assert load_instance(path) == reference_load_instance(path)
+
+
+def test_validate_reads_model_specs_with_plain_lists(tmp_path, capsys):
+    # A model file above the cutoff with an integer list: validate reports
+    # the list as json reads it, not as an array.
+    path = tmp_path / "model.json"
+    spec = {"kind": "machine", "flavor": "continuous", "states": [1, 2], "dynamics": {}}
+    path.write_text(json.dumps(spec) + " " * dynwire.fileio._COLUMNWISE_BYTES, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert "must be a list of strings, got [1, 2]" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
 # Index columns
 
 
@@ -236,6 +458,21 @@ def test_library_built_columns_are_not_type_scanned(make, monkeypatch):
     for g in grids:
         cpg_to_dwd(g)
     ocompose_dwd(*nested)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), max_size=12), seed=st.integers(0, 2**32))
+def test_ports_by_box_and_port_counts_match_port_by_port(counts, seed):
+    # Boxes with no ports, and diagrams with no boxes, included.
+    box = shuffled_box_column(random.Random(seed), counts)
+    want = tuple(map(tuple, reference_ports_by_box(box, len(counts))))
+    col = np.array(box, dtype=np.intp)
+    assert _port_counts(col, len(counts)) == tuple(counts)
+    assert _ports_by_box(col, counts) == want
+    d = UWDiagram.from_tables(len(counts), 1, box, [0] * len(box), [])
+    assert (d.box_ports, d.port_counts) == (want, tuple(counts))
+    d = DWDiagram.from_tables(len(counts), box, box)
+    assert d.in_ports == d.out_ports == want
 
 
 # ---------------------------------------------------------------------------

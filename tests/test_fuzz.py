@@ -187,6 +187,7 @@ HOSTILE_FILES = {
     "uwd-boxes-2^63": _uwd(2**63),
     "uwd-junctions-1e30": _uwd(1, 10**30),
     "uwd-boxes-2^60": _uwd(2**60),
+    "uwd-junctions-2^40": _uwd(1, 2**40),
     "uwd-junctions-2^60": _uwd(1, 2**60),
     "cpg-boxes-2^60": _cpg(2**60),
 }
@@ -196,6 +197,7 @@ VALIDATE = ["validate", "{file}"]
 SIMULATE = ["simulate", "--diagram", "{file}", "--models", "configs/sir/city.json",
             "--config", "configs/sir/sim_single.json", "--out", "{out}"]
 EXPORT_DOT = ["export-dot", "--diagram", "{file}", "-o", "{out}"]
+COMPOSE = ["compose", "--outer", "{file}", "--inner", "{file}", "-o", "{out}"]
 
 # name -> (hostile file or None, argv with {file} and {out}, expected message)
 HOSTILE = {
@@ -208,6 +210,14 @@ HOSTILE = {
     **{
         f"export-dot-{name}": (name, EXPORT_DOT, f"cannot write {2**60} lines of text")
         for name in ("uwd-boxes-2^60", "uwd-junctions-2^60", "cpg-boxes-2^60")
+    },
+    # The file substituted into its own box: the outer and the inner
+    # junctions, twice the file's count, are allocated together.
+    **{
+        f"compose-uwd-junctions-{k}": (
+            f"uwd-junctions-{k}", COMPOSE, f"cannot compose diagrams of {2 * n} junctions in all",
+        )
+        for k, n in (("2^40", 2**40), ("2^60", 2**60))
     },
     "simulate-uwd-boxes-2^60": (
         "uwd-boxes-2^60", SIMULATE, f"diagram has {2**60} boxes but 1 models were given",

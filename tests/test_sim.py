@@ -13,19 +13,24 @@ import dynwire.sim
 from dynwire import (
     ArityError,
     ConfigError,
+    DWDiagram,
     FinFunction,
     Machine,
     ResourceSharer,
     UWDiagram,
     builtin_model,
     euler_directed,
+    grid,
     identity_dwd,
     identity_uwd,
     oapply_directed,
     oapply_undirected,
+    spec_from_json,
 )
 from dynwire.fileio import SimulationConfig
 from dynwire.sim import ComposedSystem, build_system, run_trajectory
+
+from helpers import reference_state_names
 
 H, STEPS = 0.01, 100
 CONFIG = SimulationConfig(h=H, steps=STEPS, init=(1.0,))
@@ -106,3 +111,28 @@ def test_model_count_is_checked_before_labels_are_made(monkeypatch):
     three = UWDiagram.from_tables(3, 0, [], [], [])
     with pytest.raises(ArityError, match="diagram has 3 boxes but 2 models were given"):
         build_system(three, [city, city], labels=["a", "b"])
+
+
+def _default_labels(n: int) -> list[str]:
+    return [f"b{i}" for i in range(n)]
+
+
+def test_state_names_are_label_dot_state_box_by_box():
+    heat = builtin_model("heat_node", {"alpha": 0.1})
+    g = grid(32, 32)
+    specs = [heat] * g.n_boxes
+    cells = [f"cell {i}" for i in range(g.n_boxes)]
+    want = reference_state_names(_default_labels(g.n_boxes), specs)
+    assert build_system(g, specs).state_names == tuple(want)
+    assert build_system(g, specs, cells).state_names == tuple(reference_state_names(cells, specs))
+    # Runs of boxes with other states, and labels holding the NUL that
+    # separates the names of a run while they are made.
+    one = spec_from_json({"kind": "machine", "flavor": "continuous", "states": ["x"],
+                          "dynamics": {"x": "-x"}})
+    two = spec_from_json({"kind": "machine", "flavor": "continuous", "states": ["u", "v"],
+                          "dynamics": {"u": "v", "v": "u"}})
+    specs = [two, two, one, two, one, one, two]
+    d = DWDiagram.from_tables(len(specs), [], [])
+    for labels in (None, list("abcdefg"), ["a\0b", "", "c", "\0", "d", "e", "f"]):
+        want = reference_state_names(labels or _default_labels(len(specs)), specs)
+        assert build_system(d, specs, labels).state_names == tuple(want)
