@@ -108,13 +108,18 @@ def _write_json(path: str | Path, data: dict) -> None:
     _write_text(path, _encode(data, "\n") + "\n")
 
 
+_quoted = json.encoder.encode_basestring_ascii
+
+
 def _encode(value: object, newline: str) -> str:
     """``json.dumps(value, indent=2)`` nested at the indent that ``newline`` carries.
 
     Objects with string keys are laid out here.  An integer array (an index
-    column, which needs no scan) is formatted in one numpy pass, and a list
-    of plain ints, which may exceed ``int64``, is one join; any other value
-    is ``json.dumps`` output, re-indented.
+    column, which needs no scan) is formatted in one numpy pass, a list of
+    plain ints, which may exceed ``int64``, is one join, and so is a list of
+    strings (a sidecar's column names, a model's states) through the C
+    string encoder that ``json.dumps`` uses; any other value is
+    ``json.dumps`` output, re-indented.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
@@ -123,8 +128,12 @@ def _encode(value: object, newline: str) -> str:
     if isinstance(value, np.ndarray):
         rows = format_rows(("", ""), (value,), "," + inner)
         return "[" + inner + rows + newline + "]" if rows else "[]"
-    if isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
-        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+    if isinstance(value, (list, tuple)) and value:
+        types = set(map(type, value))
+        if types == {int}:
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+        if types == {str}:
+            return "[" + inner + ("," + inner).join(map(_quoted, value)) + newline + "]"
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
@@ -321,6 +330,16 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+    """Write the header and one line of ``repr`` floats per row.
+
+    A row whose length differs from the header's, which ``read_csv`` would
+    refuse, raises ``DynwireError`` naming the row before the file is
+    opened, so a refused call leaves an existing file as it was.
+    """
+    width = len(header)
+    if not set(map(len, rows)) <= {width}:
+        k, n = next((k, len(row)) for k, row in enumerate(rows) if len(row) != width)
+        raise DynwireError(f"{path}: row {k} has {n} values, the header has {width}")
     lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
     _write_text(path, "\n".join(lines) + "\n")
 

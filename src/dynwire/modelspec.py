@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import re
+import threading
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ._codegen import (
@@ -272,22 +274,50 @@ def free_variables(e: Expr) -> set[str]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A serializable elementary system definition.
+    """A serializable elementary system definition, as a read-only value.
 
     Machines declare ``inputs`` and a ``readout`` expression per output;
     sharers declare ``ports`` as a list of state names.  Readout expressions
     may reference states and parameters only, since readouts are functions
     of state.
+
+    ``dynamics`` and ``params`` are copied into read-only mappings, so
+    mutating a dict after passing it changes nothing, and assigning to them
+    raises ``TypeError``.  Specs compare by value (parameters as floats);
+    ``spec_from_json`` and ``builtin_model`` return one shared object for
+    equal input, and ``pickle`` and ``copy.deepcopy`` give back an equal spec.
     """
 
     kind: str  # "machine" | "sharer"
     flavor: str  # "continuous" | "discrete"
     states: tuple[str, ...]
-    dynamics: dict[str, Expr]
+    dynamics: Mapping[str, Expr]
     inputs: tuple[str, ...] = ()
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
     readout: tuple[Expr, ...] = ()
     ports: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dynamics", MappingProxyType(dict(self.dynamics)))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the fields rebuild through __init__.
+        return ModelSpec, (
+            self.kind, self.flavor, self.states, dict(self.dynamics),
+            self.inputs, dict(self.params), self.readout, self.ports,
+        )
+
+    @property
+    def _value(self) -> _SpecValue:
+        """The instantiate cache key, kept once built unless a sequence field
+        is not a tuple, and so could still change."""
+        value = self.__dict__.get("_key")
+        if value is None:
+            value = _SpecValue(self)
+            if all(type(f) is tuple for f in (self.states, self.inputs, self.readout, self.ports)):
+                object.__setattr__(self, "_key", value)
+        return value
 
 
 def spec_violations(spec: ModelSpec) -> list[str]:
@@ -347,7 +377,8 @@ def _build(spec: ModelSpec) -> Machine | ResourceSharer:
 
 
 class _SpecValue:
-    """A spec that hashes and compares by value, as the instantiate cache key.
+    """A spec that hashes and compares by value, as the instantiate cache key;
+    a spec keeps its own (``ModelSpec._value``).
 
     Literals and parameters compare as floats, except that parameters compare
     by ``repr``, which tells ``-0.0`` from ``0.0``.
@@ -388,16 +419,20 @@ def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
     reads, and the scalar closures generated from it (one box's vectors,
     size-checked, around one function over Python floats).  Results are
     cached by spec value: equal specs give the same system and so the same
-    program.  ``oapply_*`` fuses a small composite (at most
+    program.  The value key is built once per spec object and kept on it, so
+    calling this again with the same object, as for every box of a grid
+    whose spec ``spec_from_json`` or ``builtin_model`` returned, costs one
+    cache lookup.  ``oapply_*`` fuses a small composite (at most
     ``dynam._FUSE_MAX_STATEMENTS`` generated statements) whose boxes all
     carry programs into one generated function, itself cached by the value of
     the diagram and the boxes.  A larger composite evaluates every group of
     boxes that share a program in one call of the batch kernel generated from
     it, and a box whose spec no other box shares, like a hand-written system,
-    through its scalar closures.  (CLI ``simulate`` reads a ``--models`` path
-    given for many boxes once.)
+    through its scalar closures.  Only the CLI reads a file once: ``simulate``
+    loads a ``--models`` path given for many boxes a single time, while
+    ``fileio.load_json`` reads the file on every call.
     """
-    return _build_cached(_SpecValue(spec))
+    return _build_cached(spec._value)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +454,7 @@ def _sir_city(params: Mapping[str, float]) -> ModelSpec:
         flavor="continuous",
         states=("S", "I", "R"),
         inputs=("inflow", "outflow"),
-        params=dict(params),
+        params=params,
         dynamics={
             "S": parse("-beta*S*I + " + flows["S"]),
             "I": parse("beta*S*I - gamma*I + " + flows["I"]),
@@ -436,7 +471,7 @@ def _lv_predation(params: Mapping[str, float]) -> ModelSpec:
         kind="sharer",
         flavor="continuous",
         states=("prey", "pred"),
-        params=dict(params),
+        params=params,
         dynamics={"prey": parse("-a*prey*pred"), "pred": parse("b*prey*pred")},
         ports=("prey", "pred"),
     )
@@ -447,7 +482,7 @@ def _lv_growth(params: Mapping[str, float]) -> ModelSpec:
         kind="sharer",
         flavor="continuous",
         states=("pop",),
-        params=dict(params),
+        params=params,
         dynamics={"pop": parse("r*pop")},
         ports=("pop",),
     )
@@ -458,7 +493,7 @@ def _lv_decline(params: Mapping[str, float]) -> ModelSpec:
         kind="sharer",
         flavor="continuous",
         states=("pop",),
-        params=dict(params),
+        params=params,
         dynamics={"pop": parse("-r*pop")},
         ports=("pop",),
     )
@@ -473,7 +508,7 @@ def _heat_node(params: Mapping[str, float]) -> ModelSpec:
         flavor="continuous",
         states=("T",),
         inputs=("aN", "aE", "aS", "aW"),
-        params=dict(params),
+        params=params,
         dynamics={"T": parse("alpha*(aN+aE+aS+aW-4*T)")},
         readout=(parse("T"), parse("T"), parse("T"), parse("T")),
     )
@@ -489,20 +524,54 @@ BUILTIN_MODELS: dict[str, tuple[Callable[[Mapping[str, float]], ModelSpec], tupl
 
 
 def builtin_model(name: str, params: Mapping[str, float]) -> ModelSpec:
-    """A named builtin with explicitly supplied parameters."""
+    """A named builtin with explicitly supplied parameters.
+
+    Equal input gives the same spec object (see ``spec_from_json``):
+    parameters are compared by ``repr``, in their order.
+    """
     try:
         builder, required = BUILTIN_MODELS[name]
     except KeyError:
         raise ModelSpecError(
             f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTIN_MODELS))}"
         ) from None
-    missing = sorted(set(required) - set(params))
-    extra = sorted(set(params) - set(required))
-    if missing:
-        raise ModelSpecError(f"builtin {name!r} is missing parameters: {', '.join(missing)}")
-    if extra:
+    if params.keys() != set(required):
+        missing = sorted(set(required) - set(params))
+        extra = sorted(set(params) - set(required))
+        if missing:
+            raise ModelSpecError(f"builtin {name!r} is missing parameters: {', '.join(missing)}")
         raise ModelSpecError(f"builtin {name!r} got unknown parameters: {', '.join(extra)}")
-    return builder(params)
+    return _interned((name, _params_key(params)), lambda: builder(params))
+
+
+# Specs by validated input, shared by builtin_model and spec_from_json and
+# bounded like parse's cache; the oldest entry goes first.  Lookups need no
+# lock; the lock makes storing and evicting one step, so that of two threads
+# building one key both return the spec stored first.
+_SPECS: dict[tuple, ModelSpec] = {}
+_SPECS_MAX = 4096
+_SPECS_LOCK = threading.Lock()
+
+
+def _params_key(params: Mapping[str, float]) -> tuple[tuple[str, str], ...]:
+    # By repr, as _SpecValue compares them, so -0.0 and 0.0 stay distinct.
+    return tuple(zip(params, map(repr, params.values())))
+
+
+def _interned(key: tuple, build: Callable[[], ModelSpec]) -> ModelSpec:
+    """The spec stored under ``key``, else ``build()`` stored under it.
+
+    ``key`` holds only input that has passed every check, so a spec that
+    fails one is never stored and raises again on the next call.
+    """
+    spec = _SPECS.get(key)
+    if spec is None:
+        built = build()
+        with _SPECS_LOCK:
+            spec = _SPECS.setdefault(key, built)
+            if len(_SPECS) > _SPECS_MAX:
+                del _SPECS[next(iter(_SPECS))]
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +624,39 @@ def _json_params(data: Mapping) -> dict[str, float]:
     return out
 
 
+# The keys each JSON form may carry.
+_BUILTIN_KEYS = frozenset({"builtin", "params"})
+_EXPLICIT_KEYS = frozenset(
+    {"kind", "flavor", "states", "dynamics", "inputs", "params", "readout", "ports"}
+)
+
+
+def _refuse_unknown_keys(data: Mapping, known: frozenset) -> None:
+    if not data.keys() <= known:
+        key = next(k for k in data if k not in known)
+        raise ModelSpecError(f"model JSON has unknown key {key!r}")
+
+
 def spec_from_json(data: Mapping) -> ModelSpec:
     """Parse a model JSON object; ``{"builtin": name, "params": {...}}`` is
     also accepted and resolves through the registry.
 
     ``states``, ``inputs``, ``ports`` and ``readout`` are lists of strings,
     ``dynamics`` an object of strings, and params finite numbers; any other
-    value raises ``ModelSpecError`` naming its key.
+    value raises ``ModelSpecError`` naming its key, and so does a key the
+    form does not read (the explicit form reads ``kind``, ``flavor``,
+    ``states``, ``dynamics``, ``inputs``, ``params``, ``readout`` and
+    ``ports``; the builtin form ``builtin`` and ``params``).
+
+    Specs are interned: equal input, with parameters compared by ``repr`` in
+    their order, gives the same read-only spec object, so a grid of boxes
+    that all load one model costs one spec and one ``instantiate``.  The
+    cache holds validated input only, so a bad spec raises on every call.
     """
     if "builtin" in data:
-        return builtin_model(str(data["builtin"]), _json_params(data))
+        spec = builtin_model(str(data["builtin"]), _json_params(data))
+        _refuse_unknown_keys(data, _BUILTIN_KEYS)
+        return spec
     try:
         kind = str(data["kind"])
         flavor = str(data["flavor"])
@@ -574,13 +666,23 @@ def spec_from_json(data: Mapping) -> ModelSpec:
         raise ModelSpecError(f"model JSON is missing key {exc.args[0]!r}") from None
     if not isinstance(dynamics, dict) or not all(isinstance(e, str) for e in dynamics.values()):
         raise ModelSpecError(f"model key 'dynamics' must be an object of strings, got {dynamics!r}")
-    return ModelSpec(
+    equations = {s: parse(e) for s, e in dynamics.items()}
+    inputs = _json_strings("inputs", data.get("inputs", []))
+    params = _json_params(data)
+    readout = _json_strings("readout", data.get("readout", []))
+    exprs = tuple(map(parse, readout))
+    ports = _json_strings("ports", data.get("ports", []))
+    _refuse_unknown_keys(data, _EXPLICIT_KEYS)
+    key = (
+        kind, flavor, states, tuple(dynamics.items()), inputs, _params_key(params), readout, ports
+    )
+    return _interned(key, lambda: ModelSpec(
         kind=kind,
         flavor=flavor,
         states=states,
-        dynamics={s: parse(e) for s, e in dynamics.items()},
-        inputs=_json_strings("inputs", data.get("inputs", [])),
-        params=_json_params(data),
-        readout=tuple(parse(e) for e in _json_strings("readout", data.get("readout", []))),
-        ports=_json_strings("ports", data.get("ports", [])),
-    )
+        dynamics=equations,
+        inputs=inputs,
+        params=params,
+        readout=exprs,
+        ports=ports,
+    ))

@@ -66,6 +66,14 @@ BAD_FILES = {
     "model-nan-param": (dict(ZERO_FIELD_MODEL, params={"a": float("nan")}), "'a'"),
     "builtin-string-param": ({"builtin": "heat_node", "params": {"alpha": "x"}}, "'alpha'"),
     "builtin-bool-param": ({"builtin": "heat_node", "params": {"alpha": True}}, "'alpha'"),
+    "model-misspelt-readouts": (
+        {**{k: v for k, v in ZERO_FIELD_MODEL.items() if k != "readout"}, "readouts": ["x"]},
+        "unknown key 'readouts'",
+    ),
+    "builtin-unknown-keys": (
+        {"builtin": "heat_node", "params": {"alpha": 0.1}, "kind": "sharer", "bogus": 1},
+        "unknown key 'kind'",
+    ),
 }
 
 

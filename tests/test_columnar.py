@@ -40,8 +40,10 @@ from dynwire._textcols import format_rows, parse_lists
 from dynwire.cli import main
 from dynwire.errors import DynwireError
 from dynwire.fileio import (
+    _encode,
     _write_json,
     dump_diagram,
+    read_csv,
     instance_to_json,
     load_diagram,
     load_instance,
@@ -174,6 +176,40 @@ def test_writer_is_json_dumps_indent_2(obj, tmp_path_factory):
     path = tmp_path_factory.mktemp("json") / "out.json"
     _write_json(path, obj)
     assert path.read_bytes() == reference_json_text(obj).encode("utf-8")
+
+
+# Any code point: quotes, backslashes, control characters, non-ASCII,
+# astral and lone surrogates.
+any_text = st.text(st.characters(exclude_categories=()), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strings=st.lists(any_text, max_size=6), depth=st.integers(0, 3))
+def test_string_lists_encode_as_json_dumps_indent_2(strings, depth, tmp_path_factory):
+    value: object = strings
+    for k in range(depth):
+        value = {f"k{k}": value, "n": [k, k + 1]}
+    assert _encode(value, "\n") == json.dumps(value, indent=2)
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    _write_json(path, {"columns": value})
+    assert path.read_bytes() == reference_json_text({"columns": value}).encode("utf-8")
+
+
+def test_write_csv_refuses_a_ragged_row_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["t", "x"], [[0.0, 1.0], [0.1, 2.0]])
+    before = path.read_bytes()
+    for rows, message in (
+        ([[0.0, 1.0, 2.0], [0.1]], "row 0 has 3 values, the header has 2"),
+        ([[0.0, 1.0], [0.1]], "row 1 has 1 values, the header has 2"),
+    ):
+        with pytest.raises(DynwireError, match=message):
+            write_csv(path, ["t", "x"], rows)
+        assert path.read_bytes() == before
+    with pytest.raises(DynwireError, match="row 0"):
+        write_csv(tmp_path / "new.csv", ["t", "x"], [[0.0]])
+    assert not (tmp_path / "new.csv").exists()
+    assert read_csv(path) == (["t", "x"], [[0.0, 1.0], [0.1, 2.0]])
 
 
 def test_writer_on_library_diagrams_and_specs(tmp_path):

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import copy
+import json
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynwire.modelspec as modelspec
 from dynwire import (
+    BUILTIN_MODELS,
     BinOp,
     Call,
     ExprEvalError,
@@ -26,6 +33,9 @@ from dynwire import (
     spec_to_json,
     spec_violations,
 )
+from dynwire.fileio import SimulationConfig
+from dynwire.sim import build_system, run_trajectory
+from dynwire.wiring import grid
 
 # Golden suite: 30 expressions covering precedence, associativity, unary
 # minus, and functions; expected values verified by direct evaluation.
@@ -266,6 +276,223 @@ class TestJsonForm:
     def test_missing_key(self):
         with pytest.raises(ModelSpecError, match="states"):
             spec_from_json({"kind": "machine", "flavor": "continuous", "dynamics": {}})
+
+
+# ---------------------------------------------------------------------------
+# Specs as read-only, interned values
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_param_values = _finite | st.integers(-(10**6), 10**6)
+_texts = _exprs.map(format_expr)
+
+
+@st.composite
+def explicit_json(draw) -> dict:
+    """Explicit model objects, in JSON key order, names not checked."""
+    machine = draw(st.booleans())
+    states = draw(st.lists(st.sampled_from(["x", "y", "T", "S"]), min_size=1, max_size=3, unique=True))
+    data = {
+        "kind": "machine" if machine else "sharer",
+        "flavor": draw(st.sampled_from(["continuous", "discrete"])),
+        "states": states,
+        "params": draw(st.dictionaries(st.sampled_from(["a", "b", "beta"]), _param_values, max_size=3)),
+        "dynamics": {s: draw(_texts) for s in draw(st.permutations(states))},
+    }
+    if machine:
+        data["inputs"] = draw(st.lists(st.sampled_from(["u", "v"]), max_size=2, unique=True))
+        data["readout"] = draw(st.lists(_texts, max_size=2))
+    else:
+        data["ports"] = draw(st.lists(st.sampled_from(states), max_size=3))
+    return data
+
+
+def _reference_explicit(data: dict) -> ModelSpec:
+    """The spec of ``data`` built field by field, not through the cache."""
+    return ModelSpec(
+        kind=data["kind"],
+        flavor=data["flavor"],
+        states=tuple(data["states"]),
+        dynamics={s: parse(e) for s, e in data["dynamics"].items()},
+        inputs=tuple(data.get("inputs", ())),
+        params={k: float(v) for k, v in data["params"].items()},
+        readout=tuple(map(parse, data.get("readout", ()))),
+        ports=tuple(data.get("ports", ())),
+    )
+
+
+def _json_text(spec: ModelSpec) -> str:
+    return json.dumps(spec_to_json(spec))  # key order included
+
+
+def _heat(alpha: float) -> ModelSpec:
+    """A heat-node spec built by the builtin's builder, not through the cache."""
+    return BUILTIN_MODELS["heat_node"][0]({"alpha": alpha})
+
+
+ZERO_MODEL = {
+    "kind": "machine", "flavor": "continuous", "states": ["x"], "inputs": [],
+    "params": {}, "dynamics": {"x": "0"}, "readout": [],
+}
+
+
+class TestSpecValues:
+    @settings(max_examples=200, deadline=None)
+    @given(data=explicit_json())
+    def test_equal_explicit_json_gives_one_spec(self, data):
+        spec = spec_from_json(data)
+        assert spec_from_json(copy.deepcopy(data)) is spec
+        reference = _reference_explicit(data)
+        assert spec == reference and spec is not reference
+        assert _json_text(spec) == _json_text(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(BUILTIN_MODELS)), values=st.data())
+    def test_equal_builtin_json_gives_one_spec(self, name, values):
+        builder, required = BUILTIN_MODELS[name]
+        order = values.draw(st.permutations(required))
+        params = {p: values.draw(_param_values) for p in order}
+        spec = spec_from_json({"builtin": name, "params": params})
+        assert spec_from_json({"builtin": name, "params": dict(params)}) is spec
+        assert _json_text(spec) == _json_text(builder({k: float(v) for k, v in params.items()}))
+        direct = builtin_model(name, params)
+        assert builtin_model(name, dict(params)) is direct
+        assert _json_text(direct) == _json_text(builder(params))
+
+    def test_signed_zero_parameters_give_different_specs_and_programs(self):
+        negative = spec_from_json({"builtin": "heat_node", "params": {"alpha": -0.0}})
+        positive = spec_from_json({"builtin": "heat_node", "params": {"alpha": 0.0}})
+        assert negative is not positive and negative == positive  # == compares floats
+        assert instantiate(negative).program != instantiate(positive).program
+        explicit = dict(ZERO_MODEL, params={"p": -0.0}, dynamics={"x": "p"})
+        a, b = spec_from_json(explicit), spec_from_json(dict(explicit, params={"p": 0.0}))
+        assert a is not b and instantiate(a).program != instantiate(b).program
+
+    def test_fields_are_read_only_copies(self):
+        params, dynamics = {"k": 0.5}, {"x": parse("-k*x")}
+        spec = ModelSpec("machine", "continuous", ("x",), dynamics, params=params)
+        params["k"], dynamics["x"] = 9.0, parse("x")
+        assert spec.params == {"k": 0.5} and spec.dynamics == {"x": parse("-k*x")}
+        for shared in (spec, builtin_model("heat_node", {"alpha": 0.1})):
+            with pytest.raises(TypeError):
+                shared.params["alpha"] = 1.0
+            with pytest.raises(TypeError):
+                del shared.dynamics[shared.states[0]]
+            with pytest.raises(TypeError):
+                shared.dynamics["z"] = parse("z")
+        assert builtin_model("heat_node", {"alpha": 0.1}).params == {"alpha": 0.1}
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_copies_are_equal_read_only_specs(self, copy_of):
+        specs = [
+            builtin_model("sir_city", {"beta": 0.5, "gamma": 0.25}),
+            spec_from_json({"builtin": "lv_predation", "params": {"a": -0.0, "b": 2.0}}),
+            spec_from_json(dict(ZERO_MODEL, params={"p": -0.0})),
+        ]
+        for spec in specs:
+            instantiate(spec)  # the cached key must not travel
+            again = copy_of(spec)
+            assert again == spec and _json_text(again) == _json_text(spec)
+            assert list(map(repr, again.params.values())) == list(map(repr, spec.params.values()))
+            assert instantiate(again) is instantiate(spec)
+            with pytest.raises(TypeError):
+                again.params["p"] = 1.0
+
+    @pytest.mark.parametrize("data", [
+        dict(ZERO_MODEL, dynamics={"x": "2+"}),
+        dict(ZERO_MODEL, readout=["x", "@"]),
+        dict(ZERO_MODEL, params={"a": float("inf")}),
+        dict(ZERO_MODEL, states="x"),
+        dict(ZERO_MODEL, extra=1),
+        {"builtin": "heat_node", "params": {}},
+        {"builtin": "heat_node", "params": {"alpha": 0.1, "beta": 0.2}},
+        {"builtin": "nope", "params": {}},
+        {"builtin": "heat_node", "params": {"alpha": 0.1}, "kind": "sharer"},
+    ], ids=["syntax", "readout-syntax", "inf-param", "string-states", "unknown-key",
+            "missing-param", "extra-param", "unknown-builtin", "builtin-unknown-key"])
+    def test_errors_are_raised_on_every_call(self, data):
+        messages = []
+        for _ in range(2):
+            with pytest.raises((ModelSpecError, ExprSyntaxError)) as err:
+                spec_from_json(data)
+            messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
+
+    def test_a_cached_spec_still_refuses_an_unknown_key(self):
+        good = {"builtin": "heat_node", "params": {"alpha": 0.3}}
+        spec_from_json(good)
+        with pytest.raises(ModelSpecError, match="unknown key 'readout'"):
+            spec_from_json(dict(good, readout=[]))
+        spec_from_json(ZERO_MODEL)
+        with pytest.raises(ModelSpecError, match="unknown key 'readouts'"):
+            spec_from_json(dict(ZERO_MODEL, readouts=["x"]))
+
+    def test_the_cache_is_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(modelspec, "_SPECS", {})
+        monkeypatch.setattr(modelspec, "_SPECS_MAX", 4)
+        first = [builtin_model("lv_growth", {"r": float(k)}) for k in range(6)]
+        assert len(modelspec._SPECS) == 4
+        assert builtin_model("lv_growth", {"r": 5.0}) is first[5]
+        again = builtin_model("lv_growth", {"r": 0.0})
+        assert again is not first[0] and again == first[0]
+
+    def test_threads_share_one_spec_per_input(self, monkeypatch):
+        monkeypatch.setattr(modelspec, "_SPECS", {})
+        inputs = [{"builtin": "lv_decline", "params": {"r": k / 8}} for k in range(400)]
+        got: dict[int, list] = {}
+        start = threading.Barrier(8, timeout=60)
+
+        def load(worker: int) -> None:
+            start.wait()
+            got[worker] = [spec_from_json(dict(data)) for data in inputs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 8
+        for specs in got.values():
+            assert all(a is b for a, b in zip(specs, got[0]))
+        assert len(modelspec._SPECS) == len(inputs)
+
+    def test_instantiate_builds_a_value_key_once_per_spec(self, monkeypatch):
+        made = []
+        value = modelspec._SpecValue
+        monkeypatch.setattr(modelspec, "_SpecValue", lambda s: made.append(s) or value(s))
+        spec = _heat(0.4375)
+        systems = {id(instantiate(spec)) for _ in range(1024)}
+        assert len(systems) == 1 and made == [spec]
+
+    def test_a_spec_with_list_fields_is_keyed_afresh_on_every_call(self):
+        spec = ModelSpec("sharer", "continuous", ["u"], {"u": parse("0")}, ports=["u"])
+        instantiate(spec)
+        spec.states.append("v")
+        with pytest.raises(ModelSpecError, match="states without dynamics: v"):
+            instantiate(spec)
+
+    def test_1024_loaded_specs_build_one_system_with_the_shared_trajectory(self, monkeypatch):
+        builds = []
+        build = modelspec._build
+        monkeypatch.setattr(modelspec, "_build", lambda s: builds.append(s) or build(s))
+        data = {"builtin": "heat_node", "params": {"alpha": 0.15625}}
+        modelspec._build_cached.cache_clear()
+        loaded = build_system(grid(32, 32), [spec_from_json(dict(data)) for _ in range(1024)])
+        assert len(builds) == 1
+        modelspec._build_cached.cache_clear()
+        shared = build_system(grid(32, 32), [_heat(0.15625)] * 1024)
+        assert len(builds) == 2 and shared.system is not loaded.system
+        init = tuple(np.random.default_rng(5).uniform(0.0, 1.0, 1024).tolist())
+        config = SimulationConfig(h=0.01, steps=5, init=init)
+        got, want = (run_trajectory(c, config, "euler") for c in (loaded, shared))
+        assert got[0] == want[0]
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
 
 
 def test_free_variables():
