@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._textcols import format_rows, parse_lists
+from ._textcols import format_floats, format_rows, parse_lists
 from .cset import SCHEMAS_BY_NAME, CSetInstance, _EntryError
 from .errors import ConfigError, DynwireError, SchemaError
 from .modelspec import ModelSpec, _finite_float, spec_from_json, spec_to_json
@@ -309,8 +310,16 @@ def load_config(path: str | Path) -> SimulationConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+# Characters that would split a CSV cell or line.
+_CSV_BREAKS = frozenset(",\n\r")
+
+
 def load_labels(path: str | Path) -> list[str]:
-    """Sidecar box labels: ``{"boxes": ["city1", ...]}``."""
+    """Sidecar box labels: ``{"boxes": ["city1", ...]}``.
+
+    A label becomes part of CSV column names, so one holding ``,``, ``\\n``
+    or ``\\r`` is refused with ``ConfigError`` naming ``boxes[i]``.
+    """
     data = load_json(path)
     boxes = data.get("boxes")
     if not isinstance(boxes, list):
@@ -318,6 +327,8 @@ def load_labels(path: str | Path) -> list[str]:
     for i, b in enumerate(boxes):
         if not isinstance(b, str):
             raise ConfigError(f"{path}: boxes[{i}] must be a string, got {b!r}")
+        if _CSV_BREAKS.intersection(b):
+            raise ConfigError(f"{path}: boxes[{i}] must not hold ',', '\\n' or '\\r', got {b!r}")
     return list(boxes)
 
 
@@ -325,23 +336,42 @@ def load_labels(path: str | Path) -> list[str]:
 # CSV trajectories
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Below this many values a trajectory is written by ``repr`` value by value:
+# the numpy kernel's fixed cost per chunk (some 150 array operations)
+# outweighs its speed there.  It broke even near 600 values on heat and
+# ecosystem trajectories and near 1000 on SIR ones, whose zeros and short
+# values repr writes fastest (see CHANGES.md).
+_KERNEL_VALUES = 1024
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    """Write the header and one line of ``repr`` floats per row.
+    """Write the header and one line per row, every value as ``repr(float(v))``.
 
-    A row whose length differs from the header's, which ``read_csv`` would
-    refuse, raises ``DynwireError`` naming the row before the file is
-    opened, so a refused call leaves an existing file as it was.
+    Before the file is opened, a row whose length differs from the
+    header's, or a header cell holding ``,``, ``\\n`` or ``\\r``, raises
+    ``DynwireError`` naming it (``read_csv`` would refuse the file), and
+    every value is converted by ``float``; so a refused or failing call
+    leaves an existing file as it was.  The values are then written by
+    ``_textcols.format_floats``, a vectorised shortest round-trip kernel
+    that gives ``repr``'s bytes, in chunks of at most
+    ``_textcols._CHUNK_VALUES`` values, streamed to the file; a call of
+    fewer than ``_KERNEL_VALUES`` values uses ``repr`` itself.
     """
     width = len(header)
     if not set(map(len, rows)) <= {width}:
         k, n = next((k, len(row)) for k, row in enumerate(rows) if len(row) != width)
         raise DynwireError(f"{path}: row {k} has {n} values, the header has {width}")
-    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
-    _write_text(path, "\n".join(lines) + "\n")
+    if _CSV_BREAKS.intersection("".join(header)):
+        k, name = next((k, name) for k, name in enumerate(header, 1) if _CSV_BREAKS.intersection(name))
+        raise DynwireError(f"{path}: column {k} ({name!r}) holds ',', '\\n' or '\\r'")
+    values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, len(rows) * width)
+    values = values.reshape(len(rows), width)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        if values.size < _KERNEL_VALUES:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        else:
+            fh.writelines(format_floats(values))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:

@@ -526,9 +526,18 @@ BUILTIN_MODELS: dict[str, tuple[Callable[[Mapping[str, float]], ModelSpec], tupl
 def builtin_model(name: str, params: Mapping[str, float]) -> ModelSpec:
     """A named builtin with explicitly supplied parameters.
 
-    Equal input gives the same spec object (see ``spec_from_json``):
-    parameters are compared by ``repr``, in their order.
+    Each parameter must be a finite int or float (not a bool), else
+    ``ModelSpecError`` names it, as ``spec_from_json`` does; the values are
+    kept as given.  Equal input gives the same spec object (see
+    ``spec_from_json``): parameters are compared by ``repr``, in their order.
     """
+    for key, value in params.items():
+        _param(key, value)
+    return _builtin(name, params)
+
+
+def _builtin(name: str, params: Mapping[str, float]) -> ModelSpec:
+    """``builtin_model`` of parameter values already checked."""
     try:
         builder, required = BUILTIN_MODELS[name]
     except KeyError:
@@ -617,11 +626,15 @@ def _json_params(data: Mapping) -> dict[str, float]:
         raise ModelSpecError(f"model key 'params' must be an object, got {params!r}")
     out = {}
     for name, value in params.items():
-        x = _finite_float(value)
-        if x is None:
-            raise ModelSpecError(f"params[{name!r}] must be a finite number, got {value!r}")
-        out[name] = x
+        out[name] = _param(name, value)
     return out
+
+
+def _param(name: str, value: object) -> float:
+    x = _finite_float(value)
+    if x is None:
+        raise ModelSpecError(f"params[{name!r}] must be a finite number, got {value!r}")
+    return x
 
 
 # The keys each JSON form may carry.
@@ -654,7 +667,7 @@ def spec_from_json(data: Mapping) -> ModelSpec:
     cache holds validated input only, so a bad spec raises on every call.
     """
     if "builtin" in data:
-        spec = builtin_model(str(data["builtin"]), _json_params(data))
+        spec = _builtin(str(data["builtin"]), _json_params(data))
         _refuse_unknown_keys(data, _BUILTIN_KEYS)
         return spec
     try:

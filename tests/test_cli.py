@@ -357,6 +357,23 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {labels}: {where} must be a string")
 
+    @pytest.mark.parametrize("boxes, where", [
+        (["a,b", "c\nd", "e"], "boxes[0]"), (["a", "b\rc", "d"], "boxes[1]"), (["a", "b", "\n"], "boxes[2]"),
+    ])
+    def test_labels_that_would_split_a_csv_cell_are_refused(self, tmp_path, repo_root, capsys, boxes, where):
+        sir = repo_root / "configs" / "sir"
+        labels = write_json(tmp_path / "labels.json", {"boxes": boxes})
+        out = tmp_path / "traj.csv"
+        code = main([
+            "simulate", "--diagram", str(sir / "isolation.json"),
+            "--models", str(sir / "city.json"), str(sir / "city.json"), str(sir / "city.json"),
+            "--config", str(sir / "sim_cities_labelled.json"), "--labels", str(labels),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {labels}: {where} must not hold")
+        assert not out.exists()
+
     def test_metadata_flags_rk4_as_non_functorial(self, tmp_path):
         diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)
         model = write_json(tmp_path / "m.json", ZERO_FIELD_MODEL)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynwire._textcols
 import dynwire.cset
 import dynwire.fileio
 from dynwire import (
@@ -36,7 +40,7 @@ from dynwire import (
     to_dot,
     validate,
 )
-from dynwire._textcols import format_rows, parse_lists
+from dynwire._textcols import format_floats, format_rows, parse_lists
 from dynwire.cli import main
 from dynwire.errors import DynwireError
 from dynwire.fileio import (
@@ -210,6 +214,202 @@ def test_write_csv_refuses_a_ragged_row_before_opening_the_file(tmp_path):
         write_csv(tmp_path / "new.csv", ["t", "x"], [[0.0]])
     assert not (tmp_path / "new.csv").exists()
     assert read_csv(path) == (["t", "x"], [[0.0, 1.0], [0.1, 2.0]])
+
+
+def reference_csv_lines(rows) -> str:
+    """The lines ``write_csv`` writes for ``rows``, one ``repr(float(v))`` a value."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def kernel_text(rows) -> str:
+    """``format_floats`` of ``rows`` as one string: the vectorised path at any size."""
+    values = np.array(rows, np.float64) if rows else np.empty((0, 1))
+    return "".join(format_floats(values))
+
+
+# Values on every branch of repr's layout and of the kernel's range: zeros,
+# subnormals, the ends of the normal range and of 2**50, 2**53 and above,
+# inf and nan, the switches to and from the exponent form at 1e-4 and 1e16,
+# and values whose shortest digits tie or run to 17.
+FLOAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+    2.0**50, np.nextafter(2.0**50, 0), 2.0**53, 2.0**53 + 2, 2.0**60, 1e16, 1e22, 1e-4, 1e-5,
+    *(np.nextafter(1e16, d) for d in (0, np.inf)), *(np.nextafter(1e-4, d) for d in (0, np.inf)),
+    0.1, 0.3, 1.0, 2.5, 100.0, 123456789012345.6, 0.30000000000000004, 1.2345678901234567e-4,
+    9007199254740991.0, 4503599627370497.0,
+]
+float_values = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from(FLOAT_EDGES)
+    | st.builds(lambda b: float(np.uint64(b).view(np.float64)), st.integers(0, 2**64 - 1))
+)
+
+
+@st.composite
+def float_rows(draw) -> list[list[float]]:
+    width = draw(st.integers(1, 7))
+    rows = draw(st.integers(0, 6))
+    return [draw(st.lists(float_values, min_size=width, max_size=width)) for _ in range(rows)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=float_rows())
+def test_format_floats_matches_repr(rows):
+    assert kernel_text(rows) == reference_csv_lines(rows)
+
+
+def test_format_floats_matches_repr_on_signed_blocks():
+    # 16 values and more per array, negatives among them, as numpy vectorises
+    # sign handling only from some block length on.
+    rng = np.random.default_rng(16)
+    for n in (15, 16, 17, 31, 64, 257):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 12, n)
+        values[rng.random(n) < 0.2] *= -1
+        assert kernel_text(values[:, None].tolist()) == reference_csv_lines(values[:, None].tolist())
+
+
+def test_format_floats_matches_repr_on_a_million_bit_patterns():
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 2**20, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64).reshape(-1, 8)
+    assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+
+
+def test_format_floats_matches_repr_on_structured_values():
+    powers = 2.0 ** np.arange(-1074, 1024)
+    k = np.arange(1, 20001)
+    columns = [
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.array([float(f"1e{e}") for e in range(-323, 309)]),
+        k * 0.01, k * 0.001, k / 3.0, 2.0**53 - k, 2.0**53 + 2 * k, 2.0**50 - k,
+        # 17 digits from 1e-4 up to 1e-3 take 20 cells after the point.
+        np.random.default_rng(17).uniform(1e-4, 1e-3, 20000),
+        # Short mantissas at every exponent, where the shortest digits tie.
+        (np.arange(1, 2047, dtype=np.uint64)[:, None] << np.uint64(52)
+         | np.random.default_rng(18).integers(0, 2**8, (2046, 8), dtype=np.uint64) << np.uint64(44)).view(np.float64).ravel(),
+    ]
+    values = np.concatenate(columns)
+    values = np.concatenate([values, -values])[:, None]
+    assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+
+
+# Values whose bounds the kernel cannot decide from the top bits of their
+# products (found by a search over 64M random doubles): it leaves them to repr.
+UNSURE = [5.243573649187457, 2.8000123213933278e-05, 18729.46530922053, 152530.43316340545,
+          7.341702107958658e-257]
+
+
+def test_format_floats_writes_values_it_is_unsure_of_by_repr():
+    values = np.array(UNSURE + [-v for v in UNSURE] + [0.5, 1.25])
+    assert dynwire._textcols._shortest(values.view(np.uint64) & np.uint64(2**63 - 1),
+                                       dynwire._textcols._Arena())[2].tolist() == [True] * 10 + [False] * 2
+    for width in (1, 3, 4):
+        block = np.resize(values, (len(values) * 2 // width, width))
+        assert "".join(format_floats(block)) == reference_csv_lines(block.tolist())
+
+
+def test_format_floats_leaves_unsure_values_to_repr(monkeypatch):
+    # The kernel leaves a value to repr where the top bits of a product do
+    # not decide its bounds; mark every third value so, and the splice of
+    # repr's text must give the same lines.
+    shortest = dynwire._textcols._shortest
+
+    def unsure(mag, arena):
+        d, e10, outside = shortest(mag, arena)
+        outside[::3] = True
+        return d, e10, outside
+
+    monkeypatch.setattr(dynwire._textcols, "_shortest", unsure)
+    values = np.random.default_rng(3).standard_normal((400, 7)) * 1e3
+    values[5, 2], values[9, 0], values[11, 6] = 0.0, float("inf"), 5e-324
+    assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+
+
+def test_format_floats_splits_rows_across_chunks():
+    chunk = dynwire._textcols._CHUNK_VALUES
+    values = np.random.default_rng(5).random((3 * chunk // 7 + 2, 7))
+    pieces = list(format_floats(values))
+    assert len(pieces) == -(-values.size // chunk)
+    assert "".join(pieces) == reference_csv_lines(values.tolist())
+    assert list(format_floats(np.empty((3, 0)))) == ["\n\n\n"]
+
+
+def test_format_floats_in_threads_at_once():
+    # Each thread keeps its own work buffers; with a short switch interval,
+    # threads that shared them would write each other's digits.
+    values = [np.random.default_rng(k).random((300, 11)) * 10.0**k for k in range(6)]
+    expected = [reference_csv_lines(v.tolist()) for v in values]
+    results: dict[int, list[str]] = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(k):
+            results[k] = ["".join(format_floats(values[k])) for _ in range(5)]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: [expected[k]] * 5 for k in range(6)}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_write_csv_on_both_sides_of_the_kernel_threshold(tmp_path, monkeypatch, count):
+    calls = []
+    monkeypatch.setattr(dynwire.fileio, "format_floats", lambda v: calls.append(v.size) or format_floats(v))
+    threshold = dynwire.fileio._KERNEL_VALUES
+    for size in (threshold - count, threshold + count - 1):
+        rows = (np.random.default_rng(size).random((size, 1)) * 100).tolist()
+        write_csv(tmp_path / "t.csv", ["x"], rows)
+        assert (tmp_path / "t.csv").read_text() == "x\n" + reference_csv_lines(rows)
+    assert calls == [threshold + count - 1]
+
+
+@pytest.mark.parametrize("size", [3, 2000])
+def test_write_csv_converts_values_as_float_does(tmp_path, size):
+    objects = [3, True, False, 2**70, 2**53 + 1, -(2**63), np.float32(0.1), np.int64(2**62 + 1),
+               np.float64(-0.0), 7.25]
+    rows = [[objects[(r + c) % len(objects)] for c in range(4)] for r in range(size)]
+    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], rows)
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n" + reference_csv_lines(rows)
+
+
+def test_write_csv_then_read_csv_gives_the_same_floats(tmp_path):
+    bits = np.random.default_rng(9).integers(0, 2**64, 6000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[~np.isnan(values)][:5000].reshape(-1, 5)
+    path = tmp_path / "t.csv"
+    write_csv(path, list("abcde"), values.tolist())
+    header, rows = read_csv(path)
+    assert header == list("abcde")
+    assert np.array(rows).view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("name", ["a,b", "c\nd", "e\rf"])
+def test_write_csv_refuses_a_header_cell_that_would_split(tmp_path, name):
+    path = tmp_path / "t.csv"
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(DynwireError, match=re.escape(f"column 2 ({name!r}) holds")):
+        write_csv(path, ["t", name, "x"], [[0.0, 1.0, 2.0]])
+    assert path.read_text(encoding="utf-8") == "kept\n"
+    with pytest.raises(DynwireError):
+        write_csv(tmp_path / "new.csv", ["t", name], [[0.0, 1.0]])
+    assert not (tmp_path / "new.csv").exists()
+
+
+def test_write_csv_converts_every_value_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("kept\n", encoding="utf-8")
+    rows = [[float(k), 1.0] for k in range(3000)]
+    for bad, error in (("x", ValueError), (object(), TypeError), (10**400, OverflowError)):
+        rows[2999][1] = bad
+        with pytest.raises(error):
+            write_csv(path, ["t", "x"], rows)
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_writer_on_library_diagrams_and_specs(tmp_path):

@@ -11,6 +11,8 @@ are pinned the same way.
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,7 @@ CASES = {
         f"{ECO}/sim.json", None,
     ),
     "heat_3x3": ("grid3.json", [f"{HEAT}/heat_node.json"] * 9, f"{HEAT}/sim3x3.json", None),
+    "heat_32x32": ("grid32.json", [f"{HEAT}/heat_node.json"] * 1024, "sim32x32.json", None),
 }
 
 # (case, scheme) -> (CSV digest, sidecar digest)
@@ -56,6 +59,15 @@ DIGESTS = {
     ("heat_3x3", "rk4"): (
         "2424f1b28da645a4d8d9e2baf45b45cb71df80fc3c7a7a958f4622fc6ae57de1",
         "2ecd4ede6ece58a321113ed412528502ae31acbca4d81c2f6f94371bc9f49671",
+    ),
+    # Recorded with the per-value ``repr`` writer, before the vectorised one.
+    ("heat_32x32", "euler"): (
+        "b8258d4045883c3aacc865b64a8f00338291d39130756f5e5c1c9c9f2d9e6f7a",
+        "d4a221130b5187a9c4b48ae69650c15a037a8a3fde69dc3a33adbbb26cc43875",
+    ),
+    ("heat_32x32", "rk4"): (
+        "175af23964d573029c4f63625e8c45eadba03bad2c8679638b60f98d12373d3c",
+        "8bd3c5dcc402e7f20858b3dcb0d92020a3f248871657d46193b154879c902abc",
     ),
     ("sir_cyclic", "euler"): (
         "fd96f077f6e2fcd7592aed8ac3ace64bd9f08f575a3fbb798d560769279aa733",
@@ -98,6 +110,21 @@ def _prepare(tmp_path: Path, repo_root: Path, case: str) -> None:
         ]) == 0
     if case == "heat_3x3":
         assert main(["grid", "3", "3", "-o", str(tmp_path / "grid3.json")]) == 0
+    if case == "heat_32x32":
+        assert main(["grid", "32", "32", "-o", str(tmp_path / "grid32.json")]) == 0
+        (tmp_path / "sim32x32.json").write_text(json.dumps(heat_32x32_config()), encoding="utf-8")
+
+
+def heat_32x32_config() -> dict:
+    """Seeded initial temperatures spread over 10**-9 .. 10**9, of both
+    signs and with some zeros, so that the trajectory has values of every
+    length in both the fixed and the exponent form of ``repr``."""
+    rng = random.Random(3232)
+    init = [
+        rng.choice((0.0, rng.random(), rng.uniform(-1, 1) * 10.0 ** rng.randint(-9, 9)))
+        for _ in range(1024)
+    ]
+    return {"h": 0.01, "steps": 6, "init": init}
 
 
 def simulate_digests(tmp_path: Path, repo_root: Path, case: str, scheme: str) -> tuple[str, str]:

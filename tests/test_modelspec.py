@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -260,6 +261,22 @@ class TestBuiltins:
             builtin_model("lv_growth", {"r": 1.0, "q": 2.0})
         with pytest.raises(ModelSpecError, match="unknown builtin"):
             builtin_model("nope", {})
+
+    @pytest.mark.parametrize("value", ["x", 10**400, float("nan"), float("inf"), True, None, [0.1]])
+    def test_parameter_values_are_checked_like_json_params(self, value):
+        message = re.escape(f"params['alpha'] must be a finite number, got {value!r}")
+        with pytest.raises(ModelSpecError, match=message):
+            builtin_model("heat_node", {"alpha": value})
+        with pytest.raises(ModelSpecError, match=message):
+            spec_from_json({"builtin": "heat_node", "params": {"alpha": value}})
+
+    def test_parameter_values_are_kept_as_given(self):
+        whole, real = builtin_model("heat_node", {"alpha": 1}), builtin_model("heat_node", {"alpha": 1.0})
+        assert whole is not real
+        assert type(whole.params["alpha"]) is int and type(real.params["alpha"]) is float
+        inputs, state = np.array([1.0, 2.0, 3.0, 4.0]), np.array([2.0])
+        assert instantiate(whole).dynamics(inputs, state).tolist() == [2.0]
+        assert instantiate(real).dynamics(inputs, state).tolist() == [2.0]
 
 
 class TestJsonForm:
