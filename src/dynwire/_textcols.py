@@ -25,8 +25,8 @@ returns, and otherwise ``None``, so that the caller reads the text with
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -214,6 +214,9 @@ _HALF = np.array([1] + [5 * 10**k for k in range(19)], np.uint64)
 _LOWEST, _BEYOND = np.array([2.0**-1022, 2.0**50]).view(np.uint64)
 
 
+# Built on first use, so that a process that writes no CSV does not run the
+# numpy loops its construction needs (about 0.5 MB of library pages).
+@functools.cache
 def _exponent_table() -> tuple[np.ndarray, np.ndarray]:
     """Ryū's constants per biased exponent, one column each, and e10.
 
@@ -256,7 +259,6 @@ def _exponent_table() -> tuple[np.ndarray, np.ndarray]:
     return table, (q + e2).astype(np.intp)
 
 
-_TABLE, _E10 = _exponent_table()
 _POW10_32 = _POW10[:10].astype(np.uint32)
 # Values per chunk: large enough that numpy's cost per call is small against
 # the work, small enough that the work buffers stay in cache.
@@ -265,7 +267,9 @@ _CHUNK_VALUES = 2048
 
 class _Arena:
     """Work buffers by name, grown as needed and reused, each viewed with
-    whatever shape and type its current use needs."""
+    whatever shape and type its current use needs.  ``format_floats`` makes
+    one per call (some 200 bytes per value of its first chunk), which its
+    chunks share and which is freed with it."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -276,21 +280,6 @@ class _Arena:
         if buffer is None or len(buffer) < size:
             buffer = self._buffers[name] = np.empty(size, np.uint8)
         return buffer[:size].view(dtype).reshape(shape)
-
-
-# Each thread keeps its work buffers (about 250 bytes per value of a chunk)
-# from one call to the next: fresh ones would cost a page fault for every
-# 4 KiB they touch, which took longer than the formatting of a one-chunk
-# trajectory.  A chunk is formatted without yielding, on the buffers of the
-# thread that resumes the generator, so no two chunks share them at once.
-_WORKSPACE = threading.local()
-
-
-def _arena() -> _Arena:
-    arena = getattr(_WORKSPACE, "arena", None)
-    if arena is None:
-        arena = _WORKSPACE.arena = _Arena()
-    return arena
 
 
 def _shortest(mag: np.ndarray, arena: _Arena) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,8 +293,9 @@ def _shortest(mag: np.ndarray, arena: _Arena) -> tuple[np.ndarray, np.ndarray, n
     biased = (mag >> _S52).astype(np.intp)
     mant = mag & (_HIDDEN - _ONE)
     m2 = mant | _HIDDEN
-    table = arena("table", (len(_TABLE), n))
-    for row, out in zip(_TABLE, table):
+    constants, e10 = _exponent_table()
+    table = arena("table", (len(constants), n))
+    for row, out in zip(constants, table):
         row.take(biased, out=out, mode="clip")
     mul, (low_bits, high_bits, below, exact, add, sub, up_edge, down, down_2) = table[:4], table[4:]
     # The 32-bit columns of P = 4*m2 * mul, before carries: the low limb of
@@ -313,14 +303,13 @@ def _shortest(mag: np.ndarray, arena: _Arena) -> tuple[np.ndarray, np.ndarray, n
     # (below 2**23) times mul[k] goes into column k+1 whole; no column sum
     # reaches 2**57.
     low, high = (m2 << np.uint64(2)) & _M32, m2 >> np.uint64(30)
-    part, cols = arena("part", (2, 4, n)), arena("cols", (5, n))
-    np.multiply(low, mul, out=part[0])
-    np.multiply(high, mul, out=part[1])
-    np.bitwise_and(part[0, 0], _M32, out=cols[0])
-    np.right_shift(part[0], _S32, out=cols[1:])
-    part[0] &= _M32
-    cols[1:4] += part[0, 1:]
-    cols[1:] += part[1]
+    part, cols = arena("part", (4, n)), arena("cols", (5, n))
+    np.multiply(low, mul, out=part)
+    np.bitwise_and(part[0], _M32, out=cols[0])
+    np.right_shift(part, _S32, out=cols[1:])
+    part[1:] &= _M32
+    cols[1:4] += part[1:]
+    cols[1:] += np.multiply(high, mul, out=part)
     for k in range(4):
         cols[k + 1] += cols[k] >> _S32
     # vr = P >> j, from limb 3 and the 64 bits above it.  With R = P % 2**j,
@@ -368,7 +357,7 @@ def _shortest(mag: np.ndarray, arena: _Arena) -> tuple[np.ndarray, np.ndarray, n
     up = (rest > half) | ((rest == half) & ~tie_down)
     # vm itself lies outside the interval: take the next digits above it.
     d += up | (d == vm // p)
-    return d, _E10.take(biased, mode="clip") + removed, unsure | ~inside
+    return d, e10.take(biased, mode="clip") + removed, unsure | ~inside
 
 
 def _digit_rows(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -377,6 +366,8 @@ def _digit_rows(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.
     ``scratch`` is another.  Each row is one division of a 32-bit half by a
     scalar power of ten, which numpy vectorises without a hardware divide."""
     count = len(out)
+    if count == 0:  # a chunk of one-digit values in exponent form has no fraction
+        return out
     if count > 9:
         high = values // _POW10[9]
         _digit_rows(high, out[:-9], scratch)
@@ -414,7 +405,7 @@ def _format_chunk(x: np.ndarray, width: int, start: int, arena: _Arena) -> str:
     # The digits after the point, and the integer part, padded with zeros
     # to `point` digits; fixed values write at least one digit after the
     # point, and a 0 before it.
-    after = np.where(fixed, np.clip(digits - point, 0, digits), digits - 1)
+    after = np.where(fixed, np.minimum(np.maximum(digits - point, 0), digits), digits - 1)
     split = _POW10[after]
     whole = d // split
     fraction = (d - whole * split) * _POW10[17 - after]  # left-aligned in 17 digits
@@ -433,19 +424,19 @@ def _format_chunk(x: np.ndarray, width: int, start: int, arena: _Arena) -> str:
     # The kernel's buffers are free again: the digits use them.
     block = arena("table", (max(iw, fw), n), np.uint32)
     scratch = arena("cols", (8, n), np.uint32)
-    cells = _digit_rows(whole, block[:iw], scratch)
-    cells += _ZERO
-    cells *= np.arange(iw, 0, -1)[:, None] <= whole_width
-    text[1:1 + iw] = cells
+    cells = text[1:1 + iw]
+    cells[:] = _digit_rows(whole, block[:iw], scratch)
+    cells += np.uint8(_ZERO)
+    cells *= np.arange(iw, 0, -1, dtype=np.uint8)[:, None] <= whole_width.astype(np.uint8)
     np.multiply(fixed | (after > 0), np.uint8(ord(".")), out=text[1 + iw])
     at = 2 + iw
     if zw:
         np.multiply(np.arange(zw)[:, None] < zeros, np.uint8(_ZERO), out=text[at:at + zw])
         at += zw
-    cells = _digit_rows(fraction // _POW10[17 - fw], block[:fw], scratch)
-    cells += _ZERO
-    cells *= np.arange(fw)[:, None] < after
-    text[at:at + fw] = cells
+    cells = text[at:at + fw]
+    cells[:] = _digit_rows(fraction // _POW10[17 - fw], block[:fw], scratch)
+    cells += np.uint8(_ZERO)
+    cells *= np.arange(fw, dtype=np.uint8)[:, None] < after.astype(np.uint8)
     at += fw
     if powers:
         # e-XX or e-XXX: few values need it, so only theirs are computed.
@@ -462,13 +453,12 @@ def _format_chunk(x: np.ndarray, width: int, start: int, arena: _Arena) -> str:
     text[at, (width - 1 - start) % width::width] = ord("\n")
     if special is not None:
         text[:at, special] = 0
-    chars, keep = arena("table", (2, n, rows), np.uint8)
-    np.copyto(chars, text.T)
-    out = str(chars[np.not_equal(chars, 0, out=keep.view(bool))], "ascii")
+    # Read value by value, the cells other than 0 are the text.
+    out = text.T.tobytes().translate(None, b"\0").decode("ascii")
     if special is None:
         return out
     # Each value ends at its separator: put repr's text just before it.
-    ends = np.cumsum(np.count_nonzero(chars, axis=1)) - 1
+    ends = np.cumsum(np.count_nonzero(text, axis=0)) - 1
     pieces, done = [], 0
     for k in np.flatnonzero(special):
         pieces += [out[done:ends[k]], repr(float(x[k]))]
@@ -490,5 +480,6 @@ def format_floats(values: np.ndarray) -> Iterator[str]:
         yield "\n" * len(values)
         return
     flat = np.ascontiguousarray(values).ravel()
+    arena = _Arena()
     for start in range(0, len(flat), _CHUNK_VALUES):
-        yield _format_chunk(flat[start:start + _CHUNK_VALUES], width, start, _arena())
+        yield _format_chunk(flat[start:start + _CHUNK_VALUES], width, start, arena)

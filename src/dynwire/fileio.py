@@ -336,26 +336,17 @@ def load_labels(path: str | Path) -> list[str]:
 # CSV trajectories
 
 
-# Below this many values a trajectory is written by ``repr`` value by value:
-# the numpy kernel's fixed cost per chunk (some 150 array operations)
-# outweighs its speed there.  It broke even near 600 values on heat and
-# ecosystem trajectories and near 1000 on SIR ones, whose zeros and short
-# values repr writes fastest (see CHANGES.md).
-_KERNEL_VALUES = 1024
-
-
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
     """Write the header and one line per row, every value as ``repr(float(v))``.
 
     Before the file is opened, a row whose length differs from the
     header's, or a header cell holding ``,``, ``\\n`` or ``\\r``, raises
     ``DynwireError`` naming it (``read_csv`` would refuse the file), and
-    every value is converted by ``float``; so a refused or failing call
-    leaves an existing file as it was.  The values are then written by
-    ``_textcols.format_floats``, a vectorised shortest round-trip kernel
-    that gives ``repr``'s bytes, in chunks of at most
-    ``_textcols._CHUNK_VALUES`` values, streamed to the file; a call of
-    fewer than ``_KERNEL_VALUES`` values uses ``repr`` itself.
+    every value is converted by ``float``; so a call refused for its rows,
+    header or values leaves an existing file as it was.  The values are then
+    written by ``_textcols.format_floats``, a vectorised shortest round-trip
+    kernel that gives ``repr``'s bytes, in chunks of at most
+    ``_textcols._CHUNK_VALUES`` values, streamed to the file.
     """
     width = len(header)
     if not set(map(len, rows)) <= {width}:
@@ -368,10 +359,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[f
     values = values.reshape(len(rows), width)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if values.size < _KERNEL_VALUES:
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
-        else:
-            fh.writelines(format_floats(values))
+        fh.writelines(format_floats(values))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:

@@ -335,7 +335,7 @@ def test_format_floats_splits_rows_across_chunks():
 
 
 def test_format_floats_in_threads_at_once():
-    # Each thread keeps its own work buffers; with a short switch interval,
+    # Each call has its own work buffers; with a short switch interval,
     # threads that shared them would write each other's digits.
     values = [np.random.default_rng(k).random((300, 11)) * 10.0**k for k in range(6)]
     expected = [reference_csv_lines(v.tolist()) for v in values]
@@ -357,16 +357,25 @@ def test_format_floats_in_threads_at_once():
     assert results == {k: [expected[k]] * 5 for k in range(6)}
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_write_csv_on_both_sides_of_the_kernel_threshold(tmp_path, monkeypatch, count):
-    calls = []
-    monkeypatch.setattr(dynwire.fileio, "format_floats", lambda v: calls.append(v.size) or format_floats(v))
-    threshold = dynwire.fileio._KERNEL_VALUES
-    for size in (threshold - count, threshold + count - 1):
-        rows = (np.random.default_rng(size).random((size, 1)) * 100).tolist()
-        write_csv(tmp_path / "t.csv", ["x"], rows)
-        assert (tmp_path / "t.csv").read_text() == "x\n" + reference_csv_lines(rows)
-    assert calls == [threshold + count - 1]
+def test_format_floats_of_chunks_without_fraction_cells():
+    # One-digit values below 1e-4 are written d e-XX, with no digit after
+    # the point: a chunk of only such values has no fraction cells at all.
+    chunk = dynwire._textcols._CHUNK_VALUES
+    one_digit = np.array([1e-05, 3e-07, -9e-100, 5e-300, 2e-308])
+    for values in ([[1e-05]], np.resize(one_digit, (chunk, 1)), np.resize(one_digit, (chunk // 4, 4))):
+        values = np.asarray(values)
+        assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+
+
+def test_write_csv_of_chunks_without_fraction_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [[1e-05]] * 1024
+    write_csv(path, ["x"], rows)
+    assert path.read_text() == "x\n" + reference_csv_lines(rows)
+    # The last chunk of this trajectory holds only 3e-07.
+    rows = (np.random.default_rng(7).random((2 * dynwire._textcols._CHUNK_VALUES, 1)) * 100).tolist() + [[3e-07]]
+    write_csv(path, ["x"], rows)
+    assert path.read_text() == "x\n" + reference_csv_lines(rows)
 
 
 @pytest.mark.parametrize("size", [3, 2000])
