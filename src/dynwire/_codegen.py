@@ -3,13 +3,14 @@
 ``modelspec`` parses model equations into the AST defined here and gives
 each model a :class:`Program`, from which all its code is generated: a
 function over Python floats, and batch kernels over ``(k, n)`` blocks for
-the boxes of a large composite that share it.  ``dynam`` fuses a small
-composite, or the Euler map of one, into one function over floats: every
-box's equations are inlined, and the wiring becomes plain sums.  ``sim``
-steps such a system through that function, with RK4's stages generated
-around it.  All go through one :class:`Emitter`, so generated code performs
-the same floating-point operations, and meets the same errors in the same
-order, as the boxes' closures called one after another.
+the boxes of a larger composite that share it.  ``dynam`` gives every
+composite a program over its boxes' programs, and fuses one (by the rule in
+its module docstring) into one function over floats: every box's equations
+are inlined, and the wiring becomes plain sums.  ``sim`` steps such a
+system through that function, with RK4's stages generated around it.  All
+go through one :class:`Emitter`, so generated code performs the same
+floating-point operations, and meets the same errors in the same order, as
+the boxes' closures called one after another.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import ExprEvalError, SizeMismatchError
+from .finset import FinFunction
+from .wiring import _Fibers
 
 # ---------------------------------------------------------------------------
 # AST
@@ -248,6 +252,14 @@ def define(signature: str, body: Sequence[str], constants: Mapping[str, object])
 # Programs: systems in a form that a composite can inline
 
 
+# A composite is fused only if its code has at most this many statements
+# (its ``Program.statements``: the boxes' operations and output checks, plus
+# one addition per wire).  Fused code costs per statement, a numpy group
+# call mostly per group, and this is where the two cross on heat grids (see
+# CHANGES.md).
+_FUSE_MAX_STATEMENTS = 1500
+
+
 class Program:
     """The equations of a system, in a form a composite inlines into its code.
 
@@ -256,23 +268,29 @@ class Program:
     ``x`` of its states, and return the operands of its results.
     ``statements`` counts what they emit, one statement per operation, per
     output check and per addition of the wiring: what the size and the run
-    time of fused code grow with.  Programs compare and hash by value
-    (``key``), so the code generated for a composite is cached by the values
-    of its diagram and its boxes.
+    time of fused code grow with.  A program is fused, by the rule in
+    ``dynam``'s module docstring, exactly when it has a ``key``; only then does
+    it emit code, and compare and hash by value, so the code generated for a
+    composite is cached by the values of its diagram and its boxes.  Any
+    other program is only equal to itself, and ``callables`` holds its array
+    callables, made once by ``dynam.callables_of``.
     """
 
-    def __init__(self, key: tuple, n_inputs: int, n_states: int, n_outputs: int, statements: int):
-        self.key = key
+    callables: tuple[Callable, Callable | None] | None = None
+
+    def __init__(self, key: tuple | None, n_inputs: int, n_states: int, n_outputs: int, statements: int):
+        self.key, self.fused = key, key is not None
         self.n_inputs, self.n_states, self.n_outputs = n_inputs, n_states, n_outputs
         self.statements = statements
-        self._hash = hash(key)
+        self._hash = id(self) if key is None else hash(key)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
-            type(other) is type(self) and self._hash == other._hash and self.key == other.key
+            self.key is not None and type(other) is type(self)
+            and self._hash == other._hash and self.key == other.key
         )
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
@@ -329,17 +347,37 @@ class Leaf(Program):
         return [em.output(e, f"dynamics of {s!r}") for s, e in zip(self.states, self.equations)]
 
 
-def _ints(column: Sequence[int]) -> tuple[int, ...]:
-    return tuple(np.asarray(column, dtype=np.intp).tolist())
+class Opaque(Program):
+    """A system given by its callables alone: they are its only code, so it
+    is never fused, never inlined into a composite's code and never grouped."""
+
+    def __init__(
+        self, n_inputs: int, n_states: int, n_outputs: int, dynamics: Callable, readout: Callable | None
+    ):
+        super().__init__(None, n_inputs, n_states, n_outputs, 0)
+        self.callables = (dynamics, readout)
+
+
+def _composite(boxes: Sequence[Program], glue: int) -> tuple[np.ndarray, int, bool]:
+    """Of a composite whose wiring adds ``glue`` statements to its boxes':
+    where each box's states start among the box states, and their count
+    last (box ``i``'s are ``offs[i]:offs[i + 1]``); its statements; and
+    whether it is fused: its boxes are and those fit the cutoff."""
+    n = map(attrgetter("n_states"), boxes)
+    offs = np.fromiter(itertools.accumulate(n, initial=0), np.intp, len(boxes) + 1)
+    statements = sum(map(attrgetter("statements"), boxes)) + glue
+    fused = statements <= _FUSE_MAX_STATEMENTS and all(map(attrgetter("fused"), boxes))
+    return offs, statements, fused
 
 
 class Transport(Program):
     """A directed composite: readouts and outer inputs summed into in-ports.
 
-    The tables are those of ``dynam``'s transport: ``inward`` gathers from
+    The tables are index arrays: ``inward`` gathers from
     ``concat(readouts, inputs)`` and scatters into in-ports, ``outward``
-    gathers from readouts into outer out-ports; ``in_ports[i]`` and
-    ``out_ports[i]`` are box ``i``'s ports.
+    gathers from readouts into outer out-ports; ``ins`` and ``outs`` group
+    the in-ports and out-ports by box, and ``offs`` the boxes' states.  Only
+    a fused transport turns them into tuples, for its key and its code.
     """
 
     def __init__(
@@ -347,44 +385,39 @@ class Transport(Program):
         boxes: Sequence[Program],
         n_inputs: int,
         n_outputs: int,
-        in_ports: Sequence[Sequence[int]],
-        out_ports: Sequence[Sequence[int]],
-        inward: tuple[Sequence[int], Sequence[int]],
-        outward: tuple[Sequence[int], Sequence[int]],
+        ins: _Fibers,
+        outs: _Fibers,
+        inward: tuple[np.ndarray, np.ndarray],
+        outward: tuple[np.ndarray, np.ndarray],
     ):
         self.boxes = tuple(boxes)
-        self.in_ports = tuple(map(_ints, in_ports))
-        self.out_ports = tuple(map(_ints, out_ports))
-        self.inward = tuple(map(_ints, inward))
-        self.outward = tuple(map(_ints, outward))
-        self.states = _slices(self.boxes)
-        tables = (self.in_ports, self.out_ports, self.inward, self.outward)
-        key = (self.boxes, n_inputs, n_outputs, *tables)
-        n_states = sum(p.n_states for p in self.boxes)
-        statements = sum(p.statements for p in self.boxes) + self.glue(inward, outward)
-        super().__init__(key, n_inputs, n_states, n_outputs, statements)
-
-    @staticmethod
-    def glue(inward: tuple[Sequence[int], ...], outward: tuple[Sequence[int], ...]) -> int:
-        """The statements the wiring adds to the boxes': an addition per wire."""
-        return len(inward[0]) + len(outward[0])
+        self.ins, self.outs, self.inward, self.outward = ins, outs, inward, outward
+        # An addition per wire.
+        self.offs, statements, fused = _composite(self.boxes, len(inward[0]) + len(outward[0]))
+        key = None
+        if fused:
+            wires = (tuple(c.tolist()) for c in (*inward, *outward))
+            key = (self.boxes, n_inputs, n_outputs, ins.tuples(), outs.tuples(), *wires)
+        super().__init__(key, n_inputs, int(self.offs[-1]), n_outputs, statements)
 
     def _readouts(self, em: Emitter, x: Sequence[str]) -> list[str]:
         # Every box's readout in box order, placed at its out-ports.
-        r = [""] * sum(map(len, self.out_ports))
-        for box, states, ports in zip(self.boxes, self.states, self.out_ports):
+        r = [""] * self.outs.order.size
+        for box, states, ports in zip(self.boxes, _slices(self.offs), self.outs.tuples()):
             for port, value in zip(ports, box.readout(em, x[states])):
                 r[port] = value
         return r
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
-        return em.sums(*self.outward, self._readouts(em, x), self.n_outputs)
+        src, dst = self.outward
+        return em.sums(src.tolist(), dst.tolist(), self._readouts(em, x), self.n_outputs)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         values = [*self._readouts(em, x), *a]
-        feed = em.sums(*self.inward, values, sum(map(len, self.in_ports)))
+        src, dst = self.inward
+        feed = em.sums(src.tolist(), dst.tolist(), values, self.ins.order.size)
         out: list[str] = []
-        for box, states, ports in zip(self.boxes, self.states, self.in_ports):
+        for box, states, ports in zip(self.boxes, _slices(self.offs), self.ins.tuples()):
             out += box.dynamics(em, [feed[p] for p in ports], x[states])
         return out
 
@@ -393,48 +426,43 @@ class Gluing(Program):
     """An undirected composite: box states are pulled back from the glued
     states along ``injection`` and their dynamics pushed forward, summed per
     glued state.  A discrete composite adds the summed increments to the
-    glued state instead."""
+    glued state instead.  ``offs`` is as for :class:`Transport`."""
 
-    def __init__(
-        self, boxes: Sequence[Program], injection: Sequence[int], n_states: int, discrete: bool
-    ):
+    def __init__(self, boxes: Sequence[Program], injection: FinFunction, discrete: bool):
         self.boxes = tuple(boxes)
-        self.injection = _ints(injection)
-        self.discrete = discrete
-        self.states = _slices(self.boxes)
-        key = (self.boxes, self.injection, n_states, discrete)
-        glue = self.glue(len(self.injection), n_states, discrete)
-        super().__init__(key, 0, n_states, 0, sum(p.statements for p in self.boxes) + glue)
-
-    @staticmethod
-    def glue(box_states: int, n_states: int, discrete: bool) -> int:
-        """The statements the gluing adds to the boxes': an addition per box
-        state; a discrete composite also takes an increment per box state
-        and adds one sum per glued state."""
-        return 2 * box_states + n_states if discrete else box_states
+        self.injection, self.discrete = injection, discrete
+        n_states = injection.cod_size
+        # An addition per box state; a discrete composite also takes an
+        # increment per box state and adds one sum per glued state.
+        glue = 2 * injection.dom_size + n_states if discrete else injection.dom_size
+        self.offs, statements, fused = _composite(self.boxes, glue)
+        key = (self.boxes, injection.map, n_states, discrete) if fused else None
+        super().__init__(key, 0, n_states, 0, statements)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
-        y = [x[c] for c in self.injection]
+        injection = self.injection.map
+        y = [x[c] for c in injection]
         out: list[str] = []
-        for box, states in zip(self.boxes, self.states):
+        for box, states in zip(self.boxes, _slices(self.offs)):
             out += box.dynamics(em, (), y[states])
         every = range(len(y))
         if not self.discrete:
-            return em.sums(every, self.injection, out, self.n_states)
+            return em.sums(every, injection, out, self.n_states)
         steps = [em.statement(f"{o} - {v}") for o, v in zip(out, y)]
-        sums = em.sums(every, self.injection, steps, self.n_states)
+        sums = em.sums(every, injection, steps, self.n_states)
         return [em.statement(f"{v} + {s}") for v, s in zip(x, sums)]
 
 
 class Euler(Program):
     """The explicit Euler map of a continuous system: its dynamics ``u``,
     then ``x_i + h*u_i`` per state, the operations of numpy's ``x + h * u``.
-    Its readout is the system's own."""
+    Its readout is the system's own.  Fused when the system's program is."""
 
     def __init__(self, inner: Program, h: float):
         self.inner, self.h = inner, float(h)
         n = inner.n_states  # and one statement per state, its step
-        super().__init__((inner, self.h), inner.n_inputs, n, inner.n_outputs, inner.statements + n)
+        key = (inner, self.h) if inner.fused else None
+        super().__init__(key, inner.n_inputs, n, inner.n_outputs, inner.statements + n)
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
         return self.inner.readout(em, x)
@@ -445,8 +473,8 @@ class Euler(Program):
         return [em.statement(f"{v} + {h} * {d}") for v, d in zip(x, u)]
 
 
-def _slices(boxes: Sequence[Program]) -> list[slice]:
-    bounds = [0, *itertools.accumulate(p.n_states for p in boxes)]
+def _slices(offs: np.ndarray) -> list[slice]:
+    bounds = offs.tolist()
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -493,28 +521,24 @@ def _floats(v: Sequence[float] | np.ndarray, n: int, what: str) -> list[float]:
     return as_vector(v, n, what).tolist()
 
 
-def arrays(
-    program: Program, machine: bool, dynamics: Callable, readout: Callable | None = None
-) -> tuple[Callable, Callable | None]:
-    """Array callables around functions over Python floats: the dynamics
-    ``(a, x)`` of a machine or ``(x)`` of a sharer, and the readout ``(x)``
-    if given, convert and size-check each argument with ``as_vector`` and
-    return a float64 array."""
-    n_in, n = program.n_inputs, program.n_states
-    if not machine:
-        return lambda x: np.array(dynamics((), _floats(x, n, "state vector"))), None
-    return (
-        lambda a, x: np.array(dynamics(_floats(a, n_in, "input vector"), _floats(x, n, "state vector"))),
-        readout and (lambda x: np.array(readout(_floats(x, n, "state vector")))),
-    )
-
-
 @functools.lru_cache(maxsize=64)
 def compiled(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
-    """The array callables (see :func:`arrays`) of a model or a fused
-    composite with ``program``, cached by program value."""
-    readout = _generate(program, False, ["x"], readout=True) if machine else None
-    return arrays(program, machine, raw(program), readout)
+    """The array callables of a fused ``program``, cached by its value: the
+    dynamics ``(a, x)`` of a machine or ``(x)`` of a sharer, and a machine's
+    readout ``(x)``, convert and size-check each argument with ``as_vector``
+    around the functions over Python floats and return a float64 array.  An
+    Euler map's readout is its system's."""
+    n_in, n, f = program.n_inputs, program.n_states, raw(program)
+    if not machine:
+        return lambda x: np.array(f((), _floats(x, n, "state vector"))), None
+
+    def dynamics(a, x):
+        return np.array(f(_floats(a, n_in, "input vector"), _floats(x, n, "state vector")))
+
+    if isinstance(program, Euler):
+        return dynamics, compiled(program.inner, machine)[1]
+    g = _generate(program, False, ["x"], readout=True)
+    return dynamics, lambda x: np.array(g(_floats(x, n, "state vector")))
 
 
 @functools.lru_cache(maxsize=64)

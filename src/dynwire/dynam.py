@@ -12,45 +12,49 @@ read exactly 0.0.  Undirected composition glues states by a pushout.
 Explicit Euler discretization commutes with both compositions, which the
 test suite exercises as the central oracle.
 
-A composite is evaluated one of two ways:
+Every system carries a program (``_codegen``): a spec-built model's
+equations, a composite over its boxes' programs (one ``Transport`` for both
+directed syntaxes, a ``Gluing`` for the undirected one), the Euler map of a
+program, or, for a system built from callables alone, an ``Opaque`` leaf
+holding them.  Whether a program is **fused** is decided once, when it is
+built: a model always is, an opaque leaf never, an Euler map when its
+system is, and a composite when all its boxes are and its code, nested
+composites and wiring included, has at most
+``_codegen._FUSE_MAX_STATEMENTS`` statements.  :func:`callables_of` turns
+any program into the array callables of the way it runs:
 
-- **Fused**, when every box carries a ``program`` (spec-built models do, and
-  so do composites fused from them and their Euler maps) and the
-  composite's code, nested composites and wiring included, has at most
-  ``_FUSE_MAX_STATEMENTS`` statements.  The composite is then one generated
-  function over Python floats: each box's equations inlined with its
-  parameters as literals, the transport and the gluing unrolled into sums in
-  the order ``finset.fiber_sum`` adds.  It carries its own program, so a
-  composite of composites flattens into one function, and so does the Euler
-  map of a composite or a composite of Euler maps.  Its ``dynamics`` and
-  ``readout`` convert their arrays to floats and back around that function;
-  ``sim.run_trajectory`` steps the floats directly.  Values and errors are
-  bitwise those of the boxes' closures called in turn.  The generated code
-  is cached by the value of the diagram and the boxes.
-- **Box by box** otherwise: a closure over the diagram that evaluates the
-  boxes sharing a program (as equal instantiated specs and their Euler maps
-  do) in one call per group of the batch kernel generated from it, and the
-  rest through their own callables.  Its plan is built from the diagram's
-  index columns with a few numpy calls per group; per-box records exist
-  only for the boxes called alone, and for every box once a group has
-  flagged an error and the phase is redone box by box.
+- **Fused:** one generated function over Python floats: each box's
+  equations inlined with its parameters as literals, the transport and the
+  gluing unrolled into sums in the order ``finset.fiber_sum`` adds, so a
+  composite of composites flattens into one function, and so does the
+  Euler map of a composite or a composite of Euler maps.  Its ``dynamics``
+  and ``readout`` convert their arrays to floats and back around that
+  function; ``sim.run_trajectory`` steps the floats directly.  Values and
+  errors are bitwise those of the boxes' closures called in turn.  The
+  generated code is cached by the value of the diagram and the boxes.
+- **Box by box** otherwise: a composite evaluates the boxes sharing a
+  fused program (as equal instantiated specs and their Euler maps do) in
+  one call per group of the batch kernel generated from it, and the rest
+  through their own callables (:class:`_BoxPlan`); an Euler map is
+  ``x + h * u`` in numpy around its system's callables, and an opaque leaf
+  is its callables.  These are made once per program and kept on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from ._codegen import Euler, Gluing, Program, Transport, arrays, compiled, kernels, raw
+from ._codegen import Euler, Gluing, Opaque, Program, Transport, compiled, kernels
 from ._codegen import as_vector as _as_vector
 from .errors import ArityError, KindError, SizeMismatchError
 from .finset import FinFunction, compose, fiber_sum, pullback_vec, pushforward_vec, pushout
-from .wiring import CPGraph, DWDiagram, UWDiagram
+from .wiring import CPGraph, DWDiagram, UWDiagram, _Fibers, cpg_to_dwd
 
 __all__ = [
     "Kind",
@@ -81,10 +85,10 @@ class Machine:
 
     ``dynamics(inputs, state)`` returns a state-sized vector, read as the
     derivative (continuous) or the next state (discrete); ``readout(state)``
-    returns the output vector and may depend on state only.  ``program``, if
-    given, is the same equations in the one form a composite reads: it is
-    inlined into a small composite's code, and a larger one evaluates the
-    boxes that share it through one batch kernel generated from it.
+    returns the output vector and may depend on state only.  ``program`` is
+    the same system in the one form a composite reads (see the module
+    docstring); a machine built without one gets an ``Opaque`` leaf of its
+    callables.  Machines compare by their other fields.
     """
 
     n_inputs: int
@@ -93,7 +97,10 @@ class Machine:
     dynamics: Dynamics
     readout: Readout
     kind: Kind
-    program: Program | None = None
+    program: Program | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        _carry_program(self, self.n_inputs, self.n_outputs, self.readout)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ class ResourceSharer:
     portmap: FinFunction
     dynamics: SharerDynamics
     kind: Kind
-    program: Program | None = None
+    program: Program | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.portmap.dom_size != self.n_ports or self.portmap.cod_size != self.n_states:
@@ -116,6 +123,16 @@ class ResourceSharer:
                 f"portmap is {self.portmap.dom_size}->{self.portmap.cod_size}, "
                 f"expected {self.n_ports}->{self.n_states}"
             )
+        _carry_program(self, 0, 0, None)
+
+
+def _carry_program(
+    system: Machine | ResourceSharer, n_inputs: int, n_outputs: int, readout: Readout | None
+) -> None:
+    """Give a system built without a program an ``Opaque`` leaf of its callables."""
+    if system.program is None:
+        opaque = Opaque(n_inputs, system.n_states, n_outputs, system.dynamics, readout)
+        object.__setattr__(system, "program", opaque)
 
 
 def eval_dynamics(
@@ -144,64 +161,13 @@ def _common_kind(kinds: list[Kind], what: str) -> Kind:
     return kinds[0] if kinds else "continuous"
 
 
-# A composite whose boxes all carry a program is fused into one generated
-# function if that function has at most this many statements (its
-# ``Program.statements``: the boxes' operations and output checks, plus one
-# addition per wire); larger ones evaluate their boxes through _BoxPlan.
-# Fused code costs per statement, a numpy group call mostly per group, and
-# this is where the two cross on heat grids (see CHANGES.md).
-_FUSE_MAX_STATEMENTS = 1500
-
-
-def _programs(
-    systems: Sequence[Machine] | Sequence[ResourceSharer], glue: int
-) -> list[Program] | None:
-    """The boxes' programs, if every box carries one and the fused code,
-    with ``glue`` statements of the composite's own, is small enough."""
-    programs, statements = [], glue
-    for s in systems:
-        if s.program is None or statements > _FUSE_MAX_STATEMENTS:
-            return None
-        programs.append(s.program)
-        statements += s.program.statements
-    return programs if statements <= _FUSE_MAX_STATEMENTS else None
-
-
-class _Fibers(NamedTuple):
-    """The fibers of a map given as a column of codes: the elements sent to
-    code ``c`` are ``order[bounds[c]:bounds[c + 1]]``, ascending.
-
-    ``order`` is the stable argsort of the column and ``bounds`` the running
-    sum of the fiber sizes.  Over a box column, a box's fiber is its ports in
-    slot order.
-    """
-
-    order: np.ndarray
-    bounds: np.ndarray
-
-    @classmethod
-    def of(cls, column: np.ndarray, n_codes: int) -> "_Fibers":
-        bounds = np.zeros(n_codes + 1, dtype=np.intp)
-        np.bincount(column, minlength=n_codes).cumsum(out=bounds[1:])
-        return cls(column.argsort(kind="stable"), bounds)
-
-    def sizes(self) -> np.ndarray:
-        return self.bounds[1:] - self.bounds[:-1]
-
-    def block(self, codes: np.ndarray, k: int) -> np.ndarray:
-        """The fibers of ``codes``, ``k`` elements each, one code per row."""
-        return self.order[self.bounds[codes][:, None] + np.arange(k)]
-
-    def split(self, codes: Iterable[int]) -> list[np.ndarray]:
-        """The fiber of each of ``codes``, as views of ``order``."""
-        b = self.bounds.tolist()
-        return [self.order[b[c]:b[c + 1]] for c in codes]
-
-
 class _Box(NamedTuple):
-    """One box of a composite: its system, its state slice, its port indices."""
+    """One box of a composite called alone: its program and callables, its
+    state slice, its port indices."""
 
-    system: Machine | ResourceSharer
+    program: Program
+    dynamics: Callable
+    readout: Callable | None
     states: slice
     ins: np.ndarray | None
     outs: np.ndarray | None
@@ -212,14 +178,14 @@ class _Box(NamedTuple):
 class _BoxPlan:
     """How a composite evaluates its boxes: one block call per shared program.
 
-    Boxes that share a ``program`` object with another box form a group,
+    Boxes that share a fused program object with another box form a group,
     evaluated by one call of that program's batch kernel on a ``(k, n)``
     block.  The plan is read off the diagram's columns: one pass over the
     identities of the boxes' programs forms the groups, a group's state block
     is its boxes' state offsets plus ``arange(n)``, and its port blocks come
-    from the port order of the box columns (``ins`` and ``outs``, directed
-    composites only).  The other boxes (singletons and systems without a
-    program, such as hand-written callables) are called one by one with size
+    from the port index of the box columns (``ins`` and ``outs``, directed
+    composites only).  The other boxes (singletons and programs that are not
+    fused, such as hand-written callables) are called one by one with size
     checks, through a :class:`_Box` record each.  Groups run first and only
     flag trouble; if one does, the whole phase is redone box by box in box
     order, so the scalar closures raise exactly the error, from exactly the
@@ -229,49 +195,47 @@ class _BoxPlan:
 
     def __init__(
         self,
-        systems: Sequence[Machine] | Sequence[ResourceSharer],
+        programs: Sequence[Program],
         offs: np.ndarray,
         ins: _Fibers | None = None,
         outs: _Fibers | None = None,
     ):
-        # A copy: the fallback's records are built later, from these systems.
-        self.systems, self.offs, self.ins, self.outs = tuple(systems), offs, ins, outs
+        self.programs, self.offs, self.ins, self.outs = programs, offs, ins, outs
+        self.machine = machine = ins is not None
         # By identity: ``id`` is a C call, hashing a program's value a Python one.
-        programs = list(map(attrgetter("program"), systems))
         ids = list(map(id, programs))
         heads = dict(zip(ids, programs))  # one program per code, in first-seen order
         code = {k: c for c, k in enumerate(heads)}
         column = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
-        groups = _Fibers.of(column, len(code)).split(range(len(code)))
+        groups = _Fibers(column, len(code)).split(range(len(code)))
         self.groups, alone = [], []
         for program, rows in zip(heads.values(), groups):
-            if program is None or len(rows) < 2:
+            if not program.fused or len(rows) < 2:
                 alone += rows.tolist()
                 continue
-            s = systems[rows[0]]
-            states = offs[rows][:, None] + np.arange(s.n_states)
-            block_ins = ins.block(rows, s.n_inputs) if ins is not None else None
-            block_outs = outs.block(rows, s.n_outputs) if outs is not None else None
-            self.groups.append((*kernels(program, ins is not None), states, block_ins, block_outs))
+            states = offs[rows][:, None] + np.arange(program.n_states)
+            block_ins = ins.block(rows, program.n_inputs) if machine else None
+            block_outs = outs.block(rows, program.n_outputs) if machine else None
+            self.groups.append((*kernels(program, machine), states, block_ins, block_outs))
         self.singles = self._records(sorted(alone))
 
     def _records(self, boxes: list[int]) -> list[_Box]:
         offs = self.offs.tolist()
         none = [None] * len(boxes)
-        ins = self.ins.split(boxes) if self.ins is not None else none
-        outs = self.outs.split(boxes) if self.outs is not None else none
+        ins = self.ins.split(boxes) if self.machine else none
+        outs = self.outs.split(boxes) if self.machine else none
         return [
             _Box(
-                self.systems[i], slice(offs[i], offs[i + 1]), a, o,
+                p, *callables_of(p, self.machine), slice(offs[i], offs[i + 1]), a, o,
                 f"readout of box {i}", f"dynamics of box {i}",
             )
-            for i, a, o in zip(boxes, ins, outs)
+            for i, p, a, o in zip(boxes, map(self.programs.__getitem__, boxes), ins, outs)
         ]
 
     @cached_property
     def boxes(self) -> list[_Box]:
         """Every box in box order: what the scalar fallback walks."""
-        return self._records(list(range(len(self.systems))))
+        return self._records(list(range(len(self.programs))))
 
     def readouts(self, x: np.ndarray, o: np.ndarray) -> None:
         """Write every box's readout of ``x`` at its out-ports in ``o``."""
@@ -283,7 +247,7 @@ class _BoxPlan:
                 break
             o[outs] = block
         for b in boxes:
-            o[b.outs] = _as_vector(b.system.readout(x[b.states]), b.system.n_outputs, b.readout_of)
+            o[b.outs] = _as_vector(b.readout(x[b.states]), b.program.n_outputs, b.readout_of)
 
     def dynamics(self, x: np.ndarray, out: np.ndarray, feed: np.ndarray | None = None) -> None:
         """Write every box's dynamics into ``out``; ``feed`` holds the in-port
@@ -299,43 +263,30 @@ class _BoxPlan:
                 break
             out[states] = block
         for b in boxes:
-            s = b.system
-            v = s.dynamics(x[b.states]) if feed is None else s.dynamics(feed[b.ins], x[b.states])
-            out[b.states] = _as_vector(v, s.n_states, b.dynamics_of)
+            v = b.dynamics(x[b.states]) if feed is None else b.dynamics(feed[b.ins], x[b.states])
+            out[b.states] = _as_vector(v, b.program.n_states, b.dynamics_of)
 
 
-def _oapply_transport(
-    machines: Sequence[Machine],
-    n_outer_in: int,
-    n_outer_out: int,
-    ins: _Fibers,
-    outs: _Fibers,
-    inward: tuple[np.ndarray, np.ndarray],
-    outward: tuple[np.ndarray, np.ndarray],
-) -> Machine:
-    """The directed composite over one (gather, scatter) transport per direction.
+def callables_of(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
+    """The array callables of ``program``: the dynamics ``(a, x)`` of a
+    machine (``machine``) or ``(x)`` of a sharer, and a machine's readout
+    ``(x)``, fused or box by box as the module docstring says.  Those of a
+    program that is not fused are made on the first call and kept on it."""
+    if program.fused:
+        return compiled(program, machine)
+    if program.callables is None:  # an Opaque leaf holds its own
+        program.callables = _BOX_BY_BOX[type(program)](program, machine)
+    return program.callables
 
-    ``inward`` sums ``concat(readouts, inputs)[gather]`` into in-ports
-    ``scatter``; ``outward`` sums ``readouts[gather]`` into outer out-ports.
-    Each is one fiber sum in index order, so box wires are listed first.
-    ``ins`` and ``outs`` group the in-ports and out-ports by box.
-    """
-    kind = _common_kind([m.kind for m in machines], "machines")
-    programs = _programs(machines, Transport.glue(inward, outward))
-    if programs is not None:
-        every = range(len(machines))
-        program = Transport(
-            programs, n_outer_in, n_outer_out, ins.split(every), outs.split(every), inward, outward
-        )
-        dynamics, readout = compiled(program, True)
-        n_states = program.n_states
-        return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind, program)
-    n_pin, n_pout = len(ins.order), len(outs.order)
-    offs = np.fromiter(accumulate(map(attrgetter("n_states"), machines), initial=0), np.intp)
-    n_states = int(offs[-1])
-    plan = _BoxPlan(machines, offs, ins, outs)
-    feed_from, feed_to = inward
-    out_from, out_to = outward
+
+def _transport(program: Transport, machine: bool) -> tuple[Callable, Callable]:
+    """Box by box: ``inward`` sums ``concat(readouts, inputs)[gather]`` into
+    in-ports ``scatter``, and ``outward`` sums ``readouts[gather]`` into outer
+    out-ports, each one fiber sum in index order, so box wires come first."""
+    n_outer_in, n_states, n_outer_out = program.n_inputs, program.n_states, program.n_outputs
+    n_pin, n_pout = program.ins.order.size, program.outs.order.size
+    plan = _BoxPlan(program.boxes, program.offs, program.ins, program.outs)
+    (feed_from, feed_to), (out_from, out_to) = program.inward, program.outward
 
     def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         a = _as_vector(a, n_outer_in, "input vector")
@@ -353,16 +304,51 @@ def _oapply_transport(
         plan.readouts(x, values)
         return fiber_sum(out_to, values[out_from], n_outer_out)
 
-    return Machine(n_outer_in, n_states, n_outer_out, dynamics, readout, kind)
+    return dynamics, readout
+
+
+def _gluing(program: Gluing, machine: bool) -> tuple[Callable, None]:
+    """Box by box: box states pulled back along the injection, their
+    dynamics pushed forward."""
+    n_states, injection, discrete = program.n_states, program.injection, program.discrete
+    plan = _BoxPlan(program.boxes, program.offs)
+
+    def dynamics(x: np.ndarray) -> np.ndarray:
+        x = _as_vector(x, n_states, "state vector")
+        y = pullback_vec(injection, x)
+        out = np.empty(injection.dom_size, dtype=np.float64)
+        plan.dynamics(y, out)
+        if not discrete:
+            return pushforward_vec(injection, out)
+        # A discrete box returns its next state; glued states add their increments.
+        return x + pushforward_vec(injection, out - y)
+
+    return dynamics, None
+
+
+def _euler_map(program: Euler, machine: bool) -> tuple[Callable, Callable | None]:
+    """Box by box: ``x + h * u`` in numpy around the system's callables."""
+    u, readout = callables_of(program.inner, machine)
+    h = program.h
+
+    def step(*args: np.ndarray) -> np.ndarray:  # (a, x), or (x) for a sharer
+        *a, x = args
+        x = np.asarray(x, dtype=np.float64)
+        return x + h * np.asarray(u(*a, x), dtype=np.float64)
+
+    return step, readout
+
+
+_BOX_BY_BOX = {Transport: _transport, Gluing: _gluing, Euler: _euler_map}
 
 
 def _misfit(machines: Sequence[Machine], ins: _Fibers, outs: _Fibers) -> int | None:
     """The first box whose machine's (inputs, outputs) differ from its port counts."""
-    have = list(map(attrgetter("n_inputs", "n_outputs"), machines))
-    want = list(zip(ins.sizes().tolist(), outs.sizes().tolist()))
+    have = list(map(attrgetter("n_inputs"), machines)), list(map(attrgetter("n_outputs"), machines))
+    want = ins.sizes().tolist(), outs.sizes().tolist()
     if have == want:
         return None
-    return next(i for i, (h, w) in enumerate(zip(have, want)) if h != w)
+    return next(i for i, h, w in zip(range(len(machines)), zip(*have), zip(*want)) if h != w)
 
 
 def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
@@ -371,15 +357,13 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     Evaluation order per step: all readouts first (they depend on state
     only), then all in-port sums, then all dynamics; feedback loops resolve
     in one pass.  An in-port fed by several wires receives their sum, box
-    wires first; one fed by none receives 0.0.  A small composite of boxes
-    with programs is fused into one cached generated function (see the
-    module docstring); otherwise boxes sharing a ``program`` run as one
-    group and the others through their scalar callables.
+    wires first; one fed by none receives 0.0.  The composite's program is a
+    ``Transport`` over the machines' programs, fused or evaluated box by box
+    as the module docstring says.
     """
     if len(machines) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
-    ins = _Fibers.of(d.column("box_in"), d.n_boxes)
-    outs = _Fibers.of(d.column("box_out"), d.n_boxes)
+    ins, outs = d.ports("box_in"), d.ports("box_out")
     i = _misfit(machines, ins, outs)
     if i is not None:
         n_in, n_out = ins.sizes()[i], outs.sizes()[i]
@@ -387,11 +371,16 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
             f"box {i} expects (in, out) = ({n_in}, {n_out}), "
             f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
         )
+    kind = _common_kind([m.kind for m in machines], "machines")
     src_in = d.column("src_in") + d.data.card["P_out"]
     tgt = np.concatenate((d.column("tgt"), d.column("tgt_in")))
     inward = (np.concatenate((d.column("src"), src_in)), tgt)
     outward = (d.column("src_out"), d.column("tgt_out"))
-    return _oapply_transport(machines, d.n_outer_in, d.n_outer_out, ins, outs, inward, outward)
+    boxes = list(map(attrgetter("program"), machines))
+    n_in, n_out = d.n_outer_in, d.n_outer_out
+    program = Transport(boxes, n_in, n_out, ins, outs, inward, outward)
+    dynamics, readout = callables_of(program, True)
+    return Machine(n_in, program.n_states, n_out, dynamics, readout, kind, program)
 
 
 @dataclass(frozen=True)
@@ -413,14 +402,13 @@ def oapply_undirected_with_layout(
 
     States mapped to a common junction are glued by the pushout of the total
     portmap against the port-junction assignment.  A junction attached to no
-    port contributes an inert extra state.  A small composite of sharers
-    with programs is fused as in :func:`oapply_directed`; otherwise sharers
-    with a common ``program`` run as one group and the others through their
-    scalar callables.
+    port contributes an inert extra state.  The composite's program is a
+    ``Gluing`` over the sharers' programs, fused or evaluated box by box as
+    the module docstring says.
     """
     if len(sharers) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(sharers)} sharers were given")
-    ports = _Fibers.of(d.column("box"), d.n_boxes)
+    ports = d.ports("box")
     have, sizes = [s.n_ports for s in sharers], ports.sizes().tolist()
     if have != sizes:
         i = next(i for i, (h, w) in enumerate(zip(have, sizes)) if h != w)
@@ -442,25 +430,10 @@ def oapply_undirected_with_layout(
     n_states = po.apex_size
     portmap = compose(d.data.part_fn("junc_out"), junc_inj)
     layout = UndirectedLayout(state_inj, junc_inj)
-    discrete = kind == "discrete"
-    programs = _programs(sharers, Gluing.glue(n_states_total, n_states, discrete))
-    if programs is not None:
-        program = Gluing(programs, state_inj.map, n_states, discrete)
-        dynamics = compiled(program, False)[0]
-        return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, program), layout
-    plan = _BoxPlan(sharers, offs)
-
-    def dynamics(x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, n_states, "state vector")
-        y = pullback_vec(state_inj, x)
-        out = np.empty(n_states_total, dtype=np.float64)
-        plan.dynamics(y, out)
-        if kind == "continuous":
-            return pushforward_vec(state_inj, out)
-        # A discrete box returns its next state; glued states add their increments.
-        return x + pushforward_vec(state_inj, out - y)
-
-    return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind), layout
+    boxes = list(map(attrgetter("program"), sharers))
+    program = Gluing(boxes, state_inj, kind == "discrete")
+    dynamics = callables_of(program, False)[0]
+    return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, program), layout
 
 
 def oapply_undirected(d: UWDiagram, sharers: Sequence[ResourceSharer]) -> ResourceSharer:
@@ -469,32 +442,25 @@ def oapply_undirected(d: UWDiagram, sharers: Sequence[ResourceSharer]) -> Resour
 
 
 def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
-    """Compose machines over a circular port graph.
-
-    The composite of ``oapply_directed(cpg_to_dwd(g), machines)``, with the
-    transport read from the CPG tables: each port is both an in-port and an
-    out-port of its box, and outer port ``q`` feeds and reads ``expose[q]``.
-    Fused or evaluated box by box as in :func:`oapply_directed`.
-    """
+    """Compose machines over a circular port graph: the composite over
+    ``cpg_to_dwd(g)``, where each port is both an in-port and an out-port
+    of its box, and outer port ``q`` feeds and reads ``expose[q]``."""
     if len(machines) != g.n_boxes:
         raise ArityError(f"diagram has {g.n_boxes} boxes but {len(machines)} machines were given")
-    ports = _Fibers.of(g.column("box"), g.n_boxes)
+    ports = g.ports("box")
     i = _misfit(machines, ports, ports)
     if i is not None:
         raise ArityError(
             f"box {i} expects {ports.sizes()[i]} inputs and outputs, "
             f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
         )
-    expose = g.column("expose")
-    outer = np.arange(g.n_outer, dtype=np.intp)
-    src_in = outer + len(ports.order)
-    inward = (np.concatenate((g.column("src"), src_in)), np.concatenate((g.column("tgt"), expose)))
-    outward = (expose, outer)
-    return _oapply_transport(machines, g.n_outer, g.n_outer, ports, ports, inward, outward)
+    return oapply_directed(cpg_to_dwd(g), machines)
 
 
 # Interned like the programs of instantiated specs: Euler maps of equal
 # systems, made one by one, then share one program object and so group.
+# Only fused maps group, and only they are interned: the cache would keep an
+# unfused composite alive, and with it its plan.
 @lru_cache(maxsize=64)
 def _euler_program(inner: Program, h: float) -> Euler:
     return Euler(inner, h)
@@ -502,35 +468,26 @@ def _euler_program(inner: Program, h: float) -> Euler:
 
 def _euler(
     system: Machine | ResourceSharer, h: float, refusal: str
-) -> tuple[Callable, Program | None]:
-    """The dynamics and program of the explicit Euler map ``x + h * u`` of
-    ``system``.  With a program, the map is the generated function of
-    :class:`Euler` over it, one program object per ``(program, h)`` value,
-    so Euler-then-compose fuses too."""
+) -> tuple[Callable, Callable | None, Euler]:
+    """The dynamics, readout and program of the explicit Euler map
+    ``x + h * u`` of ``system``: one program object per ``(program, h)``
+    value, so Euler-then-compose fuses too."""
     if system.kind != "continuous":
         raise KindError(refusal)
     if not h > 0:
         raise ValueError("step size must be positive")
-    if system.program is not None:
-        program = _euler_program(system.program, float(h))
-        return arrays(program, isinstance(system, Machine), raw(program))[0], program
-    u = system.dynamics
-
-    def step(*args: np.ndarray) -> np.ndarray:  # (a, x), or (x) for a sharer
-        *a, x = args
-        x = np.asarray(x, dtype=np.float64)
-        return x + h * np.asarray(u(*a, x), dtype=np.float64)
-
-    return step, None
+    inner, h = system.program, float(h)
+    program = _euler_program(inner, h) if inner.fused else Euler(inner, h)
+    return (*callables_of(program, isinstance(system, Machine)), program)
 
 
 def euler_directed(m: Machine, h: float) -> Machine:
     """Explicit Euler step of a continuous machine: ``x + h * u(a, x)``."""
-    step, program = _euler(m, h, "euler_directed requires a continuous machine")
-    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, m.readout, "discrete", program)
+    step, readout, program = _euler(m, h, "euler_directed requires a continuous machine")
+    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, readout, "discrete", program)
 
 
 def euler_undirected(s: ResourceSharer, h: float) -> ResourceSharer:
     """Explicit Euler step of a continuous sharer: ``x + h * v(x)``."""
-    step, program = _euler(s, h, "euler_undirected requires a continuous sharer")
+    step, _, program = _euler(s, h, "euler_undirected requires a continuous sharer")
     return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete", program)

@@ -281,9 +281,10 @@ class ModelSpec:
     may reference states and parameters only, since readouts are functions
     of state.
 
-    ``dynamics`` and ``params`` are copied into read-only mappings, so
-    mutating a dict after passing it changes nothing, and assigning to them
-    raises ``TypeError``.  Specs compare by value (parameters as floats);
+    ``dynamics`` and ``params`` are copied into read-only mappings and
+    ``states``, ``inputs``, ``readout`` and ``ports`` into tuples, so
+    mutating a dict or list after passing it changes nothing, and assigning
+    to a field raises.  Specs compare by value (parameters as floats);
     ``spec_from_json`` and ``builtin_model`` return one shared object for
     equal input, and ``pickle`` and ``copy.deepcopy`` give back an equal spec.
     """
@@ -300,6 +301,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dynamics", MappingProxyType(dict(self.dynamics)))
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        for name in ("states", "inputs", "readout", "ports"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def __reduce__(self):
         # A mappingproxy does not pickle; the fields rebuild through __init__.
@@ -310,13 +313,11 @@ class ModelSpec:
 
     @property
     def _value(self) -> _SpecValue:
-        """The instantiate cache key, kept once built unless a sequence field
-        is not a tuple, and so could still change."""
+        """The instantiate cache key, built once."""
         value = self.__dict__.get("_key")
         if value is None:
             value = _SpecValue(self)
-            if all(type(f) is tuple for f in (self.states, self.inputs, self.readout, self.ports)):
-                object.__setattr__(self, "_key", value)
+            object.__setattr__(self, "_key", value)
         return value
 
 
@@ -391,12 +392,12 @@ class _SpecValue:
         self.key = (
             spec.kind,
             spec.flavor,
-            tuple(spec.states),
+            spec.states,
             tuple(spec.dynamics.items()),
-            tuple(spec.inputs),
+            spec.inputs,
             tuple((k, repr(v)) for k, v in spec.params.items()),
-            tuple(spec.readout),
-            tuple(spec.ports),
+            spec.readout,
+            spec.ports,
         )
         self.hash = hash(self.key)
 
@@ -422,13 +423,8 @@ def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
     program.  The value key is built once per spec object and kept on it, so
     calling this again with the same object, as for every box of a grid
     whose spec ``spec_from_json`` or ``builtin_model`` returned, costs one
-    cache lookup.  ``oapply_*`` fuses a small composite (at most
-    ``dynam._FUSE_MAX_STATEMENTS`` generated statements) whose boxes all
-    carry programs into one generated function, itself cached by the value of
-    the diagram and the boxes.  A larger composite evaluates every group of
-    boxes that share a program in one call of the batch kernel generated from
-    it, and a box whose spec no other box shares, like a hand-written system,
-    through its scalar closures.  Only the CLI reads a file once: ``simulate``
+    cache lookup.  How a composite of these uses the program is in
+    ``dynam``'s module docstring.  Only the CLI reads a file once: ``simulate``
     loads a ``--models`` path given for many boxes a single time, while
     ``fileio.load_json`` reads the file on every call.
     """

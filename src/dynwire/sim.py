@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -20,6 +19,7 @@ from ._codegen import as_vector, stepper
 from .dynam import (
     Machine,
     ResourceSharer,
+    callables_of,
     euler_directed,
     euler_undirected,
     oapply_cpg,
@@ -43,33 +43,22 @@ class ComposedSystem:
 
 
 def _labels(n: int, labels: Sequence[str] | None) -> list[str] | None:
-    """The labels as a list, checked against the box count; ``None`` stands
-    for the default labels ``b0 .. b<n-1>``."""
+    """The labels as a list, checked against the box count and for
+    repeats; ``None`` stands for the default labels ``b0 .. b<n-1>``."""
     if labels is None:
         return None
     if len(labels) != n:
         raise ConfigError(f"labels file names {len(labels)} boxes, diagram has {n}")
+    first: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if first.setdefault(label, i) != i:
+            raise ConfigError(f"box label {label!r} is given twice, at boxes {first[label]} and {i}")
     return list(labels)
 
 
-_STATES = operator.attrgetter("states")
-
-
 def _qualified(specs: Sequence[ModelSpec], labels: list[str] | None) -> list[str]:
-    """``<label>.<state>`` for every state of every box, box by box.
-
-    When every box has the same states, as in a grid, each state names all
-    the boxes by one join of their labels (or of their numbers after a ``b``)
-    and one split at the NULs that the join puts between the names, unless
-    a label or the state holds a NUL.
-    """
+    """``<label>.<state>`` for every state of every box, box by box."""
     head, keys = ("b", list(map(str, range(len(specs))))) if labels is None else ("", labels)
-    states = specs[0].states if specs else ()
-    if list(map(_STATES, specs)).count(states) == len(specs):
-        columns = [(head + f".{s}\0{head}".join(keys) + f".{s}").split("\0") for s in states]
-        # A split never yields fewer names than were joined, and more only at a NUL.
-        if sum(map(len, columns)) == len(keys) * len(states):
-            return list(itertools.chain.from_iterable(zip(*columns)))
     return [f"{head}{key}.{s}" for key, spec in zip(keys, specs) for s in spec.states]
 
 
@@ -81,12 +70,10 @@ def build_system(
     """Instantiate the specs and compose them over the diagram.
 
     Each distinct spec is instantiated once and its model shared by every
-    box that uses it.  A small composite (at most
-    ``dynam._FUSE_MAX_STATEMENTS`` generated statements) runs as one fused
-    function, whose generated code is cached by value, so rebuilding the
-    same system does not compile it again.  A larger one evaluates the boxes sharing a
-    spec as one numpy group, and a spec used by a single box through that
-    box's scalar closures.
+    box that uses it.  The composite is fused or evaluated box by box as
+    ``dynam``'s module docstring says; fused code is cached by value, so
+    rebuilding the same system does not compile it again.  Box labels must
+    be distinct.
     """
     if len(specs) != diagram.n_boxes:
         raise ArityError(f"diagram has {diagram.n_boxes} boxes but {len(specs)} models were given")
@@ -168,12 +155,14 @@ def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.n
 def _step(system: Machine | ResourceSharer, scheme: str, h: float) -> Callable:
     """The ``direct`` or ``rk4`` step ``(a, x) -> next x`` of ``system`` over
     Python floats, inputs ``a`` held over the step (sharers ignore them).
-    A system with a program steps through generated code
-    (``_codegen.stepper``); any other through its callables and numpy, with
-    the same IEEE operations."""
-    if system.program is not None:
-        return stepper(system.program, scheme, h)
-    f = system.dynamics if isinstance(system, Machine) else lambda a, x: system.dynamics(x)
+    A fused program steps through generated code (``_codegen.stepper``); any
+    other through its callables (``dynam.callables_of``) and numpy, with the
+    same IEEE operations."""
+    program, machine = system.program, isinstance(system, Machine)
+    if program.fused:
+        return stepper(program, scheme, h)
+    dynamics = callables_of(program, machine)[0]
+    f = dynamics if machine else lambda a, x: dynamics(x)
 
     def step(a: Sequence[float], x: Sequence[float]) -> list[float]:
         a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
@@ -219,8 +208,8 @@ def run_trajectory(
     ``euler_directed(system, h)`` or ``euler_undirected(system, h)``
     directly, or by classic RK4.  The state is a list of Python floats, and
     one step kind advances it with step ``k``'s inputs held over the step
-    (see :func:`_step`): a system with a program, and so the Euler map of
-    one, runs its generated code with no numpy work per step.  Rows include
+    (see :func:`_step`): a fused system, and so the Euler map of one, runs
+    its generated code with no numpy work per step.  Rows include
     the initial state at ``t=0`` and one row per step.  A state that is not
     finite after some step is an error naming the first such step and state.
     """

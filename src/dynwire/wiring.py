@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,34 +60,57 @@ __all__ = [
 ]
 
 
-# Columns are handled whole, as index arrays: a stable sort by box groups a
-# box's ports together in ascending order, which is their slot order.
+class _Fibers:
+    """The entries of a column grouped by value: over a box column, box
+    ``b``'s ports are ``order[bounds[b]:bounds[b + 1]]``, ascending, which is
+    their slot order.
 
+    ``order`` is the stable argsort of the column and ``bounds`` the running
+    sum of the boxes' port counts.  A diagram builds one per box column, on
+    first use (:meth:`_Diagram.ports`); ``dynam`` also groups boxes by
+    program with one.
+    """
 
-def _port_order(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ports stably sorted by box: ``order[new] = old`` and ``rank[old] = new``."""
-    order = box.argsort(kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return order, rank
+    def __init__(self, column: np.ndarray, n_boxes: int):
+        self.column, self.n_boxes = column, n_boxes
+        self.order = column.argsort(kind="stable")
+        self._bounds: np.ndarray | None = None
 
+    @property
+    def bounds(self) -> np.ndarray:
+        # One entry per box, so built only when read: a valid diagram may
+        # have far more boxes than ports, and ``rank`` does without.
+        if self._bounds is None:
+            self._bounds = np.zeros(self.n_boxes + 1, dtype=np.intp)
+            np.bincount(self.column, minlength=self.n_boxes).cumsum(out=self._bounds[1:])
+        return self._bounds
 
-def _port_counts(box: np.ndarray, n_boxes: int) -> tuple[int, ...]:
-    return tuple(np.bincount(box, minlength=n_boxes).tolist())
+    def sizes(self) -> np.ndarray:
+        return self.bounds[1:] - self.bounds[:-1]
 
+    def rank(self) -> np.ndarray:
+        """Each port's position in ``order``: ``rank[order[k]] = k``."""
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(self.order.size)
+        return rank
 
-def _ports_by_box(box: np.ndarray, counts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Each box's ports, ascending, given how many each box has: slices of
-    the ports sorted by box."""
-    order = tuple(box.argsort(kind="stable").tolist())
-    ends = list(accumulate(counts))
-    return tuple(map(order.__getitem__, map(slice, [0, *ends], ends)))
+    def slots(self) -> np.ndarray:
+        """Each port's slot: its position among the ports of its box."""
+        return self.rank() - self.bounds[self.column]
 
+    def block(self, boxes: np.ndarray, k: int) -> np.ndarray:
+        """The ports of ``boxes``, ``k`` each, one box per row."""
+        return self.order[self.bounds[boxes][:, None] + np.arange(k)]
 
-def _slots(box: np.ndarray) -> np.ndarray:
-    """Each port's slot: its position among the ports of its box."""
-    counts = np.bincount(box)
-    return _port_order(box)[1] - (np.cumsum(counts) - counts)[box]
+    def split(self, boxes: Iterable[int]) -> list[np.ndarray]:
+        """The ports of each of ``boxes``, as views of ``order``."""
+        b = self.bounds.tolist()
+        return [self.order[b[i]:b[i + 1]] for i in boxes]
+
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The ports of every box, as tuples of ints."""
+        order, b = self.order.tolist(), self.bounds.tolist()
+        return tuple(map(tuple, map(order.__getitem__, map(slice, b, b[1:]))))
 
 
 def _sorted_pairs(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +159,13 @@ class _Diagram:
         """Morphism ``name``'s column: a read-only ``np.intp`` array."""
         return self.data.parts[name]
 
+    def ports(self, column: str) -> _Fibers:
+        """The ports of box column ``column`` grouped by box, built once."""
+        index = self.__dict__.setdefault("_ports", {})
+        if column not in index:
+            index[column] = _Fibers(self.column(column), self.n_boxes)
+        return index[column]
+
 
 class _PortDiagram(_Diagram):
     """A diagram whose boxes and outer boundary each carry one list of ports."""
@@ -149,11 +179,11 @@ class _PortDiagram(_Diagram):
     @cached_property
     def box_ports(self) -> tuple[tuple[int, ...], ...]:
         """Global ports of each box, ascending; position gives the port slot."""
-        return _ports_by_box(self.column("box"), self.port_counts)
+        return self.ports("box").tuples()
 
     @cached_property
     def port_counts(self) -> tuple[int, ...]:
-        return _port_counts(self.column("box"), self.n_boxes)
+        return tuple(self.ports("box").sizes().tolist())
 
     @property
     def interfaces(self) -> tuple[int, ...]:
@@ -226,20 +256,16 @@ class DWDiagram(_Diagram):
 
     @cached_property
     def in_ports(self) -> tuple[tuple[int, ...], ...]:
-        col = self.column("box_in")
-        return _ports_by_box(col, _port_counts(col, self.n_boxes))
+        return self.ports("box_in").tuples()
 
     @cached_property
     def out_ports(self) -> tuple[tuple[int, ...], ...]:
-        col = self.column("box_out")
-        return _ports_by_box(col, _port_counts(col, self.n_boxes))
+        return self.ports("box_out").tuples()
 
     @cached_property
     def signature(self) -> tuple[tuple[int, int], ...]:
         """Per-box (in-port count, out-port count)."""
-        return tuple(
-            (len(i), len(o)) for i, o in zip(self.in_ports, self.out_ports)
-        )
+        return tuple(zip(map(len, self.in_ports), map(len, self.out_ports)))
 
     @property
     def interfaces(self) -> tuple[tuple[int, int], ...]:
@@ -333,7 +359,7 @@ def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
     j_off = _offsets(j_sizes)[1:]
     o = outer.data.parts
     # The inner outer-ports, end to end, are in the order of the outer ports sorted by box.
-    order = o["box"].argsort(kind="stable")
+    order = outer.ports("box").order
     n_all = sum(j_sizes)
     try:
         n_j, quot = _classes(n_all, o["junc_in"][order], _stack(inners, "junc_out", j_off))
@@ -362,8 +388,8 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     # The chains are followed in Python, over the columns as lists.
     oa = outer.data.parts
     od = {name: col.tolist() for name, col in oa.items()}
-    in_at = list(zip(od["box_in"], _slots(oa["box_in"]).tolist()))
-    out_at = list(zip(od["box_out"], _slots(oa["box_out"]).tolist()))
+    in_at = list(zip(od["box_in"], outer.ports("box_in").slots().tolist()))
+    out_at = list(zip(od["box_out"], outer.ports("box_out").slots().tolist()))
 
     # Inner in-ports that a chain entering (box, in-slot) reaches through the
     # inner boundary wires, in wire order.
@@ -422,7 +448,7 @@ def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
     o = outer.data.parts
     # The inner port exposed at each outer port: the inner exposes, end to
     # end, follow the outer ports sorted by box.
-    at = _stack(inners, "expose", p_off)[_port_order(o["box"])[1]]
+    at = _stack(inners, "expose", p_off)[outer.ports("box").rank()]
     columns = {
         "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])),
         "src": np.concatenate([_stack(inners, "src", p_off), at[o["src"]]]),
@@ -500,7 +526,7 @@ def canonical(d: _Diagram) -> _Diagram:
 
 def _canonical_uwd(d: UWDiagram) -> UWDiagram:
     a = d.data.parts
-    order = a["box"].argsort(kind="stable")
+    order = d.ports("box").order
     junc_in = a["junc_in"][order]
     renum = _first_use(d.n_junctions, junc_in, a["junc_out"])
     columns = {"box": a["box"][order], "junc_in": renum[junc_in], "junc_out": renum[a["junc_out"]]}
@@ -509,9 +535,9 @@ def _canonical_uwd(d: UWDiagram) -> UWDiagram:
 
 def _canonical_dwd(d: DWDiagram) -> DWDiagram:
     a = d.data.parts
-    in_order, in_rank = _port_order(a["box_in"])
-    out_order, out_rank = _port_order(a["box_out"])
-    columns = {"box_in": a["box_in"][in_order], "box_out": a["box_out"][out_order]}
+    ins, outs = d.ports("box_in"), d.ports("box_out")
+    in_rank, out_rank = ins.rank(), outs.rank()
+    columns = {"box_in": a["box_in"][ins.order], "box_out": a["box_out"][outs.order]}
     columns["src"], columns["tgt"] = _sorted_pairs(out_rank[a["src"]], in_rank[a["tgt"]])
     columns["src_in"], columns["tgt_in"] = _sorted_pairs(a["src_in"], in_rank[a["tgt_in"]])
     columns["src_out"], columns["tgt_out"] = _sorted_pairs(out_rank[a["src_out"]], a["tgt_out"])
@@ -521,8 +547,9 @@ def _canonical_dwd(d: DWDiagram) -> DWDiagram:
 
 def _canonical_cpg(d: CPGraph) -> CPGraph:
     a = d.data.parts
-    order, rank = _port_order(a["box"])
-    columns = {"box": a["box"][order], "expose": rank[a["expose"]]}
+    ports = d.ports("box")
+    rank = ports.rank()
+    columns = {"box": a["box"][ports.order], "expose": rank[a["expose"]]}
     columns["src"], columns["tgt"] = _sorted_pairs(rank[a["src"]], rank[a["tgt"]])
     return CPGraph._from_columns({"B": d.n_boxes}, columns)
 
@@ -567,12 +594,13 @@ def _dot_uwd(d: UWDiagram) -> list[str]:
 
 
 def _dot_dwd(d: DWDiagram) -> list[str]:
+    head = _dot_head("digraph", d.n_boxes)  # first: it refuses a box count it cannot write
     a = d.data.parts
-    box_in, slot_in = a["box_in"], _slots(a["box_in"])
-    box_out, slot_out = a["box_out"], _slots(a["box_out"])
+    box_in, slot_in = a["box_in"], d.ports("box_in").slots()
+    box_out, slot_out = a["box_out"], d.ports("box_out").slots()
     src, tgt, tgt_in, src_out = a["src"], a["tgt"], a["tgt_in"], a["src_out"]
     outer_in, outer_out = range(d.n_outer_in), range(d.n_outer_out)
-    return _dot_head("digraph", d.n_boxes) + [
+    return head + [
         _lines('  qin{} [label="in{}", shape=plaintext];', outer_in, outer_in),
         _lines('  qout{} [label="out{}", shape=plaintext];', outer_out, outer_out),
         _lines(
@@ -585,10 +613,11 @@ def _dot_dwd(d: DWDiagram) -> list[str]:
 
 
 def _dot_cpg(d: CPGraph) -> list[str]:
+    head = _dot_head("digraph", d.n_boxes)  # first: it refuses a box count it cannot write
     a = d.data.parts
-    box, slot = a["box"], _slots(a["box"])
+    box, slot = a["box"], d.ports("box").slots()
     src, tgt, expose, outer = a["src"], a["tgt"], a["expose"], range(d.n_outer)
-    return _dot_head("digraph", d.n_boxes) + [
+    return head + [
         _lines('  q{} [label="q{}", shape=plaintext];', outer, outer),
         _lines('  b{} -> b{} [label="p{}:p{}"];', box[src], box[tgt], slot[src], slot[tgt]),
         _lines('  q{} -> b{} [dir=none, style=dashed, label="p{}"];', outer, box[expose], slot[expose]),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-import dynwire.dynam as dynam
+import dynwire._codegen as codegen
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -24,7 +24,7 @@ def blocks_only():
 
     def build(f, *args):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynam, "_FUSE_MAX_STATEMENTS", -1)
+            patch.setattr(codegen, "_FUSE_MAX_STATEMENTS", -1)
             return f(*args)
 
     return build

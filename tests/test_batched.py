@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import dynwire.modelspec as modelspec
 import dynwire.sim as sim
 from dynwire._codegen import kernels
-from dynwire.dynam import _FUSE_MAX_STATEMENTS
+from dynwire._codegen import _FUSE_MAX_STATEMENTS
 from dynwire import (
     BinOp,
     Call,
@@ -64,7 +64,7 @@ def both_paths(blocks_only, oapply, *args):
 
 def fused(system) -> bool:
     """Whether a composite runs as one fused function (else through its boxes)."""
-    return system.program is not None
+    return system.program.fused
 
 
 def bits(x: np.ndarray) -> bytes:

@@ -374,6 +374,26 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {labels}: {where} must not hold")
         assert not out.exists()
 
+    def test_repeated_labels_are_refused(self, tmp_path, repo_root, capsys):
+        sir = repo_root / "configs" / "sir"
+        # Once accepted: "a.S" reached the second box only, and the first box's
+        # S + I + R = 0 divided by zero.
+        labels = write_json(tmp_path / "labels.json", {"boxes": ["a", "a", "b"]})
+        config = write_json(tmp_path / "c.json", {
+            "h": 0.01, "steps": 5, "init": {"a.S": 990.0, "a.I": 10.0, "b.S": 500.0},
+        })
+        out = tmp_path / "traj.csv"
+        code = main([
+            "simulate", "--diagram", str(sir / "cyclic.json"),
+            "--models", str(sir / "city.json"), str(sir / "city.json"), str(sir / "city.json"),
+            "--config", str(config), "--labels", str(labels),
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: box label 'a' is given twice, at boxes 0 and 1\n", err
+        assert not out.exists()
+
     def test_metadata_flags_rk4_as_non_functorial(self, tmp_path):
         diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)
         model = write_json(tmp_path / "m.json", ZERO_FIELD_MODEL)

@@ -54,7 +54,7 @@ from dynwire.fileio import (
     write_csv,
     write_svg_lineplot,
 )
-from dynwire.wiring import _SYNTAX, _port_counts, _ports_by_box, ocompose
+from dynwire.wiring import _SYNTAX, _Fibers, ocompose
 from dynwire.modelspec import builtin_model
 
 from helpers import (
@@ -711,9 +711,9 @@ def test_ports_by_box_and_port_counts_match_port_by_port(counts, seed):
     # Boxes with no ports, and diagrams with no boxes, included.
     box = shuffled_box_column(random.Random(seed), counts)
     want = tuple(map(tuple, reference_ports_by_box(box, len(counts))))
-    col = np.array(box, dtype=np.intp)
-    assert _port_counts(col, len(counts)) == tuple(counts)
-    assert _ports_by_box(col, counts) == want
+    ports = _Fibers(np.array(box, dtype=np.intp), len(counts))
+    assert tuple(ports.sizes().tolist()) == tuple(counts)
+    assert ports.tuples() == want
     d = UWDiagram.from_tables(len(counts), 1, box, [0] * len(box), [])
     assert (d.box_ports, d.port_counts) == (want, tuple(counts))
     d = DWDiagram.from_tables(len(counts), box, box)

@@ -32,6 +32,7 @@ from dynwire import (
     SizeMismatchError,
     UWDiagram,
     builtin_model,
+    euler_directed,
     euler_undirected,
     grid,
     instantiate,
@@ -41,7 +42,7 @@ from dynwire import (
     oapply_undirected_with_layout,
     spec_from_json,
 )
-from dynwire.dynam import _FUSE_MAX_STATEMENTS
+from dynwire._codegen import _FUSE_MAX_STATEMENTS, Euler, Opaque, Transport
 from dynwire.fileio import load_diagram, load_model
 
 from helpers import (
@@ -270,7 +271,37 @@ def test_a_box_without_program_keeps_the_box_path():
     ms = heat_nodes(4)
     ms[2] = dataclasses.replace(ms[2], program=None)
     composite = oapply_cpg(grid(2, 2), ms)
-    assert not fused(composite) and composite.program is None
+    assert not fused(composite)
+
+
+def test_a_composite_over_the_cutoff_carries_a_program_and_so_does_its_euler_map():
+    composite = oapply_cpg(grid(10, 10), heat_nodes(100))
+    assert isinstance(composite.program, Transport) and not fused(composite)
+    stepped = euler_directed(composite, 0.01)
+    assert isinstance(stepped.program, Euler) and not fused(stepped)
+    assert stepped.program.inner is composite.program
+    # The map reuses the composite's callables: x + h*u in numpy around them.
+    assert stepped.readout is composite.readout
+    rng = np.random.default_rng(3)
+    a, x = rng.uniform(-1.0, 1.0, composite.n_inputs), rng.uniform(0.0, 1.0, 100)
+    assert bits(stepped.dynamics(a, x)) == bits(x + 0.01 * composite.dynamics(a, x))
+
+
+def test_a_composite_with_a_hand_written_box_carries_an_unfused_program():
+    ms = heat_nodes(4)
+    ms[2] = Machine(
+        4, 1, 4, lambda a, x: np.array([0.1 * (a.sum() - 4.0 * x[0])]), lambda x: np.repeat(x, 4),
+        "continuous",
+    )
+    assert isinstance(ms[2].program, Opaque) and not fused(ms[2])
+    composite = oapply_cpg(grid(2, 2), ms)
+    assert isinstance(composite.program, Transport) and not fused(composite)
+    assert composite.program.boxes[2] is ms[2].program
+    stepped = euler_directed(composite, 0.5)
+    assert isinstance(stepped.program, Euler) and not fused(stepped)
+    x = np.array([0.5, 1.0, 1.5, 2.0])
+    a = np.zeros(composite.n_inputs)
+    assert bits(stepped.dynamics(a, x)) == bits(x + 0.5 * composite.dynamics(a, x))
 
 
 def test_fused_code_is_cached_by_value(repo_root):

@@ -256,3 +256,31 @@ def test_hostile_sizes_exit_1_with_a_located_message(case, tmp_path, repo_root):
     assert proc.returncode == 1, output
     assert message in output
     assert "Traceback" not in output
+
+
+def _one_port(schema: str, boxes: int) -> dict:
+    """``boxes`` boxes, the first with one port, which the one outer port exposes."""
+    if schema == "UWD":
+        return {"schema": "UWD", "B": boxes, "J": 1, "P": 1, "Q": 1,
+                "box": [0], "junc_in": [0], "junc_out": [0]}
+    return {"schema": "CPG", "B": boxes, "P": 1, "W": 0, "Q": 1,
+            "box": [0], "src": [], "tgt": [], "expose": [0]}
+
+
+@pytest.mark.parametrize("schema", ["UWD", "CPG"])
+def test_compose_of_far_more_boxes_than_ports_is_written(schema, tmp_path, repo_root):
+    # Substitution and the canonical form need the ports' order, not an
+    # entry per box, so 2**60 boxes with one port compose like one box.
+    outer, inner, out = (tmp_path / f"{n}.json" for n in ("outer", "inner", "out"))
+    outer.write_text(json.dumps(_one_port(schema, 1)), encoding="utf-8")
+    inner.write_text(json.dumps(_one_port(schema, 2**60)), encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynwire.cli", "compose", "--outer", str(outer),
+         "--inner", str(inner), "-o", str(out)],
+        cwd=repo_root, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory if resource is not None else None,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["B"] == 2**60

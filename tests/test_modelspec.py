@@ -487,12 +487,14 @@ class TestSpecValues:
         systems = {id(instantiate(spec)) for _ in range(1024)}
         assert len(systems) == 1 and made == [spec]
 
-    def test_a_spec_with_list_fields_is_keyed_afresh_on_every_call(self):
-        spec = ModelSpec("sharer", "continuous", ["u"], {"u": parse("0")}, ports=["u"])
-        instantiate(spec)
-        spec.states.append("v")
-        with pytest.raises(ModelSpecError, match="states without dynamics: v"):
-            instantiate(spec)
+    def test_list_built_and_tuple_built_specs_are_equal_and_one_system(self):
+        states = ["u"]
+        listed = ModelSpec("sharer", "continuous", states, {"u": parse("0")}, ports=["u"])
+        tupled = ModelSpec("sharer", "continuous", ("u",), {"u": parse("0")}, ports=("u",))
+        assert listed == tupled and listed.states == ("u",) and listed.ports == ("u",)
+        assert instantiate(listed) is instantiate(tupled)
+        states.append("v")  # the spec kept its own copy
+        assert listed.states == ("u",) and instantiate(listed) is instantiate(tupled)
 
     def test_1024_loaded_specs_build_one_system_with_the_shared_trajectory(self, monkeypatch):
         builds = []

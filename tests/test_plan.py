@@ -29,7 +29,8 @@ from dynwire import (
     spec_from_json,
 )
 from dynwire._codegen import kernels
-from dynwire.dynam import _FUSE_MAX_STATEMENTS, _Fibers
+from dynwire._codegen import _FUSE_MAX_STATEMENTS
+from dynwire.wiring import _Fibers
 from dynwire.fileio import load_diagram, load_model
 from dynwire.sim import build_system
 
@@ -89,7 +90,7 @@ class Counted:
 def test_group_singleton_and_hand_written_box_equal_the_scalar_path(route):
     side = 16
     ms = mixed(side)
-    assert sum(m.program.statements for m in ms if m.program) > _FUSE_MAX_STATEMENTS
+    assert sum(m.program.statements for m in ms) > _FUSE_MAX_STATEMENTS
     d, oapply = ROUTES[route](grid(side, side)), OAPPLY[route]
     fast, slow = oapply(d, ms), oapply(d, scalar_only(ms))
     assert not fused(fast) and not fused(slow)
@@ -164,7 +165,7 @@ def test_fibers_of_box_columns_are_each_box_ports_in_slot_order():
         for diagram, column in ((d, "box_in"), (d, "box_out"), (g, "box")):
             box, n = diagram.data.parts[column], diagram.n_boxes
             want = [[p for p, b in enumerate(box) if b == i] for i in range(n)]
-            fibers = _Fibers.of(diagram.column(column), n)
+            fibers = _Fibers(diagram.column(column), n)
             assert [p.tolist() for p in fibers.split(range(n))] == want
             assert fibers.sizes().tolist() == [len(p) for p in want]
             for i in range(n):
@@ -282,7 +283,7 @@ def test_groups_of_composites_and_euler_maps_equal_the_scalar_path(kind, monkeyp
         box, outs = oapply_directed(row, [planted()] * 2), 1
     else:
         box, outs = euler_directed(planted(), 0.5), 2
-    assert box.program is not None
+    assert fused(box)
     k = _FUSE_MAX_STATEMENTS // box.program.statements + 1
     d = open_boxes(k, outs)
     plans = Plans(monkeypatch)

@@ -27,7 +27,7 @@ from dynwire import (
     oapply_undirected,
     spec_from_json,
 )
-from dynwire.fileio import SimulationConfig
+from dynwire.fileio import SimulationConfig, load_diagram, load_model
 from dynwire.sim import ComposedSystem, build_system, run_trajectory
 
 from helpers import reference_state_names
@@ -136,3 +136,18 @@ def test_state_names_are_label_dot_state_box_by_box():
     for labels in (None, list("abcdefg"), ["a\0b", "", "c", "\0", "d", "e", "f"]):
         want = reference_state_names(labels or _default_labels(len(specs)), specs)
         assert build_system(d, specs, labels).state_names == tuple(want)
+
+
+def test_repeated_box_labels_are_refused_naming_the_label_and_both_boxes(repo_root):
+    # With a repeated label, an init entry would reach one of the boxes only
+    # and the CSV would carry two columns of one name.
+    sir = repo_root / "configs" / "sir"
+    city, cyclic = load_model(sir / "city.json"), load_diagram(sir / "cyclic.json")
+    assert build_system(cyclic, [city] * 3, labels=["a", "b", "c"]).state_names[:2] == ("a.S", "a.I")
+    for labels, message in (
+        (["a", "a", "b"], "box label 'a' is given twice, at boxes 0 and 1"),
+        (["a", "b", "b"], "box label 'b' is given twice, at boxes 1 and 2"),
+        (["c", "b", "c"], "box label 'c' is given twice, at boxes 0 and 2"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_system(cyclic, [city] * 3, labels=labels)

@@ -31,6 +31,7 @@ from dynwire import (
     ocompose_uwd,
     spec_from_json,
 )
+import dynwire.sim as sim
 from dynwire._codegen import Euler, Gluing
 from dynwire.fileio import SimulationConfig, load_config, load_diagram, load_model
 from dynwire.sim import ComposedSystem, build_system, run_trajectory
@@ -110,6 +111,25 @@ def test_fused_stepping_is_bitwise_the_numpy_path(
         else:
             assert not isinstance(got, str), got
             assert bits(np.array(got)) == bits(np.array(want))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_a_composite_built_box_by_box_steps_so_and_bitwise_as_fused(
+    scheme, blocks_only, repo_root, monkeypatch
+):
+    sir = repo_root / "configs" / "sir"
+    d, city = load_diagram(sir / "cyclic.json"), instantiate(load_model(sir / "city.json"))
+    fast, slow = oapply_directed(d, [city] * 3), blocks_only(oapply_directed, d, [city] * 3)
+    assert fused(fast) and not fused(slow)
+    assert not euler_directed(slow, 0.01).program.fused
+    generated = []  # programs that run_trajectory stepped through generated code
+    stepper = sim.stepper
+    monkeypatch.setattr(sim, "stepper", lambda p, *args: generated.append(p) or stepper(p, *args))
+    config = SimulationConfig(h=0.01, steps=50, init=(990.0, 10.0, 0.0, 1000.0, 0.0, 0.0, 500.0, 0.0, 0.0))
+    want = trajectory(fast, config, scheme)
+    got = trajectory(slow, config, scheme)
+    assert len(generated) == 1 and not isinstance(got, str)
+    assert bits(np.array(got)) == bits(np.array(want))
 
 
 def stage_spec(k: float, m: float):
