@@ -4,13 +4,13 @@
 each model a :class:`Program`, from which all its code is generated: a
 function over Python floats, and batch kernels over ``(k, n)`` blocks for
 the boxes of a larger composite that share it.  ``dynam`` gives every
-composite a program over its boxes' programs, and fuses one (by the rule in
-its module docstring) into one function over floats: every box's equations
-are inlined, and the wiring becomes plain sums.  ``sim`` steps such a
-system through that function, with RK4's stages generated around it.  All
-go through one :class:`Emitter`, so generated code performs the same
-floating-point operations, and meets the same errors in the same order, as
-the boxes' closures called one after another.
+composite a program over its boxes' programs: fused (by the rule in its
+module docstring), one function over floats with every box's equations
+inlined and the wiring as plain sums; else one function over float64
+arrays (array code, see :class:`BoxPlan`).  :func:`stepper` generates the
+Euler and RK4 steps of either.  All go through one :class:`Emitter`, so
+generated code performs the same floating-point operations, and meets the
+same errors in the same order, as the boxes' closures called in turn.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import ExprEvalError, SizeMismatchError
-from .finset import FinFunction
+from .finset import FinFunction, fiber_sum
 from .wiring import _Fibers
 
 # ---------------------------------------------------------------------------
@@ -74,8 +74,9 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 #
 # Every evaluator is straight-line Python generated from the AST, one
 # assignment per node: ``compile_expr`` reads a mapping, the functions of
-# models, fused composites and steppers read sequences of Python floats, and
-# the batch kernels read a block of boxes as numpy columns.
+# models, fused composites and steppers read sequences of Python floats,
+# the batch kernels read a block of boxes as numpy columns, and the array
+# code of box-by-box composites reads float64 arrays.
 
 
 class Emitter:
@@ -90,15 +91,20 @@ class Emitter:
     denominators, non-finite function or power values and non-finite
     outputs land in ``checks``, conditions that must all hold for the block
     to match the scalar path.
+
+    ``arrays`` emits array code: an operand is one float64 array of all of
+    a system's inputs (none for a sharer) or states.  Its statements are
+    never shared: two equal buffers made by ``_np.empty`` must stay apart.
     """
 
-    def __init__(self, batched: bool = False):
-        self.batched = batched
+    def __init__(self, batched: bool = False, arrays: bool = False):
+        self.batched, self.arrays = batched, arrays
         self.names: dict[str, str] = {}  # model variable -> operand text
         self.lines: list[str] = []
         self.checks: list[str] = []
         self.constants: dict[str, object] = {}
         self._seen: dict[str, str] = {}  # statement text -> temporary
+        self._temporaries = 0
         self._checked: set[tuple[str, str]] = set()  # (check, operand) pairs emitted
 
     def constant(self, value: float) -> str:
@@ -111,12 +117,19 @@ class Emitter:
         self.constants[name] = np.float64(value) if self.batched else value
         return name
 
+    def name(self, obj: object) -> str:
+        """A name for ``obj`` (an index array, a callable) in the generated code."""
+        name = f"_c{len(self.constants)}"
+        self.constants[name] = obj
+        return name
+
     def statement(self, rhs: str, caught: str = "", message: str = "") -> str:
         """Assign ``rhs`` to a fresh temporary; with ``caught``, turn that
         exception into an ExprEvalError whose message is the source ``message``."""
         name = self._seen.get(rhs)
-        if name is None:
-            name = self._seen[rhs] = f"_t{len(self._seen)}"
+        if name is None or self.arrays:
+            name = self._seen[rhs] = f"_t{self._temporaries}"
+            self._temporaries += 1
             if caught:
                 self.lines += [
                     "try:",
@@ -184,7 +197,12 @@ class Emitter:
 
     def bind(self, n: int, source: str) -> list[str]:
         """Operands for the ``n`` entries (scalar: a sequence of Python
-        floats) or columns (batched) of ``source``."""
+        floats) or columns (batched) of ``source``; for array code, the
+        argument itself, size-checked as ``as_vector`` does."""
+        if self.arrays:
+            what = "input vector" if source == "a" else "state vector"
+            self.lines.append(f"{source} = _vec({source}, {n}, {what!r})")
+            return [source]
         operands = [f"_{source}{k}" for k in range(n)]
         if self.batched:
             self.lines += [f"{v} = {source}[:, {k}]" for k, v in enumerate(operands)]
@@ -199,19 +217,27 @@ class Emitter:
 
         Each sum starts from 0.0 and adds in the order of ``w``, as
         ``finset.fiber_sum`` does, so a lone ``-0.0`` sums to ``0.0`` and an
-        empty fiber reads exactly ``0.0``.
+        empty fiber reads exactly ``0.0``.  Array code calls ``fiber_sum``.
         """
+        if self.arrays:
+            gather = f"{values[0]}[{self.name(src)}]"
+            return [self.statement(f"_fiber_sum({self.name(dst)}, {gather}, {n})")]
         out = ["(0.0)"] * n
         for s, d in zip(src, dst):
             out[d] = self.statement(f"{out[d]} + {values[s]}")
         return out
 
+    def pack(self, operands: Sequence[str]) -> str:
+        """Source of the value (or assignment target) of all of ``operands``:
+        a tuple display, or in array code the one array."""
+        return operands[0] if self.arrays else _tuple(operands)
+
     def function(self, params: Sequence[str], results: Sequence[str]) -> Callable:
         """The generated function of ``params``.  Scalar: the tuple of
-        ``results``.  Batched: ``(block, ok)``, one column per result and one
-        row per row of the last parameter."""
+        ``results``; array code: the array.  Batched: ``(block, ok)``, one
+        column per result and one row per row of the last parameter."""
         if not self.batched:
-            body = [*self.lines, f"return {_tuple(results)}"]
+            body = [*self.lines, f"return {self.pack(results)}"]
         else:
             ok = " and ".join(self.checks) or "True"
             body = [
@@ -234,6 +260,8 @@ def as_vector(x: Sequence[float] | np.ndarray, n: int, what: str) -> np.ndarray:
 _MATH_ERRORS = "(ValueError, OverflowError)"
 _NAMESPACE = {
     "_np": np,
+    "_vec": as_vector,
+    "_fiber_sum": fiber_sum,
     "_Err": ExprEvalError,
     "_isfinite": math.isfinite,
     "_pow": math.pow,
@@ -244,8 +272,15 @@ _NAMESPACE = {
 def define(signature: str, body: Sequence[str], constants: Mapping[str, object]) -> Callable:
     source = "\n".join([f"def _generated({signature}):", *("    " + line for line in body)])
     namespace = {**_NAMESPACE, **constants}
-    exec(compile(source, "<dynwire model>", "exec"), namespace)
-    return namespace["_generated"]
+    exec(_compile(source), namespace)
+    return namespace.pop("_generated")  # kept in its own globals, it would be a cycle
+
+
+# Cached by source: array code names its data rather than spelling it out,
+# so composites of one shape (each Euler map of one, say) share their code.
+@functools.lru_cache(maxsize=64)
+def _compile(source: str):
+    return compile(source, "<dynwire model>", "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +301,15 @@ class Program:
     ``readout(em, x)`` (machines) and ``dynamics(em, a, x)`` emit the
     system's statements into ``em`` over the operands ``a`` of its inputs and
     ``x`` of its states, and return the operands of its results.
-    ``statements`` counts what they emit, one statement per operation, per
-    output check and per addition of the wiring: what the size and the run
-    time of fused code grow with.  A program is fused, by the rule in
-    ``dynam``'s module docstring, exactly when it has a ``key``; only then does
-    it emit code, and compare and hash by value, so the code generated for a
-    composite is cached by the values of its diagram and its boxes.  Any
-    other program is only equal to itself, and ``callables`` holds its array
-    callables, made once by ``dynam.callables_of``.
+    ``statements`` counts what they emit into fused code, one statement per
+    operation, per output check and per addition of the wiring: what the
+    size and the run time of fused code grow with.  A program is fused, by
+    the rule in ``dynam``'s module docstring, exactly when it has a ``key``;
+    only then does it emit float code, and compare and hash by value, so the
+    code generated for a composite is cached by the values of its diagram
+    and its boxes.  Any other program is only equal to itself, and its
+    array code is made on first use and kept on it.
     """
-
-    callables: tuple[Callable, Callable | None] | None = None
 
     def __init__(self, key: tuple | None, n_inputs: int, n_states: int, n_outputs: int, statements: int):
         self.key, self.fused = key, key is not None
@@ -298,6 +331,14 @@ class Program:
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         raise NotImplementedError
+
+    @functools.cached_property
+    def array_dynamics(self) -> Callable:  # (a, x), ``a`` empty for a sharer
+        return _generate(Emitter(arrays=True), self, ["a", "x"])
+
+    @functools.cached_property
+    def array_readout(self) -> Callable:
+        return _generate(Emitter(arrays=True), self, ["x"], readout=True)
 
 
 def _operations(e: Expr) -> int:
@@ -349,13 +390,23 @@ class Leaf(Program):
 
 class Opaque(Program):
     """A system given by its callables alone: they are its only code, so it
-    is never fused, never inlined into a composite's code and never grouped."""
+    is never fused or grouped, and array code calls them.  ``machine`` says
+    whether ``dynamics`` takes ``(a, x)`` or, for a sharer, ``(x)``."""
 
     def __init__(
-        self, n_inputs: int, n_states: int, n_outputs: int, dynamics: Callable, readout: Callable | None
+        self, n_inputs: int, n_states: int, n_outputs: int,
+        dynamics: Callable, readout: Callable | None, machine: bool,
     ):
         super().__init__(None, n_inputs, n_states, n_outputs, 0)
-        self.callables = (dynamics, readout)
+        self.callables, self.machine = (dynamics, readout), machine
+
+    def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
+        f = em.name(self.callables[1])
+        return [em.statement(f"_np.asarray({f}({x[0]}), dtype=_np.float64)")]
+
+    def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
+        f, args = em.name(self.callables[0]), ", ".join([*a, *x] if self.machine else x)
+        return [em.statement(f"_np.asarray({f}({args}), dtype=_np.float64)")]
 
 
 def _composite(boxes: Sequence[Program], glue: int) -> tuple[np.ndarray, int, bool]:
@@ -377,7 +428,8 @@ class Transport(Program):
     ``concat(readouts, inputs)`` and scatters into in-ports, ``outward``
     gathers from readouts into outer out-ports; ``ins`` and ``outs`` group
     the in-ports and out-ports by box, and ``offs`` the boxes' states.  Only
-    a fused transport turns them into tuples, for its key and its code.
+    a fused transport turns them into tuples, for its key and its code;
+    any other makes its :class:`BoxPlan` with itself.
     """
 
     def __init__(
@@ -399,23 +451,31 @@ class Transport(Program):
             wires = (tuple(c.tolist()) for c in (*inward, *outward))
             key = (self.boxes, n_inputs, n_outputs, ins.tuples(), outs.tuples(), *wires)
         super().__init__(key, n_inputs, int(self.offs[-1]), n_outputs, statements)
+        self.plan = None if fused else BoxPlan(self.boxes, self.offs, ins, outs)
 
-    def _readouts(self, em: Emitter, x: Sequence[str]) -> list[str]:
-        # Every box's readout in box order, placed at its out-ports.
-        r = [""] * self.outs.order.size
+    def _readouts(self, em: Emitter, x: Sequence[str], a: Sequence[str] = ()) -> list[str]:
+        """Every box's readout in box order, placed at its out-ports, then ``a``."""
+        n = self.outs.order.size
+        if em.arrays:
+            values = em.statement(f"_np.empty({n + self.n_inputs if a else n})")
+            self.plan.emit(em, x[0], values, readout=True)
+            em.lines += [f"{values}[{n}:] = {a[0]}"] if a else []
+            return [values]
+        r = [""] * n
         for box, states, ports in zip(self.boxes, _slices(self.offs), self.outs.tuples()):
             for port, value in zip(ports, box.readout(em, x[states])):
                 r[port] = value
-        return r
+        return [*r, *a]
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
-        src, dst = self.outward
-        return em.sums(src.tolist(), dst.tolist(), self._readouts(em, x), self.n_outputs)
+        return em.sums(*self.outward, self._readouts(em, x), self.n_outputs)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
-        values = [*self._readouts(em, x), *a]
-        src, dst = self.inward
-        feed = em.sums(src.tolist(), dst.tolist(), values, self.ins.order.size)
+        feed = em.sums(*self.inward, self._readouts(em, x, a), self.ins.order.size)
+        if em.arrays:
+            out = em.statement(f"_np.empty({self.n_states})")
+            self.plan.emit(em, x[0], out, feed[0])
+            return [out]
         out: list[str] = []
         for box, states, ports in zip(self.boxes, _slices(self.offs), self.ins.tuples()):
             out += box.dynamics(em, [feed[p] for p in ports], x[states])
@@ -426,7 +486,7 @@ class Gluing(Program):
     """An undirected composite: box states are pulled back from the glued
     states along ``injection`` and their dynamics pushed forward, summed per
     glued state.  A discrete composite adds the summed increments to the
-    glued state instead.  ``offs`` is as for :class:`Transport`."""
+    glued state instead.  ``offs`` and ``plan`` are as for :class:`Transport`."""
 
     def __init__(self, boxes: Sequence[Program], injection: FinFunction, discrete: bool):
         self.boxes = tuple(boxes)
@@ -438,8 +498,17 @@ class Gluing(Program):
         self.offs, statements, fused = _composite(self.boxes, glue)
         key = (self.boxes, injection.map, n_states, discrete) if fused else None
         super().__init__(key, 0, n_states, 0, statements)
+        self.plan = None if fused else BoxPlan(self.boxes, self.offs)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
+        if em.arrays:
+            glue, n = em.name(self.injection._indices), self.n_states
+            y = em.statement(f"{x[0]}[{glue}]")
+            out = em.statement(f"_np.empty({self.injection.dom_size})")
+            self.plan.emit(em, y, out)
+            if not self.discrete:
+                return [em.statement(f"_fiber_sum({glue}, {out}, {n})")]
+            return [em.statement(f"{x[0]} + _fiber_sum({glue}, {out} - {y}, {n})")]
         injection = self.injection.map
         y = [x[c] for c in injection]
         out: list[str] = []
@@ -455,8 +524,9 @@ class Gluing(Program):
 
 class Euler(Program):
     """The explicit Euler map of a continuous system: its dynamics ``u``,
-    then ``x_i + h*u_i`` per state, the operations of numpy's ``x + h * u``.
-    Its readout is the system's own.  Fused when the system's program is."""
+    then ``x_i + h*u_i`` per state (array code: ``x + h*u``), the operations
+    of numpy's ``x + h * u``.  Its readout is the system's own.  Fused when
+    the system's program is."""
 
     def __init__(self, inner: Program, h: float):
         self.inner, self.h = inner, float(h)
@@ -473,6 +543,110 @@ class Euler(Program):
         return [em.statement(f"{v} + {h} * {d}") for v, d in zip(x, u)]
 
 
+class BoxPlan:
+    """How the array code of a box-by-box composite runs its boxes.
+
+    Boxes that share a fused program object with another box form a group,
+    evaluated by one call of that program's batch kernel on a ``(k, n)``
+    block.  The plan is read off the diagram's columns: one pass over the
+    identities of the boxes' programs forms the groups, a group's state block
+    is its boxes' state offsets plus ``arange(n)``, and its port blocks come
+    from the port index of the box columns (``ins`` and ``outs``, directed
+    composites only).  The other boxes, the ``singles``, run one by one.
+    Groups run first and only flag trouble; if one does, :meth:`walk` redoes
+    the phase through every box's array callables in box order, so it raises
+    exactly the error, from exactly the box, that unbatched code would; if it
+    raises none, the singles run as usual after it, to the same values.  Its
+    records, :attr:`boxes`, are built on the first flag, then kept.
+    """
+
+    def __init__(
+        self, programs: Sequence[Program], offs: np.ndarray,
+        ins: _Fibers | None = None, outs: _Fibers | None = None,
+    ):
+        self.programs, self.bounds, self._fibers = programs, offs.tolist(), (ins, outs)
+        self.machine = machine = ins is not None
+        # By identity: ``id`` is a C call, hashing a program's value a Python one.
+        ids = list(map(id, programs))
+        heads = dict(zip(ids, programs))  # one program per code, in first-seen order
+        code = {k: c for c, k in enumerate(heads)}
+        column = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+        groups = _Fibers(column, len(code)).split(range(len(code)))
+        self.groups, alone = [], []
+        for program, rows in zip(heads.values(), groups):
+            if not program.fused or len(rows) < 2:
+                alone += rows.tolist()
+                continue
+            states = offs[rows][:, None] + np.arange(program.n_states)
+            block_ins = ins.block(rows, program.n_inputs) if machine else None
+            block_outs = outs.block(rows, program.n_outputs) if machine else None
+            self.groups.append((*kernels(program, machine), states, block_ins, block_outs))
+        self.singles = sorted(alone)
+        # Singles in box order: a box-by-box composite or Euler map inlined,
+        # or a run of other boxes (fused or opaque) walked by their callables.
+        self.runs: list[tuple | list[tuple]] = []
+        for record in self._records(self.singles):
+            if not (record[1].fused or isinstance(record[1], Opaque)):
+                self.runs.append(record)
+            elif self.runs and isinstance(self.runs[-1], list):
+                self.runs[-1].append(record)
+            else:
+                self.runs.append([record])
+
+    def emit(self, em: Emitter, x: str, out: str, feed: str | None = None, readout: bool = False):
+        """Emit one phase of array code over the states ``x`` into ``out``:
+        every box's readout at its out-ports (``readout``), or its dynamics
+        at its states, a machine reading its inputs from ``feed``."""
+        oks = []
+        for dynamics, readouts, states, ins, outs in self.groups:
+            s = em.name(states)
+            args = ([] if feed is None else [f"{feed}[{em.name(ins)}]"]) + [f"{x}[{s}]"]
+            block = em.statement(f"{em.name(readouts if readout else dynamics)}({', '.join(args)})")
+            em.lines.append(f"{out}[{em.name(outs) if readout else s}] = {block}[0]")
+            oks.append(f"{block}[1]")
+        walk = em.name(self.walk)
+        if oks:  # a flag redoes the phase box by box; the singles then run again alike
+            em.lines.append(f"if not ({' and '.join(oks)}): {walk}({x}, {out}, {feed}, {readout})")
+        for run in self.runs:
+            if isinstance(run, list):
+                em.lines.append(f"{walk}({x}, {out}, {feed}, {readout}, {em.name(run)})")
+                continue
+            i, box, _, _, states, ins, outs = run
+            s = f"{states.start}:{states.stop}"
+            xs = [em.statement(f"{x}[{s}]")]
+            a = [] if feed is None else [em.statement(f"{feed}[{em.name(ins)}]")]
+            value = (box.readout(em, xs) if readout else box.dynamics(em, a, xs))[0]
+            n, target = (box.n_outputs, em.name(outs)) if readout else (box.n_states, s)
+            what = f"{'readout' if readout else 'dynamics'} of box {i}"
+            em.lines.append(f"{out}[{target}] = _vec({value}, {n}, {what!r})")
+
+    def _records(self, boxes: list[int]) -> list[tuple]:
+        """Of each of ``boxes``: index, program, array callables, states, ports."""
+        b, none = self.bounds, [None] * len(boxes)
+        ports = [f.split(boxes) for f in self._fibers] if self.machine else [none, none]
+        return [
+            (i, self.programs[i], *callables_of(self.programs[i], self.machine),
+             slice(b[i], b[i + 1]), a, o)
+            for i, a, o in zip(boxes, *ports)
+        ]
+
+    @functools.cached_property
+    def boxes(self) -> list[tuple]:
+        """The records of every box, in box order: what the fallback walks."""
+        return self._records(list(range(len(self.programs))))
+
+    def walk(self, x: np.ndarray, out: np.ndarray, feed: np.ndarray | None, readout: bool,
+             records: list[tuple] | None = None) -> None:
+        """The phase that :meth:`emit` emits, through the callables of
+        ``records`` (by default, every box) in turn."""
+        for i, p, dynamics, read, states, ins, outs in self.boxes if records is None else records:
+            if readout:
+                out[outs] = as_vector(read(x[states]), p.n_outputs, f"readout of box {i}")
+            else:
+                v = dynamics(x[states]) if feed is None else dynamics(feed[ins], x[states])
+                out[states] = as_vector(v, p.n_states, f"dynamics of box {i}")
+
+
 def _slices(offs: np.ndarray) -> list[slice]:
     bounds = offs.tolist()
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -487,9 +661,8 @@ def _tuple(operands: Sequence[str]) -> str:
 # Generated functions
 
 
-def _generate(program: Program, batched: bool, params: Sequence[str], readout: bool = False):
+def _generate(em: Emitter, program: Program, params: Sequence[str], readout: bool = False):
     """The generated dynamics, or with ``readout`` readout, of ``program``."""
-    em = Emitter(batched)
     a = [] if readout else em.bind(program.n_inputs, "a")
     x = em.bind(program.n_states, "x")
     return em.function(params, program.readout(em, x) if readout else program.dynamics(em, a, x))
@@ -504,8 +677,8 @@ def kernels(program: Program, machine: bool) -> tuple[Callable, Callable | None]
     over ``(k, n)`` blocks of one box per row, each returning ``(block, ok)``.
     ``ok`` is false when some row met what the scalar code raises for (see
     :class:`Emitter`); the caller then redoes the boxes with that code."""
-    dynamics = _generate(program, True, ["a", "x"] if machine else ["x"])
-    return dynamics, _generate(program, True, ["x"], readout=True) if machine else None
+    dynamics = _generate(Emitter(True), program, ["a", "x"] if machine else ["x"])
+    return dynamics, _generate(Emitter(True), program, ["x"], readout=True) if machine else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -514,7 +687,7 @@ def raw(program: Program) -> Callable:
     the input values (empty for a sharer) and the state values, to the tuple
     of its results.  Compiled once per program value and shared by the
     system's array callables, its Euler map's and its steppers."""
-    return _generate(program, False, ["a", "x"])
+    return _generate(Emitter(), program, ["a", "x"])
 
 
 def _floats(v: Sequence[float] | np.ndarray, n: int, what: str) -> list[float]:
@@ -537,38 +710,59 @@ def compiled(program: Program, machine: bool) -> tuple[Callable, Callable | None
 
     if isinstance(program, Euler):
         return dynamics, compiled(program.inner, machine)[1]
-    g = _generate(program, False, ["x"], readout=True)
+    g = _generate(Emitter(), program, ["x"], readout=True)
     return dynamics, lambda x: np.array(g(_floats(x, n, "state vector")))
 
 
-@functools.lru_cache(maxsize=64)
-def stepper(program: Program, scheme: str, h: float) -> Callable:
-    """One step ``(a, x) -> next x`` over Python floats of a system with
-    ``program``, inputs ``a`` held over the step, cached by value.
+def callables_of(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
+    """The array callables of ``program``, as :func:`compiled` has them: a
+    fused program's are those, an opaque leaf's its own, and any other's
+    call its array code, made on the first call.  An Euler map's readout is
+    its system's."""
+    if program.fused:
+        return compiled(program, machine)
+    if isinstance(program, Opaque):
+        return program.callables
+    if not machine:
+        return (lambda x: program.array_dynamics((), x)), None
+    if isinstance(program, Euler):
+        return (lambda a, x: program.array_dynamics(a, x)), callables_of(program.inner, True)[1]
+    return (lambda a, x: program.array_dynamics(a, x)), (lambda x: program.array_readout(x))
 
-    ``direct`` is :func:`raw` itself: the next-state map of a discrete
-    system, an :class:`Euler` map among them.  ``rk4`` is classic RK4 of a
-    continuous system, generated around four calls of :func:`raw` with the
-    operations of ``sim._rk4`` on numpy vectors, so the two agree bitwise:
-    stages at ``x_i + (0.5*h)*k_i`` and ``x_i + h*k3_i``, then
+
+def stepper(program: Program, scheme: str, h: float) -> Callable:
+    """One step ``(a, x) -> next x`` of a system with ``program``, inputs
+    ``a`` held over the step: over Python floats (cached by value) if the
+    program is fused, else over float64 arrays.  ``direct`` is the
+    program's own function: the next-state map of a discrete system, an
+    :class:`Euler` map among them.  ``rk4`` is classic RK4 of a continuous
+    system around four calls of it, with stages at ``x_i + (0.5*h)*k_i``
+    and ``x_i + h*k3_i``, then
     ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i) + k4_i)``.
     """
-    f = raw(program)
+    return (_fused_stepper if program.fused else _stepper)(program, scheme, h)
+
+
+def _stepper(program: Program, scheme: str, h: float) -> Callable:
+    f = raw(program) if program.fused else program.array_dynamics
     if scheme == "direct":
         return f
-    em = Emitter()
+    em = Emitter(arrays=not program.fused)
     x = em.bind(program.n_states, "x")
     em.constants["_f"] = f
     ks: list[list[str]] = []
     point = "x"
     for c in (em.constant(0.5 * h), em.constant(0.5 * h), em.constant(h), ""):
         k = [f"_k{len(ks)}_{i}" for i in range(len(x))]
-        em.lines.append(f"{_tuple(k)} = _f(a, {point})")
+        em.lines.append(f"{em.pack(k)} = _f(a, {point})")
         ks.append(k)
-        point = _tuple([f"{v} + {c} * {d}" for v, d in zip(x, k)])
+        point = em.pack([f"{v} + {c} * {d}" for v, d in zip(x, k)])
     sixth, (k1, k2, k3, k4) = em.constant(h / 6.0), ks
     step = [
         f"{v} + {sixth} * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
         for v, a, b, c, d in zip(x, k1, k2, k3, k4)
     ]
     return em.function(["a", "x"], step)
+
+
+_fused_stepper = functools.lru_cache(maxsize=64)(_stepper)

@@ -20,40 +20,39 @@ holding them.  Whether a program is **fused** is decided once, when it is
 built: a model always is, an opaque leaf never, an Euler map when its
 system is, and a composite when all its boxes are and its code, nested
 composites and wiring included, has at most
-``_codegen._FUSE_MAX_STATEMENTS`` statements.  :func:`callables_of` turns
-any program into the array callables of the way it runs:
+``_codegen._FUSE_MAX_STATEMENTS`` statements.  Either way it runs as one
+generated function, with array callables around it (``callables_of``):
 
-- **Fused:** one generated function over Python floats: each box's
-  equations inlined with its parameters as literals, the transport and the
-  gluing unrolled into sums in the order ``finset.fiber_sum`` adds, so a
-  composite of composites flattens into one function, and so does the
-  Euler map of a composite or a composite of Euler maps.  Its ``dynamics``
-  and ``readout`` convert their arrays to floats and back around that
-  function; ``sim.run_trajectory`` steps the floats directly.  Values and
-  errors are bitwise those of the boxes' closures called in turn.  The
-  generated code is cached by the value of the diagram and the boxes.
-- **Box by box** otherwise: a composite evaluates the boxes sharing a
-  fused program (as equal instantiated specs and their Euler maps do) in
-  one call per group of the batch kernel generated from it, and the rest
-  through their own callables (:class:`_BoxPlan`); an Euler map is
-  ``x + h * u`` in numpy around its system's callables, and an opaque leaf
-  is its callables.  These are made once per program and kept on it.
+- **Fused:** a function over Python floats: each box's equations inlined
+  with its parameters as literals, the transport and the gluing unrolled
+  into sums in the order ``finset.fiber_sum`` adds, so a composite of
+  composites flattens into one function, and so does the Euler map of a
+  composite or a composite of Euler maps.  It is cached by the value of
+  the diagram and the boxes.
+- **Box by box** otherwise: a function over float64 arrays, made on first
+  call.  Boxes sharing a fused program (as equal instantiated specs and
+  their Euler maps do) run as one batch kernel call per group
+  (``_codegen.BoxPlan``); another fused box is called, a box-by-box
+  composite or Euler map is inlined, and an opaque leaf's callables are
+  called.
+
+Values and errors are bitwise those of the boxes' closures called in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._codegen import Euler, Gluing, Opaque, Program, Transport, compiled, kernels
+from ._codegen import Euler, Gluing, Opaque, Program, Transport, callables_of
 from ._codegen import as_vector as _as_vector
 from .errors import ArityError, KindError, SizeMismatchError
-from .finset import FinFunction, compose, fiber_sum, pullback_vec, pushforward_vec, pushout
+from .finset import FinFunction, compose, pushout
 from .wiring import CPGraph, DWDiagram, UWDiagram, _Fibers, cpg_to_dwd
 
 __all__ = [
@@ -100,7 +99,7 @@ class Machine:
     program: Program | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        _carry_program(self, self.n_inputs, self.n_outputs, self.readout)
+        _carry_program(self, self.n_inputs, self.n_outputs, self.readout, True)
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,16 @@ class ResourceSharer:
                 f"portmap is {self.portmap.dom_size}->{self.portmap.cod_size}, "
                 f"expected {self.n_ports}->{self.n_states}"
             )
-        _carry_program(self, 0, 0, None)
+        _carry_program(self, 0, 0, None, False)
 
 
 def _carry_program(
-    system: Machine | ResourceSharer, n_inputs: int, n_outputs: int, readout: Readout | None
+    system: Machine | ResourceSharer, n_inputs: int, n_outputs: int,
+    readout: Readout | None, machine: bool,
 ) -> None:
     """Give a system built without a program an ``Opaque`` leaf of its callables."""
     if system.program is None:
-        opaque = Opaque(n_inputs, system.n_states, n_outputs, system.dynamics, readout)
+        opaque = Opaque(n_inputs, system.n_states, n_outputs, system.dynamics, readout, machine)
         object.__setattr__(system, "program", opaque)
 
 
@@ -161,187 +161,6 @@ def _common_kind(kinds: list[Kind], what: str) -> Kind:
     return kinds[0] if kinds else "continuous"
 
 
-class _Box(NamedTuple):
-    """One box of a composite called alone: its program and callables, its
-    state slice, its port indices."""
-
-    program: Program
-    dynamics: Callable
-    readout: Callable | None
-    states: slice
-    ins: np.ndarray | None
-    outs: np.ndarray | None
-    readout_of: str  # names the box in size errors
-    dynamics_of: str
-
-
-class _BoxPlan:
-    """How a composite evaluates its boxes: one block call per shared program.
-
-    Boxes that share a fused program object with another box form a group,
-    evaluated by one call of that program's batch kernel on a ``(k, n)``
-    block.  The plan is read off the diagram's columns: one pass over the
-    identities of the boxes' programs forms the groups, a group's state block
-    is its boxes' state offsets plus ``arange(n)``, and its port blocks come
-    from the port index of the box columns (``ins`` and ``outs``, directed
-    composites only).  The other boxes (singletons and programs that are not
-    fused, such as hand-written callables) are called one by one with size
-    checks, through a :class:`_Box` record each.  Groups run first and only
-    flag trouble; if one does, the whole phase is redone box by box in box
-    order, so the scalar closures raise exactly the error, from exactly the
-    box, that an unbatched composite would.  The records of every box that
-    this walks are built the first time a group flags, then kept.
-    """
-
-    def __init__(
-        self,
-        programs: Sequence[Program],
-        offs: np.ndarray,
-        ins: _Fibers | None = None,
-        outs: _Fibers | None = None,
-    ):
-        self.programs, self.offs, self.ins, self.outs = programs, offs, ins, outs
-        self.machine = machine = ins is not None
-        # By identity: ``id`` is a C call, hashing a program's value a Python one.
-        ids = list(map(id, programs))
-        heads = dict(zip(ids, programs))  # one program per code, in first-seen order
-        code = {k: c for c, k in enumerate(heads)}
-        column = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
-        groups = _Fibers(column, len(code)).split(range(len(code)))
-        self.groups, alone = [], []
-        for program, rows in zip(heads.values(), groups):
-            if not program.fused or len(rows) < 2:
-                alone += rows.tolist()
-                continue
-            states = offs[rows][:, None] + np.arange(program.n_states)
-            block_ins = ins.block(rows, program.n_inputs) if machine else None
-            block_outs = outs.block(rows, program.n_outputs) if machine else None
-            self.groups.append((*kernels(program, machine), states, block_ins, block_outs))
-        self.singles = self._records(sorted(alone))
-
-    def _records(self, boxes: list[int]) -> list[_Box]:
-        offs = self.offs.tolist()
-        none = [None] * len(boxes)
-        ins = self.ins.split(boxes) if self.machine else none
-        outs = self.outs.split(boxes) if self.machine else none
-        return [
-            _Box(
-                p, *callables_of(p, self.machine), slice(offs[i], offs[i + 1]), a, o,
-                f"readout of box {i}", f"dynamics of box {i}",
-            )
-            for i, p, a, o in zip(boxes, map(self.programs.__getitem__, boxes), ins, outs)
-        ]
-
-    @cached_property
-    def boxes(self) -> list[_Box]:
-        """Every box in box order: what the scalar fallback walks."""
-        return self._records(list(range(len(self.programs))))
-
-    def readouts(self, x: np.ndarray, o: np.ndarray) -> None:
-        """Write every box's readout of ``x`` at its out-ports in ``o``."""
-        boxes = self.singles
-        for _, readout, states, _, outs in self.groups:
-            block, ok = readout(x[states])
-            if not ok:
-                boxes = self.boxes
-                break
-            o[outs] = block
-        for b in boxes:
-            o[b.outs] = _as_vector(b.readout(x[b.states]), b.program.n_outputs, b.readout_of)
-
-    def dynamics(self, x: np.ndarray, out: np.ndarray, feed: np.ndarray | None = None) -> None:
-        """Write every box's dynamics into ``out``; ``feed`` holds the in-port
-        values of machines and is ``None`` for sharers."""
-        boxes = self.singles
-        for dynamics, _, states, ins, _ in self.groups:
-            if feed is None:
-                block, ok = dynamics(x[states])
-            else:
-                block, ok = dynamics(feed[ins], x[states])
-            if not ok:
-                boxes = self.boxes
-                break
-            out[states] = block
-        for b in boxes:
-            v = b.dynamics(x[b.states]) if feed is None else b.dynamics(feed[b.ins], x[b.states])
-            out[b.states] = _as_vector(v, b.program.n_states, b.dynamics_of)
-
-
-def callables_of(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
-    """The array callables of ``program``: the dynamics ``(a, x)`` of a
-    machine (``machine``) or ``(x)`` of a sharer, and a machine's readout
-    ``(x)``, fused or box by box as the module docstring says.  Those of a
-    program that is not fused are made on the first call and kept on it."""
-    if program.fused:
-        return compiled(program, machine)
-    if program.callables is None:  # an Opaque leaf holds its own
-        program.callables = _BOX_BY_BOX[type(program)](program, machine)
-    return program.callables
-
-
-def _transport(program: Transport, machine: bool) -> tuple[Callable, Callable]:
-    """Box by box: ``inward`` sums ``concat(readouts, inputs)[gather]`` into
-    in-ports ``scatter``, and ``outward`` sums ``readouts[gather]`` into outer
-    out-ports, each one fiber sum in index order, so box wires come first."""
-    n_outer_in, n_states, n_outer_out = program.n_inputs, program.n_states, program.n_outputs
-    n_pin, n_pout = program.ins.order.size, program.outs.order.size
-    plan = _BoxPlan(program.boxes, program.offs, program.ins, program.outs)
-    (feed_from, feed_to), (out_from, out_to) = program.inward, program.outward
-
-    def dynamics(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a = _as_vector(a, n_outer_in, "input vector")
-        x = _as_vector(x, n_states, "state vector")
-        values = np.empty(n_pout + n_outer_in, dtype=np.float64)  # readouts, then inputs
-        plan.readouts(x, values)
-        values[n_pout:] = a
-        out = np.empty(n_states, dtype=np.float64)
-        plan.dynamics(x, out, fiber_sum(feed_to, values[feed_from], n_pin))
-        return out
-
-    def readout(x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, n_states, "state vector")
-        values = np.empty(n_pout, dtype=np.float64)
-        plan.readouts(x, values)
-        return fiber_sum(out_to, values[out_from], n_outer_out)
-
-    return dynamics, readout
-
-
-def _gluing(program: Gluing, machine: bool) -> tuple[Callable, None]:
-    """Box by box: box states pulled back along the injection, their
-    dynamics pushed forward."""
-    n_states, injection, discrete = program.n_states, program.injection, program.discrete
-    plan = _BoxPlan(program.boxes, program.offs)
-
-    def dynamics(x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, n_states, "state vector")
-        y = pullback_vec(injection, x)
-        out = np.empty(injection.dom_size, dtype=np.float64)
-        plan.dynamics(y, out)
-        if not discrete:
-            return pushforward_vec(injection, out)
-        # A discrete box returns its next state; glued states add their increments.
-        return x + pushforward_vec(injection, out - y)
-
-    return dynamics, None
-
-
-def _euler_map(program: Euler, machine: bool) -> tuple[Callable, Callable | None]:
-    """Box by box: ``x + h * u`` in numpy around the system's callables."""
-    u, readout = callables_of(program.inner, machine)
-    h = program.h
-
-    def step(*args: np.ndarray) -> np.ndarray:  # (a, x), or (x) for a sharer
-        *a, x = args
-        x = np.asarray(x, dtype=np.float64)
-        return x + h * np.asarray(u(*a, x), dtype=np.float64)
-
-    return step, readout
-
-
-_BOX_BY_BOX = {Transport: _transport, Gluing: _gluing, Euler: _euler_map}
-
-
 def _misfit(machines: Sequence[Machine], ins: _Fibers, outs: _Fibers) -> int | None:
     """The first box whose machine's (inputs, outputs) differ from its port counts."""
     have = list(map(attrgetter("n_inputs"), machines)), list(map(attrgetter("n_outputs"), machines))
@@ -361,14 +180,22 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     ``Transport`` over the machines' programs, fused or evaluated box by box
     as the module docstring says.
     """
+    ins, outs = d.ports("box_in"), d.ports("box_out")
+    return _directed(d, machines, ins, outs, "box {i} expects (in, out) = ({n_in}, {n_out})")
+
+
+def _directed(
+    d: DWDiagram, machines: Sequence[Machine], ins: _Fibers, outs: _Fibers, expects: str
+) -> Machine:
+    """The composite over ``d``, whose ports are grouped by box in ``ins`` and
+    ``outs``; a misfit is refused with ``expects`` on ``i``, ``n_in``, ``n_out``."""
     if len(machines) != d.n_boxes:
         raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
-    ins, outs = d.ports("box_in"), d.ports("box_out")
     i = _misfit(machines, ins, outs)
     if i is not None:
         n_in, n_out = ins.sizes()[i], outs.sizes()[i]
         raise ArityError(
-            f"box {i} expects (in, out) = ({n_in}, {n_out}), "
+            f"{expects.format(i=i, n_in=n_in, n_out=n_out)}, "
             f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
         )
     kind = _common_kind([m.kind for m in machines], "machines")
@@ -445,22 +272,14 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     """Compose machines over a circular port graph: the composite over
     ``cpg_to_dwd(g)``, where each port is both an in-port and an out-port
     of its box, and outer port ``q`` feeds and reads ``expose[q]``."""
-    if len(machines) != g.n_boxes:
-        raise ArityError(f"diagram has {g.n_boxes} boxes but {len(machines)} machines were given")
-    ports = g.ports("box")
-    i = _misfit(machines, ports, ports)
-    if i is not None:
-        raise ArityError(
-            f"box {i} expects {ports.sizes()[i]} inputs and outputs, "
-            f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
-        )
-    return oapply_directed(cpg_to_dwd(g), machines)
+    ports, expects = g.ports("box"), "box {i} expects {n_in} inputs and outputs"
+    return _directed(cpg_to_dwd(g), machines, ports, ports, expects)
 
 
 # Interned like the programs of instantiated specs: Euler maps of equal
 # systems, made one by one, then share one program object and so group.
 # Only fused maps group, and only they are interned: the cache would keep an
-# unfused composite alive, and with it its plan.
+# unfused composite alive, and with it its box plan and array code.
 @lru_cache(maxsize=64)
 def _euler_program(inner: Program, h: float) -> Euler:
     return Euler(inner, h)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from ._codegen import as_vector, stepper
 from .dynam import (
     Machine,
     ResourceSharer,
-    callables_of,
     euler_directed,
     euler_undirected,
     oapply_cpg,
@@ -144,43 +143,19 @@ def _inputs(config: SimulationConfig, n_inputs: int) -> Iterable[tuple[float, ..
     return itertools.repeat(a)
 
 
-def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    k1 = np.asarray(f(x), dtype=np.float64)
-    k2 = np.asarray(f(x + 0.5 * h * k1), dtype=np.float64)
-    k3 = np.asarray(f(x + 0.5 * h * k2), dtype=np.float64)
-    k4 = np.asarray(f(x + h * k3), dtype=np.float64)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step(system: Machine | ResourceSharer, scheme: str, h: float) -> Callable:
-    """The ``direct`` or ``rk4`` step ``(a, x) -> next x`` of ``system`` over
-    Python floats, inputs ``a`` held over the step (sharers ignore them).
-    A fused program steps through generated code (``_codegen.stepper``); any
-    other through its callables (``dynam.callables_of``) and numpy, with the
-    same IEEE operations."""
-    program, machine = system.program, isinstance(system, Machine)
-    if program.fused:
-        return stepper(program, scheme, h)
-    dynamics = callables_of(program, machine)[0]
-    f = dynamics if machine else lambda a, x: dynamics(x)
-
-    def step(a: Sequence[float], x: Sequence[float]) -> list[float]:
-        a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
-        y = _rk4(lambda v: f(a, v), x, h) if scheme == "rk4" else f(a, x)
-        return np.asarray(y, dtype=np.float64).tolist()
-
-    return step
-
-
 def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Classic fourth-order step with inputs held constant over the step, in
-    numpy.  ``run_trajectory``'s ``rk4`` step performs the same IEEE
-    operations over Python floats, so the two agree bitwise.
+    """Classic fourth-order step with inputs held constant over the step:
+    ``run_trajectory``'s ``rk4`` step, on size-checked arguments.
 
     Convenience only: unlike the Euler map this does not commute with
     composition, so it is applied to the composed system.
     """
-    return _rk4(lambda y: machine.dynamics(a, y), x, h)
+    program = machine.program
+    a = as_vector(a, machine.n_inputs, "input vector")
+    x = as_vector(x, machine.n_states, "state vector")
+    if program.fused:
+        a, x = a.tolist(), x.tolist()
+    return np.asarray(stepper(program, "rk4", h)(a, x), dtype=np.float64)
 
 
 def _raise_non_finite(rows: list[list[float]], header: list[str]) -> None:
@@ -206,11 +181,10 @@ def run_trajectory(
     directly under ``"euler"`` (the metadata says ``"direct"``); a
     continuous one by explicit Euler, which steps the discrete system
     ``euler_directed(system, h)`` or ``euler_undirected(system, h)``
-    directly, or by classic RK4.  The state is a list of Python floats, and
-    one step kind advances it with step ``k``'s inputs held over the step
-    (see :func:`_step`): a fused system, and so the Euler map of one, runs
-    its generated code with no numpy work per step.  Rows include
-    the initial state at ``t=0`` and one row per step.  A state that is not
+    directly, or by classic RK4.  ``_codegen.stepper`` advances the state,
+    Python floats if the system is fused and else a float64 array, with step
+    ``k``'s inputs held over the step.  Rows (of Python floats) include the
+    initial state at ``t=0`` and one row per step.  A state that is not
     finite after some step is an error naming the first such step and state.
     """
     system = composed.system
@@ -231,18 +205,21 @@ def run_trajectory(
     if method == "euler":
         euler = euler_undirected if isinstance(system, ResourceSharer) else euler_directed
         system = euler(system, h)
-    step = _step(system, "rk4" if method == "rk4" else "direct", h)
+    step = stepper(system.program, "rk4" if method == "rk4" else "direct", h)
     if isinstance(system, ResourceSharer):
         inputs: Iterable[tuple[float, ...]] = itertools.repeat(())
     else:
         inputs = _inputs(config, system.n_inputs)
 
     header = ["t", *composed.state_names]
-    x = as_vector(x0, system.n_states, "state vector").tolist()
-    rows = [[0.0, *x]]
-    for k, a in zip(range(config.steps), inputs):
+    fused = system.program.fused
+    x = as_vector(x0, system.n_states, "state vector")
+    x = x.tolist() if fused else x
+    states = [x]
+    for _, a in zip(range(config.steps), inputs):
         x = step(a, x)
-        rows.append([(k + 1) * h, *x])
+        states.append(x)
+    rows = [[k * h, *x] for k, x in enumerate(states if fused else map(np.ndarray.tolist, states))]
     if not math.isfinite(sum(map(sum, rows))):
         _raise_non_finite(rows, header)
 

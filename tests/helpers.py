@@ -583,3 +583,115 @@ def reference_ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagr
         [b + box_off[i] for i, d in enumerate(inners) for b in d.data.parts["box_out"]],
         outer.n_outer_in, outer.n_outer_out, wires, in_wires, out_wires,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference composites and steps: plain loops over the diagram's columns
+#
+# A reference composite calls each box's own callables, in the order the
+# composition defines, on lists of Python floats, and returns lists.  Its
+# boxes may be models or other reference composites, so nested diagrams
+# compose too.  Sums start from 0.0 and add in wire (or box-state) order, as
+# ``finset.fiber_sum`` does, so values agree bitwise with any correct path.
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _state_offsets(systems) -> list[int]:
+    return list(itertools.accumulate((s.n_states for s in systems), initial=0))
+
+
+def reference_oapply_directed(d: DWDiagram, machines) -> Machine:
+    """``oapply_directed(d, machines)`` by plain loops: every box's readout
+    in box order, then in-port sums (box wires before outer in-wires), then
+    every box's dynamics in box order."""
+    parts = {k: v.tolist() for k, v in d.data.parts.items()}
+    ins = reference_ports_by_box(parts["box_in"], d.n_boxes)
+    outs = reference_ports_by_box(parts["box_out"], d.n_boxes)
+    offs = _state_offsets(machines)
+    wires = [*zip(parts["src"], parts["tgt"])]
+    in_wires = [*zip(parts["src_in"], parts["tgt_in"])]
+
+    def readouts(x: list[float]) -> list[float]:
+        values = [0.0] * len(parts["box_out"])
+        for i, m in enumerate(machines):
+            for port, v in zip(outs[i], _floats(m.readout(x[offs[i]:offs[i + 1]]))):
+                values[port] = v
+        return values
+
+    def dynamics(a, x) -> list[float]:
+        a, x = _floats(a), _floats(x)
+        values, feed = readouts(x), [0.0] * len(parts["box_in"])
+        for s, t in wires:
+            feed[t] = feed[t] + values[s]
+        for s, t in in_wires:
+            feed[t] = feed[t] + a[s]
+        out: list[float] = []
+        for i, m in enumerate(machines):
+            out += _floats(m.dynamics([feed[p] for p in ins[i]], x[offs[i]:offs[i + 1]]))
+        return out
+
+    def readout(x) -> list[float]:
+        values, out = readouts(_floats(x)), [0.0] * d.n_outer_out
+        for s, t in zip(parts["src_out"], parts["tgt_out"]):
+            out[t] = out[t] + values[s]
+        return out
+
+    kind = machines[0].kind if machines else "continuous"
+    return Machine(d.n_outer_in, offs[-1], d.n_outer_out, dynamics, readout, kind)
+
+
+def reference_oapply_undirected(d: UWDiagram, sharers) -> ResourceSharer:
+    """``oapply_undirected(d, sharers)`` by plain loops: box states pulled
+    back from the glued states, every box's dynamics in box order, and the
+    results (a discrete composite: their increments, added to the glued
+    state) summed per glued state in box-state order."""
+    layout = reference_undirected_layout(d, sharers)
+    glue, n = layout.state_injection.map, layout.state_injection.cod_size
+    offs = _state_offsets(sharers)
+    kind = sharers[0].kind if sharers else "continuous"
+
+    def dynamics(x) -> list[float]:
+        x = _floats(x)
+        y = [x[c] for c in glue]
+        out: list[float] = []
+        for i, s in enumerate(sharers):
+            out += _floats(s.dynamics(y[offs[i]:offs[i + 1]]))
+        if kind == "discrete":
+            out = [o - v for o, v in zip(out, y)]
+        sums = [0.0] * n
+        for g, c in enumerate(glue):
+            sums[c] = sums[c] + out[g]
+        return [v + s for v, s in zip(x, sums)] if kind == "discrete" else sums
+
+    junctions = layout.junction_injection.map
+    portmap = FinFunction(d.n_outer, n, [junctions[j] for j in d.data.parts["junc_out"].tolist()])
+    return ResourceSharer(d.n_outer, n, portmap, dynamics, kind)
+
+
+def reference_step(system, scheme: str, h: float):
+    """One step ``(a, x) -> next x`` of ``system`` over lists of floats: its
+    own map (``direct``), ``x_i + h*u_i`` (``euler``) or classic RK4 with
+    stages at ``x_i + (0.5*h)*k_i`` and ``x_i + h*k3_i`` (``rk4``)."""
+    f = system.dynamics if isinstance(system, Machine) else (lambda a, x: system.dynamics(x))
+
+    def stage(a, x, c, k):
+        return _floats(f(a, [v + c * d for v, d in zip(x, k)]))
+
+    def step(a, x) -> list[float]:
+        u = _floats(f(a, x))
+        if scheme == "direct":
+            return u
+        if scheme == "euler":
+            return [v + h * d for v, d in zip(x, u)]
+        k2 = stage(a, x, 0.5 * h, u)
+        k3 = stage(a, x, 0.5 * h, k2)
+        k4 = stage(a, x, h, k3)
+        return [
+            v + (h / 6.0) * (((k1 + 2.0 * b) + 2.0 * c) + d)
+            for v, k1, b, c, d in zip(x, u, k2, k3, k4)
+        ]
+
+    return step

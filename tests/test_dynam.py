@@ -381,6 +381,16 @@ class TestOapplyCPG:
             assert composite.dynamics(a, x).tolist() == [0.0, 2.75]
             assert composite.readout(x).tolist() == [3.0, 3.0]
 
+    def test_refusals_name_the_box_count_and_the_misfit_box(self):
+        echo = Machine(1, 1, 1, lambda a, x: a, lambda x: x, "continuous")
+        g = CPGraph.from_tables(2, box=[0, 1, 1], wires=[], expose=[])
+        with pytest.raises(ArityError, match=r"^diagram has 2 boxes but 1 machines were given$"):
+            oapply_cpg(g, [echo])
+        with pytest.raises(
+            ArityError, match=r"^box 1 expects 2 inputs and outputs, machine has \(1, 1\)$"
+        ):
+            oapply_cpg(g, [echo, echo])
+
     def test_agrees_with_migrated_path(self):
         rng = random.Random(41)
         nprng = np.random.default_rng(41)

@@ -280,10 +280,11 @@ def test_a_composite_over_the_cutoff_carries_a_program_and_so_does_its_euler_map
     stepped = euler_directed(composite, 0.01)
     assert isinstance(stepped.program, Euler) and not fused(stepped)
     assert stepped.program.inner is composite.program
-    # The map reuses the composite's callables: x + h*u in numpy around them.
-    assert stepped.readout is composite.readout
     rng = np.random.default_rng(3)
     a, x = rng.uniform(-1.0, 1.0, composite.n_inputs), rng.uniform(0.0, 1.0, 100)
+    # The map's readout is the composite's generated readout; it makes none.
+    assert bits(stepped.readout(x)) == bits(composite.readout(x))
+    assert "array_readout" in vars(composite.program) and "array_readout" not in vars(stepped.program)
     assert bits(stepped.dynamics(a, x)) == bits(x + 0.01 * composite.dynamics(a, x))
 
 

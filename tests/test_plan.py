@@ -1,10 +1,11 @@
 """The box-by-box plan of composites too large to fuse, against the scalar path.
 
-``_BoxPlan`` reads the diagram's columns: one kernel group per shared
-program, with state and port blocks cut from the columns, and a ``_Box``
-record only for a box that runs alone.  The records of every box, which the
-scalar fallback of a flagged group walks, are built on the first flag and
-kept.  The reference is the same composite over ``scalar_only`` models.
+A composite's ``BoxPlan`` (``program.plan``) reads the diagram's columns:
+one kernel group per shared program, with state and port blocks cut from
+the columns, and the ``singles``, the boxes that run alone in its array
+code.  The records of every box (``plan.boxes``), which the scalar
+fallback of a flagged group walks, are built on the first flag and kept.
+The reference is the same composite over ``scalar_only`` models.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 import numpy as np
 import pytest
 
-import dynwire.dynam as dynam
 from dynwire import (
     DWDiagram,
     Machine,
@@ -31,8 +31,8 @@ from dynwire import (
 from dynwire._codegen import kernels
 from dynwire._codegen import _FUSE_MAX_STATEMENTS
 from dynwire.wiring import _Fibers
-from dynwire.fileio import load_diagram, load_model
-from dynwire.sim import build_system
+from dynwire.fileio import SimulationConfig, load_diagram, load_model
+from dynwire.sim import ComposedSystem, build_system, run_trajectory
 
 from helpers import random_cpg, random_dwd, shuffled_box_column
 from test_batched import assert_same_error, bits, fused, open_boxes, scalar_only
@@ -72,18 +72,9 @@ def mixed(side: int) -> list[Machine]:
     return ms
 
 
-class Counted:
-    """Counts the ``_Box`` records built while patched into ``dynam``."""
-
-    def __init__(self, monkeypatch):
-        self.built = 0
-        box = dynam._Box
-
-        def counted(*args):
-            self.built += 1
-            return box(*args)
-
-        monkeypatch.setattr(dynam, "_Box", counted)
+def records_built(system) -> bool:
+    """Whether the fallback's records of every box of ``system`` were built."""
+    return "boxes" in vars(system.program.plan)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -103,24 +94,24 @@ def test_group_singleton_and_hand_written_box_equal_the_scalar_path(route):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_group_flagging_after_a_clean_call_raises_the_scalar_error(route, monkeypatch):
+def test_group_flagging_after_a_clean_call_raises_the_scalar_error(route):
     side = 16
     ms = mixed(side)
     d, oapply = ROUTES[route](grid(side, side)), OAPPLY[route]
-    counted = Counted(monkeypatch)
     fast = oapply(d, ms)
-    assert counted.built == 2  # the singleton and the hand-written box
+    plan = fast.program.plan
+    assert len(plan.groups) == 1 and plan.singles == [5, 9]  # the singleton and the hand-written box
     slow = oapply(d, scalar_only(ms))
-    counted.built = 0  # the reference runs every box alone, each with a record
+    assert slow.program.plan.singles == list(range(side**2))  # the reference runs every box alone
     a = np.zeros(fast.n_inputs)
     x = np.full(side**2, 0.5)
     assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
-    assert counted.built == 0
+    assert not records_built(fast)
     # A failing singleton raises from its own call; no group flags.
     y = x.copy()
     y[5] = 5.0
     assert assert_same_error(fast.dynamics, slow.dynamics, a, y) == "division by zero"
-    assert counted.built == 0
+    assert not records_built(fast)
     # A group flags: the first failing box in box order wins, readouts first.
     dynamics = "dynamics of 'T' produced a non-finite value"
     readout = "readout produced a non-finite value"
@@ -131,19 +122,22 @@ def test_group_flagging_after_a_clean_call_raises_the_scalar_error(route, monkey
         ({5: 5.0, 7: 1e80}, "division by zero"),
         ({3: 5.0, 40: 1e110}, readout),
     ]
+    records = None
     for at, message in cases:
         y = x.copy()
         y[list(at)] = list(at.values())
         assert assert_same_error(fast.dynamics, slow.dynamics, a, y) == message
-    # The fallback's records of every box are built once, on the first flag.
-    assert counted.built == side**2
+        # The fallback's records of every box are built once, on the first flag.
+        assert records_built(fast)
+        records = records or plan.boxes
+        assert plan.boxes is records
+    assert [r[0] for r in records] == list(range(side**2))
     assert assert_same_error(fast.readout, slow.readout, y) == readout
     assert bits(fast.dynamics(a, x)) == bits(slow.dynamics(a, x))
-    assert counted.built == side**2
+    assert plan.boxes is records
 
 
-def test_heat_grid_clean_path_builds_no_box_records(monkeypatch):
-    counted = Counted(monkeypatch)
+def test_heat_grid_clean_path_builds_no_box_records():
     heat = [instantiate(builtin_model("heat_node", {"alpha": 0.1}))] * 1024
     g = grid(32, 32)
     x = np.random.default_rng(5).uniform(0.0, 1.0, 1024)
@@ -151,7 +145,31 @@ def test_heat_grid_clean_path_builds_no_box_records(monkeypatch):
         composite = oapply(d, heat)
         composite.dynamics(np.zeros(composite.n_inputs), x)
         composite.readout(x)
-    assert counted.built == 0
+        assert composite.program.plan.singles == [] and not records_built(composite)
+
+
+def test_a_nested_box_by_box_composite_runs_as_one_function():
+    # Two box-by-box grids as the boxes of a box-by-box composite: their code
+    # is generated into the outer composite's, so running the outer one never
+    # makes (or calls) an inner one's function.
+    side = 4
+    inner = oapply_cpg(grid(side, side), mixed(side))
+    n = inner.n_inputs
+    ports = [0] * n + [1] * n
+    wires = [(k, n + k) for k in range(n)] + [(n + k, k) for k in range(n)]
+    d = DWDiagram.from_tables(2, ports, ports, 0, 0, wires)
+    outer = oapply_directed(d, [inner, inner])
+    assert not fused(inner) and not fused(outer)
+    reference = oapply_directed(d, [oapply_cpg(grid(side, side), scalar_only(mixed(side)))] * 2)
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, outer.n_states)
+    for scheme in ("euler", "rk4"):
+        config = SimulationConfig(h=0.01, steps=5, init=tuple(x))
+        composed = [ComposedSystem(s, tuple(map(str, range(len(x)))), s.kind, True)
+                    for s in (outer, reference)]
+        got, want = (run_trajectory(c, config, scheme)[1] for c in composed)
+        assert bits(np.array(got)) == bits(np.array(want))
+    assert bits(outer.readout(x)) == bits(reference.readout(x))
+    assert not {"array_dynamics", "array_readout"} & set(vars(inner.program))
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +221,20 @@ def test_group_over_shuffled_port_columns_equals_the_scalar_path():
 # Which path each shipped workload shape takes
 
 
-class Plans:
-    """Records every ``_BoxPlan`` built while patched into ``dynam``."""
-
-    def __init__(self, monkeypatch):
-        self.made: list[dynam._BoxPlan] = []
-        plan = dynam._BoxPlan
-        made = self.made
-
-        class Recorded(plan):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(dynam, "_BoxPlan", Recorded)
-
-
-def test_shipped_workload_shapes_take_their_paths(repo_root, monkeypatch):
-    plans = Plans(monkeypatch)
+def test_shipped_workload_shapes_take_their_paths(repo_root):
     heat = builtin_model("heat_node", {"alpha": 0.1})
     g = grid(32, 32)
     for d in (g, cpg_to_dwd(g)):
-        assert not fused(build_system(d, [heat] * 1024).system)
-        (plan,) = plans.made
+        system = build_system(d, [heat] * 1024).system
+        assert not fused(system)
+        plan = system.program.plan
         assert len(plan.groups) == 1 and plan.singles == []
-        plans.made.clear()
 
+    # Fused composites, nested ones included, have no plan.
     sir = repo_root / "configs" / "sir"
     city = load_model(sir / "city.json")
-    assert fused(build_system(load_diagram(sir / "cyclic.json"), [city] * 3).system)
+    system = build_system(load_diagram(sir / "cyclic.json"), [city] * 3).system
+    assert fused(system) and system.program.plan is None
 
     eco = repo_root / "configs" / "ecosystem"
     total, land, river = (
@@ -240,19 +243,18 @@ def test_shipped_workload_shapes_take_their_paths(repo_root, monkeypatch):
     names = ("rabbit_growth", "land_predation", "hawk_decline", "fish_growth", "river_predation")
     flat = ocompose_uwd(total, [land, river])
     assert flat.n_boxes == 5
-    assert fused(build_system(flat, [load_model(eco / f"{n}.json") for n in names]).system)
-    assert plans.made == []
+    system = build_system(flat, [load_model(eco / f"{n}.json") for n in names]).system
+    assert fused(system) and system.program.plan is None
 
 
-def test_euler_maps_made_one_by_one_share_a_group(monkeypatch):
+def test_euler_maps_made_one_by_one_share_a_group():
     # Equal Euler maps made separately share one program object, so they
     # group as one map repeated does.
-    plans = Plans(monkeypatch)
     m, g = cell(0.1), grid(32, 32)
     apart = [euler_directed(m, 0.01) for _ in range(1024)]
     fast, repeated = oapply_cpg(g, apart), oapply_cpg(g, [euler_directed(m, 0.01)] * 1024)
-    plan = plans.made[0]
-    assert len(plan.groups) == 1 and plan.singles == [] and "boxes" not in vars(plan)
+    plan = fast.program.plan
+    assert len(plan.groups) == 1 and plan.singles == [] and not records_built(fast)
     rng = np.random.default_rng(21)
     for _ in range(3):
         x, a = rng.uniform(-2.0, 2.0, fast.n_states), rng.uniform(-2.0, 2.0, fast.n_inputs)
@@ -274,7 +276,7 @@ def planted() -> Machine:
 
 
 @pytest.mark.parametrize("kind", ["composite", "euler"])
-def test_groups_of_composites_and_euler_maps_equal_the_scalar_path(kind, monkeypatch):
+def test_groups_of_composites_and_euler_maps_equal_the_scalar_path(kind):
     # A fused composite of two planted boxes in a row hides both overflowing
     # readouts inside; an Euler map shows its one as its second out-port,
     # which the outer diagram leaves unwired.
@@ -286,10 +288,9 @@ def test_groups_of_composites_and_euler_maps_equal_the_scalar_path(kind, monkeyp
     assert fused(box)
     k = _FUSE_MAX_STATEMENTS // box.program.statements + 1
     d = open_boxes(k, outs)
-    plans = Plans(monkeypatch)
     fast, slow = oapply_directed(d, [box] * k), oapply_directed(d, scalar_only([box] * k))
     assert not fused(fast)
-    assert [len(p.groups) for p in plans.made] == [1, 0]  # one group, then the reference
+    assert [len(c.program.plan.groups) for c in (fast, slow)] == [1, 0]  # one group, then the reference
     rng = np.random.default_rng(13)
     for _ in range(3):
         x, a = rng.uniform(-2.0, 2.0, fast.n_states), rng.uniform(-2.0, 2.0, k)

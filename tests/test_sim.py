@@ -28,7 +28,7 @@ from dynwire import (
     spec_from_json,
 )
 from dynwire.fileio import SimulationConfig, load_diagram, load_model
-from dynwire.sim import ComposedSystem, build_system, run_trajectory
+from dynwire.sim import ComposedSystem, build_system, rk4_step, run_trajectory
 
 from helpers import reference_state_names
 
@@ -74,6 +74,25 @@ def test_euler_is_bitwise_the_euler_map():
         _, rows, meta = run_trajectory(composed, CONFIG, "euler")
         assert meta["scheme"] == "euler"
         assert [row[1] for row in rows] == expected
+
+
+def test_rk4_step_is_one_rk4_row_of_run_trajectory(repo_root):
+    # One stepper behind both: fused code for SIR cyclic, array code for
+    # the box-by-box heat grid.
+    sir = repo_root / "configs" / "sir"
+    cyclic = build_system(load_diagram(sir / "cyclic.json"), [load_model(sir / "city.json")] * 3)
+    heat = build_system(grid(32, 32), [builtin_model("heat_node", {"alpha": 0.1})] * 1024)
+    rng = np.random.default_rng(17)
+    for composed, fused in ((cyclic, True), (heat, False)):
+        system = composed.system
+        assert system.program.fused is fused
+        x0 = rng.uniform(0.0, 1000.0, system.n_states)
+        a = rng.uniform(-1.0, 1.0, system.n_inputs)
+        config = SimulationConfig(h=H, steps=1, init=tuple(x0), inputs=tuple(a))
+        _, rows, _ = run_trajectory(composed, config, "rk4")
+        step = rk4_step(system, a, x0, H)
+        assert isinstance(step, np.ndarray)
+        assert step.tobytes() == np.array(rows[1][1:]).tobytes()
 
 
 @pytest.mark.parametrize(
