@@ -95,6 +95,9 @@ class Emitter:
     ``arrays`` emits array code: an operand is one float64 array of all of
     a system's inputs (none for a sharer) or states.  Its statements are
     never shared: two equal buffers made by ``_np.empty`` must stay apart.
+    Only a nested composite's readouts are, between the phases of its
+    parent (``readouts``): its states are a slice of the parent's, which
+    nothing writes into.
     """
 
     def __init__(self, batched: bool = False, arrays: bool = False):
@@ -104,6 +107,7 @@ class Emitter:
         self.checks: list[str] = []
         self.constants: dict[str, object] = {}
         self._seen: dict[str, str] = {}  # statement text -> temporary
+        self.readouts: dict[tuple[Program, str], str] = {}  # (program, states) -> readouts
         self._temporaries = 0
         self._checked: set[tuple[str, str]] = set()  # (check, operand) pairs emitted
 
@@ -457,9 +461,18 @@ class Transport(Program):
         """Every box's readout in box order, placed at its out-ports, then ``a``."""
         n = self.outs.order.size
         if em.arrays:
-            values = em.statement(f"_np.empty({n + self.n_inputs if a else n})")
-            self.plan.emit(em, x[0], values, readout=True)
-            em.lines += [f"{values}[{n}:] = {a[0]}"] if a else []
+            # A nested composite's readouts, made for its parent's readout
+            # phase, serve its own dynamics in the phase after.
+            values = em.readouts.get((self, x[0]))
+            if values is None:
+                values = em.statement(f"_np.empty({n + self.n_inputs if a else n})")
+                self.plan.emit(em, x[0], values, readout=True)
+                if a:
+                    em.lines.append(f"{values}[{n}:] = {a[0]}")
+                else:
+                    em.readouts[self, x[0]] = values
+            elif a:
+                values = em.statement(f"_np.concatenate(({values}, {a[0]}))")
             return [values]
         r = [""] * n
         for box, states, ports in zip(self.boxes, _slices(self.offs), self.outs.tuples()):
@@ -613,7 +626,7 @@ class BoxPlan:
                 continue
             i, box, _, _, states, ins, outs = run
             s = f"{states.start}:{states.stop}"
-            xs = [em.statement(f"{x}[{s}]")]
+            xs = [f"{x}[{s}]"]  # one operand text in both phases
             a = [] if feed is None else [em.statement(f"{feed}[{em.name(ins)}]")]
             value = (box.readout(em, xs) if readout else box.dynamics(em, a, xs))[0]
             n, target = (box.n_outputs, em.name(outs)) if readout else (box.n_states, s)

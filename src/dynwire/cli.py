@@ -30,7 +30,7 @@ from .fileio import (
     write_svg_lineplot,
 )
 from .modelspec import spec_from_json, spec_violations
-from .sim import build_system, run_trajectory
+from .sim import _trajectory, build_system
 from .wiring import CPGraph, canonical, cpg_to_dwd, grid, ocompose, ocompose_at, to_dot
 
 __all__ = ["main"]
@@ -89,16 +89,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     labels = load_labels(args.labels) if args.labels else None
     composed = build_system(diagram, specs, labels)
-    header, rows, metadata = run_trajectory(composed, config, scheme=args.scheme)
-    write_csv(args.out, header, rows)
+    header, block, metadata = _trajectory(composed, config, args.scheme)
+    write_csv(args.out, header, block)
     meta_path = Path(str(args.out) + ".meta.json")
     _write_json(meta_path, metadata)
     if args.svg:
-        t = [row[0] for row in rows]
-        columns = {
-            name: [row[k + 1] for row in rows] for k, name in enumerate(header[1:])
-        }
-        write_svg_lineplot(args.svg, t, columns)
+        t, *columns = block.T.tolist()
+        write_svg_lineplot(args.svg, t, dict(zip(header[1:], columns)))
         print(f"wrote {args.out}, {meta_path}, {args.svg}")
     else:
         print(f"wrote {args.out}, {meta_path}")

@@ -16,6 +16,7 @@ accepted with the same errors either way.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain
@@ -236,6 +237,10 @@ def _finite(key: str, value: object) -> float:
 def _finite_list(key: str, value: object) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    # Floats with a finite sum are all finite: accepted in two C-level
+    # passes.  Anything else is checked value by value, for the message.
+    if set(map(type, value)) <= {float} and math.isfinite(sum(value)):
+        return tuple(value)
     xs = tuple(map(_finite_float, value))
     if None in xs:
         i = xs.index(None)
@@ -336,27 +341,35 @@ def load_labels(path: str | Path) -> list[str]:
 # CSV trajectories
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]] | np.ndarray
+) -> None:
     """Write the header and one line per row, every value as ``repr(float(v))``.
 
-    Before the file is opened, a row whose length differs from the
-    header's, or a header cell holding ``,``, ``\\n`` or ``\\r``, raises
+    ``rows`` is a 2-D float64 array of the header's width, such as the block
+    of a trajectory, which is written as it is, or else any sequence of rows
+    of numbers.  Before the file is opened, a row whose length differs from
+    the header's, or a header cell holding ``,``, ``\\n`` or ``\\r``, raises
     ``DynwireError`` naming it (``read_csv`` would refuse the file), and
-    every value is converted by ``float``; so a call refused for its rows,
-    header or values leaves an existing file as it was.  The values are then
-    written by ``_textcols.format_floats``, a vectorised shortest round-trip
-    kernel that gives ``repr``'s bytes, in chunks of at most
-    ``_textcols._CHUNK_VALUES`` values, streamed to the file.
+    every value of a sequence of rows is converted by ``float``; so a call
+    refused for its rows, header or values leaves an existing file as it
+    was.  The values are then written by ``_textcols.format_floats``, a
+    vectorised shortest round-trip kernel that gives ``repr``'s bytes, in
+    chunks of at most ``_textcols._CHUNK_VALUES`` values, streamed to the
+    file.
     """
     width = len(header)
-    if not set(map(len, rows)) <= {width}:
+    block = isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape[1:] == (width,)
+    if not block and not set(map(len, rows)) <= {width}:
         k, n = next((k, len(row)) for k, row in enumerate(rows) if len(row) != width)
         raise DynwireError(f"{path}: row {k} has {n} values, the header has {width}")
     if _CSV_BREAKS.intersection("".join(header)):
         k, name = next((k, name) for k, name in enumerate(header, 1) if _CSV_BREAKS.intersection(name))
         raise DynwireError(f"{path}: column {k} ({name!r}) holds ',', '\\n' or '\\r'")
-    values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, len(rows) * width)
-    values = values.reshape(len(rows), width)
+    values = rows
+    if not block:
+        values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, len(rows) * width)
+        values = values.reshape(len(rows), width)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(format_floats(values))

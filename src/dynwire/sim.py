@@ -158,18 +158,18 @@ def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.nda
     return np.asarray(stepper(program, "rk4", h)(a, x), dtype=np.float64)
 
 
-def _raise_non_finite(rows: list[list[float]], header: list[str]) -> None:
-    """Raise for the first non-finite state of the trajectory ``rows``, if any.
+def _raise_non_finite(block: np.ndarray, header: list[str]) -> None:
+    """Raise for the first non-finite value of the trajectory ``block``, in
+    row order, if any.
 
     Only the next evaluation reads a step's result, so nothing else checks
     the last state, or a state that no equation reads.
     """
-    for k, row in enumerate(rows):
-        for j, value in enumerate(row):
-            if not math.isfinite(value):
-                raise ExprEvalError(
-                    f"step {k} (t={row[0]!r}) left state {header[j]!r} non-finite: {value!r}"
-                )
+    where = np.isfinite(block).argmin()  # the first False, in row order
+    k, j = divmod(int(where), block.shape[1])
+    t, value = float(block[k, 0]), float(block[k, j])
+    if not math.isfinite(value):
+        raise ExprEvalError(f"step {k} (t={t!r}) left state {header[j]!r} non-finite: {value!r}")
 
 
 def run_trajectory(
@@ -183,10 +183,20 @@ def run_trajectory(
     ``euler_directed(system, h)`` or ``euler_undirected(system, h)``
     directly, or by classic RK4.  ``_codegen.stepper`` advances the state,
     Python floats if the system is fused and else a float64 array, with step
-    ``k``'s inputs held over the step.  Rows (of Python floats) include the
-    initial state at ``t=0`` and one row per step.  A state that is not
-    finite after some step is an error naming the first such step and state.
+    ``k``'s inputs held over the step.  Rows (lists of Python floats) include
+    the initial state at ``t=0`` and one row per step; they are the rows of
+    the float64 block that the CLI writes.  A state that is not finite after
+    some step is an error naming the first such step and state.
     """
+    header, block, metadata = _trajectory(composed, config, scheme)
+    return header, block.tolist(), metadata
+
+
+def _trajectory(
+    composed: ComposedSystem, config: SimulationConfig, scheme: str
+) -> tuple[list[str], np.ndarray, dict]:
+    """``run_trajectory`` with the rows as one float64 block of shape
+    ``(steps + 1, 1 + n)``: ``t = k*h`` in column 0, then the states."""
     system = composed.system
     x0 = _initial_state(config, composed.state_names)
     if not composed.directed and (config.inputs is not None or config.input_table is not None):
@@ -212,16 +222,22 @@ def run_trajectory(
         inputs = _inputs(config, system.n_inputs)
 
     header = ["t", *composed.state_names]
-    fused = system.program.fused
     x = as_vector(x0, system.n_states, "state vector")
-    x = x.tolist() if fused else x
+    x = x.tolist() if system.program.fused else x
     states = [x]
-    for _, a in zip(range(config.steps), inputs):
-        x = step(a, x)
-        states.append(x)
-    rows = [[k * h, *x] for k, x in enumerate(states if fused else map(np.ndarray.tolist, states))]
-    if not math.isfinite(sum(map(sum, rows))):
-        _raise_non_finite(rows, header)
+    # The screen below names any overflow of array code's steps, so numpy
+    # need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, a in zip(range(config.steps), inputs):
+            x = step(a, x)
+            states.append(x)
+    # Float tuples or float64 arrays alike are copied in once; ``k*h`` as
+    # numpy computes it is Python's ``k * h``, bit for bit.
+    block = np.empty((len(states), len(header)))
+    block[:, 0] = np.arange(len(states)) * h
+    block[:, 1:] = states
+    if not np.isfinite(block).all():
+        _raise_non_finite(block, header)
 
     metadata = {
         "scheme": method,
@@ -231,4 +247,4 @@ def run_trajectory(
         "steps": config.steps,
         "columns": header,
     }
-    return header, rows, metadata
+    return header, block, metadata

@@ -52,6 +52,9 @@ ONE_PORT_UWD = {
     "box": [0], "junc_in": [0], "junc_out": [],
 }
 
+SELF_SHARER = {"kind": "sharer", "flavor": "continuous", "states": ["x"],
+               "ports": ["x"], "params": {}, "dynamics": {"x": "x"}}
+
 BAD_FILES = {
     "diagram-missing-keys": ({"schema": "UWD", "B": 1}, "junc_in"),
     "diagram-string-card": (dict(ONE_PORT_UWD, B="x"), "'B'"),
@@ -429,6 +432,23 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
+    def test_svg_of_simulate_is_the_plot_of_its_csv(self, tmp_path, repo_root):
+        # ``--svg`` reads the trajectory's columns as Python floats, so its
+        # axis labels are those ``plot`` writes from the CSV.
+        sir = repo_root / "configs" / "sir"
+        out = tmp_path / "t.csv"
+        assert main([
+            "simulate", "--diagram", str(sir / "isolation.json"),
+            "--models", *[str(sir / "city.json")] * 3,
+            "--config", str(sir / "sim_cities_labelled.json"),
+            "--labels", str(sir / "labels3.json"), "--out", str(out),
+            "--svg", str(tmp_path / "a.svg"),
+        ]) == 0
+        assert main(["plot", "--csv", str(out), "-o", str(tmp_path / "b.svg")]) == 0
+        text = (tmp_path / "a.svg").read_text()
+        assert "np." not in text and text.count("<polyline") == 9
+        assert text == (tmp_path / "b.svg").read_text()
+
     def test_per_step_input_table(self, tmp_path):
         # A one-box integrator driven by a table: x' = a with discrete Euler.
         diagram = write_json(tmp_path / "d.json", {
@@ -512,26 +532,32 @@ class TestSimulate:
         assert not out.exists()
 
     # x' = x from 2e307 doubles under Euler with h = 1 and overflows at the
-    # last step, where no evaluation reads it: the trajectory screen names it.
-    @pytest.mark.parametrize("diagram, model", [
-        (ONE_BOX_DWD, dict(ZERO_FIELD_MODEL, dynamics={"x": "x"})),
-        (ONE_PORT_UWD, {"kind": "sharer", "flavor": "continuous", "states": ["x"],
-                        "ports": ["x"], "params": {}, "dynamics": {"x": "x"}}),
-    ], ids=["machine", "sharer"])
+    # last step, where no evaluation reads it: the trajectory screen names it,
+    # whether the composite is fused or runs box by box (array code).
+    @pytest.mark.parametrize("diagram, model, box_by_box", [
+        (ONE_BOX_DWD, dict(ZERO_FIELD_MODEL, dynamics={"x": "x"}), False),
+        (ONE_PORT_UWD, SELF_SHARER, False),
+        (ONE_BOX_DWD, dict(ZERO_FIELD_MODEL, dynamics={"x": "x"}), True),
+        (ONE_PORT_UWD, SELF_SHARER, True),
+    ], ids=["machine", "sharer", "machine-box-by-box", "sharer-box-by-box"])
     def test_last_step_overflow_exits_1_naming_step_and_state(
-        self, tmp_path, capsys, diagram, model
+        self, tmp_path, capsys, blocks_only, diagram, model, box_by_box
     ):
         out = tmp_path / "t.csv"
         config = {"h": 1.0, "steps": 4, "init": [2e307]}
-        code = main([
+        argv = [
             "simulate", "--diagram", str(write_json(tmp_path / "d.json", diagram)),
             "--models", str(write_json(tmp_path / "m.json", model)),
             "--config", str(write_json(tmp_path / "c.json", config)), "--out", str(out),
-        ])
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            code = blocks_only(main, argv) if box_by_box else main(argv)
         assert code == 1
         message = "step 4 (t=4.0) left state 'b0.x' non-finite: inf"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+        assert not Path(f"{out}.meta.json").exists()
 
 
 class TestTwoStrategyEquivalence:

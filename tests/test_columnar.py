@@ -387,6 +387,44 @@ def test_write_csv_converts_values_as_float_does(tmp_path, size):
     assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n" + reference_csv_lines(rows)
 
 
+@st.composite
+def float_blocks(draw) -> np.ndarray:
+    width, rows = draw(st.integers(1, 7)), draw(st.integers(0, 6))
+    values = draw(st.lists(float_values, min_size=width * rows, max_size=width * rows))
+    block = np.array(values, np.float64).reshape(rows, width)
+    return np.asfortranarray(block) if draw(st.booleans()) else block
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=float_blocks())
+def test_write_csv_of_a_block_is_the_bytes_of_its_rows(tmp_path_factory, block):
+    # A trajectory block is written as it is; its rows as Python floats go
+    # through ``float``: both give the same bytes.
+    header = [f"c{k}" for k in range(block.shape[1])]
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "block.csv", header, block)
+    write_csv(folder / "rows.csv", header, block.tolist())
+    assert (folder / "block.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
+def test_write_csv_refuses_a_block_of_another_width_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["t", "x"], np.array([[0.0, 1.0]]))
+    before = path.read_bytes()
+    for block, message in (
+        (np.zeros((2, 3)), "row 0 has 3 values, the header has 2"),
+        (np.zeros((4, 1)), "row 0 has 1 values, the header has 2"),
+    ):
+        for target in (path, tmp_path / "new.csv"):
+            with pytest.raises(DynwireError, match=message):
+                write_csv(target, ["t", "x"], block)
+    assert path.read_bytes() == before
+    assert not (tmp_path / "new.csv").exists()
+    # Only float64 blocks skip the conversion; others are converted as rows are.
+    write_csv(path, ["t", "x"], np.array([[0.1, 2]], np.float32))
+    assert path.read_text() == "t,x\n" + reference_csv_lines([[np.float32(0.1), 2.0]])
+
+
 def test_write_csv_then_read_csv_gives_the_same_floats(tmp_path):
     bits = np.random.default_rng(9).integers(0, 2**64, 6000, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)

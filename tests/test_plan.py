@@ -172,6 +172,42 @@ def test_a_nested_box_by_box_composite_runs_as_one_function():
     assert not {"array_dynamics", "array_readout"} & set(vars(inner.program))
 
 
+def test_a_nested_composite_reads_out_once_per_outer_call():
+    # Each inner grid's readouts feed the outer readout phase and then its
+    # own dynamics: one readout kernel call per inner box and per call.
+    side = 4
+    inner = oapply_cpg(grid(side, side), mixed(side))
+    n = inner.n_inputs
+    ports = [0] * n + [1] * n
+    wires = [(k, n + k) for k in range(n)] + [(n + k, k) for k in range(n)]
+    d = DWDiagram.from_tables(2, ports, ports, 0, 0, wires)
+    reference = oapply_directed(d, [oapply_cpg(grid(side, side), scalar_only(mixed(side)))] * 2)
+    calls = []
+
+    def counted(kernel, name):
+        def call(*args):
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    plan = inner.program.plan
+    assert len(plan.groups) == 1
+    plan.groups = [(counted(dyn, "dynamics"), counted(read, "readout"), *blocks)
+                   for dyn, read, *blocks in plan.groups]
+    outer = oapply_directed(d, [inner, inner])
+    x = np.random.default_rng(9).uniform(-1.0, 1.0, outer.n_states)
+    assert bits(outer.dynamics(np.zeros(0), x)) == bits(reference.dynamics(np.zeros(0), x))
+    assert calls == ["readout", "readout", "dynamics", "dynamics"]
+    for scheme, per_step in (("euler", 2), ("rk4", 8)):
+        calls.clear()
+        config = SimulationConfig(h=0.01, steps=5, init=tuple(x))
+        composed = [ComposedSystem(s, tuple(map(str, range(len(x)))), s.kind, True)
+                    for s in (outer, reference)]
+        got, want = (run_trajectory(c, config, scheme)[1] for c in composed)
+        assert bits(np.array(got)) == bits(np.array(want))
+        assert calls.count("readout") == calls.count("dynamics") == 5 * per_step
+
+
 # ---------------------------------------------------------------------------
 # Port blocks come from the argsort of the box columns
 

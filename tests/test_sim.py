@@ -95,12 +95,62 @@ def test_rk4_step_is_one_rk4_row_of_run_trajectory(repo_root):
         assert step.tobytes() == np.array(rows[1][1:]).tobytes()
 
 
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_the_trajectory_block_holds_the_rows_of_run_trajectory(repo_root, scheme):
+    # Fused SIR cyclic steps Python floats, the box-by-box heat grid float64
+    # arrays; both land in one block whose rows run_trajectory returns.
+    sir = repo_root / "configs" / "sir"
+    cyclic = build_system(load_diagram(sir / "cyclic.json"), [load_model(sir / "city.json")] * 3)
+    heat = build_system(grid(32, 32), [builtin_model("heat_node", {"alpha": 0.1})] * 1024)
+    rng = np.random.default_rng(23)
+    for composed, fused in ((cyclic, True), (heat, False)):
+        assert composed.system.program.fused is fused
+        x0 = rng.uniform(0.0, 1000.0, composed.system.n_states).tolist()
+        config = SimulationConfig(h=0.1, steps=30, init=x0)
+        header, block, meta = dynwire.sim._trajectory(composed, config, scheme)
+        assert block.dtype == np.float64 and block.shape == (31, 1 + len(x0))
+        result = run_trajectory(composed, config, scheme)
+        assert result == (header, block.tolist(), meta)
+        rows = result[1]
+        assert {type(v) for row in rows for v in row} == {float}
+        assert [row[0] for row in rows] == [k * 0.1 for k in range(31)]
+        assert rows[0][1:] == x0
+
+
 @pytest.mark.parametrize(
     "change, key", [({"steps": 2.5}, "'steps'"), ({"init": (math.nan,)}, "init[0]")]
 )
 def test_config_checks_its_own_fields(change, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         SimulationConfig(**{"h": 0.1, "steps": 2, "init": (1.0,), **change})
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, 10**400], ids=["bool", "nan", "huge-int"])
+@pytest.mark.parametrize("at", [0, 3, 998])
+def test_config_lists_name_their_first_bad_entry(bad, at):
+    # Among floats, one bad value (and a second one after it) is named by
+    # its index, in init, inputs and each input table row alike.
+    values = [0.5] * 1000
+    values[at] = bad
+    values[-1] = math.inf
+    message = f"init[{at}] must be a finite number, got {bad!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SimulationConfig(h=0.1, steps=2, init=values)
+    with pytest.raises(ConfigError, match=re.escape(f"inputs[{at}] ")):
+        SimulationConfig(h=0.1, steps=2, init=(1.0,), inputs=tuple(values))
+    with pytest.raises(ConfigError, match=re.escape(f"inputs.table[1][{at}] ")):
+        SimulationConfig(h=0.1, steps=2, init=(1.0,), input_table=[[1.0], values])
+
+
+def test_config_lists_of_floats_are_kept_as_given():
+    # Finite floats whose sum overflows are still finite entries.
+    for values in ([0.1, -0.0, 5e-324], [1e308, 1e308, -1e308], []):
+        config = SimulationConfig(h=0.1, steps=2, init=values, inputs=values)
+        assert config.init == config.inputs == tuple(values)
+        signs = [math.copysign(1.0, v) for v in values]
+        assert [math.copysign(1.0, v) for v in config.init] == signs
+    assert SimulationConfig(h=0.1, steps=2, init=[1, 2.5]).init == (1.0, 2.5)
+    assert type(SimulationConfig(h=0.1, steps=2, init=[1, 2.5]).init[0]) is float
 
 
 def test_constant_and_default_inputs_drive_every_step():
