@@ -7,10 +7,12 @@ the boxes of a larger composite that share it.  ``dynam`` gives every
 composite a program over its boxes' programs: fused (by the rule in its
 module docstring), one function over floats with every box's equations
 inlined and the wiring as plain sums; else one function over float64
-arrays (array code, see :class:`BoxPlan`).  :func:`stepper` generates the
-Euler and RK4 steps of either.  All go through one :class:`Emitter`, so
-generated code performs the same floating-point operations, and meets the
-same errors in the same order, as the boxes' closures called in turn.
+arrays (array code, see :class:`BoxPlan`).  :func:`runner` generates the
+whole trajectory loop of either, its Euler or discrete step inline and its
+RK4 stages around calls of the program's function.  All go through one
+:class:`Emitter`, so generated code performs the same floating-point
+operations, and meets the same errors in the same order, as the boxes'
+closures called in turn; float code is then folded into expressions.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
+import struct
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence, Union
@@ -74,9 +78,17 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 #
 # Every evaluator is straight-line Python generated from the AST, one
 # assignment per node: ``compile_expr`` reads a mapping, the functions of
-# models, fused composites and steppers read sequences of Python floats,
-# the batch kernels read a block of boxes as numpy columns, and the array
-# code of box-by-box composites reads float64 arrays.
+# models and fused composites and the trajectory loops around them read
+# Python floats, the batch kernels read a block of boxes as numpy columns,
+# and the array code of box-by-box composites reads float64 arrays.  Float
+# code is then folded into expressions (``Emitter.folded``).
+
+_TEMPORARY = re.compile(r"\b(_t\d+)\b")
+
+# Folding nests a temporary's expression in its one use, up to this depth;
+# a deeper one stays a statement, so that no chain of sums, however many
+# wires feed it, comes near the compiler's limits on nesting.
+_FOLD_MAX_DEPTH = 32
 
 
 class Emitter:
@@ -110,6 +122,7 @@ class Emitter:
         self.readouts: dict[tuple[Program, str], str] = {}  # (program, states) -> readouts
         self._temporaries = 0
         self._checked: set[tuple[str, str]] = set()  # (check, operand) pairs emitted
+        self._plain: set[str] = set()  # temporaries assigned outside a ``try``
 
     def constant(self, value: float) -> str:
         value = float(value)
@@ -143,6 +156,7 @@ class Emitter:
                 ]
             else:
                 self.lines.append(f"{name} = {rhs}")
+                self._plain.add(name)
         return name
 
     def emit(self, e: Expr) -> str:
@@ -236,12 +250,59 @@ class Emitter:
         a tuple display, or in array code the one array."""
         return operands[0] if self.arrays else _tuple(operands)
 
+    def folded(self, tail: Sequence[str]) -> list[str]:
+        """The lines of float code, then ``tail`` (lines of operands only),
+        in expression form.
+
+        A temporary assigned outside a ``try`` holds one ``+ - * /`` or a
+        negation (every other float operation is caught).  One used exactly
+        once, by such an assignment or a line of ``tail`` with no ``try`` in
+        between, is written into that use in parentheses, up to a nesting of
+        ``_FOLD_MAX_DEPTH``.  Its operations then run later, on the same
+        values and in the same order, and cannot raise: a denominator is
+        checked first.  Checked values, denominators among them, are used
+        by their checks too, so they and every check stay where they are.
+        """
+        lines = [*self.lines, *tail]
+        pieces = [_TEMPORARY.split(line) for line in lines]  # temporaries at odd places
+        targets = [line.partition(" = ")[0] for line in self.lines]
+        into = [t in self._plain for t in targets] + [True] * len(tail)
+        uses: dict[str, list[int]] = {}  # temporary -> the lines naming it, its own first
+        for i, p in enumerate(pieces):
+            for name in p[1::2]:
+                uses.setdefault(name, []).append(i)
+        tries = list(itertools.accumulate(line == "try:" for line in lines))
+        once = set()  # defined, then used by one line that folds, with no ``try`` between
+        for name in self._plain:
+            if len(uses[name]) == 2:
+                defined, used = uses[name]
+                if into[used] and tries[defined] == tries[used]:
+                    once.add(name)
+        nested: dict[str, tuple[str, int]] = {}  # folded temporary -> (expression, depth)
+        out = []
+        for i, p in enumerate(pieces):
+            depth = 0
+            for k in range(1, len(p), 2) if into[i] else ():
+                if p[k] in nested:
+                    p[k], inner = nested.pop(p[k])
+                    depth = max(depth, inner)
+            text = "".join(p)
+            target = targets[i] if i < len(targets) else None
+            if target in once and depth < _FOLD_MAX_DEPTH:
+                nested[target] = f"({text.partition(' = ')[2]})", depth + 1
+            else:
+                out.append(text)
+        return out
+
     def function(self, params: Sequence[str], results: Sequence[str]) -> Callable:
         """The generated function of ``params``.  Scalar: the tuple of
-        ``results``; array code: the array.  Batched: ``(block, ok)``, one
-        column per result and one row per row of the last parameter."""
-        if not self.batched:
+        ``results``, in expression form; array code: the array.  Batched:
+        ``(block, ok)``, one column per result and one row per row of the
+        last parameter."""
+        if self.arrays:
             body = [*self.lines, f"return {self.pack(results)}"]
+        elif not self.batched:
+            body = self.folded([f"return {self.pack(results)}"])
         else:
             ok = " and ".join(self.checks) or "True"
             body = [
@@ -699,7 +760,7 @@ def raw(program: Program) -> Callable:
     """``program``'s dynamics over Python floats: ``(a, x)``, sequences of
     the input values (empty for a sharer) and the state values, to the tuple
     of its results.  Compiled once per program value and shared by the
-    system's array callables, its Euler map's and its steppers."""
+    system's array callables, its Euler map's and its RK4 loops."""
     return _generate(Emitter(), program, ["a", "x"])
 
 
@@ -743,39 +804,61 @@ def callables_of(program: Program, machine: bool) -> tuple[Callable, Callable | 
     return (lambda a, x: program.array_dynamics(a, x)), (lambda x: program.array_readout(x))
 
 
-def stepper(program: Program, scheme: str, h: float) -> Callable:
-    """One step ``(a, x) -> next x`` of a system with ``program``, inputs
-    ``a`` held over the step: over Python floats (cached by value) if the
-    program is fused, else over float64 arrays.  ``direct`` is the
-    program's own function: the next-state map of a discrete system, an
-    :class:`Euler` map among them.  ``rk4`` is classic RK4 of a continuous
-    system around four calls of it, with stages at ``x_i + (0.5*h)*k_i``
-    and ``x_i + h*k3_i``, then
-    ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i) + k4_i)``.
+def runner(program: Program, scheme: str, h: float) -> Callable:
+    """``run(inputs, x, steps, rows)``: the trajectory loop of a system with
+    ``program``, generated once per ``(program, scheme, h)`` value if the
+    program is fused.
+
+    From the state ``x`` (Python floats if the program is fused, else a
+    float64 array) it takes ``steps`` steps, step ``k`` holding the inputs
+    of the ``k``-th entry of ``inputs`` over it, and writes the state after
+    step ``k`` into the columns ``1:`` of row ``k`` of ``rows``, a
+    C-contiguous float64 block ``(steps + 1, 1 + n)``.  Fused, the state
+    lives in local floats and each row is packed into the block's bytes;
+    else it is one array, size-checked as it is written.  ``direct`` runs
+    the program's own dynamics, the next-state map of a discrete system (an
+    :class:`Euler` map among them), inline.  ``rk4`` is classic RK4 of a
+    continuous system around four calls of its function (:func:`raw`, or
+    the array code), with stages at ``x_i + (0.5*h)*k_i`` and
+    ``x_i + h*k3_i``, then ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i)
+    + k4_i)``.
     """
-    return (_fused_stepper if program.fused else _stepper)(program, scheme, h)
+    return (_fused_runner if program.fused else _runner)(program, scheme, h)
 
 
-def _stepper(program: Program, scheme: str, h: float) -> Callable:
-    f = raw(program) if program.fused else program.array_dynamics
+def _runner(program: Program, scheme: str, h: float) -> Callable:
+    fused, n = program.fused, program.n_states
+    em = Emitter(arrays=not fused)
+    x = em.bind(n, "x")
+    head, em.lines = em.lines, []
     if scheme == "direct":
-        return f
-    em = Emitter(arrays=not program.fused)
-    x = em.bind(program.n_states, "x")
-    em.constants["_f"] = f
-    ks: list[list[str]] = []
-    point = "x"
-    for c in (em.constant(0.5 * h), em.constant(0.5 * h), em.constant(h), ""):
-        k = [f"_k{len(ks)}_{i}" for i in range(len(x))]
-        em.lines.append(f"{em.pack(k)} = _f(a, {point})")
-        ks.append(k)
-        point = em.pack([f"{v} + {c} * {d}" for v, d in zip(x, k)])
-    sixth, (k1, k2, k3, k4) = em.constant(h / 6.0), ks
-    step = [
-        f"{v} + {sixth} * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
-        for v, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ]
-    return em.function(["a", "x"], step)
+        new = program.dynamics(em, em.bind(program.n_inputs, "a"), x)
+    else:
+        em.constants["_f"] = raw(program) if fused else program.array_dynamics
+        ks: list[list[str]] = []
+        point = em.pack(x)
+        for c in (em.constant(0.5 * h), em.constant(0.5 * h), em.constant(h), ""):
+            k = [f"_k{len(ks)}_{i}" for i in range(len(x))]
+            em.lines.append(f"{em.pack(k)} = _f(a, {point})")
+            ks.append(k)
+            point = em.pack([f"{v} + {c} * {d}" for v, d in zip(x, k)])
+        sixth, (k1, k2, k3, k4) = em.constant(h / 6.0), ks
+        new = [
+            f"{v} + {sixth} * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+            for v, a, b, c, d in zip(x, k1, k2, k3, k4)
+        ]
+    if not fused:
+        loop = "for _k, a in zip(range(1, steps + 1), inputs):"
+        body = [*em.lines, f"x = _vec({new[0]}, {n}, 'state vector')", "rows[_k, 1:] = x"]
+    else:
+        # Row ``k``'s states start 8 bytes into its ``8 * (1 + n)``.
+        stride, first = 8 * (1 + n), 8 * (2 + n)
+        loop = f"for _at, a in zip(range({first}, {first} + {stride} * steps, {stride}), inputs):"
+        head.append("_bytes = memoryview(rows).cast('B')")
+        em.constants["_pack"] = struct.Struct(f"{n}d").pack_into
+        body = em.folded([f"{em.pack(x)} = {em.pack(new)}", f"_pack(_bytes, _at, {', '.join(x)})"])
+    body = [*head, loop, *("    " + line for line in body)]
+    return define("inputs, x, steps, rows", body, em.constants)
 
 
-_fused_stepper = functools.lru_cache(maxsize=64)(_stepper)
+_fused_runner = functools.lru_cache(maxsize=64)(_runner)

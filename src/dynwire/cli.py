@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from gettext import gettext
 from pathlib import Path
 
 import numpy as np
@@ -132,17 +133,21 @@ def cmd_plot(args: argparse.Namespace) -> int:
     unknown = sorted(set(wanted) - set(header[1:]))
     if unknown:
         raise DynwireError(f"no such columns: {', '.join(unknown)}")
+    index: dict[str, int] = {}
+    for k, name in enumerate(header):
+        index.setdefault(name, k)  # as ``header.index`` finds it
     t = [row[0] for row in rows]
-    columns = {name: [row[header.index(name)] for row in rows] for name in wanted}
+    columns = {name: [row[index[name]] for row in rows] for name in wanted}
     write_svg_lineplot(args.out, t, columns)
     print(f"wrote {args.out}")
     return 0
 
 
-# Built once per process: parsing leaves the parser unchanged, and the
+# Built once per process: parsing leaves the parsers unchanged, and the
 # ``--inner`` list default is copied before each append.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="dynwire",
         description="Compose wiring diagrams, assign dynamics, and simulate trajectories.",
@@ -192,11 +197,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(fn=cmd_plot)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The top-level parser's ``parse_args(argv)``.  A known command's
+    arguments go straight to its parser, which is what the top-level parser
+    does with them, less its own pass over every token; the top-level parser
+    reports what that parser leaves over, as it would."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.fn(args)
     except DynwireError as exc:

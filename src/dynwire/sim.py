@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._codegen import as_vector, stepper
+from ._codegen import as_vector, runner
 from .dynam import (
     Machine,
     ResourceSharer,
@@ -145,7 +145,8 @@ def _inputs(config: SimulationConfig, n_inputs: int) -> Iterable[tuple[float, ..
 
 def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """Classic fourth-order step with inputs held constant over the step:
-    ``run_trajectory``'s ``rk4`` step, on size-checked arguments.
+    ``run_trajectory``'s ``rk4`` loop run for one step, on size-checked
+    arguments.
 
     Convenience only: unlike the Euler map this does not commute with
     composition, so it is applied to the composed system.
@@ -155,7 +156,9 @@ def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.nda
     x = as_vector(x, machine.n_states, "state vector")
     if program.fused:
         a, x = a.tolist(), x.tolist()
-    return np.asarray(stepper(program, "rk4", h)(a, x), dtype=np.float64)
+    rows = np.empty((2, 1 + machine.n_states))
+    runner(program, "rk4", h)((a,), x, 1, rows)
+    return rows[1, 1:].copy()
 
 
 def _raise_non_finite(block: np.ndarray, header: list[str]) -> None:
@@ -181,12 +184,13 @@ def run_trajectory(
     directly under ``"euler"`` (the metadata says ``"direct"``); a
     continuous one by explicit Euler, which steps the discrete system
     ``euler_directed(system, h)`` or ``euler_undirected(system, h)``
-    directly, or by classic RK4.  ``_codegen.stepper`` advances the state,
-    Python floats if the system is fused and else a float64 array, with step
-    ``k``'s inputs held over the step.  Rows (lists of Python floats) include
-    the initial state at ``t=0`` and one row per step; they are the rows of
-    the float64 block that the CLI writes.  A state that is not finite after
-    some step is an error naming the first such step and state.
+    directly, or by classic RK4.  One generated loop,
+    ``_codegen.runner``, takes every step, with step ``k``'s inputs held
+    over the step: over Python floats if the system is fused, else over a
+    float64 array.  Rows (lists of Python floats) include the initial state
+    at ``t=0`` and one row per step; they are the rows of the float64 block
+    that the CLI writes.  A state that is not finite after some step is an
+    error naming the first such step and state.
     """
     header, block, metadata = _trajectory(composed, config, scheme)
     return header, block.tolist(), metadata
@@ -196,7 +200,8 @@ def _trajectory(
     composed: ComposedSystem, config: SimulationConfig, scheme: str
 ) -> tuple[list[str], np.ndarray, dict]:
     """``run_trajectory`` with the rows as one float64 block of shape
-    ``(steps + 1, 1 + n)``: ``t = k*h`` in column 0, then the states."""
+    ``(steps + 1, 1 + n)``: ``t = k*h`` in column 0, then the states, which
+    the loop writes row by row as it steps."""
     system = composed.system
     x0 = _initial_state(config, composed.state_names)
     if not composed.directed and (config.inputs is not None or config.input_table is not None):
@@ -215,7 +220,8 @@ def _trajectory(
     if method == "euler":
         euler = euler_undirected if isinstance(system, ResourceSharer) else euler_directed
         system = euler(system, h)
-    step = stepper(system.program, "rk4" if method == "rk4" else "direct", h)
+    program = system.program
+    run = runner(program, "rk4" if method == "rk4" else "direct", h)
     if isinstance(system, ResourceSharer):
         inputs: Iterable[tuple[float, ...]] = itertools.repeat(())
     else:
@@ -223,19 +229,14 @@ def _trajectory(
 
     header = ["t", *composed.state_names]
     x = as_vector(x0, system.n_states, "state vector")
-    x = x.tolist() if system.program.fused else x
-    states = [x]
+    block = np.empty((config.steps + 1, len(header)))
+    block[0, 1:] = x
     # The screen below names any overflow of array code's steps, so numpy
     # need not warn of it first.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, a in zip(range(config.steps), inputs):
-            x = step(a, x)
-            states.append(x)
-    # Float tuples or float64 arrays alike are copied in once; ``k*h`` as
-    # numpy computes it is Python's ``k * h``, bit for bit.
-    block = np.empty((len(states), len(header)))
-    block[:, 0] = np.arange(len(states)) * h
-    block[:, 1:] = states
+        run(inputs, x.tolist() if program.fused else x, config.steps, block)
+    # ``k*h`` as numpy computes it is Python's ``k * h``, bit for bit.
+    block[:, 0] = np.arange(config.steps + 1) * h
     if not np.isfinite(block).all():
         _raise_non_finite(block, header)
 

@@ -19,7 +19,7 @@ from dynwire import (
 )
 from dynwire import cli
 from dynwire.cli import main
-from dynwire.fileio import dump_diagram, load_diagram, read_csv
+from dynwire.fileio import dump_diagram, load_diagram, read_csv, write_svg_lineplot
 from dynwire.wiring import DWDiagram, UWDiagram
 
 
@@ -233,7 +233,7 @@ class TestCompose:
         assert main(["compose", "--outer", total, "--inner", land, "--slot", "0",
                      "-o", str(tmp_path / "slot.json")]) == 0
         assert loaded == [total, land, river, total, land]
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parsers() is cli._parsers()
 
     def test_first_bad_inner_path_is_reported(self, tmp_path, repo_root, capsys):
         ident = tmp_path / "ident.json"
@@ -668,6 +668,21 @@ class TestExports:
         ]) == 1
         assert "zz" in capsys.readouterr().err
 
+    def test_wide_csv_plots_to_the_svg_of_its_columns(self, tmp_path):
+        # Columns picked by name, a repeated name reading its first column.
+        rng = np.random.default_rng(5)
+        header = ["t", *(f"c{k}" for k in range(300)), "c7", "t"]
+        rows = rng.uniform(-1.0, 1.0, (40, len(header))).tolist()
+        csv_path, svg_path, want = tmp_path / "w.csv", tmp_path / "w.svg", tmp_path / "want.svg"
+        csv_path.write_text(",".join(header) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows))
+        for columns in ([], ["--columns", "c7,t,c299,c0"]):
+            assert main(["plot", "--csv", str(csv_path), *columns, "-o", str(svg_path)]) == 0
+            wanted = columns[1].split(",") if columns else header[1:]
+            write_svg_lineplot(want, [row[0] for row in rows], {
+                name: [row[header.index(name)] for row in rows] for name in wanted})
+            assert svg_path.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize(
         "text, where",
         [
@@ -683,3 +698,49 @@ class TestExports:
         assert main(["plot", "--csv", str(csv_path), "-o", str(tmp_path / "t.svg")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {csv_path}: {where}\n"
+
+
+class TestArgv:
+    """``main`` hands a known command's arguments straight to its parser;
+    that must read them as the top-level parser does."""
+
+    ARGVS = [
+        ["validate", "a.json", "b.json"],
+        ["compose", "--outer", "o.json", "--inner", "i.json", "--inner", "j.json", "-o", "c.json"],
+        ["compose", "--outer", "o.json", "--inner", "i.json", "--slot", "2", "-o", "c.json"],
+        ["simulate", "--diagram", "d.json", "--models", "m.json", "m.json", "--config", "c.json",
+         "--out", "x.csv", "--scheme", "rk4", "--svg", "x.svg", "--labels", "l.json"],
+        ["simulate", "--models", *["m.json"] * 1024, "--diagram", "d.json", "--config", "c.json",
+         "--out=x.csv"],
+        ["export-dot", "--diagram", "d.json", "-o", "d.dot"],
+        ["grid", "3", "4", "-o", "g.json"],
+        ["migrate", "--cpg", "g.json", "--out", "d.json"],
+        ["plot", "--csv", "x.csv", "--columns", "a,b", "-o", "x.svg"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[a[0] for a in ARGVS])
+    def test_every_command_parses_to_the_top_level_namespace(self, argv):
+        args = cli._parse(argv)
+        assert args == cli._parsers()[0].parse_args(argv)
+        assert args.command == argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        ["simulate", "-h"],
+        [],
+        ["bogus", "--out", "x"],
+        ["simulate", "--diagram", "d.json", "--models", "m.json", "--out", "x.csv"],
+        ["simulate", "--diagram", "d.json", "--models", "m.json", "--config", "c.json",
+         "--out", "x.csv", "--scheme", "rk5"],
+        ["grid", "3", "x", "-o", "g.json"],
+        ["export-dot", "--diagram", "d.json", "-o", "d.dot", "extra", "--more"],
+    ], ids=["help", "command-help", "empty", "unknown-command", "missing-option", "bad-scheme",
+            "bad-int", "unrecognized"])
+    def test_usage_errors_print_and_exit_as_the_top_level_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as want:
+            cli._parsers()[0].parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == want.value.code == (0 if "-h" in argv else 2)
+        assert capsys.readouterr() == expected

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynwire._codegen as codegen
 import dynwire.modelspec as modelspec
 from dynwire import (
     CPGraph,
@@ -313,6 +314,34 @@ def test_fused_code_is_cached_by_value(repo_root):
     again = oapply_directed(load_diagram(path), [instantiate(spec)] * 3)
     assert first.program == again.program and first.program is not again.program
     assert first.dynamics is again.dynamics and first.readout is again.readout
+
+
+def test_fused_code_is_folded_into_expressions_with_every_check_kept(repo_root, monkeypatch):
+    sources = []
+    compile_source = codegen._compile
+    monkeypatch.setattr(codegen, "_compile", lambda src: sources.append(src) or compile_source(src))
+    sir = repo_root / "configs" / "sir"
+    city = instantiate(load_model(sir / "city.json"))
+    composite = oapply_directed(load_diagram(sir / "cyclic.json"), [city] * 3)
+    euler = Euler(composite.program, 0.01)
+    folded = codegen._generate(codegen.Emitter(), euler, ["a", "x"])
+    monkeypatch.setattr(codegen, "_FOLD_MAX_DEPTH", 0)  # no temporary folds
+    statements = codegen._generate(codegen.Emitter(), euler, ["a", "x"])
+    folded_lines, statement_lines = (source.splitlines()[1:] for source in sources[-2:])
+    assert len(folded_lines) <= 45 and len(statement_lines) == 114
+    # Readouts finite, denominators nonzero, dynamics finite, in the same order.
+    checks = [[line for line in lines if "raise" in line] for lines in (folded_lines, statement_lines)]
+    assert checks[0] == checks[1] and len(checks[0]) == 9 + 3 + 9
+    states = [[990.0, 10.0, 0.0, 1000.0, 0.0, 0.0, 500.0, 0.0, 0.0], [0.0] * 9,
+              [1e300, 1e300, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -0.0], [float("inf")] + [1.0] * 8]
+    for x in states:
+        results = []
+        for f in (folded, statements):
+            try:
+                results.append(bits(np.array(f((), x))))
+            except ExprEvalError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
 
 
 def test_signed_zero_parameters_do_not_share_code():

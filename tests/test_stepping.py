@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from dynwire import (
     DWDiagram,
     ExprEvalError,
     Machine,
+    builtin_model,
     euler_directed,
     euler_undirected,
+    grid,
     instantiate,
     oapply_directed,
     oapply_undirected,
@@ -32,7 +36,7 @@ from dynwire import (
     spec_from_json,
 )
 import dynwire.sim as sim
-from dynwire._codegen import Euler, Gluing
+from dynwire._codegen import _FUSE_MAX_STATEMENTS, Euler, Gluing
 from dynwire.fileio import SimulationConfig, load_config, load_diagram, load_model
 from dynwire.sim import ComposedSystem, build_system, run_trajectory
 
@@ -122,9 +126,9 @@ def test_a_composite_built_box_by_box_steps_so_and_bitwise_as_fused(
     fast, slow = oapply_directed(d, [city] * 3), blocks_only(oapply_directed, d, [city] * 3)
     assert fused(fast) and not fused(slow)
     assert not euler_directed(slow, 0.01).program.fused
-    generated = []  # programs that run_trajectory stepped: all through one stepper
-    stepper = sim.stepper
-    monkeypatch.setattr(sim, "stepper", lambda p, *args: generated.append(p) or stepper(p, *args))
+    generated = []  # programs that run_trajectory stepped: all through one runner
+    runner = sim.runner
+    monkeypatch.setattr(sim, "runner", lambda p, *args: generated.append(p) or runner(p, *args))
     config = SimulationConfig(h=0.01, steps=50, init=(990.0, 10.0, 0.0, 1000.0, 0.0, 0.0, 500.0, 0.0, 0.0))
     want = trajectory(fast, config, scheme)
     got = trajectory(slow, config, scheme)
@@ -203,3 +207,61 @@ def test_unknown_scheme_is_refused_for_every_kind(kind, flavor):
     x1 = 0.5 + 0.1 * 0.5
     expected = [0.5, x1, x1 + 0.1 * x1] if flavor == "continuous" else [0.5] * 3
     assert [row[1] for row in rows] == expected
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_a_port_fed_by_the_most_wires_that_fuse_runs_bitwise(scheme, blocks_only):
+    # Fused code sums the wires into one chain of additions; folded into
+    # expressions it must still compile, whatever the fan-in.
+    m = instantiate(spec_from_json({
+        "kind": "machine", "flavor": "continuous", "states": ["x"], "inputs": ["u"],
+        "params": {}, "dynamics": {"x": "u - x"}, "readout": ["x"],
+    }))
+    most = _FUSE_MAX_STATEMENTS - m.program.statements
+    d = DWDiagram.from_tables(1, [0], [0], wires=[(0, 0)] * most)
+    fast, slow = oapply_directed(d, [m]), blocks_only(oapply_directed, d, [m])
+    assert fused(fast) and not fused(slow)
+    config = SimulationConfig(h=1e-4, steps=50, init=(0.1,))
+    got, want = trajectory(fast, config, scheme), trajectory(slow, config, scheme)
+    assert not isinstance(got, str), got
+    assert bits(np.array(got)) == bits(np.array(want))
+
+
+def test_a_fused_euler_run_makes_no_python_call_per_step(repo_root):
+    sir = repo_root / "configs" / "sir"
+    composed = build_system(load_diagram(sir / "cyclic.json"), [load_model(sir / "city.json")] * 3)
+    assert composed.system.program.fused
+    calls: dict[int, list[str]] = {}
+    for steps in (400, 800):
+        config = load_config(sir / "sim_cyclic.json")
+        config = SimulationConfig(h=config.h, steps=steps, init=config.init)
+        sim._trajectory(composed, config, "euler")  # generates the loop
+        names = calls[steps] = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            sim._trajectory(composed, config, "euler")
+        finally:
+            sys.setprofile(None)
+    assert calls[400] == calls[800] and calls[400].count("_generated") == 1
+
+
+def test_a_box_by_box_trajectory_holds_its_block_and_little_more():
+    heat = build_system(grid(32, 32), [builtin_model("heat_node", {"alpha": 0.1})] * 1024)
+    assert not heat.system.program.fused
+    config = SimulationConfig(h=0.01, steps=200, init=tuple(np.linspace(0.0, 1.0, 1024).tolist()))
+    sim._trajectory(heat, config, "euler")  # compiles the array code
+    tracemalloc.start()
+    try:
+        _, block, _ = sim._trajectory(heat, config, "euler")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # No state is kept but in its block row; the allowance covers a step's
+    # arrays and the loop's code.
+    assert block.nbytes == 201 * 1025 * 8
+    assert peak <= 1.3 * block.nbytes + 256 * 1024, peak
