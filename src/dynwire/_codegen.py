@@ -8,8 +8,8 @@ composite a program over its boxes' programs: fused (by the rule in its
 module docstring), one function over floats with every box's equations
 inlined and the wiring as plain sums; else one function over float64
 arrays (array code, see :class:`BoxPlan`).  :func:`runner` generates the
-whole trajectory loop of either, its Euler or discrete step inline and its
-RK4 stages around calls of the program's function.  All go through one
+whole trajectory loop of either, with its Euler or discrete step, or each of
+its four RK4 stages, emitted inline from the program.  All go through one
 :class:`Emitter`, so generated code performs the same floating-point
 operations, and meets the same errors in the same order, as the boxes'
 closures called in turn; float code is then folded into expressions.
@@ -407,13 +407,17 @@ class Program:
 
 
 def _operations(e: Expr) -> int:
-    """The operations of ``e``: one generated statement each."""
+    """The operations of ``e``: one generated statement each.  The first
+    unknown function in emission order is refused, as emitting ``e`` would."""
     if isinstance(e, Neg):
         return 1 + _operations(e.operand)
     if isinstance(e, Call):
+        if e.fn not in FUNCTIONS:
+            raise ExprEvalError(f"unknown function {e.fn!r}")
         return 1 + _operations(e.arg)
     if isinstance(e, BinOp):
-        return 1 + _operations(e.left) + _operations(e.right)
+        first, second = (e.right, e.left) if e.op == "/" else (e.left, e.right)
+        return 1 + _operations(first) + _operations(second)
     return 0
 
 
@@ -759,8 +763,9 @@ def kernels(program: Program, machine: bool) -> tuple[Callable, Callable | None]
 def raw(program: Program) -> Callable:
     """``program``'s dynamics over Python floats: ``(a, x)``, sequences of
     the input values (empty for a sharer) and the state values, to the tuple
-    of its results.  Compiled once per program value and shared by the
-    system's array callables, its Euler map's and its RK4 loops."""
+    of its results.  Compiled once per program value, on the first call of
+    the system's array callables or its Euler map's; no trajectory loop
+    calls it."""
     return _generate(Emitter(), program, ["a", "x"])
 
 
@@ -773,19 +778,20 @@ def compiled(program: Program, machine: bool) -> tuple[Callable, Callable | None
     """The array callables of a fused ``program``, cached by its value: the
     dynamics ``(a, x)`` of a machine or ``(x)`` of a sharer, and a machine's
     readout ``(x)``, convert and size-check each argument with ``as_vector``
-    around the functions over Python floats and return a float64 array.  An
-    Euler map's readout is its system's."""
-    n_in, n, f = program.n_inputs, program.n_states, raw(program)
+    around the functions over Python floats and return a float64 array.
+    Those functions are generated on the first call, as a trajectory runs
+    none of them.  An Euler map's readout is its system's."""
+    n_in, n, f = program.n_inputs, program.n_states, functools.cache(lambda: raw(program))
     if not machine:
-        return lambda x: np.array(f((), _floats(x, n, "state vector"))), None
+        return lambda x: np.array(f()((), _floats(x, n, "state vector"))), None
 
     def dynamics(a, x):
-        return np.array(f(_floats(a, n_in, "input vector"), _floats(x, n, "state vector")))
+        return np.array(f()(_floats(a, n_in, "input vector"), _floats(x, n, "state vector")))
 
     if isinstance(program, Euler):
         return dynamics, compiled(program.inner, machine)[1]
-    g = _generate(Emitter(), program, ["x"], readout=True)
-    return dynamics, lambda x: np.array(g(_floats(x, n, "state vector")))
+    g = functools.cache(lambda: _generate(Emitter(), program, ["x"], readout=True))
+    return dynamics, lambda x: np.array(g()(_floats(x, n, "state vector")))
 
 
 def callables_of(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
@@ -818,10 +824,10 @@ def runner(program: Program, scheme: str, h: float) -> Callable:
     else it is one array, size-checked as it is written.  ``direct`` runs
     the program's own dynamics, the next-state map of a discrete system (an
     :class:`Euler` map among them), inline.  ``rk4`` is classic RK4 of a
-    continuous system around four calls of its function (:func:`raw`, or
-    the array code), with stages at ``x_i + (0.5*h)*k_i`` and
-    ``x_i + h*k3_i``, then ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i)
-    + k4_i)``.
+    continuous system, its four stages the program's dynamics emitted inline
+    the same way, at ``x`` and at the stage points ``x_i + (0.5*h)*k_i``
+    and ``x_i + h*k3_i`` (in array code, size-checked), then
+    ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i) + k4_i)``.
     """
     return (_fused_runner if program.fused else _runner)(program, scheme, h)
 
@@ -831,21 +837,19 @@ def _runner(program: Program, scheme: str, h: float) -> Callable:
     em = Emitter(arrays=not fused)
     x = em.bind(n, "x")
     head, em.lines = em.lines, []
+    a = em.bind(program.n_inputs, "a")
     if scheme == "direct":
-        new = program.dynamics(em, em.bind(program.n_inputs, "a"), x)
+        new = program.dynamics(em, a, x)
     else:
-        em.constants["_f"] = raw(program) if fused else program.array_dynamics
-        ks: list[list[str]] = []
-        point = em.pack(x)
-        for c in (em.constant(0.5 * h), em.constant(0.5 * h), em.constant(h), ""):
-            k = [f"_k{len(ks)}_{i}" for i in range(len(x))]
-            em.lines.append(f"{em.pack(k)} = _f(a, {point})")
-            ks.append(k)
-            point = em.pack([f"{v} + {c} * {d}" for v, d in zip(x, k)])
-        sixth, (k1, k2, k3, k4) = em.constant(h / 6.0), ks
+        ks = [program.dynamics(em, a, x)]
+        for c in map(em.constant, (0.5 * h, 0.5 * h, h)):
+            point = [em.statement(f"{v} + {c} * {d}") for v, d in zip(x, ks[-1])]
+            # In array code each stage point is size-checked, as array functions check x.
+            ks.append(program.dynamics(em, a, em.bind(n, point[0]) if em.arrays else point))
+        sixth = em.constant(h / 6.0)
         new = [
-            f"{v} + {sixth} * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
-            for v, a, b, c, d in zip(x, k1, k2, k3, k4)
+            f"{v} + {sixth} * ((({p} + 2.0 * {q}) + 2.0 * {r}) + {s})"
+            for v, p, q, r, s in zip(x, *ks)
         ]
     if not fused:
         loop = "for _k, a in zip(range(1, steps + 1), inputs):"

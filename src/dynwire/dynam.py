@@ -285,28 +285,28 @@ def _euler_program(inner: Program, h: float) -> Euler:
     return Euler(inner, h)
 
 
-def _euler(
-    system: Machine | ResourceSharer, h: float, refusal: str
-) -> tuple[Callable, Callable | None, Euler]:
-    """The dynamics, readout and program of the explicit Euler map
-    ``x + h * u`` of ``system``: one program object per ``(program, h)``
-    value, so Euler-then-compose fuses too."""
+def _euler(system: Machine | ResourceSharer, h: float, directed: bool) -> Euler:
+    """The program of the explicit Euler map ``x + h * u`` of ``system``:
+    one program object per ``(program, h)`` value, so Euler-then-compose
+    fuses too."""
     if system.kind != "continuous":
-        raise KindError(refusal)
+        what = "euler_directed requires a continuous machine"
+        raise KindError(what if directed else "euler_undirected requires a continuous sharer")
     if not h > 0:
         raise ValueError("step size must be positive")
     inner, h = system.program, float(h)
-    program = _euler_program(inner, h) if inner.fused else Euler(inner, h)
-    return (*callables_of(program, isinstance(system, Machine)), program)
+    return _euler_program(inner, h) if inner.fused else Euler(inner, h)
 
 
 def euler_directed(m: Machine, h: float) -> Machine:
     """Explicit Euler step of a continuous machine: ``x + h * u(a, x)``."""
-    step, readout, program = _euler(m, h, "euler_directed requires a continuous machine")
+    program = _euler(m, h, True)
+    step, readout = callables_of(program, True)
     return Machine(m.n_inputs, m.n_states, m.n_outputs, step, readout, "discrete", program)
 
 
 def euler_undirected(s: ResourceSharer, h: float) -> ResourceSharer:
     """Explicit Euler step of a continuous sharer: ``x + h * v(x)``."""
-    step, _, program = _euler(s, h, "euler_undirected requires a continuous sharer")
+    program = _euler(s, h, False)
+    step = callables_of(program, False)[0]
     return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete", program)

@@ -19,8 +19,7 @@ from ._codegen import as_vector, runner
 from .dynam import (
     Machine,
     ResourceSharer,
-    euler_directed,
-    euler_undirected,
+    _euler,
     oapply_cpg,
     oapply_directed,
     oapply_undirected_with_layout,
@@ -216,11 +215,9 @@ def _trajectory(
         raise KindError("rk4 integrates continuous systems; these models are discrete")
     method = "direct" if composed.kind == "discrete" else scheme
 
-    h = config.h
-    if method == "euler":
-        euler = euler_undirected if isinstance(system, ResourceSharer) else euler_directed
-        system = euler(system, h)
-    program = system.program
+    h, program = config.h, system.program
+    if method == "euler":  # the program of ``euler_directed`` or ``euler_undirected``
+        program = _euler(system, h, not isinstance(system, ResourceSharer))
     run = runner(program, "rk4" if method == "rk4" else "direct", h)
     if isinstance(system, ResourceSharer):
         inputs: Iterable[tuple[float, ...]] = itertools.repeat(())

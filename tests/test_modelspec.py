@@ -517,3 +517,14 @@ class TestSpecValues:
 def test_free_variables():
     e = parse("-beta*S*I + inflow*S/(S+I+R)")
     assert free_variables(e) == {"beta", "S", "I", "R", "inflow"}
+
+
+def test_an_unknown_function_is_refused_when_the_model_is_built():
+    # Refused as its code would be generated, where a division emits its
+    # denominator first, though that code is generated only on first use.
+    x = Var("x")
+    dynamics = {"x": BinOp("/", Call("tan", x), Call("cot", x))}
+    with pytest.raises(ExprEvalError, match="^unknown function 'cot'$"):
+        instantiate(ModelSpec("machine", "continuous", ("x",), dynamics, readout=(Call("sec", x),)))
+    with pytest.raises(ExprEvalError, match="^unknown function 'sec'$"):
+        instantiate(ModelSpec("machine", "continuous", ("x",), {"x": x}, readout=(Call("sec", x),)))

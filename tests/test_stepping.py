@@ -2,9 +2,9 @@
 
 ``run_trajectory`` steps a system that carries a program through generated
 code over Python floats: its own function for a discrete system or an Euler
-map, or RK4's stages generated around it.  The reference is the same system
-built from boxes without programs, or with fusing turned off, which steps
-through array callables and numpy.  Rows must be bitwise equal, and a
+map, or RK4's four stages of it, all inline in one loop.  The reference is
+the same system built from boxes without programs, or with fusing turned
+off, which steps through array code and numpy.  Rows must be bitwise equal, and a
 failing box must raise the same ``ExprEvalError`` on both paths, whichever
 RK4 stage it fails in.
 """
@@ -35,8 +35,12 @@ from dynwire import (
     ocompose_uwd,
     spec_from_json,
 )
+import dynwire._codegen as codegen
+import dynwire.dynam as dynam
+import dynwire.modelspec as modelspec
 import dynwire.sim as sim
 from dynwire._codegen import _FUSE_MAX_STATEMENTS, Euler, Gluing
+from dynwire.cli import main as cli_main
 from dynwire.fileio import SimulationConfig, load_config, load_diagram, load_model
 from dynwire.sim import ComposedSystem, build_system, run_trajectory
 
@@ -138,7 +142,8 @@ def test_a_composite_built_box_by_box_steps_so_and_bitwise_as_fused(
 
 def stage_spec(k: float, m: float):
     """``x' = x`` and ``y' = k/(x - m)``: RK4 evaluates ``y'`` at the stage
-    points ``x0``, ``x0 + (h/2)*x0``, ``x0 + (h/2)*x2``, in increasing order."""
+    points ``x0``, ``x2 = x0 + (h/2)*x0``, ``x3 = x0 + (h/2)*x2`` and
+    ``x0 + h*x3``, in increasing order."""
     return spec_from_json({
         "kind": "machine", "flavor": "continuous", "states": ["x", "y"], "inputs": [],
         "params": {"k": k, "m": m}, "dynamics": {"x": "x", "y": "k/(x - m)"}, "readout": [],
@@ -147,23 +152,27 @@ def stage_spec(k: float, m: float):
 
 @pytest.mark.parametrize("stage, message", [
     (1, "division by zero"),
+    (2, "division by zero"),
     (3, "dynamics of 'y' produced a non-finite value"),
+    (4, "division by zero"),
 ])
 def test_rk4_stage_failures_raise_the_same_error_on_both_paths(stage, message):
     x0, h = 1.0, 0.1
     x2 = x0 + (0.5 * h) * x0
     x3 = x0 + (0.5 * h) * x2
-    # Stage 1 divides by zero; stage 3 overflows k/(x - m), one ulp from zero,
-    # where stages 1 and 2 stay finite.
-    k, m = (1.0, x0) if stage == 1 else (1e300, math.nextafter(x3, -math.inf))
+    x4 = x0 + h * x3
+    points = (x0, x2, x3, x4)
+    # Stages 1, 2 and 4 divide by zero at their own point; stage 3 overflows
+    # k/(x - m), one ulp from zero, where stages 1 and 2 stay finite.
+    k, m = (1e300, math.nextafter(x3, -math.inf)) if stage == 3 else (1.0, points[stage - 1])
     box = [instantiate(stage_spec(k, m))]
     d = DWDiagram.from_tables(1, [], [])
     fast, slow = oapply_directed(d, box), oapply_directed(d, scalar_only(box))
     assert fused(fast) and not fused(slow)
-    for x in (x0, x2, x3)[: stage - 1]:
+    for x in points[: stage - 1]:
         assert np.isfinite(fast.dynamics([], [x, 0.0])).all()
     with pytest.raises(ExprEvalError, match=f"^{message}$"):
-        fast.dynamics([], [(x0, x2, x3)[stage - 1], 0.0])
+        fast.dynamics([], [points[stage - 1], 0.0])
     config = SimulationConfig(h=h, steps=3, init=(x0, 0.0))
     assert trajectory(fast, config, "rk4") == trajectory(slow, config, "rk4") == message
 
@@ -227,7 +236,9 @@ def test_a_port_fed_by_the_most_wires_that_fuse_runs_bitwise(scheme, blocks_only
     assert bits(np.array(got)) == bits(np.array(want))
 
 
-def test_a_fused_euler_run_makes_no_python_call_per_step(repo_root):
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_a_fused_run_makes_no_python_call_per_step(scheme, repo_root):
+    # Euler and discrete maps and every RK4 stage are inline in the loop.
     sir = repo_root / "configs" / "sir"
     composed = build_system(load_diagram(sir / "cyclic.json"), [load_model(sir / "city.json")] * 3)
     assert composed.system.program.fused
@@ -235,7 +246,7 @@ def test_a_fused_euler_run_makes_no_python_call_per_step(repo_root):
     for steps in (400, 800):
         config = load_config(sir / "sim_cyclic.json")
         config = SimulationConfig(h=config.h, steps=steps, init=config.init)
-        sim._trajectory(composed, config, "euler")  # generates the loop
+        sim._trajectory(composed, config, scheme)  # generates the loop
         names = calls[steps] = []
 
         def profile(frame, event, arg):
@@ -244,10 +255,28 @@ def test_a_fused_euler_run_makes_no_python_call_per_step(repo_root):
 
         sys.setprofile(profile)
         try:
-            sim._trajectory(composed, config, "euler")
+            sim._trajectory(composed, config, scheme)
         finally:
             sys.setprofile(None)
     assert calls[400] == calls[800] and calls[400].count("_generated") == 1
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_a_fresh_simulate_compiles_its_loop_alone(scheme, repo_root, tmp_path, monkeypatch):
+    # A system's own functions are generated on their first call, which a
+    # trajectory never makes: it runs the loop that ``runner`` generates.
+    for cache in (modelspec._build_cached, dynam._euler_program, codegen.raw, codegen.compiled,
+                  codegen._fused_runner):
+        cache.cache_clear()
+    sources: list[str] = []
+    compile_source = codegen._compile
+    monkeypatch.setattr(codegen, "_compile", lambda s: sources.append(s) or compile_source(s))
+    sir = repo_root / "configs" / "sir"
+    assert cli_main([
+        "simulate", "--diagram", str(sir / "cyclic.json"), "--models", *[str(sir / "city.json")] * 3,
+        "--config", str(sir / "sim_cyclic.json"), "--out", str(tmp_path / "sir.csv"), "--scheme", scheme,
+    ]) == 0
+    assert len(sources) == 1 and "def _generated(inputs, x, steps, rows):" in sources[0]
 
 
 def test_a_box_by_box_trajectory_holds_its_block_and_little_more():
