@@ -91,8 +91,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     labels = load_labels(args.labels) if args.labels else None
     composed = build_system(diagram, specs, labels)
     header, block, metadata = _trajectory(composed, config, args.scheme)
-    write_csv(args.out, header, block)
     meta_path = Path(str(args.out) + ".meta.json")
+    # The sidecar goes first and comes back last: a CSV write that fails or
+    # is killed leaves no sidecar that claims it.
+    write_csv(args.out, header, block, stale=meta_path)
     _write_json(meta_path, metadata)
     if args.svg:
         t, *columns = block.T.tolist()

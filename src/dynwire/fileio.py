@@ -18,10 +18,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -99,9 +102,45 @@ def _columnwise(text: bytes) -> dict | None:
     return data if placed == len(columns) else None
 
 
+# O_BINARY (Windows only) keeps the C runtime from turning LF into CRLF.
+_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+@contextmanager
+def _output(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text stream with LF line endings that overwrites ``path`` in place.
+
+    This is the only place where dynwire opens a file for writing.  Unlike
+    ``open(path, "w")``, it does not truncate the file when it opens it: the
+    new bytes are written over the old ones, and when the block ends (also
+    by an exception) a regular file is cut at the last byte written.  On
+    ext4 this spares freeing and re-allocating every block of a file that
+    is rewritten at the same path.  Anything else, such as ``/dev/stdout``,
+    ``/dev/null`` or a FIFO, is written as it is.  A new file is created
+    with mode ``0o666`` less the umask and an existing one keeps its mode.
+    Symlinks are written through, and hard links share the new bytes.
+
+    An ``OSError`` from opening, writing, cutting or closing the file raises
+    ``DynwireError`` naming ``path``.  A write that is killed before the
+    cut can leave old bytes after the new ones.
+    """
+    try:
+        fd = os.open(path, _OUTPUT_FLAGS, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                yield fh
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
+    except OSError as exc:
+        raise DynwireError(f"{path}: {exc}") from None
+
+
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 with LF line endings on every platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write ``text`` over ``path`` through ``_output``: UTF-8 with LF line
+    endings on every platform, cut to its length, and an ``OSError``
+    raised as ``DynwireError`` naming the path."""
+    with _output(path) as fh:
         fh.write(text)
 
 
@@ -342,7 +381,11 @@ def load_labels(path: str | Path) -> list[str]:
 
 
 def write_csv(
-    path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]] | np.ndarray
+    path: str | Path,
+    header: Sequence[str],
+    rows: Sequence[Sequence[float]] | np.ndarray,
+    *,
+    stale: str | Path | None = None,
 ) -> None:
     """Write the header and one line per row, every value as ``repr(float(v))``.
 
@@ -356,7 +399,12 @@ def write_csv(
     was.  The values are then written by ``_textcols.format_floats``, a
     vectorised shortest round-trip kernel that gives ``repr``'s bytes, in
     chunks of at most ``_textcols._CHUNK_VALUES`` values, streamed to the
-    file.
+    file through ``_output``: it is written over in place and cut to length,
+    and an ``OSError`` is raised as ``DynwireError`` naming the path.
+
+    ``stale`` names a file, such as the CSV's sidecar, that describes the
+    old content: it is removed after the checks and just before the file is
+    opened, so a refused call keeps both and a failed write keeps neither.
     """
     width = len(header)
     block = isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape[1:] == (width,)
@@ -370,7 +418,14 @@ def write_csv(
     if not block:
         values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, len(rows) * width)
         values = values.reshape(len(rows), width)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    if stale is not None:
+        try:
+            os.remove(stale)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise DynwireError(f"{stale}: {exc}") from None
+    with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(format_floats(values))
 

@@ -17,7 +17,8 @@ from dynwire import (
     oapply_directed,
     spec_from_json,
 )
-from dynwire import cli
+from dynwire import cli, fileio
+from dynwire._textcols import format_floats
 from dynwire.cli import main
 from dynwire.fileio import dump_diagram, load_diagram, read_csv, write_svg_lineplot
 from dynwire.wiring import DWDiagram, UWDiagram
@@ -698,6 +699,109 @@ class TestExports:
         assert main(["plot", "--csv", str(csv_path), "-o", str(tmp_path / "t.svg")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {csv_path}: {where}\n"
+
+
+class TestOutputErrors:
+    """An output that cannot be opened or written is an error naming its path."""
+
+    SIM = ["--diagram", "configs/sir/single_city.json", "--models", "configs/sir/city.json",
+           "--config", "configs/sir/sim_single.json"]
+
+    # (argv of the command with "{out}" for the output under test)
+    COMMANDS = {
+        "simulate-out": ["simulate", *SIM, "--out", "{out}"],
+        "simulate-svg": ["simulate", *SIM, "--out", "{tmp}/t.csv", "--svg", "{out}"],
+        "compose": ["compose", "--outer", "configs/ecosystem/total_diagram.json",
+                    "--inner", "configs/ecosystem/land_diagram.json",
+                    "--inner", "configs/ecosystem/river_diagram.json", "-o", "{out}"],
+        "grid": ["grid", "2", "2", "-o", "{out}"],
+        "migrate": ["migrate", "--cpg", "{tmp}/g.json", "-o", "{out}"],
+        "export-dot": ["export-dot", "--diagram", "configs/sir/cyclic.json", "-o", "{out}"],
+        "plot": ["plot", "--csv", "{tmp}/p.csv", "-o", "{out}"],
+    }
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_output_exits_1_naming_it(self, tmp_path, repo_root, capsys, command, target):
+        assert main(["grid", "2", "2", "-o", str(tmp_path / "g.json")]) == 0
+        (tmp_path / "p.csv").write_text("t,a\n0.0,1.0\n", encoding="utf-8")
+        out = tmp_path / "missing" / "x" if target == "missing-directory" else tmp_path / "dir"
+        (tmp_path / "dir").mkdir()
+        capsys.readouterr()
+
+        def where(arg: str) -> str:
+            arg = arg.format(out=out, tmp=tmp_path)
+            return str(repo_root / arg) if arg.startswith("configs/") else arg
+
+        assert main([where(arg) for arg in self.COMMANDS[command]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: [Errno ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_sidecar_that_cannot_be_replaced_is_named_before_the_csv_is_written(
+        self, tmp_path, repo_root, capsys
+    ):
+        sir = repo_root / "configs" / "sir"
+        out, meta = tmp_path / "t.csv", tmp_path / "t.csv.meta.json"
+        meta.mkdir()
+        assert main([
+            "simulate", "--diagram", str(sir / "single_city.json"), "--models", str(sir / "city.json"),
+            "--config", str(sir / "sim_single.json"), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {meta}: [Errno ")
+        assert not out.exists()
+
+    def test_failed_csv_write_leaves_no_sidecar_and_only_the_bytes_written(
+        self, tmp_path, repo_root, capsys, monkeypatch
+    ):
+        sir = repo_root / "configs" / "sir"
+        out, meta = tmp_path / "t.csv", tmp_path / "t.csv.meta.json"
+        argv = [
+            "simulate", "--diagram", str(sir / "cyclic.json"),
+            "--models", *[str(sir / "city.json")] * 3,
+            "--config", str(sir / "sim_cyclic.json"), "--out", str(out),
+        ]
+        assert main(argv) == 0
+        old = out.read_bytes()
+        assert meta.exists()
+        written = []
+
+        def first_chunk_then_no_space(values):
+            written.append(next(format_floats(values)))
+            yield written[0]
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fileio, "format_floats", first_chunk_then_no_space)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {out}: [Errno 28] No space left on device\n"
+        assert not meta.exists()
+        header = old[:old.index(b"\n") + 1]
+        assert out.read_bytes() == header + written[0].encode()
+        assert len(old) > len(header) + len(written[0])
+
+    @pytest.mark.parametrize("model, config", [
+        (dict(ZERO_FIELD_MODEL, dynamics={"x": "x"}), {"h": 1.0, "steps": 4, "init": [2e307]}),
+        (dict(ZERO_FIELD_MODEL, states=["a,b"], dynamics={"a,b": "0"}),
+         {"h": 1.0, "steps": 4, "init": [1.0]}),
+    ], ids=["non-finite", "header"])
+    def test_refused_run_keeps_the_old_csv_and_its_sidecar(self, tmp_path, capsys, model, config):
+        out, meta = tmp_path / "t.csv", tmp_path / "t.csv.meta.json"
+        diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)
+
+        def simulate(model: dict, config: dict) -> int:
+            return main([
+                "simulate", "--diagram", str(diagram),
+                "--models", str(write_json(tmp_path / "m.json", model)),
+                "--config", str(write_json(tmp_path / "c.json", config)), "--out", str(out),
+            ])
+
+        assert simulate(ZERO_FIELD_MODEL, {"h": 0.5, "steps": 3, "init": [1.0]}) == 0
+        before = out.read_bytes(), meta.read_bytes()
+        assert simulate(model, config) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out.read_bytes(), meta.read_bytes()) == before
 
 
 class TestArgv:

@@ -5,7 +5,9 @@ the trajectory CSV and of its ``.meta.json`` sidecar with a digest recorded
 before composites were fused into generated code.  Any change to evaluation
 order, summation order or CSV formatting shows up here as a changed digest.
 The files that ``compose``, ``grid``, ``migrate`` and ``export-dot`` write
-are pinned the same way.
+are pinned the same way.  Every case runs a second time with each output
+path first filled with 1 MiB of junk: outputs are written over in place, so
+a digest that holds there shows the file was cut to its new length.
 """
 
 from __future__ import annotations
@@ -127,8 +129,23 @@ def heat_32x32_config() -> dict:
     return {"h": 0.01, "steps": 6, "init": init}
 
 
-def simulate_digests(tmp_path: Path, repo_root: Path, case: str, scheme: str) -> tuple[str, str]:
+def fill_with_junk(*paths: Path) -> None:
+    """Write 1 MiB of seeded random bytes to each path, so that an output
+    written over it must be cut to its own length to match its digest."""
+    junk = random.Random(1 << 20).randbytes(1 << 20)
+    for path in paths:
+        path.write_bytes(junk)
+
+
+def simulate_digests(
+    tmp_path: Path, repo_root: Path, case: str, scheme: str, junk: bool = False
+) -> tuple[str, str]:
+    """The digests of ``simulate``'s CSV and sidecar; with ``junk``, every
+    file the case writes is first filled by ``fill_with_junk``."""
     diagram, models, config, labels = CASES[case]
+    if junk:
+        written = (diagram, "traj.csv", "traj.csv.meta.json")
+        fill_with_junk(*(tmp_path / p for p in written if not p.startswith("configs/")))
     _prepare(tmp_path, repo_root, case)
 
     def where(p: str) -> str:
@@ -149,6 +166,12 @@ def simulate_digests(tmp_path: Path, repo_root: Path, case: str, scheme: str) ->
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_simulate_output_matches_golden_digest(tmp_path, repo_root, case, scheme):
     assert simulate_digests(tmp_path, repo_root, case, scheme) == DIGESTS[case, scheme]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulate_output_over_junk_matches_golden_digest(tmp_path, repo_root, case, scheme):
+    assert simulate_digests(tmp_path, repo_root, case, scheme, junk=True) == DIGESTS[case, scheme]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +208,11 @@ SYNTAX_DIGESTS = {
 }
 
 
-def syntax_digests(tmp_path: Path, repo_root: Path) -> dict[str, str]:
-    """Run every ``SYNTAX`` case in order; the SHA-256 of each output."""
+def syntax_digests(tmp_path: Path, repo_root: Path, junk: bool = False) -> dict[str, str]:
+    """Run every ``SYNTAX`` case in order; the SHA-256 of each output.  With
+    ``junk``, every output is first filled by ``fill_with_junk``."""
+    if junk:
+        fill_with_junk(*(tmp_path / out for _, out in SYNTAX.values()))
     outputs: dict[str, str] = {}
 
     def where(arg: str) -> str:
@@ -200,3 +226,7 @@ def syntax_digests(tmp_path: Path, repo_root: Path) -> dict[str, str]:
 
 def test_syntax_outputs_match_golden_digests(tmp_path, repo_root):
     assert syntax_digests(tmp_path, repo_root) == SYNTAX_DIGESTS
+
+
+def test_syntax_outputs_over_junk_match_golden_digests(tmp_path, repo_root):
+    assert syntax_digests(tmp_path, repo_root, junk=True) == SYNTAX_DIGESTS
