@@ -624,10 +624,10 @@ class Euler(Program):
 class BoxPlan:
     """How the array code of a box-by-box composite runs its boxes.
 
-    Boxes that share a fused program object with another box form a group,
-    evaluated by one call of that program's batch kernel on a ``(k, n)``
-    block.  The plan is read off the diagram's columns: one pass over the
-    identities of the boxes' programs forms the groups, a group's state block
+    Boxes whose fused programs are equal form a group, evaluated by one call
+    of that program's batch kernel on a ``(k, n)`` block.  The plan is read
+    off the diagram's columns: one pass over the boxes' programs forms the
+    groups, hashing each distinct object once, a group's state block
     is its boxes' state offsets plus ``arange(n)``, and its port blocks come
     from the port index of the box columns (``ins`` and ``outs``, directed
     composites only).  The other boxes, the ``singles``, run one by one.
@@ -644,14 +644,16 @@ class BoxPlan:
     ):
         self.programs, self.bounds, self._fibers = programs, offs.tolist(), (ins, outs)
         self.machine = machine = ins is not None
-        # By identity: ``id`` is a C call, hashing a program's value a Python one.
+        # By value, each distinct object hashed once: ``id`` is a C call,
+        # hashing a program's value a Python one.
         ids = list(map(id, programs))
-        heads = dict(zip(ids, programs))  # one program per code, in first-seen order
-        code = {k: c for c, k in enumerate(heads)}
+        objects = dict(zip(ids, programs))
+        heads: dict[Program, int] = {}  # one program per value, in first-seen order
+        code = {k: heads.setdefault(p, len(heads)) for k, p in objects.items()}
         column = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
-        groups = _Fibers(column, len(code)).split(range(len(code)))
+        groups = _Fibers(column, len(heads)).split(range(len(heads)))
         self.groups, alone = [], []
-        for program, rows in zip(heads.values(), groups):
+        for program, rows in zip(heads, groups):
             if not program.fused or len(rows) < 2:
                 alone += rows.tolist()
                 continue
@@ -759,16 +761,6 @@ def kernels(program: Program, machine: bool) -> tuple[Callable, Callable | None]
     return dynamics, _generate(Emitter(True), program, ["x"], readout=True) if machine else None
 
 
-@functools.lru_cache(maxsize=64)
-def raw(program: Program) -> Callable:
-    """``program``'s dynamics over Python floats: ``(a, x)``, sequences of
-    the input values (empty for a sharer) and the state values, to the tuple
-    of its results.  Compiled once per program value, on the first call of
-    the system's array callables or its Euler map's; no trajectory loop
-    calls it."""
-    return _generate(Emitter(), program, ["a", "x"])
-
-
 def _floats(v: Sequence[float] | np.ndarray, n: int, what: str) -> list[float]:
     return as_vector(v, n, what).tolist()
 
@@ -779,9 +771,11 @@ def compiled(program: Program, machine: bool) -> tuple[Callable, Callable | None
     dynamics ``(a, x)`` of a machine or ``(x)`` of a sharer, and a machine's
     readout ``(x)``, convert and size-check each argument with ``as_vector``
     around the functions over Python floats and return a float64 array.
-    Those functions are generated on the first call, as a trajectory runs
-    none of them.  An Euler map's readout is its system's."""
-    n_in, n, f = program.n_inputs, program.n_states, functools.cache(lambda: raw(program))
+    Those functions (the dynamics takes ``(a, x)``, ``a`` empty for a
+    sharer) are generated on the first call, as a trajectory runs none of
+    them.  An Euler map's readout is its system's."""
+    n_in, n = program.n_inputs, program.n_states
+    f = functools.cache(lambda: _generate(Emitter(), program, ["a", "x"]))
     if not machine:
         return lambda x: np.array(f()((), _floats(x, n, "state vector"))), None
 

@@ -30,11 +30,11 @@ generated function, with array callables around it (``callables_of``):
   composite or a composite of Euler maps.  It is cached by the value of
   the diagram and the boxes.
 - **Box by box** otherwise: a function over float64 arrays, made on first
-  call.  Boxes sharing a fused program (as equal instantiated specs and
-  their Euler maps do) run as one batch kernel call per group
-  (``_codegen.BoxPlan``); another fused box is called, a box-by-box
-  composite or Euler map is inlined, and an opaque leaf's callables are
-  called.
+  call.  Boxes whose fused programs are equal (as those of equal
+  instantiated specs and of their Euler maps are, however made) run as one
+  batch kernel call per group (``_codegen.BoxPlan``); another fused box is
+  called, a box-by-box composite or Euler map is inlined, and an opaque
+  leaf's callables are called.
 
 Values and errors are bitwise those of the boxes' closures called in turn.
 """
@@ -42,7 +42,6 @@ Values and errors are bitwise those of the boxes' closures called in turn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, Literal, Sequence
@@ -276,26 +275,16 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     return _directed(cpg_to_dwd(g), machines, ports, ports, expects)
 
 
-# Interned like the programs of instantiated specs: Euler maps of equal
-# systems, made one by one, then share one program object and so group.
-# Only fused maps group, and only they are interned: the cache would keep an
-# unfused composite alive, and with it its box plan and array code.
-@lru_cache(maxsize=64)
-def _euler_program(inner: Program, h: float) -> Euler:
-    return Euler(inner, h)
-
-
 def _euler(system: Machine | ResourceSharer, h: float, directed: bool) -> Euler:
-    """The program of the explicit Euler map ``x + h * u`` of ``system``:
-    one program object per ``(program, h)`` value, so Euler-then-compose
-    fuses too."""
+    """The program of the explicit Euler map ``x + h * u`` of ``system``.
+    Equal systems and steps give equal maps, however made, so they group
+    and Euler-then-compose fuses too."""
     if system.kind != "continuous":
         what = "euler_directed requires a continuous machine"
         raise KindError(what if directed else "euler_undirected requires a continuous sharer")
     if not h > 0:
         raise ValueError("step size must be positive")
-    inner, h = system.program, float(h)
-    return _euler_program(inner, h) if inner.fused else Euler(inner, h)
+    return Euler(system.program, h)
 
 
 def euler_directed(m: Machine, h: float) -> Machine:

@@ -156,11 +156,10 @@ def _encode(value: object, newline: str) -> str:
     """``json.dumps(value, indent=2)`` nested at the indent that ``newline`` carries.
 
     Objects with string keys are laid out here.  An integer array (an index
-    column, which needs no scan) is formatted in one numpy pass, a list of
-    plain ints, which may exceed ``int64``, is one join, and so is a list of
-    strings (a sidecar's column names, a model's states) through the C
-    string encoder that ``json.dumps`` uses; any other value is
-    ``json.dumps`` output, re-indented.
+    column, which needs no scan) is formatted in one numpy pass, and a list
+    of strings (a sidecar's column names, a model's states) is one join
+    through the C string encoder that ``json.dumps`` uses; any other value
+    is ``json.dumps`` output, re-indented.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
@@ -169,12 +168,8 @@ def _encode(value: object, newline: str) -> str:
     if isinstance(value, np.ndarray):
         rows = format_rows(("", ""), (value,), "," + inner)
         return "[" + inner + rows + newline + "]" if rows else "[]"
-    if isinstance(value, (list, tuple)) and value:
-        types = set(map(type, value))
-        if types == {int}:
-            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-        if types == {str}:
-            return "[" + inner + ("," + inner).join(map(_quoted, value)) + newline + "]"
+    if isinstance(value, (list, tuple)) and value and set(map(type, value)) == {str}:
+        return "[" + inner + ("," + inner).join(map(_quoted, value)) + newline + "]"
     return json.dumps(value, indent=2).replace("\n", newline)
 
 

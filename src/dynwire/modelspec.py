@@ -311,15 +311,6 @@ class ModelSpec:
             self.inputs, dict(self.params), self.readout, self.ports,
         )
 
-    @property
-    def _value(self) -> _SpecValue:
-        """The instantiate cache key, built once."""
-        value = self.__dict__.get("_key")
-        if value is None:
-            value = _SpecValue(self)
-            object.__setattr__(self, "_key", value)
-        return value
-
 
 def spec_violations(spec: ModelSpec) -> list[str]:
     """All consistency problems of a spec, as human-readable strings."""
@@ -359,58 +350,25 @@ def spec_violations(spec: ModelSpec) -> list[str]:
     return problems
 
 
-def _build(spec: ModelSpec) -> Machine | ResourceSharer:
+def _program(spec: ModelSpec) -> Leaf:
+    """The checked program of ``spec``; a spec with violations is refused."""
     problems = spec_violations(spec)
     if problems:
         raise ModelSpecError("; ".join(problems))
     states = spec.states
-    program = Leaf(
-        spec.params, spec.inputs, states, [spec.dynamics[s] for s in states], spec.readout
-    )
-    machine = spec.kind == "machine"
-    dynamics, readout = compiled(program, machine)
-    if machine:
-        n_in, n_out = len(spec.inputs), len(spec.readout)
-        return Machine(n_in, len(states), n_out, dynamics, readout, spec.flavor, program)
-    index = {s: k for k, s in enumerate(states)}
-    portmap = FinFunction(len(spec.ports), len(states), tuple(index[p] for p in spec.ports))
-    return ResourceSharer(len(spec.ports), len(states), portmap, dynamics, spec.flavor, program)
-
-
-class _SpecValue:
-    """A spec that hashes and compares by value, as the instantiate cache key;
-    a spec keeps its own (``ModelSpec._value``).
-
-    Literals and parameters compare as floats, except that parameters compare
-    by ``repr``, which tells ``-0.0`` from ``0.0``.
-    """
-
-    __slots__ = ("spec", "key", "hash")
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.key = (
-            spec.kind,
-            spec.flavor,
-            spec.states,
-            tuple(spec.dynamics.items()),
-            spec.inputs,
-            tuple((k, repr(v)) for k, v in spec.params.items()),
-            spec.readout,
-            spec.ports,
-        )
-        self.hash = hash(self.key)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SpecValue) and self.key == other.key
+    return Leaf(spec.params, spec.inputs, states, [spec.dynamics[s] for s in states], spec.readout)
 
 
 @functools.lru_cache(maxsize=256)
-def _build_cached(value: _SpecValue) -> Machine | ResourceSharer:
-    return _build(value.spec)
+def _build(program: Leaf, kind: str, flavor: str, ports: tuple[str, ...]) -> Machine | ResourceSharer:
+    machine = kind == "machine"
+    dynamics, readout = compiled(program, machine)
+    n = program.n_states
+    if machine:
+        return Machine(program.n_inputs, n, program.n_outputs, dynamics, readout, flavor, program)
+    index = {s: k for k, s in enumerate(program.states)}
+    portmap = FinFunction(len(ports), n, tuple(index[p] for p in ports))
+    return ResourceSharer(len(ports), n, portmap, dynamics, flavor, program)
 
 
 def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
@@ -418,17 +376,21 @@ def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:
 
     The result carries its program, the equations in the form a composite
     reads, and the scalar closures generated from it (one box's vectors,
-    size-checked, around one function over Python floats).  Results are
-    cached by spec value: equal specs give the same system and so the same
-    program.  The value key is built once per spec object and kept on it, so
-    calling this again with the same object, as for every box of a grid
-    whose spec ``spec_from_json`` or ``builtin_model`` returned, costs one
-    cache lookup.  How a composite of these uses the program is in
-    ``dynam``'s module docstring.  Only the CLI reads a file once: ``simulate``
-    loads a ``--models`` path given for many boxes a single time, while
+    size-checked, around one function over Python floats).  The program is
+    built and checked once per spec object and kept on it, so calling this
+    again with the same object, as for every box of a grid whose spec
+    ``spec_from_json`` or ``builtin_model`` returned, costs one cache lookup.
+    Results are cached by program value: equal specs give the same system.
+    How a composite of these uses the program is in ``dynam``'s module
+    docstring.  Only the CLI reads a file once: ``simulate`` loads a
+    ``--models`` path given for many boxes a single time, while
     ``fileio.load_json`` reads the file on every call.
     """
-    return _build_cached(spec._value)
+    program = spec.__dict__.get("_program")
+    if program is None:
+        program = _program(spec)
+        object.__setattr__(spec, "_program", program)
+    return _build(program, spec.kind, spec.flavor, spec.ports)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +521,7 @@ _SPECS_LOCK = threading.Lock()
 
 
 def _params_key(params: Mapping[str, float]) -> tuple[tuple[str, str], ...]:
-    # By repr, as _SpecValue compares them, so -0.0 and 0.0 stay distinct.
+    # By repr, as a program compares them, so -0.0 and 0.0 stay distinct.
     return tuple(zip(params, map(repr, params.values())))
 
 

@@ -226,7 +226,13 @@ def _trajectory(
 
     header = ["t", *composed.state_names]
     x = as_vector(x0, system.n_states, "state vector")
-    block = np.empty((config.steps + 1, len(header)))
+    try:
+        block = np.empty((config.steps + 1, len(header)))
+    except (MemoryError, ValueError):  # too large to allocate, or to index
+        raise ConfigError(
+            f"'steps': a trajectory of {config.steps} steps of {system.n_states} states "
+            "is too large to allocate"
+        ) from None
     block[0, 1:] = x
     # The screen below names any overflow of array code's steps, so numpy
     # need not warn of it first.

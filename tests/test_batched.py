@@ -38,6 +38,7 @@ from dynwire import (
     Var,
     builtin_model,
     cpg_to_dwd,
+    euler_directed,
     grid,
     instantiate,
     oapply_cpg,
@@ -107,26 +108,40 @@ def test_equal_specs_share_one_system_and_kernel():
     assert a is b and a.program is b.program
     assert c.program != a.program
     # One compiled kernel pair per program value, whichever object holds it.
-    fresh = modelspec._build(builtin_model("heat_node", {"alpha": 0.1})).program
+    fresh = modelspec._program(builtin_model("heat_node", {"alpha": 0.1}))
     assert fresh is not a.program and kernels(fresh, True) is kernels(a.program, True)
     assert kernels(c.program, True) is not kernels(a.program, True)
 
 
+def test_equal_programs_made_apart_form_one_group():
+    m = instantiate(builtin_model("heat_node", {"alpha": 0.1}))
+    first = euler_directed(m, 0.01)
+    for k in range(70):  # more maps than any cache of recent ones would keep
+        euler_directed(m, 0.02 + 0.001 * k)
+    again = euler_directed(m, 0.01)
+    assert again.program == first.program and again.program is not first.program
+    composite = oapply_cpg(grid(10, 10), [first, again] * 50)
+    assert not fused(composite) and len(composite.program.plan.groups) == 1
+    alike = oapply_cpg(grid(10, 10), [first] * 100)
+    x = np.random.default_rng(7).uniform(0.0, 1.0, 100)
+    a = np.zeros(composite.n_inputs)
+    assert bits(composite.dynamics(a, x)) == bits(alike.dynamics(a, x))
+
+
 def test_1024_heat_nodes_compile_one_kernel_and_instantiate_once(monkeypatch):
-    builds, calls = [], []
-    build, inst = modelspec._build, sim.instantiate
-    monkeypatch.setattr(modelspec, "_build", lambda s: builds.append(s) or build(s))
+    calls = []
+    inst = sim.instantiate
     monkeypatch.setattr(sim, "instantiate", lambda s: calls.append(s) or inst(s))
-    modelspec._build_cached.cache_clear()
+    modelspec._build.cache_clear()
     kernels.cache_clear()
     spec = builtin_model("heat_node", {"alpha": 0.1})
     composed = build_system(grid(32, 32), [spec] * 1024)
-    assert (len(builds), len(calls)) == (1, 1)
+    assert (modelspec._build.cache_info().misses, len(calls)) == (1, 1)
     assert kernels.cache_info().misses == 1  # one group, one kernel pair
     # Equal but distinct spec objects still compile once.
-    modelspec._build_cached.cache_clear()
+    modelspec._build.cache_clear()
     build_system(grid(32, 32), [builtin_model("heat_node", {"alpha": 0.1}) for _ in range(1024)])
-    assert len(builds) == 2 and kernels.cache_info().misses == 1
+    assert modelspec._build.cache_info().misses == 1 and kernels.cache_info().misses == 1
     system = composed.system
     x = np.random.default_rng(1).uniform(0.0, 1.0, 1024)
     assert system.dynamics(np.zeros(system.n_inputs), x).shape == (1024,)

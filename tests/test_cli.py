@@ -532,6 +532,27 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # Blocks far beyond any address space (28 PiB; more rows than an array
+    # may have), so that the allocation fails at once on every machine.
+    @pytest.mark.parametrize("steps", [10**15, 10**30], ids=["memory", "dimension"])
+    def test_unallocatable_steps_exit_1_naming_steps_and_states(
+        self, tmp_path, repo_root, capsys, steps
+    ):
+        sir = repo_root / "configs" / "sir"
+        config = json.loads((sir / "sim_single.json").read_text(encoding="utf-8"))
+        out = tmp_path / "t.csv"
+        code = main([
+            "simulate", "--diagram", str(sir / "single_city.json"),
+            "--models", str(sir / "city.json"),
+            "--config", str(write_json(tmp_path / "c.json", dict(config, steps=steps))),
+            "--out", str(out),
+        ])
+        assert code == 1
+        message = f"'steps': a trajectory of {steps} steps of 3 states is too large to allocate"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not Path(f"{out}.meta.json").exists()
+
     # x' = x from 2e307 doubles under Euler with h = 1 and overflows at the
     # last step, where no evaluation reads it: the trajectory screen names it,
     # whether the composite is fused or runs box by box (array code).

@@ -310,8 +310,10 @@ def test_fused_code_is_cached_by_value(repo_root):
     path = repo_root / "configs" / "sir" / "cyclic.json"
     spec = builtin_model("sir_city", {"beta": 0.0005, "gamma": 0.25})
     first = oapply_directed(load_diagram(path), [instantiate(spec)] * 3)
-    modelspec._build_cached.cache_clear()  # equal, not identical, boxes
-    again = oapply_directed(load_diagram(path), [instantiate(spec)] * 3)
+    modelspec._build.cache_clear()  # equal, not identical, boxes
+    again = oapply_directed(load_diagram(path), [instantiate(dataclasses.replace(spec))] * 3)
+    assert again.program.boxes[0] == first.program.boxes[0]
+    assert again.program.boxes[0] is not first.program.boxes[0]
     assert first.program == again.program and first.program is not again.program
     assert first.dynamics is again.dynamics and first.readout is again.readout
 

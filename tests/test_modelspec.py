@@ -481,8 +481,8 @@ class TestSpecValues:
 
     def test_instantiate_builds_a_value_key_once_per_spec(self, monkeypatch):
         made = []
-        value = modelspec._SpecValue
-        monkeypatch.setattr(modelspec, "_SpecValue", lambda s: made.append(s) or value(s))
+        program = modelspec._program
+        monkeypatch.setattr(modelspec, "_program", lambda s: made.append(s) or program(s))
         spec = _heat(0.4375)
         systems = {id(instantiate(spec)) for _ in range(1024)}
         assert len(systems) == 1 and made == [spec]
@@ -496,17 +496,15 @@ class TestSpecValues:
         states.append("v")  # the spec kept its own copy
         assert listed.states == ("u",) and instantiate(listed) is instantiate(tupled)
 
-    def test_1024_loaded_specs_build_one_system_with_the_shared_trajectory(self, monkeypatch):
-        builds = []
-        build = modelspec._build
-        monkeypatch.setattr(modelspec, "_build", lambda s: builds.append(s) or build(s))
+    def test_1024_loaded_specs_build_one_system_with_the_shared_trajectory(self):
+        builds = modelspec._build.cache_info
         data = {"builtin": "heat_node", "params": {"alpha": 0.15625}}
-        modelspec._build_cached.cache_clear()
+        modelspec._build.cache_clear()
         loaded = build_system(grid(32, 32), [spec_from_json(dict(data)) for _ in range(1024)])
-        assert len(builds) == 1
-        modelspec._build_cached.cache_clear()
+        assert builds().misses == 1
+        modelspec._build.cache_clear()
         shared = build_system(grid(32, 32), [_heat(0.15625)] * 1024)
-        assert len(builds) == 2 and shared.system is not loaded.system
+        assert builds().misses == 1 and shared.system is not loaded.system
         init = tuple(np.random.default_rng(5).uniform(0.0, 1.0, 1024).tolist())
         config = SimulationConfig(h=0.01, steps=5, init=init)
         got, want = (run_trajectory(c, config, "euler") for c in (loaded, shared))

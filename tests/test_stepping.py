@@ -36,7 +36,6 @@ from dynwire import (
     spec_from_json,
 )
 import dynwire._codegen as codegen
-import dynwire.dynam as dynam
 import dynwire.modelspec as modelspec
 import dynwire.sim as sim
 from dynwire._codegen import _FUSE_MAX_STATEMENTS, Euler, Gluing
@@ -265,8 +264,7 @@ def test_a_fused_run_makes_no_python_call_per_step(scheme, repo_root):
 def test_a_fresh_simulate_compiles_its_loop_alone(scheme, repo_root, tmp_path, monkeypatch):
     # A system's own functions are generated on their first call, which a
     # trajectory never makes: it runs the loop that ``runner`` generates.
-    for cache in (modelspec._build_cached, dynam._euler_program, codegen.raw, codegen.compiled,
-                  codegen._fused_runner):
+    for cache in (modelspec._build, codegen.compiled, codegen._fused_runner):
         cache.cache_clear()
     sources: list[str] = []
     compile_source = codegen._compile
