@@ -342,7 +342,8 @@ def define(signature: str, body: Sequence[str], constants: Mapping[str, object])
 
 
 # Cached by source: array code names its data rather than spelling it out,
-# so composites of one shape (each Euler map of one, say) share their code.
+# so composites of one shape share their code, and an Euler map's readout
+# its system's.
 @functools.lru_cache(maxsize=64)
 def _compile(source: str):
     return compile(source, "<dynwire model>", "exec")
@@ -372,8 +373,12 @@ class Program:
     the rule in ``dynam``'s module docstring, exactly when it has a ``key``;
     only then does it emit float code, and compare and hash by value, so the
     code generated for a composite is cached by the values of its diagram
-    and its boxes.  Any other program is only equal to itself, and its
-    array code is made on first use and kept on it.
+    and its boxes.  Any other program is only equal to itself.
+
+    ``array_dynamics(a, x)`` (``a`` empty for a sharer) and
+    ``array_readout(x)`` are its array callables, made on first use and
+    kept on it: array code, or, for a fused program, its function over
+    Python floats between ``as_vector`` on each argument and ``np.array``.
     """
 
     def __init__(self, key: tuple | None, n_inputs: int, n_states: int, n_outputs: int, statements: int):
@@ -398,12 +403,20 @@ class Program:
         raise NotImplementedError
 
     @functools.cached_property
-    def array_dynamics(self) -> Callable:  # (a, x), ``a`` empty for a sharer
-        return _generate(Emitter(arrays=True), self, ["a", "x"])
+    def array_dynamics(self) -> Callable:
+        if not self.fused:
+            return _generate(Emitter(arrays=True), self, ["a", "x"])
+        f, n_in, n = _generate(Emitter(), self, ["a", "x"]), self.n_inputs, self.n_states
+        return lambda a, x: np.array(
+            f(as_vector(a, n_in, "input vector").tolist(), as_vector(x, n, "state vector").tolist())
+        )
 
     @functools.cached_property
     def array_readout(self) -> Callable:
-        return _generate(Emitter(arrays=True), self, ["x"], readout=True)
+        if not self.fused:
+            return _generate(Emitter(arrays=True), self, ["x"], readout=True)
+        f, n = _generate(Emitter(), self, ["x"], readout=True), self.n_states
+        return lambda x: np.array(f(as_vector(x, n, "state vector").tolist()))
 
 
 def _operations(e: Expr) -> int:
@@ -761,61 +774,30 @@ def kernels(program: Program, machine: bool) -> tuple[Callable, Callable | None]
     return dynamics, _generate(Emitter(True), program, ["x"], readout=True) if machine else None
 
 
-def _floats(v: Sequence[float] | np.ndarray, n: int, what: str) -> list[float]:
-    return as_vector(v, n, what).tolist()
-
-
-@functools.lru_cache(maxsize=64)
-def compiled(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
-    """The array callables of a fused ``program``, cached by its value: the
-    dynamics ``(a, x)`` of a machine or ``(x)`` of a sharer, and a machine's
-    readout ``(x)``, convert and size-check each argument with ``as_vector``
-    around the functions over Python floats and return a float64 array.
-    Those functions (the dynamics takes ``(a, x)``, ``a`` empty for a
-    sharer) are generated on the first call, as a trajectory runs none of
-    them.  An Euler map's readout is its system's."""
-    n_in, n = program.n_inputs, program.n_states
-    f = functools.cache(lambda: _generate(Emitter(), program, ["a", "x"]))
-    if not machine:
-        return lambda x: np.array(f()((), _floats(x, n, "state vector"))), None
-
-    def dynamics(a, x):
-        return np.array(f()(_floats(a, n_in, "input vector"), _floats(x, n, "state vector")))
-
-    if isinstance(program, Euler):
-        return dynamics, compiled(program.inner, machine)[1]
-    g = functools.cache(lambda: _generate(Emitter(), program, ["x"], readout=True))
-    return dynamics, lambda x: np.array(g()(_floats(x, n, "state vector")))
-
-
 def callables_of(program: Program, machine: bool) -> tuple[Callable, Callable | None]:
-    """The array callables of ``program``, as :func:`compiled` has them: a
-    fused program's are those, an opaque leaf's its own, and any other's
-    call its array code, made on the first call.  An Euler map's readout is
-    its system's."""
-    if program.fused:
-        return compiled(program, machine)
+    """The dynamics ``(a, x)`` of a machine or ``(x)`` of a sharer, and a
+    machine's readout ``(x)``: an opaque leaf's own callables, else calls of
+    the program's array callables, which the first call makes.  An Euler
+    map's readout has its system's source, so it compiles no new code."""
     if isinstance(program, Opaque):
         return program.callables
     if not machine:
         return (lambda x: program.array_dynamics((), x)), None
-    if isinstance(program, Euler):
-        return (lambda a, x: program.array_dynamics(a, x)), callables_of(program.inner, True)[1]
     return (lambda a, x: program.array_dynamics(a, x)), (lambda x: program.array_readout(x))
 
 
 def runner(program: Program, scheme: str, h: float) -> Callable:
-    """``run(inputs, x, steps, rows)``: the trajectory loop of a system with
+    """``run(inputs, steps, rows)``: the trajectory loop of a system with
     ``program``, generated once per ``(program, scheme, h)`` value if the
     program is fused.
 
-    From the state ``x`` (Python floats if the program is fused, else a
-    float64 array) it takes ``steps`` steps, step ``k`` holding the inputs
-    of the ``k``-th entry of ``inputs`` over it, and writes the state after
-    step ``k`` into the columns ``1:`` of row ``k`` of ``rows``, a
-    C-contiguous float64 block ``(steps + 1, 1 + n)``.  Fused, the state
-    lives in local floats and each row is packed into the block's bytes;
-    else it is one array, size-checked as it is written.  ``direct`` runs
+    From the start state in the columns ``1:`` of row 0 of ``rows``, a
+    C-contiguous float64 block ``(steps + 1, 1 + n)``, it takes ``steps``
+    steps, step ``k`` holding the inputs of the ``k``-th entry of ``inputs``
+    over it, and writes the state after step ``k`` into the columns ``1:``
+    of row ``k``.  Fused, the state lives in local floats and each row is
+    packed into the block's bytes; else it is one float64 array,
+    size-checked as it is written.  ``direct`` runs
     the program's own dynamics, the next-state map of a discrete system (an
     :class:`Euler` map among them), inline.  ``rk4`` is classic RK4 of a
     continuous system, its four stages the program's dynamics emitted inline
@@ -830,7 +812,7 @@ def _runner(program: Program, scheme: str, h: float) -> Callable:
     fused, n = program.fused, program.n_states
     em = Emitter(arrays=not fused)
     x = em.bind(n, "x")
-    head, em.lines = em.lines, []
+    head, em.lines = [f"x = rows[0, 1:]{'.tolist()' * fused}", *em.lines], []
     a = em.bind(program.n_inputs, "a")
     if scheme == "direct":
         new = program.dynamics(em, a, x)
@@ -856,7 +838,7 @@ def _runner(program: Program, scheme: str, h: float) -> Callable:
         em.constants["_pack"] = struct.Struct(f"{n}d").pack_into
         body = em.folded([f"{em.pack(x)} = {em.pack(new)}", f"_pack(_bytes, _at, {', '.join(x)})"])
     body = [*head, loop, *("    " + line for line in body)]
-    return define("inputs, x, steps, rows", body, em.constants)
+    return define("inputs, steps, rows", body, em.constants)
 
 
 _fused_runner = functools.lru_cache(maxsize=64)(_runner)

@@ -21,16 +21,20 @@ built: a model always is, an opaque leaf never, an Euler map when its
 system is, and a composite when all its boxes are and its code, nested
 composites and wiring included, has at most
 ``_codegen._FUSE_MAX_STATEMENTS`` statements.  Either way it runs as one
-generated function, with array callables around it (``callables_of``):
+generated function.  ``_system`` builds every system that a program makes,
+with the program's sizes and the callables ``callables_of`` gives: an
+opaque leaf's own, else calls of the program's array callables, generated
+per system on the first call; ``_codegen._compile`` compiles equal sources
+once.
 
-- **Fused:** a function over Python floats: each box's equations inlined
+- **Fused:** a function over Python floats (its array callables convert
+  each argument with ``as_vector``): each box's equations inlined
   with its parameters as literals, the transport and the gluing unrolled
   into sums in the order ``finset.fiber_sum`` adds, so a composite of
   composites flattens into one function, and so does the Euler map of a
-  composite or a composite of Euler maps.  It is cached by the value of
-  the diagram and the boxes.
-- **Box by box** otherwise: a function over float64 arrays, made on first
-  call.  Boxes whose fused programs are equal (as those of equal
+  composite or a composite of Euler maps.
+- **Box by box** otherwise: a function over float64 arrays.  Boxes whose
+  fused programs are equal (as those of equal
   instantiated specs and of their Euler maps are, however made) run as one
   batch kernel call per group (``_codegen.BoxPlan``); another fused box is
   called, a box-by-box composite or Euler map is inlined, and an opaque
@@ -86,7 +90,8 @@ class Machine:
     returns the output vector and may depend on state only.  ``program`` is
     the same system in the one form a composite reads (see the module
     docstring); a machine built without one gets an ``Opaque`` leaf of its
-    callables.  Machines compare by their other fields.
+    callables, and one of other sizes is refused.  Machines compare by their
+    other fields.
     """
 
     n_inputs: int
@@ -128,10 +133,27 @@ def _carry_program(
     system: Machine | ResourceSharer, n_inputs: int, n_outputs: int,
     readout: Readout | None, machine: bool,
 ) -> None:
-    """Give a system built without a program an ``Opaque`` leaf of its callables."""
-    if system.program is None:
-        opaque = Opaque(n_inputs, system.n_states, n_outputs, system.dynamics, readout, machine)
-        object.__setattr__(system, "program", opaque)
+    """Give a system built without a program an ``Opaque`` leaf of its
+    callables; refuse a program whose sizes are not the system's."""
+    sizes, program = (n_inputs, system.n_states, n_outputs), system.program
+    if program is None:
+        object.__setattr__(system, "program", Opaque(*sizes, system.dynamics, readout, machine))
+        return
+    have = (program.n_inputs, program.n_states, program.n_outputs)
+    if have != sizes:
+        raise SizeMismatchError(f"program has (inputs, states, outputs) = {have}, system has {sizes}")
+
+
+def _system(
+    program: Program, kind: Kind, portmap: FinFunction | None = None
+) -> Machine | ResourceSharer:
+    """The machine, or with ``portmap`` the sharer, that ``program`` is: its
+    sizes are the program's, and its callables those ``callables_of`` gives."""
+    if portmap is None:
+        f, g = callables_of(program, True)
+        return Machine(program.n_inputs, program.n_states, program.n_outputs, f, g, kind, program)
+    f = callables_of(program, False)[0]
+    return ResourceSharer(portmap.dom_size, program.n_states, portmap, f, kind, program)
 
 
 def eval_dynamics(
@@ -203,10 +225,7 @@ def _directed(
     inward = (np.concatenate((d.column("src"), src_in)), tgt)
     outward = (d.column("src_out"), d.column("tgt_out"))
     boxes = list(map(attrgetter("program"), machines))
-    n_in, n_out = d.n_outer_in, d.n_outer_out
-    program = Transport(boxes, n_in, n_out, ins, outs, inward, outward)
-    dynamics, readout = callables_of(program, True)
-    return Machine(n_in, program.n_states, n_out, dynamics, readout, kind, program)
+    return _system(Transport(boxes, d.n_outer_in, d.n_outer_out, ins, outs, inward, outward), kind)
 
 
 @dataclass(frozen=True)
@@ -252,14 +271,9 @@ def oapply_undirected_with_layout(
     q_junc = d.data.part_fn("junc_in")
 
     po = pushout(p_total, q_junc)
-    state_inj, junc_inj = po.inj_left, po.inj_right
-    n_states = po.apex_size
-    portmap = compose(d.data.part_fn("junc_out"), junc_inj)
-    layout = UndirectedLayout(state_inj, junc_inj)
-    boxes = list(map(attrgetter("program"), sharers))
-    program = Gluing(boxes, state_inj, kind == "discrete")
-    dynamics = callables_of(program, False)[0]
-    return ResourceSharer(d.n_outer, n_states, portmap, dynamics, kind, program), layout
+    portmap = compose(d.data.part_fn("junc_out"), po.inj_right)
+    program = Gluing(list(map(attrgetter("program"), sharers)), po.inj_left, kind == "discrete")
+    return _system(program, kind, portmap), UndirectedLayout(po.inj_left, po.inj_right)
 
 
 def oapply_undirected(d: UWDiagram, sharers: Sequence[ResourceSharer]) -> ResourceSharer:
@@ -289,13 +303,9 @@ def _euler(system: Machine | ResourceSharer, h: float, directed: bool) -> Euler:
 
 def euler_directed(m: Machine, h: float) -> Machine:
     """Explicit Euler step of a continuous machine: ``x + h * u(a, x)``."""
-    program = _euler(m, h, True)
-    step, readout = callables_of(program, True)
-    return Machine(m.n_inputs, m.n_states, m.n_outputs, step, readout, "discrete", program)
+    return _system(_euler(m, h, True), "discrete")
 
 
 def euler_undirected(s: ResourceSharer, h: float) -> ResourceSharer:
     """Explicit Euler step of a continuous sharer: ``x + h * v(x)``."""
-    program = _euler(s, h, False)
-    step = callables_of(program, False)[0]
-    return ResourceSharer(s.n_ports, s.n_states, s.portmap, step, "discrete", program)
+    return _system(_euler(s, h, False), "discrete", s.portmap)

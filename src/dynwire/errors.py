@@ -38,8 +38,9 @@ class KindError(DynwireError):
 class ExprSyntaxError(DynwireError):
     """Expression text failed to parse."""
 
-    def __init__(self, message: str, offset: int, expected: frozenset[str]):
-        super().__init__(f"{message} at offset {offset} (expected one of: {', '.join(sorted(expected))})")
+    def __init__(self, message: str, offset: int, expected: frozenset[str] = frozenset()):
+        choices = f" (expected one of: {', '.join(sorted(expected))})" if expected else ""
+        super().__init__(f"{message} at offset {offset}{choices}")
         self.offset = offset
         self.expected = expected
 

@@ -72,7 +72,7 @@ def _load(path: str | Path, columnwise: bool) -> dict:
         data = _columnwise(text) if columnwise and len(text) >= _COLUMNWISE_BYTES else None
         if data is None:
             data = json.loads(text.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DynwireError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise DynwireError(f"{path}: expected a JSON object")

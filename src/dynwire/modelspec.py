@@ -24,10 +24,10 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ._codegen import (
-    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, compiled, define,
+    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, define,
 )
 from .errors import ExprEvalError, ExprSyntaxError, ModelSpecError
-from .dynam import Machine, ResourceSharer
+from .dynam import Machine, ResourceSharer, _system
 from .finset import FinFunction
 
 __all__ = [
@@ -92,10 +92,22 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# An expression is refused past these bounds, so that neither the parser
+# nor a walk of its tree (hashing, code generation, printing) nears Python's
+# recursion limit, even from a stack already 250 frames deep: parentheses,
+# calls and powers open at once, and operations nested in the tree.
+_MAX_NESTING = 100
+_MAX_DEPTH = 200
+
+
 class _Parser:
+    """Each rule returns its tree and the tree's depth, the operations and
+    calls nested in it."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     @property
     def current(self) -> _Token:
@@ -111,36 +123,53 @@ class _Parser:
         what = "end of input" if tok.kind == "END" else repr(tok.text)
         raise ExprSyntaxError(f"unexpected {what}", tok.pos, expected)
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def deeper(self, tok: _Token, *depths: int) -> int:
+        """The depth of the node that ``tok`` makes over trees of ``depths``."""
+        depth = 1 + max(depths)
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests more than {_MAX_DEPTH} operations", tok.pos)
+        return depth
+
+    def nested(self, tok: _Token, rule: Callable[[], tuple[Expr, int]]) -> tuple[Expr, int]:
+        """``rule()`` parsed inside what ``tok`` opens."""
+        if self.nesting == _MAX_NESTING:
+            what = f"expression nests more than {_MAX_NESTING} parentheses, calls and powers"
+            raise ExprSyntaxError(what, tok.pos)
+        self.nesting += 1
+        tree = rule()
+        self.nesting -= 1
+        return tree
+
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while self.current.kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, d = self.term()
+            node, depth = BinOp(tok.kind, node, right), self.deeper(tok, depth, d)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while self.current.kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, d = self.factor()
+            node, depth = BinOp(tok.kind, node, right), self.deeper(tok, depth, d)
+        return node, depth
 
-    def factor(self) -> Expr:
-        negate = False
-        if self.current.kind == "-":
-            self.advance()
-            negate = True
-        node = self.atom()
+    def factor(self) -> tuple[Expr, int]:
+        minus = self.advance() if self.current.kind == "-" else None
+        node, depth = self.atom()
         if self.current.kind == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
-        return Neg(node) if negate else node
+            tok = self.advance()
+            right, d = self.nested(tok, self.factor)
+            node, depth = BinOp("^", node, right), self.deeper(tok, depth, d)
+        return (Neg(node), self.deeper(minus, depth)) if minus else (node, depth)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.current
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 0
         if tok.kind == "IDENT":
             self.advance()
             if self.current.kind == "(":
@@ -151,19 +180,19 @@ class _Parser:
                         frozenset(FUNCTIONS),
                     )
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.nested(tok, self.expr)
                 if self.current.kind != ")":
                     self.fail(frozenset({")"}))
                 self.advance()
-                return Call(tok.text, arg)
-            return Var(tok.text)
+                return Call(tok.text, arg), self.deeper(tok, depth)
+            return Var(tok.text), 0
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            tree = self.nested(tok, self.expr)
             if self.current.kind != ")":
                 self.fail(frozenset({")"}))
             self.advance()
-            return node
+            return tree
         self.fail(frozenset({"number", "identifier", "(", "-"}))
         raise AssertionError("unreachable")
 
@@ -172,10 +201,13 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse expression text; errors carry the byte offset and expected tokens.
 
-    Memoised: ASTs are immutable, so equal texts share one tree.
+    An expression nested past ``_MAX_NESTING`` parentheses, calls and powers
+    open at once, or past ``_MAX_DEPTH`` operations and calls in its tree
+    (a sum of 202 terms, say), is refused at the offset of the token that
+    goes past.  Memoised: ASTs are immutable, so equal texts share one tree.
     """
     parser = _Parser(text)
-    node = parser.expr()
+    node, _ = parser.expr()
     if parser.current.kind != "END":
         parser.fail(frozenset({"+", "-", "*", "/", "^", "end of input"}))
     return node
@@ -361,14 +393,11 @@ def _program(spec: ModelSpec) -> Leaf:
 
 @functools.lru_cache(maxsize=256)
 def _build(program: Leaf, kind: str, flavor: str, ports: tuple[str, ...]) -> Machine | ResourceSharer:
-    machine = kind == "machine"
-    dynamics, readout = compiled(program, machine)
-    n = program.n_states
-    if machine:
-        return Machine(program.n_inputs, n, program.n_outputs, dynamics, readout, flavor, program)
+    if kind == "machine":
+        return _system(program, flavor)
     index = {s: k for k, s in enumerate(program.states)}
-    portmap = FinFunction(len(ports), n, tuple(index[p] for p in ports))
-    return ResourceSharer(len(ports), n, portmap, dynamics, flavor, program)
+    portmap = FinFunction(len(ports), program.n_states, tuple(index[p] for p in ports))
+    return _system(program, flavor, portmap)
 
 
 def instantiate(spec: ModelSpec) -> Machine | ResourceSharer:

@@ -69,9 +69,10 @@ def build_system(
 
     Each distinct spec is instantiated once and its model shared by every
     box that uses it.  The composite is fused or evaluated box by box as
-    ``dynam``'s module docstring says; fused code is cached by value, so
-    rebuilding the same system does not compile it again.  Box labels must
-    be distinct.
+    ``dynam``'s module docstring says.  A system's callables are generated
+    per system on their first call, and ``_codegen._compile`` compiles equal
+    sources once, so rebuilding the same system compiles nothing again.  Box
+    labels must be distinct.
     """
     if len(specs) != diagram.n_boxes:
         raise ArityError(f"diagram has {diagram.n_boxes} boxes but {len(specs)} models were given")
@@ -150,13 +151,10 @@ def rk4_step(machine: Machine, a: np.ndarray, x: np.ndarray, h: float) -> np.nda
     Convenience only: unlike the Euler map this does not commute with
     composition, so it is applied to the composed system.
     """
-    program = machine.program
     a = as_vector(a, machine.n_inputs, "input vector")
-    x = as_vector(x, machine.n_states, "state vector")
-    if program.fused:
-        a, x = a.tolist(), x.tolist()
     rows = np.empty((2, 1 + machine.n_states))
-    runner(program, "rk4", h)((a,), x, 1, rows)
+    rows[0, 1:] = as_vector(x, machine.n_states, "state vector")
+    runner(machine.program, "rk4", h)((a.tolist(),), 1, rows)
     return rows[1, 1:].copy()
 
 
@@ -199,8 +197,8 @@ def _trajectory(
     composed: ComposedSystem, config: SimulationConfig, scheme: str
 ) -> tuple[list[str], np.ndarray, dict]:
     """``run_trajectory`` with the rows as one float64 block of shape
-    ``(steps + 1, 1 + n)``: ``t = k*h`` in column 0, then the states, which
-    the loop writes row by row as it steps."""
+    ``(steps + 1, 1 + n)``: ``t = k*h`` in column 0, then the states; the
+    loop reads the start state from row 0 and writes each step's row."""
     system = composed.system
     x0 = _initial_state(config, composed.state_names)
     if not composed.directed and (config.inputs is not None or config.input_table is not None):
@@ -237,7 +235,7 @@ def _trajectory(
     # The screen below names any overflow of array code's steps, so numpy
     # need not warn of it first.
     with np.errstate(over="ignore", invalid="ignore"):
-        run(inputs, x.tolist() if program.fused else x, config.steps, block)
+        run(inputs, config.steps, block)
     # ``k*h`` as numpy computes it is Python's ``k * h``, bit for bit.
     block[:, 0] = np.arange(config.steps + 1) * h
     if not np.isfinite(block).all():

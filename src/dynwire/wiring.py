@@ -490,26 +490,25 @@ def grid(width: int, height: int) -> CPGraph:
     """
     if width < 1 or height < 1:
         raise ArityError("grid dimensions must be at least 1x1")
-    n = width * height
-    NORTH, EAST, SOUTH, WEST = 0, 1, 2, 3
+    try:
+        return _grid(width, height)
+    except (MemoryError, ValueError, OverflowError) as exc:  # too large to allocate or index
+        raise DynwireError(f"cannot build a {width} x {height} grid: {exc}") from None
 
-    def port(x: int, y: int, d: int) -> int:
-        return 4 * (y * width + x) + d
 
-    wires: list[tuple[int, int]] = []
-    for y in range(height):
-        for x in range(width):
-            if x + 1 < width:
-                wires.append((port(x, y, EAST), port(x + 1, y, WEST)))
-                wires.append((port(x + 1, y, WEST), port(x, y, EAST)))
-            if y + 1 < height:
-                wires.append((port(x, y, SOUTH), port(x, y + 1, NORTH)))
-                wires.append((port(x, y + 1, NORTH), port(x, y, SOUTH)))
-
-    wired = {p for w in wires for p in w}
-    expose = tuple(p for p in range(4 * n) if p not in wired)
-    box = tuple(p // 4 for p in range(4 * n))
-    return CPGraph.from_tables(n, box, wires, expose)
+def _grid(width: int, height: int) -> CPGraph:
+    box = np.arange(width * height, dtype=np.intp)
+    x, y, north = box % width, box // width, 4 * box  # port d of a box is north + d
+    east, south = x + 1 < width, y + 1 < height
+    # Per box: its East to the West of the box to its right and back, then
+    # its South to the North of the box below and back.
+    e, w = north + 1, north + 7
+    s, n = north + 2, north + 4 * width
+    keep = np.repeat(np.stack((east, south), axis=1), 2, axis=1)
+    src, tgt = np.stack((e, w, s, n), axis=1)[keep], np.stack((w, e, n, s), axis=1)[keep]
+    wired = np.stack((y > 0, east, south, x > 0), axis=1)  # its N, E, S, W
+    columns = {"box": np.repeat(box, 4), "src": src, "tgt": tgt, "expose": np.flatnonzero(~wired)}
+    return CPGraph._from_columns({"B": box.size}, columns)
 
 
 # ---------------------------------------------------------------------------

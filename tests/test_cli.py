@@ -140,6 +140,37 @@ def test_entry_too_large_for_an_index_is_a_located_error(tmp_path, capsys, comma
     assert not (tmp_path / "o").exists()
 
 
+def deeply_nested(path: Path) -> Path:
+    """A JSON object holding a list nested 100000 deep, past ``json``'s recursion limit."""
+    path.write_text('{"a": ' + "[" * 10**5 + "]" * 10**5 + "}", encoding="utf-8")
+    return path
+
+
+def test_deeply_nested_json_is_a_validate_error(tmp_path, capsys):
+    path = deeply_nested(tmp_path / "deep.json")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{path}: ERROR {path}: maximum recursion depth exceeded")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("flag", ["--diagram", "--models", "--config", "--labels"])
+def test_deeply_nested_simulate_input_exits_1_naming_it(tmp_path, capsys, flag):
+    inputs = {
+        "--diagram": write_json(tmp_path / "d.json", ONE_BOX_DWD),
+        "--models": write_json(tmp_path / "m.json", ZERO_FIELD_MODEL),
+        "--config": write_json(tmp_path / "c.json", {"h": 0.5, "steps": 3, "init": [1.0]}),
+        "--labels": write_json(tmp_path / "l.json", {"boxes": ["one"]}),
+    }
+    inputs[flag] = deeply_nested(tmp_path / "deep.json")
+    argv = [arg for pair in inputs.items() for arg in map(str, pair)]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "o.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {inputs[flag]}: maximum recursion depth exceeded")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestCompose:
     def test_identity_inners_give_canonical_outer(self, tmp_path, repo_root):
         outer_path = repo_root / "configs" / "ecosystem" / "total_diagram.json"
@@ -658,6 +689,14 @@ class TestExports:
         data = json.loads(dwd_path.read_text())
         assert data["B"] == 4 and data["P_in"] == 16 and data["W"] == 8
         assert data["Q_in"] == data["Q_out"] == data["W_in"] == data["W_out"] == 8
+
+    def test_grid_too_large_to_index_exits_1(self, tmp_path, capsys):
+        # 10**20 boxes exceed np.intp, so this fails before allocating anything.
+        out = tmp_path / "huge.json"
+        assert main(["grid", "10000000000", "10000000000", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot build a 10000000000 x 10000000000 grid: ")
+        assert not out.exists()
 
     def test_export_dot(self, tmp_path):
         d_path = tmp_path / "d.json"

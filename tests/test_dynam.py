@@ -66,6 +66,18 @@ class TestEvalDynamics:
         with pytest.raises(SizeMismatchError):
             eval_dynamics(m, [1.0], [0.0, 0.0])
 
+    def test_a_program_of_other_sizes_is_refused(self):
+        heat = instantiate(builtin_model("heat_node", {"alpha": 0.1}))  # sizes (4, 1, 4)
+        with pytest.raises(SizeMismatchError, match=r"= \(4, 1, 4\), system has \(2, 3, 3\)"):
+            Machine(2, 3, 3, heat.dynamics, heat.readout, "continuous", heat.program)
+        lv = instantiate(builtin_model("lv_predation", {"a": 0.1, "b": 0.2}))  # sizes (0, 2, 0)
+        with pytest.raises(SizeMismatchError, match=r"\(0, 2, 0\), system has \(0, 3, 0\)"):
+            ResourceSharer(0, 3, FinFunction(0, 3, ()), lv.dynamics, "continuous", lv.program)
+        with pytest.raises(SizeMismatchError):  # a machine's program for a sharer
+            ResourceSharer(0, 1, FinFunction(0, 1, ()), heat.dynamics, "continuous", heat.program)
+        same = Machine(4, 1, 4, heat.dynamics, heat.readout, "continuous", heat.program)
+        assert same == heat and same.program is heat.program
+
 
 def identity_machine_like(nprng, m, n):
     return random_machine(nprng, m, n)

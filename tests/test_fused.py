@@ -283,9 +283,11 @@ def test_a_composite_over_the_cutoff_carries_a_program_and_so_does_its_euler_map
     assert stepped.program.inner is composite.program
     rng = np.random.default_rng(3)
     a, x = rng.uniform(-1.0, 1.0, composite.n_inputs), rng.uniform(0.0, 1.0, 100)
-    # The map's readout is the composite's generated readout; it makes none.
-    assert bits(stepped.readout(x)) == bits(composite.readout(x))
-    assert "array_readout" in vars(composite.program) and "array_readout" not in vars(stepped.program)
+    # The map's readout has the composite's source: it compiles no new code.
+    want = composite.readout(x)
+    misses = codegen._compile.cache_info().misses
+    assert bits(stepped.readout(x)) == bits(want)
+    assert codegen._compile.cache_info().misses == misses
     assert bits(stepped.dynamics(a, x)) == bits(x + 0.01 * composite.dynamics(a, x))
 
 
@@ -315,7 +317,12 @@ def test_fused_code_is_cached_by_value(repo_root):
     assert again.program.boxes[0] == first.program.boxes[0]
     assert again.program.boxes[0] is not first.program.boxes[0]
     assert first.program == again.program and first.program is not again.program
-    assert first.dynamics is again.dynamics and first.readout is again.readout
+    # Each system generates its own callables; equal sources compile once.
+    codegen._compile.cache_clear()
+    a, x = np.zeros(first.n_inputs), np.array([990.0, 10.0, 0.0, 1000.0, 0.0, 0.0, 500.0, 5.0, 0.0])
+    got = [(bits(m.dynamics(a, x)), bits(m.readout(x))) for m in (first, again)]
+    assert got[0] == got[1]
+    assert codegen._compile.cache_info().misses == 2
 
 
 def test_fused_code_is_folded_into_expressions_with_every_check_kept(repo_root, monkeypatch):

@@ -36,7 +36,7 @@ from dynwire import (
 )
 from dynwire.fileio import SimulationConfig
 from dynwire.sim import build_system, run_trajectory
-from dynwire.wiring import grid
+from dynwire.wiring import DWDiagram, grid
 
 # Golden suite: 30 expressions covering precedence, associativity, unary
 # minus, and functions; expected values verified by direct evaluation.
@@ -107,6 +107,42 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ExprSyntaxError):
             parse("")
+
+
+def on_a_deeper_stack(frames, f):
+    """``f()``, called with ``frames`` more frames on the stack."""
+    return on_a_deeper_stack(frames - 1, f) if frames else f()
+
+
+def run_everywhere(expr):
+    """Load, build, step (Euler and RK4) and print a model of ``expr``."""
+    spec = spec_from_json({"kind": "machine", "flavor": "continuous", "states": ["x"],
+                           "params": {}, "dynamics": {"x": expr}, "readout": [expr]})
+    composed = build_system(DWDiagram.from_tables(1, [], [0]), [spec])
+    for scheme in ("euler", "rk4"):
+        run_trajectory(composed, SimulationConfig(h=0.01, steps=2, init=(0.5,)), scheme)
+    assert spec_from_json(spec_to_json(spec)) == spec
+
+
+DEPTH, NESTING = modelspec._MAX_DEPTH, modelspec._MAX_NESTING
+OPERATIONS = f"nests more than {DEPTH} operations"
+OPENINGS = f"nests more than {NESTING} parentheses, calls and powers"
+# Of each shape: its text with ``k`` operators or parentheses, its bound on
+# ``k``, the message past that, and the offset of the token that goes past.
+SHAPES = {
+    "sum": (lambda k: "+".join(["x"] * (k + 1)), DEPTH, OPERATIONS, 2 * DEPTH + 1),
+    "parentheses": (lambda k: "(" * k + "x" + ")" * k, NESTING, OPENINGS, NESTING),
+    "powers": (lambda k: "^".join(["x"] * (k + 1)), NESTING, OPENINGS, 2 * NESTING + 1),
+}
+
+
+@pytest.mark.parametrize("text, bound, what, offset", SHAPES.values(), ids=SHAPES.keys())
+def test_expressions_run_to_their_bound_and_are_refused_past_it(text, bound, what, offset):
+    # 250 frames deep, as from a caller's own stack.
+    on_a_deeper_stack(250, lambda: run_everywhere(text(bound)))
+    with pytest.raises(ExprSyntaxError, match=f"{what} at offset {offset}$") as err:
+        parse(text(bound + 1))
+    assert err.value.offset == offset
 
 
 class TestEvalErrors:

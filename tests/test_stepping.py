@@ -264,7 +264,7 @@ def test_a_fused_run_makes_no_python_call_per_step(scheme, repo_root):
 def test_a_fresh_simulate_compiles_its_loop_alone(scheme, repo_root, tmp_path, monkeypatch):
     # A system's own functions are generated on their first call, which a
     # trajectory never makes: it runs the loop that ``runner`` generates.
-    for cache in (modelspec._build, codegen.compiled, codegen._fused_runner):
+    for cache in (modelspec._build, codegen._fused_runner):
         cache.cache_clear()
     sources: list[str] = []
     compile_source = codegen._compile
@@ -274,7 +274,7 @@ def test_a_fresh_simulate_compiles_its_loop_alone(scheme, repo_root, tmp_path, m
         "simulate", "--diagram", str(sir / "cyclic.json"), "--models", *[str(sir / "city.json")] * 3,
         "--config", str(sir / "sim_cyclic.json"), "--out", str(tmp_path / "sir.csv"), "--scheme", scheme,
     ]) == 0
-    assert len(sources) == 1 and "def _generated(inputs, x, steps, rows):" in sources[0]
+    assert len(sources) == 1 and "def _generated(inputs, steps, rows):" in sources[0]
 
 
 def test_a_box_by_box_trajectory_holds_its_block_and_little_more():

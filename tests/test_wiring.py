@@ -10,6 +10,7 @@ from dynwire import (
     CPGraph,
     DiagramError,
     DWDiagram,
+    DynwireError,
     UWDiagram,
     canonical,
     cpg_to_dwd,
@@ -307,6 +308,30 @@ class TestGrid:
     def test_outer_ports_ordered(self):
         g = grid(2, 1)
         assert g.data.parts["expose"].tolist() == [0, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (2, 1), (1, 3), (3, 3), (7, 5), (4, 9)])
+    def test_columns_are_those_of_the_box_by_box_loop(self, width, height):
+        def port(x, y, d):  # d: North, East, South, West
+            return 4 * (y * width + x) + d
+
+        wires = []
+        for y in range(height):
+            for x in range(width):
+                if x + 1 < width:
+                    wires += [(port(x, y, 1), port(x + 1, y, 3)), (port(x + 1, y, 3), port(x, y, 1))]
+                if y + 1 < height:
+                    wires += [(port(x, y, 2), port(x, y + 1, 0)), (port(x, y + 1, 0), port(x, y, 2))]
+        wired = {p for w in wires for p in w}
+        n = 4 * width * height
+        want = CPGraph.from_tables(
+            width * height, [p // 4 for p in range(n)], wires, [p for p in range(n) if p not in wired]
+        )
+        assert grid(width, height).data == want.data
+
+    def test_too_large_to_index_is_a_domain_error(self):
+        # 10**20 boxes exceed np.intp, so this fails before allocating anything.
+        with pytest.raises(DynwireError, match="cannot build a 10000000000 x 10000000000 grid: "):
+            grid(10**10, 10**10)
 
 
 class TestCpgToDwd:
