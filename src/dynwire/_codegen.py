@@ -36,30 +36,43 @@ from .wiring import _Fibers
 # AST
 
 
+class _Value:
+    """A read-only value: its copies, shallow or deep, are itself.
+
+    ``copy.deepcopy`` would otherwise walk an expression tree a few frames
+    per level, and run out of stack on trees the parser accepts."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo: dict):
+        return self
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Value):
     value: float  # nonnegative; negative literals parse as Neg(Num(...))
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Value):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Value):
     operand: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Value):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Value):
     fn: str  # one of sin cos exp
     arg: "Expr"
 

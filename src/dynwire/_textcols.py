@@ -18,9 +18,11 @@ lines (see "Floats as repr text" below).
 ``parse_lists(data)`` reads the other way: every plain integer list of a
 JSON text (``[`` digits, commas and whitespace ``]``, outside any string),
 all of them in one ``np.fromstring`` pass, with the text left once they are
-cut out.  It returns lists only when they provably equal what ``json.loads``
-returns, and otherwise ``None``, so that the caller reads the text with
-``json`` instead.
+cut out.  Each candidate list is classified by numpy counts over its bytes:
+it is plain when it has a digit and its digits, commas and JSON blanks add
+up to its length, and its commas count its entries.  It returns lists only
+when they provably equal what ``json.loads`` returns, and otherwise
+``None``, so that the caller reads the text with ``json`` instead.
 """
 
 from __future__ import annotations
@@ -106,11 +108,36 @@ def format_rows(parts: Sequence[str], columns: Sequence[Sequence[int]], sep: str
     return str(kept, "ascii")
 
 
-# What a plain list holds besides digits: commas and JSON whitespace.
-_SEPARATORS = b",\t\n\r "
+# Byte values: what a plain list holds besides digits is commas and the
+# four JSON blanks.
+_ZERO_BYTE, _TEN_BYTE = np.uint8(_ZERO), np.uint8(10)
+_COMMA = np.uint8(ord(","))
+_BLANKS = [np.uint8(ord(c)) for c in " \n\t\r"]
 # Entries below 10**_MAX_DIGITS are stored exactly; np.fromstring clamps a
 # larger number to the np.intp maximum, which is at or above that bound.
 _MAX_DIGITS = len(str(np.iinfo(np.intp).max)) - 1
+
+
+def _plain(body: np.ndarray) -> tuple[int, int] | None:
+    """The digit and comma counts of the bytes ``body`` of a list, if it
+    holds at least one digit and otherwise only commas and JSON blanks.
+
+    The four kinds of byte are disjoint, so the body holds nothing else
+    exactly when their counts sum to its length; the blanks are counted
+    only while bytes are left over.  A digit is a byte ``b`` with
+    ``b - 48 < 10`` in ``uint8``, where every byte below ``"0"`` wraps
+    around to 208 or more.
+    """
+    digits = np.count_nonzero(body - _ZERO_BYTE < _TEN_BYTE)
+    if not digits:
+        return None
+    commas = np.count_nonzero(body == _COMMA)
+    rest = body.size - digits - commas
+    for blank in _BLANKS:
+        if not rest:
+            break
+        rest -= np.count_nonzero(body == blank)
+    return None if rest else (digits, commas)
 
 
 def parse_lists(data: bytes) -> tuple[bytes, list[np.ndarray]] | None:
@@ -140,15 +167,13 @@ def parse_lists(data: bytes) -> tuple[bytes, list[np.ndarray]] | None:
         close = data.find(b"]", pos, end)
         while close >= 0:
             open_ = data.rfind(b"[", pos, close)
-            if open_ >= 0:
-                body = data[open_ + 1:close]
-                numerals = body.translate(None, _SEPARATORS)
-                if numerals.isdigit():
-                    kept += (view[done:open_], b'"\\u0000%d"' % len(bodies))
-                    bodies.append(view[open_ + 1:close])
-                    counts.append(body.count(b",") + 1)
-                    digits += len(numerals)
-                    done = close + 1
+            plain = open_ >= 0 and _plain(np.frombuffer(view[open_ + 1:close], np.uint8))
+            if plain:
+                kept += (view[done:open_], b'"\\u0000%d"' % len(bodies))
+                bodies.append(view[open_ + 1:close])
+                counts.append(plain[1] + 1)
+                digits += plain[0]
+                done = close + 1
             pos = close + 1
             close = data.find(b"]", pos, end)
         if quote < 0:

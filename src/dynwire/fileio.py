@@ -7,10 +7,12 @@ schema names and 0-based indices throughout.  All files are UTF-8; CSV uses
 
 Diagram files are read column-wise: the integer lists of a file of at least
 ``_COLUMNWISE_BYTES`` bytes are parsed in one numpy pass
-(``_textcols.parse_lists``) and ``json`` reads only the rest.  A file that
-pass cannot read exactly as ``json.loads`` would, and every smaller file or
-other kind of file, is read by ``json.loads`` alone, so the same files are
-accepted with the same errors either way.
+(``_textcols.parse_lists``) and ``json`` reads only the rest.  A list is
+taken by that pass when numpy counts of its bytes show only digits, commas
+and JSON blanks, with at least one digit.  A file that pass cannot read
+exactly as ``json.loads`` would, and every smaller file or other kind of
+file, is read by ``json.loads`` alone, so the same files are accepted with
+the same errors either way.
 """
 
 from __future__ import annotations

@@ -42,7 +42,10 @@ class FinFunction:
     """A total function ``[0, dom_size) -> [0, cod_size)``.
 
     Entries are stored as Python ints; a float or bool entry raises
-    ``SizeMismatchError`` rather than being truncated.
+    ``SizeMismatchError`` rather than being truncated.  An integer array of
+    at least ``_ARRAY_ENTRIES`` entries is checked in one pass and copied
+    once into the read-only ``np.intp`` array that vector transport uses;
+    shorter maps are checked as tuples, which is then faster.
     """
 
     dom_size: int
@@ -50,21 +53,39 @@ class FinFunction:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        entries = self.map
+        if (
+            isinstance(entries, np.ndarray) and entries.dtype.kind in "iu" and entries.ndim == 1
+            and len(entries) >= _ARRAY_ENTRIES and self.cod_size <= _INTP_MAX
+        ):
+            self._check_sizes(len(entries))
+            indices = entries.astype(np.intp)
+            # Read as unsigned, a negative entry is above every codomain.
+            wide = indices.view(np.uintp)
+            if int(wide.max()) >= self.cod_size:
+                i = int(np.argmax(wide >= np.uintp(self.cod_size)))
+                raise self._outside(i, int(entries[i]))
+            indices.setflags(write=False)
+            self.__dict__["_indices"] = indices
+            object.__setattr__(self, "map", tuple(indices.tolist()))
+            return
         entries = int_entries(
-            self.map, lambda i, v: SizeMismatchError(f"map entry {i} is {v!r}, not an integer")
+            entries, lambda i, v: SizeMismatchError(f"map entry {i} is {v!r}, not an integer")
         )
         object.__setattr__(self, "map", entries)
+        self._check_sizes(len(entries))
+        if entries and not (min(entries) >= 0 and max(entries) < self.cod_size):
+            i = next(i for i, v in enumerate(entries) if not 0 <= v < self.cod_size)
+            raise self._outside(i, entries[i])
+
+    def _check_sizes(self, n: int) -> None:
         if self.dom_size < 0 or self.cod_size < 0:
             raise SizeMismatchError("set sizes must be nonnegative")
-        if len(entries) != self.dom_size:
-            raise SizeMismatchError(
-                f"map has {len(entries)} entries but dom_size is {self.dom_size}"
-            )
-        if entries and not (min(entries) >= 0 and max(entries) < self.cod_size):
-            i, v = next((i, v) for i, v in enumerate(entries) if not 0 <= v < self.cod_size)
-            raise SizeMismatchError(
-                f"map entry {i} is {v}, outside codomain [0, {self.cod_size})"
-            )
+        if n != self.dom_size:
+            raise SizeMismatchError(f"map has {n} entries but dom_size is {self.dom_size}")
+
+    def _outside(self, i: int, v: int) -> SizeMismatchError:
+        return SizeMismatchError(f"map entry {i} is {v}, outside codomain [0, {self.cod_size})")
 
     @classmethod
     def from_entries(cls, entries: Sequence[int], cod_size: int) -> "FinFunction":
@@ -83,6 +104,12 @@ class FinFunction:
         return np.asarray(self.map, dtype=np.intp)
 
 
+# Integer arrays at least this long are checked by numpy; below it, each
+# numpy call costs more than a scan of the entries as Python ints.
+_ARRAY_ENTRIES = 64
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def int_entries(values: Iterable[int], fail: Callable[[int, object], Exception]) -> tuple[int, ...]:
     """``values`` as a tuple of Python ints.
 
@@ -97,7 +124,7 @@ def int_entries(values: Iterable[int], fail: Callable[[int, object], Exception])
     if set(map(type, values)) <= {int}:
         return values
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not hasattr(v, "__index__"):
+        if isinstance(v, (bool, np.bool_)) or not hasattr(v, "__index__"):
             raise fail(i, v)
     return tuple(map(operator.index, values))
 
@@ -113,7 +140,9 @@ def compose(f: FinFunction, g: FinFunction) -> FinFunction:
         raise SizeMismatchError(
             f"cannot compose: first codomain is {f.cod_size}, second domain is {g.dom_size}"
         )
-    return FinFunction(f.dom_size, g.cod_size, tuple(map(g.map.__getitem__, f.map)))
+    if f.dom_size < _ARRAY_ENTRIES:
+        return FinFunction(f.dom_size, g.cod_size, tuple(map(g.map.__getitem__, f.map)))
+    return FinFunction(f.dom_size, g.cod_size, g._indices[f._indices])
 
 
 @dataclass(frozen=True)
@@ -169,7 +198,7 @@ def merge_classes(size: int, pairs: Iterable[tuple[int, int]]) -> FinFunction:
     if ends.size and not (ends.min() >= 0 and ends.max() < size):
         raise SizeMismatchError(f"pair entries must lie in [0, {size})")
     n_classes, classes = _classes(size, ends[:, 0], ends[:, 1])
-    return FinFunction(size, n_classes, classes.tolist())
+    return FinFunction(size, n_classes, classes)
 
 
 def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
@@ -213,8 +242,8 @@ def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
     n, classes = _classes(b + c, f._indices, g._indices + b)
     return PushoutResult(
         apex_size=n,
-        inj_left=FinFunction(b, n, classes[:b].tolist()),
-        inj_right=FinFunction(c, n, classes[b:].tolist()),
+        inj_left=FinFunction(b, n, classes[:b]),
+        inj_right=FinFunction(c, n, classes[b:]),
     )
 
 

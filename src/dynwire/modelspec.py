@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ._codegen import (
-    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, define,
+    FUNCTIONS, BinOp, Call, Emitter, Expr, Leaf, Neg, Num, Var, _Value, define,
 )
 from .errors import ExprEvalError, ExprSyntaxError, ModelSpecError
 from .dynam import Machine, ResourceSharer, _system
@@ -305,7 +305,7 @@ def free_variables(e: Expr) -> set[str]:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Value):
     """A serializable elementary system definition, as a read-only value.
 
     Machines declare ``inputs`` and a ``readout`` expression per output;
@@ -318,7 +318,8 @@ class ModelSpec:
     mutating a dict or list after passing it changes nothing, and assigning
     to a field raises.  Specs compare by value (parameters as floats);
     ``spec_from_json`` and ``builtin_model`` return one shared object for
-    equal input, and ``pickle`` and ``copy.deepcopy`` give back an equal spec.
+    equal input; ``pickle`` gives back an equal spec, and ``copy.copy`` and
+    ``copy.deepcopy`` the spec itself.
     """
 
     kind: str  # "machine" | "sharer"

@@ -54,7 +54,7 @@ from dynwire.fileio import (
     write_csv,
     write_svg_lineplot,
 )
-from dynwire.wiring import _SYNTAX, _Fibers, ocompose
+from dynwire.wiring import _SYNTAX, _Fibers, _sorted_pairs, ocompose
 from dynwire.modelspec import builtin_model
 
 from helpers import (
@@ -773,11 +773,46 @@ def test_validate_matches_row_by_row(x):
     dom=st.integers(-1, 6),
     cod=st.integers(-1, 6),
     entries=st.lists(st.integers(-3, 8) | st.booleans() | st.floats(-3, 8), max_size=7),
+    reps=st.sampled_from((1, 64)),
 )
-def test_finfunction_raises_the_first_bad_entry(dom, cod, entries):
-    want = reference_map_error(dom, cod, entries)
+def test_finfunction_raises_the_first_bad_entry(dom, cod, entries, reps):
+    # Repeated 64 times, an integer array is long enough to be checked by
+    # numpy rather than as a tuple (finset._ARRAY_ENTRIES).
+    dom, entries = dom * reps, entries * reps
+    assert_map_or_error(dom, cod, entries, entries)
+    if all(type(v) is int for v in entries):
+        ints = np.array(entries, dtype=np.int64)
+        read_only = ints.astype(np.intp)
+        read_only.setflags(write=False)
+        # As uint64, a negative entry wraps around to 2**64 + v.
+        for array in (ints, ints.astype(np.uint64), read_only):
+            assert_map_or_error(dom, cod, array, array.tolist())
+    elif (array := np.array(entries)).dtype.kind in "bf":
+        # Bool and float arrays are refused at their first entry.
+        assert_map_or_error(dom, cod, array, list(array))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.intp], ids=["int64", "uint64", "intp"])
+def test_long_integer_arrays_raise_their_first_bad_entry(dtype):
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(64, 200))
+        entries = rng.integers(0, 10, n)
+        bad = rng.choice(n, int(rng.integers(0, 4)), replace=False)
+        entries[bad] = rng.choice([-3, -1, 10, 11, 2**40], bad.size)
+        array = entries.astype(dtype)  # as uint64, a negative entry wraps around
+        array.setflags(write=False)
+        assert_map_or_error(n, 10, array, array.tolist())
+
+
+def assert_map_or_error(dom, cod, entries, values):
+    """``FinFunction(dom, cod, entries)`` maps as ``values`` do, or raises
+    what ``reference_map_error`` says of them."""
+    want = reference_map_error(dom, cod, values)
     if want is None:
-        assert FinFunction(dom, cod, entries).map == tuple(entries)
+        f = FinFunction(dom, cod, entries)
+        assert f.map == tuple(values) and set(map(type, f.map)) <= {int}
+        assert f._indices.dtype == np.intp and f._indices.tolist() == list(values)
     else:
         with pytest.raises(SizeMismatchError) as info:
             FinFunction(dom, cod, entries)
@@ -853,6 +888,33 @@ def test_canonical_and_dot_match_row_by_row(make):
         d = make(rng)
         assert canonical(d) == reference_canonical(d)
         assert to_dot(d) == reference_dot(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(*[st.integers(0, 5) | st.sampled_from((2**31, 2**62, INDEX.max))] * 2),
+                   max_size=40),
+)
+def test_sorted_pairs_sorts_like_sorted(pairs):
+    # Repeated pairs are common, and entries near the top of the index
+    # range take the np.lexsort path.
+    src, tgt = (np.array(c, dtype=np.intp) for c in (zip(*pairs) if pairs else ((), ())))
+    got = _sorted_pairs(src, tgt)
+    assert [c.dtype for c in got] == [np.intp] * 2
+    assert list(zip(*(c.tolist() for c in got))) == sorted(pairs)
+
+
+def test_canonical_of_outer_ports_near_the_index_limit_matches_row_by_row():
+    # Sorted as one key, these wires would pass the np.intp range.
+    top = 2**62
+    d = DWDiagram.from_tables(
+        3, [2, 0, 1, 0], [1, 2, 0], top, top + 5,
+        wires=[(2, 3), (0, 1), (2, 3), (1, 0)],
+        in_wires=[(top - 1, 3), (7, 0), (top - 1, 1), (0, 2), (top - 1, 1)],
+        out_wires=[(1, top + 4), (2, 3), (1, top + 4), (0, top)],
+    )
+    assert canonical(d) == reference_canonical(d)
+    assert canonical(canonical(d)) == canonical(d)
 
 
 def test_dot_of_empty_and_wide_diagrams_matches_row_by_row():

@@ -177,14 +177,86 @@ def test_simulate_output_over_junk_matches_golden_digest(tmp_path, repo_root, ca
 # ---------------------------------------------------------------------------
 # Syntax outputs: diagram files written by compose, grid and migrate, and DOT
 # text, pinned by digests recorded before index columns were formatted in
-# one numpy pass.
+# one numpy pass; those of compose_dwd, dot_dwd and compose_cpg before wire
+# pairs were sorted as one key and directed wires spliced by joins.
 
 ECO_COMPOSE = [
     "compose", "--outer", f"{ECO}/total_diagram.json",
     "--inner", f"{ECO}/land_diagram.json", "--inner", f"{ECO}/river_diagram.json",
 ]
 
-# name -> (argv, the output's name); "{x}" is the output of case x.
+
+def _dwd(n_boxes, box_in, box_out, q_in, q_out, wires, in_wires, out_wires) -> dict:
+    src, tgt, src_in, tgt_in, src_out, tgt_out = (
+        [p[k] for p in pairs] for pairs in (wires, in_wires, out_wires) for k in (0, 1)
+    )
+    return {
+        "schema": "DWD", "B": n_boxes, "P_in": len(box_in), "P_out": len(box_out),
+        "W": len(wires), "W_in": len(in_wires), "W_out": len(out_wires), "Q_in": q_in,
+        "Q_out": q_out, "box_in": box_in, "box_out": box_out, "src": src, "tgt": tgt,
+        "src_in": src_in, "tgt_in": tgt_in, "src_out": src_out, "tgt_out": tgt_out,
+    }
+
+
+# Inner diagrams by the (in, out) signature of the box they fill: ports out
+# of box order, an outer in-port that fans out, one that reaches nothing,
+# outer out-ports fed twice or not at all, and one inner with no boxes.
+DWD_INNERS = {
+    (2, 3): _dwd(3, [1, 0, 2, 1], [2, 0, 1, 0], 2, 3, [(1, 0), (3, 2), (0, 1), (1, 0)],
+                 [(0, 3), (1, 2), (0, 1)], [(2, 1), (0, 0), (3, 1)]),
+    (1, 1): _dwd(1, [0], [0, 0], 1, 1, [(1, 0)], [], [(1, 0), (0, 0)]),
+    (2, 1): _dwd(0, [], [], 2, 1, [], [], []),
+}
+
+
+def _dwd_outer(seed: int = 2406, n_boxes: int = 120) -> tuple[dict, list]:
+    """A seeded DWD of ``n_boxes`` boxes of the ``DWD_INNERS`` signatures,
+    with repeated wires and box columns out of box order; and each box's
+    signature."""
+    rng = random.Random(seed)
+    kinds = [rng.choice(list(DWD_INNERS)) for _ in range(n_boxes)]
+    box_in = [b for b, (i, _) in enumerate(kinds) for _ in range(i)]
+    box_out = [b for b, (_, o) in enumerate(kinds) for _ in range(o)]
+    rng.shuffle(box_in)
+    rng.shuffle(box_out)
+    p_in, p_out, q_in, q_out = len(box_in), len(box_out), 5, 4
+
+    def pairs(n, a, b):
+        return [(rng.randrange(a), rng.randrange(b)) for _ in range(n)]
+
+    outer = _dwd(n_boxes, box_in, box_out, q_in, q_out, pairs(160, p_out, p_in),
+                 pairs(12, q_in, p_in), pairs(10, p_out, q_out))
+    return outer, kinds
+
+
+DWD_OUTER, DWD_KINDS = _dwd_outer()
+# A CPG with four exposed ports, to fill each box of a grid.
+CPG_INNER = {"schema": "CPG", "B": 3, "P": 6, "W": 4, "Q": 4, "box": [1, 0, 2, 0, 1, 0],
+             "src": [1, 4, 5, 3], "tgt": [3, 5, 1, 1], "expose": [0, 2, 3, 5]}
+
+
+def write_compose_inputs(root: Path) -> dict[str, str]:
+    """Write the inputs of ``compose_dwd`` and ``compose_cpg`` to ``root``:
+    the outer DWD indented, so that its lists hold blanks, and the inners
+    on one line each.  Returns their paths by name."""
+    files = {"dwd_outer": json.dumps(DWD_OUTER, indent=1), "cpg_inner": json.dumps(CPG_INNER)}
+    for (i, o), inner in DWD_INNERS.items():
+        files[f"dwd_{i}_{o}"] = json.dumps(inner)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    return paths
+
+
+def compose_dwd_argv(root: Path) -> list[str]:
+    """The argv of the ``compose_dwd`` case, its inputs written to ``root``."""
+    inputs = write_compose_inputs(Path(root))
+    return [arg.format(**inputs) for arg in SYNTAX["compose_dwd"][0]]
+
+
+# name -> (argv, the output's name); "{x}" is the output of case x, or the
+# input x that ``write_compose_inputs`` writes.
 SYNTAX = {
     "compose_ecosystem": (ECO_COMPOSE, "eco.json"),
     "grid_3x3": (["grid", "3", "3"], "grid3.json"),
@@ -194,6 +266,15 @@ SYNTAX = {
     "dot_sir_cyclic": (["export-dot", "--diagram", f"{SIR}/cyclic.json"], "cyclic.dot"),
     "dot_ecosystem": (["export-dot", "--diagram", "{compose_ecosystem}"], "eco.dot"),
     "dot_grid_32x32": (["export-dot", "--diagram", "{grid_32x32}"], "grid32.dot"),
+    "compose_dwd": (
+        ["compose", "--outer", "{dwd_outer}",
+         *[arg for i, o in DWD_KINDS for arg in ("--inner", f"{{dwd_{i}_{o}}}")]],
+        "dwd.json",
+    ),
+    "dot_dwd": (["export-dot", "--diagram", "{compose_dwd}"], "dwd.dot"),
+    "compose_cpg": (
+        ["compose", "--outer", "{grid_32x32}", *["--inner", "{cpg_inner}"] * 1024], "cpg.json",
+    ),
 }
 
 SYNTAX_DIGESTS = {
@@ -205,6 +286,9 @@ SYNTAX_DIGESTS = {
     "dot_sir_cyclic": "b1899c2c3f144147fef1482123c166bb8fa274d682ff3f07de1554cc5d77a039",
     "dot_ecosystem": "acb5cc29e2d7da08f91491f482fcbc4e462cf117f2e5c43e2561c164dea76d93",
     "dot_grid_32x32": "02223ae80e949307d1402a6a4b821883745231fa59c2ad6df717b0dac0709ac3",
+    "compose_dwd": "4287409556d0f137bc8d382d3d65adc1d8973dd00a76ee08c4d45a3a70fc76d4",
+    "dot_dwd": "b331018a538c2f349e437b8c5d4003681a0e0f498472fbc6d1b1f61f699c0404",
+    "compose_cpg": "8d41c6a46e1c24c20c1c1fd8e59332ab759c9dd8685796993d8b3ea35f4ed3d4",
 }
 
 
@@ -213,10 +297,13 @@ def syntax_digests(tmp_path: Path, repo_root: Path, junk: bool = False) -> dict[
     ``junk``, every output is first filled by ``fill_with_junk``."""
     if junk:
         fill_with_junk(*(tmp_path / out for _, out in SYNTAX.values()))
+    inputs = write_compose_inputs(tmp_path)
     outputs: dict[str, str] = {}
 
     def where(arg: str) -> str:
-        return str(repo_root / arg) if arg.startswith("configs/") else arg.format(**outputs)
+        if arg.startswith("configs/"):
+            return str(repo_root / arg)
+        return arg.format(**inputs, **outputs)
 
     for name, (argv, out) in SYNTAX.items():
         assert main([*map(where, argv), "-o", str(tmp_path / out)]) == 0

@@ -452,6 +452,19 @@ class TestSpecValues:
             with pytest.raises(TypeError):
                 again.params["p"] = 1.0
 
+    def test_deep_specs_copy_as_themselves_from_deep_in_the_stack(self):
+        # Walking two 200-term sums, copy.deepcopy needs some four frames a
+        # level: 400 frames deep, it would run out of stack.
+        text = "+".join(["x"] * 200)
+        spec = spec_from_json({"kind": "machine", "flavor": "continuous", "states": ["x"],
+                               "params": {}, "dynamics": {"x": text}, "readout": [text]})
+        tree = spec.dynamics["x"]
+        copies = on_a_deeper_stack(400, lambda: (
+            copy.deepcopy(spec), copy.copy(spec), copy.deepcopy({"spec": spec, "tree": tree}),
+        ))
+        assert copies[0] is spec and copies[1] is spec
+        assert copies[2]["spec"] is spec and copies[2]["tree"] is tree
+
     @pytest.mark.parametrize("data", [
         dict(ZERO_MODEL, dynamics={"x": "2+"}),
         dict(ZERO_MODEL, readout=["x", "@"]),
