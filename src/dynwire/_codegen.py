@@ -519,39 +519,32 @@ def _composite(boxes: Sequence[Program], glue: int) -> tuple[np.ndarray, int, bo
 class Transport(Program):
     """A directed composite: readouts and outer inputs summed into in-ports.
 
-    The tables are index arrays: ``inward`` gathers from
-    ``concat(readouts, inputs)`` and scatters into in-ports, ``outward``
-    gathers from readouts into outer out-ports; ``ins`` and ``outs`` group
-    the in-ports and out-ports by box, and ``offs`` the boxes' states.  Only
-    a fused transport turns them into tuples, for its key and its code;
-    any other makes its :class:`BoxPlan` with itself.
+    A composite's states, in-ports and out-ports are the sums of its boxes':
+    box ``i``'s are ``offs[i]:offs[i + 1]``, ``ins[i]:ins[i + 1]`` and
+    ``outs[i]:outs[i + 1]``.  The tables are index arrays over those sums:
+    ``inward`` gathers from ``concat(readouts, inputs)`` and scatters into
+    in-ports, ``outward`` gathers from readouts into outer out-ports.  Only a
+    fused transport turns them into tuples, for its key and its code; any
+    other makes its :class:`BoxPlan` with itself.
     """
 
     def __init__(
-        self,
-        boxes: Sequence[Program],
-        n_inputs: int,
-        n_outputs: int,
-        ins: _Fibers,
-        outs: _Fibers,
-        inward: tuple[np.ndarray, np.ndarray],
-        outward: tuple[np.ndarray, np.ndarray],
+        self, boxes: Sequence[Program], n_inputs: int, n_outputs: int, ins: np.ndarray,
+        outs: np.ndarray, inward: tuple[np.ndarray, np.ndarray], outward: tuple[np.ndarray, np.ndarray],
     ):
         self.boxes = tuple(boxes)
         self.ins, self.outs, self.inward, self.outward = ins, outs, inward, outward
         # An addition per wire.
         self.offs, statements, fused = _composite(self.boxes, len(inward[0]) + len(outward[0]))
-        key = None
-        if fused:
-            wires = (tuple(c.tolist()) for c in (*inward, *outward))
-            key = (self.boxes, n_inputs, n_outputs, ins.tuples(), outs.tuples(), *wires)
+        wires = (tuple(c.tolist()) for c in (*inward, *outward))
+        key = (self.boxes, n_inputs, n_outputs, *wires) if fused else None
         super().__init__(key, n_inputs, int(self.offs[-1]), n_outputs, statements)
-        self.plan = None if fused else BoxPlan(self.boxes, self.offs, ins, outs)
+        self.plan = None if fused else BoxPlan(self.boxes, (self.offs, ins, outs), True)
 
     def _readouts(self, em: Emitter, x: Sequence[str], a: Sequence[str] = ()) -> list[str]:
-        """Every box's readout in box order, placed at its out-ports, then ``a``."""
-        n = self.outs.order.size
+        """Every box's readout in box order, then ``a``."""
         if em.arrays:
+            n = int(self.outs[-1])
             # A nested composite's readouts, made for its parent's readout
             # phase, serve its own dynamics in the phase after.
             values = em.readouts.get((self, x[0]))
@@ -565,24 +558,23 @@ class Transport(Program):
             elif a:
                 values = em.statement(f"_np.concatenate(({values}, {a[0]}))")
             return [values]
-        r = [""] * n
-        for box, states, ports in zip(self.boxes, _slices(self.offs), self.outs.tuples()):
-            for port, value in zip(ports, box.readout(em, x[states])):
-                r[port] = value
+        r = []
+        for box, states in zip(self.boxes, _slices(self.offs)):
+            r += box.readout(em, x[states])
         return [*r, *a]
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
         return em.sums(*self.outward, self._readouts(em, x), self.n_outputs)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
-        feed = em.sums(*self.inward, self._readouts(em, x, a), self.ins.order.size)
+        feed = em.sums(*self.inward, self._readouts(em, x, a), int(self.ins[-1]))
         if em.arrays:
             out = em.statement(f"_np.empty({self.n_states})")
             self.plan.emit(em, x[0], out, feed[0])
             return [out]
         out: list[str] = []
-        for box, states, ports in zip(self.boxes, _slices(self.offs), self.ins.tuples()):
-            out += box.dynamics(em, [feed[p] for p in ports], x[states])
+        for box, states, ports in zip(self.boxes, _slices(self.offs), _slices(self.ins)):
+            out += box.dynamics(em, feed[ports], x[states])
         return out
 
 
@@ -602,7 +594,8 @@ class Gluing(Program):
         self.offs, statements, fused = _composite(self.boxes, glue)
         key = (self.boxes, injection.map, n_states, discrete) if fused else None
         super().__init__(key, 0, n_states, 0, statements)
-        self.plan = None if fused else BoxPlan(self.boxes, self.offs)
+        none = np.zeros_like(self.offs)  # a sharer has no in- or out-ports
+        self.plan = None if fused else BoxPlan(self.boxes, (self.offs, none, none), False)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         if em.arrays:
@@ -651,25 +644,22 @@ class BoxPlan:
     """How the array code of a box-by-box composite runs its boxes.
 
     Boxes whose fused programs are equal form a group, evaluated by one call
-    of that program's batch kernel on a ``(k, n)`` block.  The plan is read
-    off the diagram's columns: one pass over the boxes' programs forms the
-    groups, hashing each distinct object once, a group's state block
-    is its boxes' state offsets plus ``arange(n)``, and its port blocks come
-    from the port index of the box columns (``ins`` and ``outs``, directed
-    composites only).  The other boxes, the ``singles``, run one by one.
-    Groups run first and only flag trouble; if one does, :meth:`walk` redoes
-    the phase through every box's array callables in box order, so it raises
-    exactly the error, from exactly the box, that unbatched code would; if it
-    raises none, the singles run as usual after it, to the same values.  Its
+    of that program's batch kernel on a ``(k, n)`` block.  One pass over the
+    boxes' programs forms the groups, hashing each distinct object once.
+    ``offs`` holds where each box's states, in-ports and out-ports start in
+    the composite's, and their counts last, as the sums of the boxes' they
+    are: a group's blocks are its boxes' offsets plus ``arange(n)``, and a
+    box's own are slices.  ``machine`` says whether the boxes are machines.
+    The other boxes, the ``singles``, run one by one.  Groups run first and
+    only flag trouble; if one does, :meth:`walk` redoes the phase through
+    every box's array callables in box order, so it raises exactly the
+    error, from exactly the box, that unbatched code would; if it raises
+    none, the singles run as usual after it, to the same values.  Its
     records, :attr:`boxes`, are built on the first flag, then kept.
     """
 
-    def __init__(
-        self, programs: Sequence[Program], offs: np.ndarray,
-        ins: _Fibers | None = None, outs: _Fibers | None = None,
-    ):
-        self.programs, self.bounds, self._fibers = programs, offs.tolist(), (ins, outs)
-        self.machine = machine = ins is not None
+    def __init__(self, programs: Sequence[Program], offs: Sequence[np.ndarray], machine: bool):
+        self.programs, self.machine, self.bounds = programs, machine, [o.tolist() for o in offs]
         # By value, each distinct object hashed once: ``id`` is a C call,
         # hashing a program's value a Python one.
         ids = list(map(id, programs))
@@ -683,10 +673,9 @@ class BoxPlan:
             if not program.fused or len(rows) < 2:
                 alone += rows.tolist()
                 continue
-            states = offs[rows][:, None] + np.arange(program.n_states)
-            block_ins = ins.block(rows, program.n_inputs) if machine else None
-            block_outs = outs.block(rows, program.n_outputs) if machine else None
-            self.groups.append((*kernels(program, machine), states, block_ins, block_outs))
+            sizes = (program.n_states, program.n_inputs, program.n_outputs)
+            blocks = [o[rows][:, None] + np.arange(n) for o, n in zip(offs, sizes)]
+            self.groups.append((*kernels(program, machine), *blocks))
         self.singles = sorted(alone)
         # Singles in box order: a box-by-box composite or Euler map inlined,
         # or a run of other boxes (fused or opaque) walked by their callables.
@@ -717,23 +706,21 @@ class BoxPlan:
             if isinstance(run, list):
                 em.lines.append(f"{walk}({x}, {out}, {feed}, {readout}, {em.name(run)})")
                 continue
-            i, box, _, _, states, ins, outs = run
-            s = f"{states.start}:{states.stop}"
-            xs = [f"{x}[{s}]"]  # one operand text in both phases
-            a = [] if feed is None else [em.statement(f"{feed}[{em.name(ins)}]")]
+            i, box, _, _, *blocks = run
+            states, ins, outs = (f"{b.start}:{b.stop}" for b in blocks)
+            xs = [f"{x}[{states}]"]  # one operand text in both phases
+            a = [] if feed is None else [em.statement(f"{feed}[{ins}]")]
             value = (box.readout(em, xs) if readout else box.dynamics(em, a, xs))[0]
-            n, target = (box.n_outputs, em.name(outs)) if readout else (box.n_states, s)
+            n, target = (box.n_outputs, outs) if readout else (box.n_states, states)
             what = f"{'readout' if readout else 'dynamics'} of box {i}"
             em.lines.append(f"{out}[{target}] = _vec({value}, {n}, {what!r})")
 
     def _records(self, boxes: list[int]) -> list[tuple]:
-        """Of each of ``boxes``: index, program, array callables, states, ports."""
-        b, none = self.bounds, [None] * len(boxes)
-        ports = [f.split(boxes) for f in self._fibers] if self.machine else [none, none]
+        """Of each of ``boxes``: index, program, array callables, state and port slices."""
         return [
             (i, self.programs[i], *callables_of(self.programs[i], self.machine),
-             slice(b[i], b[i + 1]), a, o)
-            for i, a, o in zip(boxes, *ports)
+             *(slice(b[i], b[i + 1]) for b in self.bounds))
+            for i in boxes
         ]
 
     @functools.cached_property

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "SchemaFunctor",
     "Violation",
     "validate",
+    "coproduct",
     "migrate",
     "identity_functor",
     "compose_functors",
@@ -305,6 +306,41 @@ def validate(x: CSetInstance) -> list[Violation]:
     return out
 
 
+def coproduct(instances: Sequence[CSetInstance]) -> CSetInstance:
+    """The sum of instances of one schema: their disjoint union.  Cards
+    add, and each column holds the summands' rows in turn, each shifted by
+    the codomain's cards in the summands before it.  The sum of valid
+    instances is valid."""
+    if not instances:
+        raise SchemaError("the coproduct of no instances has no schema")
+    card, parts, _ = _coproduct(instances[0].schema, instances)
+    return CSetInstance(instances[0].schema, card, parts)
+
+
+def _coproduct(schema: Schema, instances: Sequence[CSetInstance]) -> tuple[dict, dict, np.ndarray]:
+    """The coproduct's cards and columns, and where its injections start: row
+    ``j``, per object, holds the cards of the summands before ``j``; the last, the sum's."""
+    if any(x.schema is not schema and x.schema != schema for x in instances):
+        raise SchemaError("coproduct requires a common schema")
+    objects = schema.objects
+    starts = np.zeros((len(instances) + 1, len(objects)), _INTP)
+    after = starts[1:]
+    try:
+        cards = np.fromiter(chain.from_iterable(x.card.values() for x in instances), _INTP, after.size)
+        np.cumsum(cards.reshape(after.shape), axis=0, out=after)
+    except OverflowError:  # a card too large for an index, refused below
+        after[:] = -1
+    # A start falls at a negative card, and at a sum past the index limit, which wraps.
+    if (after < starts[:-1]).any():
+        raise SchemaError(f"a coproduct's cards and their sums must lie in [0, {_INDEX_LIMIT})")
+    parts = {}
+    for m in schema.morphisms:
+        columns = [x.parts[m.name] for x in instances]
+        shifts = np.repeat(starts[:-1, objects.index(m.cod)], list(map(len, columns)))
+        parts[m.name] = np.concatenate(columns) + shifts if columns else _EMPTY
+    return dict(zip(objects, starts[-1].tolist())), parts, starts
+
+
 @dataclass(frozen=True)
 class SchemaFunctor:
     """A functor between schemas, given on objects and morphisms.
@@ -451,8 +487,10 @@ def instance_pushout(
     """Glue two instances along a shared sub-instance, componentwise.
 
     Both legs must be natural and componentwise injective.  The result is
-    computed object-by-object with :func:`dynwire.finset.pushout`; induced
-    columns are verified to be well defined.
+    computed object-by-object with :func:`dynwire.finset.pushout`: each
+    object's quotient of the coproduct ``x + y``.  The induced columns are
+    the coproduct's, sent through the quotients, and are verified to be well
+    defined.
     """
     if not (apex.schema == x.schema == y.schema):
         raise SchemaError("instance pushout requires a common schema")
@@ -462,27 +500,20 @@ def instance_pushout(
     inj_x: dict[str, FinFunction] = {}
     inj_y: dict[str, FinFunction] = {}
     card: dict[str, int] = {}
+    quotient: dict[str, np.ndarray] = {}  # each object's class of each row of x + y
     for ob in apex.schema.objects:
         po = pushout(leg_x[ob], leg_y[ob])
-        inj_x[ob], inj_y[ob] = po.inj_left, po.inj_right
-        card[ob] = po.apex_size
-
-    parts: dict[str, tuple[int, ...]] = {}
+        inj_x[ob], inj_y[ob], card[ob] = po.inj_left, po.inj_right, po.apex_size
+        quotient[ob] = np.concatenate((po.inj_left._indices, po.inj_right._indices))
+    sums = _coproduct(apex.schema, [x, y])[1]
+    parts: dict[str, np.ndarray] = {}
     for m in apex.schema.morphisms:
-        col: list[int | None] = [None] * card[m.dom]
-        for inst, inj in ((x, inj_x), (y, inj_y)):
-            src = inst.part_fn(m.name)
-            for row in range(src.dom_size):
-                t = inj[m.dom].map[row]
-                v = inj[m.cod].map[src.map[row]]
-                if col[t] is None:
-                    col[t] = v
-                elif col[t] != v:
-                    raise GluingError(
-                        f"induced column {m.name!r} is ill-defined at row {t}"
-                    )
-        if any(v is None for v in col):
-            raise GluingError(f"induced column {m.name!r} has an unreached row")
-        parts[m.name] = tuple(int(v) for v in col)  # type: ignore[arg-type]
-
+        # The legs are jointly onto, so every row of the column is written;
+        # written in reverse, a row keeps the first value sent to it.
+        rows, values = quotient[m.dom], quotient[m.cod][sums[m.name]]
+        parts[m.name] = col = np.empty(card[m.dom], _INTP)
+        col[rows[::-1]] = values[::-1]
+        bad = np.flatnonzero(col[rows] != values)
+        if bad.size:
+            raise GluingError(f"induced column {m.name!r} is ill-defined at row {rows[bad[0]]}")
     return InstancePushout(CSetInstance(apex.schema, card, parts), inj_x, inj_y)

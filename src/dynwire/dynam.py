@@ -6,9 +6,12 @@ undirected one (ports expose state variables to be identified).  Both come
 in a continuous flavor, where ``dynamics`` is a vector field, and a discrete
 one, where it is the next-state map.
 
-Both directed syntaxes (a CPG read as a DWD through ``DWD_FROM_CPG``)
-become one gather/scatter transport: merged wires sum, wireless in-ports
-read exactly 0.0.  Undirected composition glues states by a pushout.
+A composite's states, inputs and outputs are the sums (coproducts) of its
+boxes', and each wire end is renumbered once to match: box-major, by its
+port's rank among the ports of its box column.  Both directed syntaxes (a
+CPG read as a DWD through ``DWD_FROM_CPG``) become one gather/scatter
+transport over those numbers: merged wires sum, wireless in-ports read
+exactly 0.0.  Undirected composition glues states by a pushout.
 Explicit Euler discretization commutes with both compositions, which the
 test suite exercises as the central oracle.
 
@@ -36,9 +39,10 @@ once.
 - **Box by box** otherwise: a function over float64 arrays.  Boxes whose
   fused programs are equal (as those of equal
   instantiated specs and of their Euler maps are, however made) run as one
-  batch kernel call per group (``_codegen.BoxPlan``); another fused box is
-  called, a box-by-box composite or Euler map is inlined, and an opaque
-  leaf's callables are called.
+  batch kernel call per group (``_codegen.BoxPlan``), on blocks of their
+  box-major offsets; another fused box is called on slices, a box-by-box
+  composite or Euler map is inlined, and an opaque leaf's callables are
+  called.
 
 Values and errors are bitwise those of the boxes' closures called in turn.
 """
@@ -176,9 +180,13 @@ def eval_sharer(s: ResourceSharer, state: Sequence[float] | np.ndarray) -> np.nd
 
 
 def _common_kind(kinds: list[Kind], what: str) -> Kind:
+    """The kind of every box; mixed kinds are refused, naming the first box
+    whose kind is not box 0's."""
     distinct = set(kinds)
     if len(distinct) > 1:
-        raise KindError(f"cannot compose mixed kinds {sorted(distinct)} of {what}")
+        i = next(i for i, k in enumerate(kinds) if k != kinds[0])
+        where = f"box {i} is {kinds[i]}, box 0 is {kinds[0]}"
+        raise KindError(f"cannot compose mixed kinds {sorted(distinct)} of {what}: {where}")
     return kinds[0] if kinds else "continuous"
 
 
@@ -220,12 +228,15 @@ def _directed(
             f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
         )
     kind = _common_kind([m.kind for m in machines], "machines")
-    src_in = d.column("src_in") + d.data.card["P_out"]
-    tgt = np.concatenate((d.column("tgt"), d.column("tgt_in")))
-    inward = (np.concatenate((d.column("src"), src_in)), tgt)
-    outward = (d.column("src_out"), d.column("tgt_out"))
+    # Wire ends renumbered box-major: the composite's ports are the sums of its boxes'.
+    in_rank = ins.rank()
+    out_rank = in_rank if outs is ins else outs.rank()
+    src = np.concatenate((out_rank[d.column("src")], d.column("src_in") + out_rank.size))
+    inward = (src, in_rank[np.concatenate((d.column("tgt"), d.column("tgt_in")))])
+    outward = (out_rank[d.column("src_out")], d.column("tgt_out"))
     boxes = list(map(attrgetter("program"), machines))
-    return _system(Transport(boxes, d.n_outer_in, d.n_outer_out, ins, outs, inward, outward), kind)
+    transport = Transport(boxes, d.n_outer_in, d.n_outer_out, ins.bounds, outs.bounds, inward, outward)
+    return _system(transport, kind)
 
 
 @dataclass(frozen=True)
@@ -261,14 +272,11 @@ def oapply_undirected_with_layout(
     kind = _common_kind([s.kind for s in sharers], "sharers")
 
     offs = np.fromiter(accumulate(map(attrgetter("n_states"), sharers), initial=0), np.intp)
-    n_states_total = int(offs[-1])
-    # Total portmap over the diagram's global port order: the ports of each
-    # box, in slot order, map to its portmap shifted by its state offset.
-    total_map = np.empty(len(ports.order), dtype=np.intp)
-    slots = np.fromiter(chain.from_iterable(s.portmap.map for s in sharers), np.intp)
-    total_map[ports.order] = slots + np.repeat(offs[:-1], sizes)
-    p_total = FinFunction(len(total_map), n_states_total, total_map)
-    q_junc = d.data.part_fn("junc_in")
+    # The ports box-major, the sum of the sharers' (the pushout's classes do not
+    # depend on that order): each maps by its box's portmap, shifted, and to its junction.
+    slots = np.fromiter(chain.from_iterable(s.portmap.map for s in sharers), np.intp, ports.order.size)
+    p_total = FinFunction(ports.order.size, int(offs[-1]), slots + np.repeat(offs[:-1], sizes))
+    q_junc = FinFunction(ports.order.size, d.n_junctions, d.column("junc_in")[ports.order])
 
     po = pushout(p_total, q_junc)
     portmap = compose(d.data.part_fn("junc_out"), po.inj_right)

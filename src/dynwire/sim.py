@@ -81,15 +81,17 @@ def build_system(
     model_of = {i: instantiate(s) for i, s in distinct.items()}
     models = [model_of[id(s)] for s in specs]
 
-    if isinstance(diagram, UWDiagram):
-        if not all(isinstance(m, ResourceSharer) for m in model_of.values()):
-            raise ArityError("an undirected diagram needs sharer models")
+    undirected = isinstance(diagram, UWDiagram)
+    kind = ResourceSharer if undirected else Machine
+    if not all(isinstance(m, kind) for m in model_of.values()):
+        i = next(i for i, m in enumerate(models) if not isinstance(m, kind))
+        need = "an undirected diagram needs sharer" if undirected else "a directed diagram needs machine"
+        raise ArityError(f"{need} models: box {i} is a {'machine' if undirected else 'sharer'}")
+    if undirected:
         sharer, layout = oapply_undirected_with_layout(diagram, models)
         names = _undirected_names(sharer.n_states, specs, box_labels, layout)
         return ComposedSystem(sharer, names, sharer.kind, directed=False)
 
-    if not all(isinstance(m, Machine) for m in model_of.values()):
-        raise ArityError("a directed diagram needs machine models")
     if isinstance(diagram, DWDiagram):
         machine = oapply_directed(diagram, models)
     else:

@@ -2,8 +2,10 @@
 
 Diagrams are validated instance wrappers.  Substitution (``ocompose``)
 replaces every box of an outer diagram by an inner diagram whose outer
-interface matches that box; junctions are identified by a quotient and wires
-are spliced by chaining through the identified interface ports.
+interface matches that box: the inners' sum (:func:`~dynwire.cset.coproduct`),
+whose outer ports follow the outer box ports sorted by box, is glued along
+the outer diagram.  Junctions are identified by a quotient and wires are
+spliced by chaining through the identified interface ports.
 
 Each syntax's identity, substitution, canonical form and DOT export sit in
 one table keyed by diagram class, behind ``ocompose``, ``ocompose_at``,
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .cset import (
     UWD_SCHEMA,
     CSetInstance,
     Schema,
+    _coproduct,
     migrate,
     validate,
 )
@@ -66,9 +68,9 @@ class _Fibers:
     their slot order.
 
     ``order`` is the stable argsort of the column and ``bounds`` the running
-    sum of the boxes' port counts.  A diagram builds one per box column, on
-    first use (:meth:`_Diagram.ports`); ``dynam`` also groups boxes by
-    program with one, and ``ocompose_dwd`` joins wires on them.
+    sum of the boxes' port counts: a port's ``rank`` numbers it box-major.  A
+    diagram builds one per box column, on first use (:meth:`_Diagram.ports`);
+    ``_codegen`` groups boxes by program with one, ``ocompose_dwd`` joins wires on them.
     """
 
     def __init__(self, column: np.ndarray, n_boxes: int):
@@ -97,10 +99,6 @@ class _Fibers:
     def slots(self) -> np.ndarray:
         """Each port's slot: its position among the ports of its box."""
         return self.rank() - self.bounds[self.column]
-
-    def block(self, boxes: np.ndarray, k: int) -> np.ndarray:
-        """The ports of ``boxes``, ``k`` each, one box per row."""
-        return self.order[self.bounds[boxes][:, None] + np.arange(k)]
 
     def split(self, boxes: Iterable[int]) -> list[np.ndarray]:
         """The ports of each of ``boxes``, as views of ``order``."""
@@ -339,20 +337,9 @@ def identity_cpg(k: int) -> CPGraph:
     return CPGraph.from_tables(1, (0,) * k, (), tuple(range(k)))
 
 
-def _offsets(sizes: list[int]) -> list[int]:
-    return [0, *accumulate(sizes)][:-1]
-
-
-def _stack(diagrams: Sequence[_Diagram], name: str, offsets: list[int]) -> np.ndarray:
-    """Column ``name`` of every diagram end to end, each shifted by its offset."""
-    cols = [d.data.parts[name] for d in diagrams]
-    if not cols:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(cols) + np.array(offsets, dtype=np.intp).repeat([c.size for c in cols])
-
-
-def _check_inners(outer: _Diagram, inners: Sequence[_Diagram]) -> None:
-    """One inner diagram per box, of the outer's syntax, exposing that box's interface."""
+def _summed(outer: _Diagram, inners: Sequence[_Diagram]) -> tuple[dict, dict, np.ndarray]:
+    """The coproduct of ``inners`` (as ``cset._coproduct``): one inner diagram
+    per box, of the outer's syntax, exposing that box's interface."""
     if len(inners) != outer.n_boxes:
         raise ArityError(
             f"outer diagram has {outer.n_boxes} boxes but {len(inners)} inner diagrams were given"
@@ -366,33 +353,27 @@ def _check_inners(outer: _Diagram, inners: Sequence[_Diagram]) -> None:
         got = inner.outer_interface
         if want != got:
             raise ArityError(outer._mismatch.format(i=i, want=want, got=got))
+    return _coproduct(outer.schema, [d.data for d in inners])
 
 
 def ocompose_uwd(outer: UWDiagram, inners: list[UWDiagram]) -> UWDiagram:
     """Substitute one inner diagram into every box of the outer diagram.
 
-    Junctions are the quotient of (outer junctions ++ all inner junctions) by
-    identifying, for each box and port slot, the outer port's junction with
-    the junction of the matching inner outer-port.
+    Junctions are the quotient of (outer junctions ++ the coproduct's
+    junctions) by identifying, for each box and port slot, the outer port's
+    junction with the junction of the matching inner outer-port.
     """
-    _check_inners(outer, inners)
-    j_sizes = [outer.n_junctions] + [d.n_junctions for d in inners]
-    j_off = _offsets(j_sizes)[1:]
-    o = outer.data.parts
-    # The inner outer-ports, end to end, are in the order of the outer ports sorted by box.
+    card, p, _ = _summed(outer, inners)
+    o, n_outer = outer.data.parts, outer.n_junctions
+    # The coproduct's outer ports are in the order of the outer ports sorted by box.
     order = outer.ports("box").order
-    n_all = sum(j_sizes)
+    n_all = n_outer + card["J"]
     try:
-        n_j, quot = _classes(n_all, o["junc_in"][order], _stack(inners, "junc_out", j_off))
-    except (MemoryError, ValueError) as exc:  # numpy cannot allocate n_all entries
+        n_j, quot = _classes(n_all, o["junc_in"][order], p["junc_out"] + n_outer)
+    except (MemoryError, ValueError, OverflowError) as exc:  # numpy cannot allocate n_all entries
         raise DynwireError(f"cannot compose diagrams of {n_all} junctions in all: {exc}") from None
-    columns = {
-        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])),
-        "junc_in": quot[_stack(inners, "junc_in", j_off)],
-        "junc_out": quot[o["junc_out"]],
-    }
-    card = {"B": sum(d.n_boxes for d in inners), "J": n_j}
-    return UWDiagram._from_columns(card, columns)
+    columns = {"box": p["box"], "junc_in": quot[n_outer:][p["junc_in"]], "junc_out": quot[o["junc_out"]]}
+    return UWDiagram._from_columns({"B": card["B"], "J": n_j}, columns)
 
 
 def _join(keys: _Fibers, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,52 +395,42 @@ def ocompose_dwd(outer: DWDiagram, inners: list[DWDiagram]) -> DWDiagram:
     chain contributes one composite wire.  Chains have at most three segments
     by the shape of the schema.
 
-    The inner outer-ports of all inners, end to end, follow the outer box
-    ports sorted by box, so an outer port's rank is its inner outer-port.
-    Each step of a chain is a join on those ranks (:func:`_join`), and the
-    composite's wires come out in this order: each inner's own wires, then
-    the chains leaving it, in its ``W_out`` order, then outer-wire order,
-    then its ``W_in`` order; ``W_in`` in the outer ``W_in`` order; ``W_out``
-    per inner in its ``W_out`` order, then in the outer ``W_out`` order.
+    The inners are summed by :func:`~dynwire.cset.coproduct`, whose outer
+    ports follow the outer box ports sorted by box, so an outer port's rank
+    is its inner outer-port.  Each step of a chain is a join on those ranks
+    (:func:`_join`), and the composite's wires come out in this order: each
+    inner's own wires, then the chains leaving it, in its ``W_out`` order,
+    then outer-wire order, then its ``W_in`` order; ``W_in`` in the outer
+    ``W_in`` order; ``W_out`` per inner in its ``W_out`` order, then in the
+    outer ``W_out`` order.
     """
-    _check_inners(outer, inners)
-    pin_off = _offsets([len(d.data.parts["box_in"]) for d in inners])
-    pout_off = _offsets([len(d.data.parts["box_out"]) for d in inners])
+    card, p, starts = _summed(outer, inners)
     o = outer.data.parts
-    in_rank, out_rank = outer.ports("box_in").rank(), outer.ports("box_out").rank()
+    ins, outs = outer.ports("box_in"), outer.ports("box_out")
+    in_rank, out_rank = ins.rank(), outs.rank()
     # Inner in-ports reached from each inner outer-in port through the
     # inner boundary wires.
-    q_in_off = _offsets([d.n_outer_in for d in inners])
-    entry = _Fibers(_stack(inners, "src_in", q_in_off), in_rank.size)
-    entered = _stack(inners, "tgt_in", pin_off)
+    entry = _Fibers(p["src_in"], in_rank.size)
     row, k = _join(entry, in_rank[o["tgt_in"]])
-    src_in, tgt_in = o["src_in"][row], entered[k]
+    src_in, tgt_in = o["src_in"][row], p["tgt_in"][k]
     # Where a chain standing at an inner outer-out port ends: inner in-ports
     # through outer wires, then outer out-ports.
     row, k = _join(entry, in_rank[o["tgt"]])
-    onward, onward_tgt = _Fibers(out_rank[o["src"]][row], out_rank.size), entered[k]
+    onward, onward_tgt = _Fibers(out_rank[o["src"]][row], out_rank.size), p["tgt_in"][k]
     exits = _Fibers(out_rank[o["src_out"]], out_rank.size)
-    leaving = _stack(inners, "src_out", pout_off)
-    at = _stack(inners, "tgt_out", _offsets([d.n_outer_out for d in inners]))
-    row, k = _join(onward, at)
-    owner = np.repeat(np.arange(len(inners)), [d.data.card["W_out"] for d in inners])[row]
-    chain_src, chain_tgt = leaving[row], onward_tgt[k]
-    row, k = _join(exits, at)
-    src_out, tgt_out = leaving[row], o["tgt_out"][k]
-
-    # Each inner's own wires, then the chains leaving it: a stable sort by inner.
-    own = np.repeat(np.arange(len(inners)), [d.data.card["W"] for d in inners])
-    order = np.argsort(np.concatenate([own, owner]), kind="stable")
-    box_off = _offsets([d.n_boxes for d in inners])
+    row, k = _join(onward, p["tgt_out"])
+    # A chain leaves the inner filling the box of the outer out-port it starts
+    # at, and follows that inner's own wires and those of the inners before it.
+    owner = o["box_out"][outs.order][p["tgt_out"][row]]
+    after = starts[owner + 1, DWD_SCHEMA.objects.index("W")]
+    chain_src, chain_tgt = p["src_out"][row], onward_tgt[k]
+    row, k = _join(exits, p["tgt_out"])
     columns = {
-        "box_in": _stack(inners, "box_in", box_off),
-        "box_out": _stack(inners, "box_out", box_off),
-        "src": np.concatenate([_stack(inners, "src", pout_off), chain_src])[order],
-        "tgt": np.concatenate([_stack(inners, "tgt", pin_off), chain_tgt])[order],
-        "src_in": src_in, "tgt_in": tgt_in, "src_out": src_out, "tgt_out": tgt_out,
+        "box_in": p["box_in"], "box_out": p["box_out"],
+        "src": np.insert(p["src"], after, chain_src), "tgt": np.insert(p["tgt"], after, chain_tgt),
+        "src_in": src_in, "tgt_in": tgt_in, "src_out": p["src_out"][row], "tgt_out": o["tgt_out"][k],
     }
-    card = {"B": sum(d.n_boxes for d in inners), "Q_in": outer.n_outer_in,
-            "Q_out": outer.n_outer_out}
+    card = {"B": card["B"], "Q_in": outer.n_outer_in, "Q_out": outer.n_outer_out}
     return DWDiagram._from_columns(card, columns)
 
 
@@ -470,19 +441,18 @@ def ocompose_cpg(outer: CPGraph, inners: list[CPGraph]) -> CPGraph:
     outer-ports; each outer wire becomes one wire between the exposed inner
     ports, and inner wires pass through unchanged.
     """
-    _check_inners(outer, inners)
-    p_off = _offsets([len(d.data.parts["box"]) for d in inners])
+    card, p, _ = _summed(outer, inners)
     o = outer.data.parts
-    # The inner port exposed at each outer port: the inner exposes, end to
-    # end, follow the outer ports sorted by box.
-    at = _stack(inners, "expose", p_off)[outer.ports("box").rank()]
+    # The inner port exposed at each outer port: the coproduct's exposes
+    # follow the outer ports sorted by box.
+    at = p["expose"][outer.ports("box").rank()]
     columns = {
-        "box": _stack(inners, "box", _offsets([d.n_boxes for d in inners])),
-        "src": np.concatenate([_stack(inners, "src", p_off), at[o["src"]]]),
-        "tgt": np.concatenate([_stack(inners, "tgt", p_off), at[o["tgt"]]]),
+        "box": p["box"],
+        "src": np.concatenate([p["src"], at[o["src"]]]),
+        "tgt": np.concatenate([p["tgt"], at[o["tgt"]]]),
         "expose": at[o["expose"]],
     }
-    return CPGraph._from_columns({"B": sum(d.n_boxes for d in inners)}, columns)
+    return CPGraph._from_columns({"B": card["B"]}, columns)
 
 
 def ocompose(outer: _Diagram, inners: Sequence[_Diagram]) -> _Diagram:

@@ -16,6 +16,7 @@ from dynwire import (
     instantiate,
     oapply_directed,
     spec_from_json,
+    spec_to_json,
 )
 from dynwire import cli, fileio
 from dynwire._textcols import format_floats
@@ -523,6 +524,28 @@ class TestSimulate:
         ])
         assert code == 1
         assert "directed" in capsys.readouterr().err
+
+    def test_models_of_the_wrong_kind_exit_1_naming_the_box(self, tmp_path, repo_root, capsys):
+        sir, eco = repo_root / "configs" / "sir", repo_root / "configs" / "ecosystem"
+        city = str(sir / "city.json")
+        code = main([
+            "simulate", "--diagram", str(sir / "cyclic.json"),
+            "--models", str(eco / "fish_growth.json"), city, city,
+            "--config", str(sir / "sim_cyclic.json"), "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: a directed diagram needs machine models: box 0 is a sharer" in err
+        # A machine spec of the other flavor, at box 1 of three.
+        spec = spec_to_json(fileio.load_model(sir / "city.json"))
+        discrete = write_json(tmp_path / "discrete.json", dict(spec, flavor="discrete"))
+        code = main([
+            "simulate", "--diagram", str(sir / "cyclic.json"), "--models", city, str(discrete), city,
+            "--config", str(sir / "sim_cyclic.json"), "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "of machines: box 1 is discrete, box 0 is continuous" in err
 
     def test_state_length_mismatch(self, tmp_path, capsys):
         diagram = write_json(tmp_path / "d.json", ONE_BOX_DWD)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 
 import numpy as np
@@ -21,6 +22,9 @@ from dynwire import (
     migrate,
     validate,
 )
+from dynwire.cset import coproduct
+
+from helpers import random_cpg, random_dwd, random_uwd
 
 
 def uwd_instance(n_boxes, n_junctions, box, junc_in, junc_out) -> CSetInstance:
@@ -302,3 +306,45 @@ class TestInstancePushout:
             FinFunction(2, 3, (0, 2)), FinFunction(2, 2, (0, 1))
         )
         assert result.instance.card["J"] == po.apex_size
+
+
+class TestCoproduct:
+    @pytest.mark.parametrize("make", [random_uwd, random_dwd, random_cpg], ids=["uwd", "dwd", "cpg"])
+    def test_laws_over_random_instances(self, make):
+        rng = random.Random(25)
+        for _ in range(100):
+            a, b, c = (make(rng).data for _ in range(3))
+            schema = a.schema
+            assert coproduct([a]) == a
+            abc = coproduct([a, b, c])
+            assert abc == coproduct([coproduct([a, b]), c]) == coproduct([a, coproduct([b, c])])
+            assert abc.card == {ob: a.card[ob] + b.card[ob] + c.card[ob] for ob in schema.objects}
+            assert validate(abc) == []
+            # Each summand's rows in turn, shifted by the earlier cards of the codomain.
+            for m in schema.morphisms:
+                want = [*a.parts[m.name].tolist(),
+                        *(v + a.card[m.cod] for v in b.parts[m.name].tolist()),
+                        *(v + a.card[m.cod] + b.card[m.cod] for v in c.parts[m.name].tolist())]
+                assert abc.parts[m.name].tolist() == want
+                assert not abc.parts[m.name].flags.writeable
+            # The pushout over the empty instance numbers its parts the same way.
+            empty = empty_instance(schema)
+            assert instance_pushout(empty, a, b, leg(empty, a), leg(empty, b)).instance == coproduct([a, b])
+
+    def test_empty_summands_and_no_summands(self):
+        x = uwd_instance(2, 3, box=[1, 0], junc_in=[2, 2], junc_out=[0])
+        e = empty_instance(UWD_SCHEMA)
+        assert coproduct([e, x, e]) == x == coproduct([x, e])
+        assert coproduct([e]) == e
+        with pytest.raises(SchemaError, match="has no schema"):
+            coproduct([])
+
+    def test_summands_of_another_schema_or_too_large_a_sum_are_refused(self):
+        x = uwd_instance(1, 1, box=[0], junc_in=[0], junc_out=[])
+        with pytest.raises(SchemaError, match="common schema"):
+            coproduct([x, empty_instance(CPG_SCHEMA)])
+        big = uwd_instance(2**62, 0, box=[], junc_in=[], junc_out=[])
+        assert coproduct([big, x]).card["B"] == 2**62 + 1
+        for summands in ([big, big], [big, big, big, big, x], [uwd_instance(2**63, 0, [], [], [])]):
+            with pytest.raises(SchemaError, match="must lie in"):
+                coproduct(summands)

@@ -165,6 +165,20 @@ class TestOapplyDirected:
         with pytest.raises(KindError):
             oapply_directed(d, [cont, disc])
 
+    def test_mixed_kinds_name_the_first_box_unlike_box_0(self):
+        cont = Machine(0, 1, 0, lambda a, x: x, lambda x: np.zeros(0), "continuous")
+        disc = Machine(0, 1, 0, lambda a, x: x, lambda x: np.zeros(0), "discrete")
+        d = DWDiagram.from_tables(4, box_in=[], box_out=[])
+        message = r"cannot compose mixed kinds \['continuous', 'discrete'\] of machines: "
+        with pytest.raises(KindError, match=message + "box 2 is discrete, box 0 is continuous$"):
+            oapply_directed(d, [cont, cont, disc, disc])
+        with pytest.raises(KindError, match="box 1 is continuous, box 0 is discrete$"):
+            oapply_directed(d, [disc, cont, disc, cont])
+        sharers = [ResourceSharer(0, 1, FinFunction(0, 1, ()), lambda x: x, k)
+                   for k in ("discrete", "discrete", "discrete", "continuous")]
+        with pytest.raises(KindError, match="of sharers: box 3 is continuous, box 0 is discrete$"):
+            oapply_undirected(UWDiagram.from_tables(4, 0, [], [], []), sharers)
+
     def test_arity_error(self):
         d = DWDiagram.from_tables(1, box_in=[0, 0], box_out=[])
         with pytest.raises(ArityError, match=r"box 0 expects \(in, out\) = \(2, 0\)"):

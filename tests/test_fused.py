@@ -44,7 +44,8 @@ from dynwire import (
     spec_from_json,
 )
 from dynwire._codegen import _FUSE_MAX_STATEMENTS, Euler, Opaque, Transport
-from dynwire.fileio import load_diagram, load_model
+from dynwire.fileio import SimulationConfig, load_diagram, load_model
+from dynwire.sim import ComposedSystem, run_trajectory
 
 from helpers import (
     nested_cpg_case,
@@ -323,6 +324,57 @@ def test_fused_code_is_cached_by_value(repo_root):
     got = [(bits(m.dynamics(a, x)), bits(m.readout(x))) for m in (first, again)]
     assert got[0] == got[1]
     assert codegen._compile.cache_info().misses == 2
+
+
+def _slot_machine(n_in: int, n_out: int) -> Machine:
+    """One state, each input and each readout weighted by its slot."""
+    terms = [f"{k + 1}*u{k}" for k in range(n_in)] + ["c*x"]
+    return instantiate(spec_from_json({
+        "kind": "machine", "flavor": "continuous", "states": ["x"],
+        "inputs": [f"u{k}" for k in range(n_in)], "params": {"c": -0.5},
+        "dynamics": {"x": " + ".join(terms)},
+        "readout": [f"{k + 1}*x + {k}" for k in range(n_out)],
+    }))
+
+
+def _relabelled(d: DWDiagram, rng: random.Random) -> DWDiagram:
+    """``d`` with its in- and out-ports given other ids, each box's keeping
+    their slot order, and every wire table in its order."""
+    maps, columns = [], []
+    for ports in (d.in_ports, d.out_ports):
+        column = [b for b, p in enumerate(ports) for _ in p]
+        rng.shuffle(column)
+        new = [[p for p, b in enumerate(column) if b == i] for i in range(d.n_boxes)]
+        maps.append({old: n for olds, news in zip(ports, new) for old, n in zip(olds, news)})
+        columns.append(column)
+    (to_in, to_out), a = maps, d.data.parts
+    return DWDiagram.from_tables(
+        d.n_boxes, *columns, d.n_outer_in, d.n_outer_out,
+        [(to_out[s], to_in[t]) for s, t in zip(a["src"].tolist(), a["tgt"].tolist())],
+        [(q, to_in[t]) for q, t in zip(a["src_in"].tolist(), a["tgt_in"].tolist())],
+        [(to_out[s], q) for s, q in zip(a["src_out"].tolist(), a["tgt_out"].tolist())],
+    )
+
+
+def test_ports_relabelled_within_boxes_give_an_equal_program_and_one_trajectory_loop():
+    # A composite numbers its ports box-major, so port ids that keep each
+    # box's slot order are the diagram's own business.
+    rng = random.Random(25)
+    d = random_dwd(rng, 2, 2, max_boxes=6, max_ports=3)
+    while sorted(d.column("box_in").tolist()) == d.column("box_in").tolist():
+        d = random_dwd(rng, 2, 2, max_boxes=6, max_ports=3)
+    e = _relabelled(d, rng)
+    assert (e.in_ports, e.out_ports) != (d.in_ports, d.out_ports)
+    ms = [_slot_machine(n_in, n_out) for n_in, n_out in d.signature]
+    first, again = oapply_directed(d, ms), oapply_directed(e, ms)
+    assert fused(first) and first.program == again.program and first.program is not again.program
+    codegen._fused_runner.cache_clear()
+    codegen._compile.cache_clear()
+    config = SimulationConfig(h=0.05, steps=20, init=tuple(range(first.n_states)), inputs=(1.5, -2.0))
+    names = tuple(map(str, range(first.n_states)))
+    rows = [run_trajectory(ComposedSystem(m, names, m.kind, True), config)[1] for m in (first, again)]
+    assert codegen._compile.cache_info().misses == 1
+    assert bits(np.array(rows[0])) == bits(np.array(rows[1]))
 
 
 def test_fused_code_is_folded_into_expressions_with_every_check_kept(repo_root, monkeypatch):

@@ -249,10 +249,13 @@ def write_compose_inputs(root: Path) -> dict[str, str]:
     return paths
 
 
-def compose_dwd_argv(root: Path) -> list[str]:
-    """The argv of the ``compose_dwd`` case, its inputs written to ``root``."""
+def compose_argv(root: Path, case: str) -> list[str]:
+    """The argv of the ``SYNTAX`` case ``case``, its inputs written to
+    ``root``; another case's output that it reads is taken from ``root``
+    under that case's output name."""
     inputs = write_compose_inputs(Path(root))
-    return [arg.format(**inputs) for arg in SYNTAX["compose_dwd"][0]]
+    outputs = {name: str(Path(root) / out) for name, (_, out) in SYNTAX.items()}
+    return [arg.format(**inputs, **outputs) for arg in SYNTAX[case][0]]
 
 
 # name -> (argv, the output's name); "{x}" is the output of case x, or the

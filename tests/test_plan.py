@@ -1,11 +1,13 @@
 """The box-by-box plan of composites too large to fuse, against the scalar path.
 
-A composite's ``BoxPlan`` (``program.plan``) reads the diagram's columns:
-one kernel group per shared program, with state and port blocks cut from
-the columns, and the ``singles``, the boxes that run alone in its array
-code.  The records of every box (``plan.boxes``), which the scalar
-fallback of a flagged group walks, are built on the first flag and kept.
-The reference is the same composite over ``scalar_only`` models.
+A composite's ``BoxPlan`` (``program.plan``) holds one kernel group per
+shared program and the ``singles``, the boxes that run alone in its array
+code.  A composite numbers its states, in-ports and out-ports box-major, as
+the sums of its boxes', so every block is a box's offset plus ``arange(n)``
+and every single box's is a slice.  The records of every box
+(``plan.boxes``), which the scalar fallback of a flagged group walks, are
+built on the first flag and kept.  The reference is the same composite
+over ``scalar_only`` models.
 """
 
 from __future__ import annotations
@@ -209,7 +211,8 @@ def test_a_nested_composite_reads_out_once_per_outer_call():
 
 
 # ---------------------------------------------------------------------------
-# Port blocks come from the argsort of the box columns
+# Ports are numbered box-major: each wire end by its port's rank in the
+# argsort of its box column
 
 
 def test_fibers_of_box_columns_are_each_box_ports_in_slot_order():
@@ -222,13 +225,11 @@ def test_fibers_of_box_columns_are_each_box_ports_in_slot_order():
             fibers = _Fibers(diagram.column(column), n)
             assert [p.tolist() for p in fibers.split(range(n))] == want
             assert fibers.sizes().tolist() == [len(p) for p in want]
-            for i in range(n):
-                assert fibers.block(np.array([i]), len(want[i])).tolist() == [want[i]]
 
 
 def test_group_over_shuffled_port_columns_equals_the_scalar_path():
-    # Every box's ports are scattered over the port order; the group reads
-    # them through the argsort of the box columns.
+    # Every box's ports are scattered over the port order; the composite
+    # renumbers the wire ends box-major through the argsort of the box columns.
     rng = random.Random(4)
     m = instantiate(spec_from_json({
         "kind": "machine", "flavor": "continuous", "states": ["x", "y"], "inputs": ["u", "v"],

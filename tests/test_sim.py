@@ -182,6 +182,23 @@ def test_model_count_is_checked_before_labels_are_made(monkeypatch):
         build_system(three, [city, city], labels=["a", "b"])
 
 
+def test_models_of_the_wrong_kind_are_refused_naming_the_first_box(repo_root):
+    sir, eco = repo_root / "configs" / "sir", repo_root / "configs" / "ecosystem"
+    city, fish = load_model(sir / "city.json"), load_model(eco / "fish_growth.json")
+    cyclic, total = load_diagram(sir / "cyclic.json"), load_diagram(eco / "total_diagram.json")
+    for specs, box, kind in (([fish, city, city], 0, "sharer"), ([city, city, fish], 2, "sharer")):
+        message = f"a directed diagram needs machine models: box {box} is a {kind}"
+        with pytest.raises(ArityError, match=f"^{re.escape(message)}$"):
+            build_system(cyclic, specs)
+    with pytest.raises(ArityError, match=f"^{re.escape('an undirected diagram needs sharer models: box 1 is a machine')}$"):
+        build_system(total, [fish, city])
+    # A grid reads as a directed diagram too.
+    g = grid(2, 2)
+    heat = builtin_model("heat_node", {"alpha": 0.1})
+    with pytest.raises(ArityError, match="box 3 is a sharer$"):
+        build_system(g, [heat, heat, heat, fish])
+
+
 def _default_labels(n: int) -> list[str]:
     return [f"b{i}" for i in range(n)]
 

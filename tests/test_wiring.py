@@ -283,6 +283,13 @@ class TestSyntaxGeneric:
         with pytest.raises(ArityError, match=f"slot {i} out of range for 2 boxes"):
             at(outer, i, inner)
 
+    def test_an_outer_without_boxes_keeps_its_outer_ports_and_junctions(self):
+        # The coproduct of no inners is the empty diagram.
+        uwd = UWDiagram.from_tables(0, 2, [], [], [1, 0, 1])
+        dwd = DWDiagram.from_tables(0, [], [], n_outer_in=2, n_outer_out=1)
+        for outer in (uwd, dwd, CPGraph.from_tables(0, [], [], [])):
+            assert ocompose(outer, []) == outer
+
     def test_mixed_syntax_is_diagram_error(self):
         with pytest.raises(DiagramError, match="box 0: inner diagram is a CPGraph"):
             ocompose(identity_uwd(1), [identity_cpg(1)])
