@@ -1,19 +1,20 @@
-"""Numbers as decimal text, and integer lists back, in numpy passes.
+"""Numbers as decimal ASCII text, and integer lists back, in numpy passes.
 
 ``format_rows(parts, columns, sep)`` is the text of
 ``sep.join(parts[0] + str(c0[i]) + parts[1] + ... + parts[m] for i in range(n))``
 for non-negative integer columns ``c0 .. c(m-1)`` of one length ``n``.  It
-is built as one ``uint8`` matrix with a row per line: the literal bytes are
-broadcast into their cells, each column's digits are written right-aligned
-in that column's widest number of cells, and a boolean mask keeps each
-line's literal cells and the cells its numbers use.  Digits come from floor
-division by the scalar 10, one digit position at a time, which numpy does
-without a hardware divide.
+is one ``uint8`` matrix with a row per character position and a column per
+line, read line by line less its zeros (one transpose and ``translate``):
+the literal bytes fill their rows, and each column's digits go right-aligned
+in as many rows as its largest number has, with 0 left of a number's first
+digit.  Digits come from floor division by the scalar 10, one position at
+a time, which numpy does without a hardware divide, in ``uint32`` when the
+entries fit.
 
 ``format_floats(values)`` is the text of the rows of a float64 array with
 each value as ``repr`` writes it: the shortest digits that read back as
 the value, from a vectorised Ryū kernel, laid out like ``format_rows``'
-lines (see "Floats as repr text" below).
+lines (see "Floats as repr text" below).  Both return ASCII ``bytes``.
 
 ``parse_lists(data)`` reads the other way: every plain integer list of a
 JSON text (``[`` digits, commas and whitespace ``]``, outside any string),
@@ -52,13 +53,13 @@ def _too_many(n: int, exc: Exception) -> DynwireError:
     return DynwireError(f"cannot write {n} lines of text: {exc}")
 
 
-def format_rows(parts: Sequence[str], columns: Sequence[Sequence[int]], sep: str) -> str:
+def format_rows(parts: Sequence[str], columns: Sequence[Sequence[int]], sep: str) -> bytes:
     """The lines ``parts[0] + str(c0[i]) + ... + parts[-1]`` joined by ``sep``.
 
     ``parts`` has one more entry than ``columns`` and, with ``sep``, is
-    ASCII; a column is an array or sequence of non-negative integers, or a
-    ``range``.  Columns of zero rows give ``""``.  When numpy cannot
-    allocate the text, ``DynwireError`` names the row count.
+    ASCII without NUL; a column is an array or sequence of non-negative
+    integers, or a ``range``.  Columns of zero rows give ``b""``.  When
+    numpy cannot allocate the text, ``DynwireError`` names the row count.
     """
     if len(parts) != len(columns) + 1:
         raise ValueError(f"{len(columns)} columns need {len(columns) + 1} parts, got {len(parts)}")
@@ -66,7 +67,7 @@ def format_rows(parts: Sequence[str], columns: Sequence[Sequence[int]], sep: str
     if any(len(c) != n for c in columns):
         raise ValueError("columns differ in length")
     if n == 0:
-        return ""
+        return b""
     try:
         arrays = [_array(c) for c in columns]
     except (MemoryError, ValueError) as exc:
@@ -76,36 +77,32 @@ def format_rows(parts: Sequence[str], columns: Sequence[Sequence[int]], sep: str
     # A line is its literal cells and, for each column, as many cells as
     # that column's largest number has digits.
     widths = [len(str(int(a.max()))) for a in arrays]
-    literals = [p.encode("ascii") for p in parts]
-    row = bytearray(sep.encode("ascii") + literals[0])
+    layout = bytearray(sep.encode("ascii") + parts[0].encode("ascii"))
     ends = []
-    for width, lit in zip(widths, literals[1:]):
-        row += bytes(width)
-        ends.append(len(row))
-        row += lit
+    for width, part in zip(widths, parts[1:]):
+        layout += bytes(width)
+        ends.append(len(layout))
+        layout += part.encode("ascii")
     try:
-        text = np.empty((n, len(row)), np.uint8)
-        keep = np.ones((n, len(row)), bool)
+        text = np.empty((len(layout), n), np.uint8)
     except (MemoryError, ValueError) as exc:
         raise _too_many(n, exc) from None
-    text[:] = np.frombuffer(row, np.uint8)
-    keep[0, :len(sep)] = False
-    # Three buffers serve every digit position, and the matrices are freed
-    # before the text is copied out: this bounds the memory held at once.
-    q, r, digit = (np.empty(n, np.uint64) for _ in range(3))
+    text[:] = np.frombuffer(layout, np.uint8)[:, None]
+    text[:len(sep), 0] = 0
+    # Three buffers serve every digit position, from the last: a cell left
+    # of a number's first digit, where the quotient so far is 0, is cleared.
+    q, r, digit = (np.empty(n, np.uint32 if max(widths) < 10 else np.uint64) for _ in range(3))
     for col, width, end in zip(arrays, widths, ends):
         q[:] = col
         for cell in range(end - 1, end - 1 - width, -1):
-            if cell < end - 1:
-                np.not_equal(q, 0, out=keep[:, cell])
             np.floor_divide(q, 10, out=r)
             np.subtract(q, np.multiply(r, 10, out=digit), out=digit)
-            np.add(digit, _ZERO, out=text[:, cell], casting="unsafe")
+            np.add(digit, _ZERO, out=text[cell], casting="unsafe")
+            if cell < end - 1:
+                text[cell] *= q != 0
             q, r = r, q
     del q, r, digit
-    kept = text[keep]
-    del text, keep
-    return str(kept, "ascii")
+    return text.T.tobytes().translate(None, b"\0")
 
 
 # Byte values: what a plain list holds besides digits is commas and the
@@ -409,7 +406,7 @@ def _digit_rows(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.
     return out
 
 
-def _format_chunk(x: np.ndarray, width: int, start: int, arena: _Arena) -> str:
+def _format_chunk(x: np.ndarray, width: int, start: int, arena: _Arena) -> bytes:
     """The text of ``x``, the values from ``start`` on of a row-major array
     of ``width`` columns, each followed by ``,`` or, at a row's end, by a
     line break."""
@@ -483,22 +480,22 @@ def _format_chunk(x: np.ndarray, width: int, start: int, arena: _Arena) -> str:
     if special is not None:
         text[:at, special] = 0
     # Read value by value, the cells other than 0 are the text.
-    out = text.T.tobytes().translate(None, b"\0").decode("ascii")
+    out = text.T.tobytes().translate(None, b"\0")
     if special is None:
         return out
     # Each value ends at its separator: put repr's text just before it.
     ends = np.cumsum(np.count_nonzero(text, axis=0)) - 1
     pieces, done = [], 0
     for k in np.flatnonzero(special):
-        pieces += [out[done:ends[k]], repr(float(x[k]))]
+        pieces += [out[done:ends[k]], repr(float(x[k])).encode("ascii")]
         done = ends[k]
     pieces.append(out[done:])
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
-def format_floats(values: np.ndarray) -> Iterator[str]:
-    """The text of the rows of the 2-D float64 array ``values``: each value
-    as ``repr`` writes it, joined by ``,``, and each row ended by ``"\\n"``.
+def format_floats(values: np.ndarray) -> Iterator[bytes]:
+    """The ASCII text of the rows of the 2-D float64 array ``values``: each
+    value as ``repr`` writes it, joined by ``,``, and each row ended by ``"\\n"``.
 
     It comes in pieces of ``_CHUNK_VALUES`` values (the last one shorter),
     each built in one pass of the Ryū kernel and the layout below; values
@@ -506,7 +503,7 @@ def format_floats(values: np.ndarray) -> Iterator[str]:
     """
     width = values.shape[1]
     if width == 0:
-        yield "\n" * len(values)
+        yield b"\n" * len(values)
         return
     flat = np.ascontiguousarray(values).ravel()
     arena = _Arena()

@@ -18,8 +18,8 @@ from .cset import validate
 from .errors import DynwireError
 from .fileio import (
     _load,
+    _output,
     _write_json,
-    _write_text,
     dump_diagram,
     instance_from_json,
     load_config,
@@ -32,7 +32,7 @@ from .fileio import (
 )
 from .modelspec import spec_from_json, spec_violations
 from .sim import _trajectory, build_system
-from .wiring import CPGraph, canonical, cpg_to_dwd, grid, ocompose, ocompose_at, to_dot
+from .wiring import CPGraph, _dot, canonical, cpg_to_dwd, grid, ocompose, ocompose_at
 
 __all__ = ["main"]
 
@@ -107,7 +107,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     diagram = load_diagram(args.diagram)
-    _write_text(args.out, to_dot(diagram))
+    _output(args.out, _dot(diagram))
     print(f"wrote {args.out}")
     return 0
 

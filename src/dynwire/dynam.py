@@ -58,7 +58,7 @@ import numpy as np
 
 from ._codegen import Euler, Gluing, Opaque, Program, Transport, callables_of
 from ._codegen import as_vector as _as_vector
-from .errors import ArityError, KindError, SizeMismatchError
+from .errors import ArityError, ConfigError, KindError, SizeMismatchError
 from .finset import FinFunction, compose, pushout
 from .wiring import CPGraph, DWDiagram, UWDiagram, _Fibers, cpg_to_dwd
 
@@ -305,7 +305,7 @@ def _euler(system: Machine | ResourceSharer, h: float, directed: bool) -> Euler:
         what = "euler_directed requires a continuous machine"
         raise KindError(what if directed else "euler_undirected requires a continuous sharer")
     if not h > 0:
-        raise ValueError("step size must be positive")
+        raise ConfigError(f"step size h must be positive, got {h!r}")
     return Euler(system.program, h)
 
 

@@ -2,8 +2,9 @@
 
 Diagram files are the instance itself: ``{"schema": "UWD"|"DWD"|"CPG",
 "<Object>": card, ..., "<morphism>": [indices], ...}`` with the built-in
-schema names and 0-based indices throughout.  All files are UTF-8; CSV uses
-',' separators, '.' decimals, and a leading ``t`` column.
+schema names and 0-based indices throughout.  All files are UTF-8, read by
+one ``os.read`` and written as bytes pieces by ``_output``; CSV uses ','
+separators, '.' decimals, and a leading ``t`` column.
 
 Diagram files are read column-wise: the integer lists of a file of at least
 ``_COLUMNWISE_BYTES`` bytes are parsed in one numpy pass
@@ -17,16 +18,16 @@ the same errors either way.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import numbers
 import os
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,8 +70,7 @@ def _load(path: str | Path, columnwise: bool) -> dict:
     """The JSON object in the file; with ``columnwise``, each integer list
     of a large file's top-level object is an ``np.intp`` array."""
     try:
-        with open(path, "rb") as fh:
-            text = fh.read()
+        text = _read(path)
         data = _columnwise(text) if columnwise and len(text) >= _COLUMNWISE_BYTES else None
         if data is None:
             data = json.loads(text.decode("utf-8"))
@@ -79,6 +79,21 @@ def _load(path: str | Path, columnwise: bool) -> dict:
     if not isinstance(data, dict):
         raise DynwireError(f"{path}: expected a JSON object")
     return data
+
+
+def _read(path: str | Path) -> bytes:
+    """The bytes of the file at ``path``, raising ``OSError`` as ``open`` does."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):  # which os.open lets through
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        data = os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else b""
+        if len(data) < info.st_size or not data:  # a pipe, an empty file, or a short read
+            data += b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        return data
+    finally:
+        os.close(fd)
 
 
 def _columnwise(text: bytes) -> dict | None:
@@ -108,19 +123,20 @@ def _columnwise(text: bytes) -> dict | None:
 _OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-@contextmanager
-def _output(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text stream with LF line endings that overwrites ``path`` in place.
+def _output(path: str | Path, pieces: Iterable[bytes]) -> None:
+    """Write the bytes ``pieces`` (UTF-8, LF line endings) over ``path`` in
+    place, through one buffered binary stream's ``writelines``.
 
     This is the only place where dynwire opens a file for writing.  Unlike
-    ``open(path, "w")``, it does not truncate the file when it opens it: the
-    new bytes are written over the old ones, and when the block ends (also
-    by an exception) a regular file is cut at the last byte written.  On
-    ext4 this spares freeing and re-allocating every block of a file that
-    is rewritten at the same path.  Anything else, such as ``/dev/stdout``,
-    ``/dev/null`` or a FIFO, is written as it is.  A new file is created
-    with mode ``0o666`` less the umask and an existing one keeps its mode.
-    Symlinks are written through, and hard links share the new bytes.
+    ``open(path, "wb")``, it does not truncate the file when it opens it:
+    the new bytes are written over the old ones, and when the writing ends
+    (also by an exception) a regular file is cut at the last byte written.
+    On ext4 this spares freeing and re-allocating every block of a file
+    that is rewritten at the same path.  Anything else, such as
+    ``/dev/stdout``, ``/dev/null`` or a FIFO, is written as it is.  A new
+    file is created with mode ``0o666`` less the umask and an existing one
+    keeps its mode.  Symlinks are written through, and hard links share the
+    new bytes.
 
     An ``OSError`` from opening, writing, cutting or closing the file raises
     ``DynwireError`` naming ``path``.  A write that is killed before the
@@ -128,9 +144,9 @@ def _output(path: str | Path) -> Iterator[TextIO]:
     """
     try:
         fd = os.open(path, _OUTPUT_FLAGS, 0o666)
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(fd, "wb") as fh:
             try:
-                yield fh
+                fh.writelines(pieces)
             finally:
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     fh.truncate()
@@ -138,24 +154,16 @@ def _output(path: str | Path) -> Iterator[TextIO]:
         raise DynwireError(f"{path}: {exc}") from None
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` over ``path`` through ``_output``: UTF-8 with LF line
-    endings on every platform, cut to its length, and an ``OSError``
-    raised as ``DynwireError`` naming the path."""
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _write_json(path: str | Path, data: dict) -> None:
-    """Write ``json.dumps(data, indent=2)`` and a newline, in one call."""
-    _write_text(path, _encode(data, "\n") + "\n")
+    """Write ``json.dumps(data, indent=2)`` and a newline, encoded before the file opens."""
+    _output(path, [*_encode(data, "\n"), b"\n"])
 
 
 _quoted = json.encoder.encode_basestring_ascii
 
 
-def _encode(value: object, newline: str) -> str:
-    """``json.dumps(value, indent=2)`` nested at the indent that ``newline`` carries.
+def _encode(value: object, newline: str) -> Iterator[bytes]:
+    """``json.dumps(value, indent=2)`` nested at ``newline``'s indent, in ASCII pieces.
 
     Objects with string keys are laid out here.  An integer array (an index
     column, which needs no scan) is formatted in one numpy pass, and a list
@@ -165,14 +173,17 @@ def _encode(value: object, newline: str) -> str:
     """
     inner = newline + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
-        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, np.ndarray):
+        for k, (key, v) in enumerate(value.items()):
+            yield f"{',' if k else '{'}{inner}{json.dumps(key)}: ".encode()
+            yield from _encode(v, inner)
+        yield f"{newline}}}".encode()
+    elif isinstance(value, np.ndarray):
         rows = format_rows(("", ""), (value,), "," + inner)
-        return "[" + inner + rows + newline + "]" if rows else "[]"
-    if isinstance(value, (list, tuple)) and value and set(map(type, value)) == {str}:
-        return "[" + inner + ("," + inner).join(map(_quoted, value)) + newline + "]"
-    return json.dumps(value, indent=2).replace("\n", newline)
+        yield from (f"[{inner}".encode(), rows, f"{newline}]".encode()) if rows else [b"[]"]
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {str}:
+        yield f"[{inner}{(',' + inner).join(map(_quoted, value))}{newline}]".encode()
+    else:
+        yield json.dumps(value, indent=2).replace("\n", newline).encode()
 
 
 # The keys a diagram object of each schema needs besides "schema".
@@ -393,11 +404,11 @@ def write_csv(
     ``DynwireError`` naming it (``read_csv`` would refuse the file), and
     every value of a sequence of rows is converted by ``float``; so a call
     refused for its rows, header or values leaves an existing file as it
-    was.  The values are then written by ``_textcols.format_floats``, a
-    vectorised shortest round-trip kernel that gives ``repr``'s bytes, in
-    chunks of at most ``_textcols._CHUNK_VALUES`` values, streamed to the
-    file through ``_output``: it is written over in place and cut to length,
-    and an ``OSError`` is raised as ``DynwireError`` naming the path.
+    was.  The UTF-8 header and the chunks of ``_textcols.format_floats``, a
+    vectorised shortest round-trip kernel that gives ``repr``'s bytes, are
+    then streamed to the file by ``_output``: it is written over in place
+    and cut to length, and an ``OSError`` is raised as ``DynwireError``
+    naming the path.
 
     ``stale`` names a file, such as the CSV's sidecar, that describes the
     old content: it is removed after the checks and just before the file is
@@ -422,9 +433,7 @@ def write_csv(
             pass
         except OSError as exc:
             raise DynwireError(f"{stale}: {exc}") from None
-    with _output(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(format_floats(values))
+    _output(path, chain([(",".join(header) + "\n").encode()], format_floats(values)))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
@@ -519,4 +528,4 @@ def write_svg_lineplot(
             f'<text x="{ml + plot_w + 36}" y="{ly}" font-size="12">{name}</text>'
         )
     lines.append("</svg>")
-    _write_text(path, "\n".join(lines) + "\n")
+    _output(path, [("\n".join(lines) + "\n").encode()])

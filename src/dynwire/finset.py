@@ -190,6 +190,7 @@ def merge_classes(size: int, pairs: Iterable[tuple[int, int]]) -> FinFunction:
     Returns the projection onto classes, numbered ascending by smallest
     member.  Every pair entry must lie in ``[0, size)``.
     """
+    size = _size(size)
     ends = np.array(list(pairs), dtype=np.intp)
     if ends.size == 0:
         ends = ends.reshape(0, 2)
@@ -199,6 +200,13 @@ def merge_classes(size: int, pairs: Iterable[tuple[int, int]]) -> FinFunction:
         raise SizeMismatchError(f"pair entries must lie in [0, {size})")
     n_classes, classes = _classes(size, ends[:, 0], ends[:, 1])
     return FinFunction(size, n_classes, classes)
+
+
+def _size(size: int) -> int:
+    """``size`` if ``np.arange`` counts to it in ``np.intp``, else ``SizeMismatchError``."""
+    if not isinstance(size, (int, np.integer)) or not 0 <= size <= _INTP_MAX:
+        raise SizeMismatchError(f"set size {size!r} is not an integer in [0, {_INTP_MAX}]")
+    return int(size)
 
 
 def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
@@ -214,7 +222,7 @@ def _classes(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     has one root, its smallest member, so numbering the roots in order
     numbers the classes ascending by smallest member.
     """
-    ids = np.arange(size, dtype=np.intp)
+    ids = np.arange(_size(size), dtype=np.intp)
     label, la, lb = ids.copy(), a, b
     while np.count_nonzero(la != lb):
         low = np.minimum(la, lb)

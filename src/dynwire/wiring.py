@@ -562,25 +562,29 @@ def to_dot(d: _Diagram) -> str:
     undirected for UWD and directed for DWD/CPG.  Each block of like lines
     is one template filled from index columns in one numpy pass.
     """
-    return "\n".join([*filter(None, _syntax(d).dot(d)), "}"]) + "\n"
+    return b"".join(_dot(d)).decode("ascii")
 
 
-def _lines(template: str, *columns: Sequence[int]) -> str:
+def _dot(d: _Diagram) -> list[bytes]:  # to_dot's text in pieces of whole lines
+    return [*_syntax(d).dot(d), b"}\n"]
+
+
+def _lines(template: str, *columns: Sequence[int]) -> bytes:
     """One line per row: ``template`` with each ``{}`` replaced by the next column's entry."""
-    return format_rows(template.split("{}"), columns, "\n")
+    return format_rows((template + "\n").split("{}"), columns, "")
 
 
-def _dot_head(graph: str, n_boxes: int, n_junctions: int = 0) -> list[str]:
+def _dot_head(graph: str, n_boxes: int, n_junctions: int = 0) -> list[bytes]:
     boxes = range(n_boxes)
     return [
-        f"{graph} diagram {{\n  rankdir=LR;\n  subgraph cluster_body {{\n    style=rounded;",
+        f"{graph} diagram {{\n  rankdir=LR;\n  subgraph cluster_body {{\n    style=rounded;\n".encode(),
         _lines('    b{} [label="b{}", shape=box];', boxes, boxes),
         _lines('    j{} [label="", shape=point];', range(n_junctions)),
-        "  }",
+        b"  }\n",
     ]
 
 
-def _dot_uwd(d: UWDiagram) -> list[str]:
+def _dot_uwd(d: UWDiagram) -> list[bytes]:
     a, outer = d.data.parts, range(d.n_outer)
     return _dot_head("graph", d.n_boxes, d.n_junctions) + [
         _lines('  q{} [label="q{}", shape=plaintext];', outer, outer),
@@ -589,7 +593,7 @@ def _dot_uwd(d: UWDiagram) -> list[str]:
     ]
 
 
-def _dot_dwd(d: DWDiagram) -> list[str]:
+def _dot_dwd(d: DWDiagram) -> list[bytes]:
     head = _dot_head("digraph", d.n_boxes)  # first: it refuses a box count it cannot write
     a = d.data.parts
     box_in, slot_in = a["box_in"], d.ports("box_in").slots()
@@ -608,7 +612,7 @@ def _dot_dwd(d: DWDiagram) -> list[str]:
     ]
 
 
-def _dot_cpg(d: CPGraph) -> list[str]:
+def _dot_cpg(d: CPGraph) -> list[bytes]:
     head = _dot_head("digraph", d.n_boxes)  # first: it refuses a box count it cannot write
     a = d.data.parts
     box, slot = a["box"], d.ports("box").slots()
@@ -624,7 +628,7 @@ class _Syntax(NamedTuple):
     identity: Callable[..., _Diagram]  # box interface -> identity diagram
     compose: Callable[..., _Diagram]
     canonical: Callable[..., _Diagram]
-    dot: Callable[..., list[str]]
+    dot: Callable[..., list[bytes]]
 
 
 _SYNTAX: dict[type, _Syntax] = {

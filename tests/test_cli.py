@@ -861,7 +861,7 @@ class TestOutputErrors:
         assert capsys.readouterr().err == f"error: {out}: [Errno 28] No space left on device\n"
         assert not meta.exists()
         header = old[:old.index(b"\n") + 1]
-        assert out.read_bytes() == header + written[0].encode()
+        assert out.read_bytes() == header + written[0]
         assert len(old) > len(header) + len(written[0])
 
     @pytest.mark.parametrize("model, config", [

@@ -125,14 +125,14 @@ def text_columns(draw) -> tuple[list[str], list[np.ndarray], str]:
 @given(case=text_columns())
 def test_format_rows_matches_f_string_join(case):
     parts, columns, sep = case
-    assert format_rows(parts, columns, sep) == reference_format_rows(parts, columns, sep)
+    assert format_rows(parts, columns, sep) == reference_format_rows(parts, columns, sep).encode()
 
 
 def test_format_rows_takes_ranges_and_unsigned_columns_and_refuses_negatives():
     wide = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
-    expected = reference_format_rows(["<", ":", ">"], [range(5, 8), wide.tolist()], ";")
+    expected = reference_format_rows(["<", ":", ">"], [range(5, 8), wide.tolist()], ";").encode()
     assert format_rows(["<", ":", ">"], [range(5, 8), wide], ";") == expected
-    assert format_rows(["x", ""], [range(0)], "\n") == ""
+    assert format_rows(["x", ""], [range(0)], "\n") == b""
     with pytest.raises(TypeError, match="non-negative integers"):
         format_rows(["", ""], [np.array([3, -1])], ",")
     with pytest.raises(TypeError, match="non-negative integers"):
@@ -193,7 +193,7 @@ def test_string_lists_encode_as_json_dumps_indent_2(strings, depth, tmp_path_fac
     value: object = strings
     for k in range(depth):
         value = {f"k{k}": value, "n": [k, k + 1]}
-    assert _encode(value, "\n") == json.dumps(value, indent=2)
+    assert b"".join(_encode(value, "\n")) == json.dumps(value, indent=2).encode()
     path = tmp_path_factory.mktemp("json") / "out.json"
     _write_json(path, {"columns": value})
     assert path.read_bytes() == reference_json_text({"columns": value}).encode("utf-8")
@@ -221,10 +221,10 @@ def reference_csv_lines(rows) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-def kernel_text(rows) -> str:
-    """``format_floats`` of ``rows`` as one string: the vectorised path at any size."""
+def kernel_text(rows) -> bytes:
+    """``format_floats`` of ``rows`` joined: the vectorised path at any size."""
     values = np.array(rows, np.float64) if rows else np.empty((0, 1))
-    return "".join(format_floats(values))
+    return b"".join(format_floats(values))
 
 
 # Values on every branch of repr's layout and of the kernel's range: zeros,
@@ -256,7 +256,7 @@ def float_rows(draw) -> list[list[float]]:
 @settings(max_examples=400, deadline=None)
 @given(rows=float_rows())
 def test_format_floats_matches_repr(rows):
-    assert kernel_text(rows) == reference_csv_lines(rows)
+    assert kernel_text(rows) == reference_csv_lines(rows).encode()
 
 
 def test_format_floats_matches_repr_on_signed_blocks():
@@ -266,13 +266,13 @@ def test_format_floats_matches_repr_on_signed_blocks():
     for n in (15, 16, 17, 31, 64, 257):
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 12, n)
         values[rng.random(n) < 0.2] *= -1
-        assert kernel_text(values[:, None].tolist()) == reference_csv_lines(values[:, None].tolist())
+        assert kernel_text(values[:, None].tolist()) == reference_csv_lines(values[:, None].tolist()).encode()
 
 
 def test_format_floats_matches_repr_on_a_million_bit_patterns():
     bits = np.random.default_rng(20261019).integers(0, 2**64, 2**20, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64).reshape(-1, 8)
-    assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+    assert b"".join(format_floats(values)) == reference_csv_lines(values.tolist()).encode()
 
 
 def test_format_floats_matches_repr_on_structured_values():
@@ -290,7 +290,7 @@ def test_format_floats_matches_repr_on_structured_values():
     ]
     values = np.concatenate(columns)
     values = np.concatenate([values, -values])[:, None]
-    assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+    assert b"".join(format_floats(values)) == reference_csv_lines(values.tolist()).encode()
 
 
 # Values whose bounds the kernel cannot decide from the top bits of their
@@ -305,7 +305,7 @@ def test_format_floats_writes_values_it_is_unsure_of_by_repr():
                                        dynwire._textcols._Arena())[2].tolist() == [True] * 10 + [False] * 2
     for width in (1, 3, 4):
         block = np.resize(values, (len(values) * 2 // width, width))
-        assert "".join(format_floats(block)) == reference_csv_lines(block.tolist())
+        assert b"".join(format_floats(block)) == reference_csv_lines(block.tolist()).encode()
 
 
 def test_format_floats_leaves_unsure_values_to_repr(monkeypatch):
@@ -322,7 +322,7 @@ def test_format_floats_leaves_unsure_values_to_repr(monkeypatch):
     monkeypatch.setattr(dynwire._textcols, "_shortest", unsure)
     values = np.random.default_rng(3).standard_normal((400, 7)) * 1e3
     values[5, 2], values[9, 0], values[11, 6] = 0.0, float("inf"), 5e-324
-    assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+    assert b"".join(format_floats(values)) == reference_csv_lines(values.tolist()).encode()
 
 
 def test_format_floats_splits_rows_across_chunks():
@@ -330,21 +330,21 @@ def test_format_floats_splits_rows_across_chunks():
     values = np.random.default_rng(5).random((3 * chunk // 7 + 2, 7))
     pieces = list(format_floats(values))
     assert len(pieces) == -(-values.size // chunk)
-    assert "".join(pieces) == reference_csv_lines(values.tolist())
-    assert list(format_floats(np.empty((3, 0)))) == ["\n\n\n"]
+    assert b"".join(pieces) == reference_csv_lines(values.tolist()).encode()
+    assert list(format_floats(np.empty((3, 0)))) == [b"\n\n\n"]
 
 
 def test_format_floats_in_threads_at_once():
     # Each call has its own work buffers; with a short switch interval,
     # threads that shared them would write each other's digits.
     values = [np.random.default_rng(k).random((300, 11)) * 10.0**k for k in range(6)]
-    expected = [reference_csv_lines(v.tolist()) for v in values]
-    results: dict[int, list[str]] = {}
+    expected = [reference_csv_lines(v.tolist()).encode() for v in values]
+    results: dict[int, list[bytes]] = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def work(k):
-            results[k] = ["".join(format_floats(values[k])) for _ in range(5)]
+            results[k] = [b"".join(format_floats(values[k])) for _ in range(5)]
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
         for t in threads:
@@ -364,7 +364,7 @@ def test_format_floats_of_chunks_without_fraction_cells():
     one_digit = np.array([1e-05, 3e-07, -9e-100, 5e-300, 2e-308])
     for values in ([[1e-05]], np.resize(one_digit, (chunk, 1)), np.resize(one_digit, (chunk // 4, 4))):
         values = np.asarray(values)
-        assert "".join(format_floats(values)) == reference_csv_lines(values.tolist())
+        assert b"".join(format_floats(values)) == reference_csv_lines(values.tolist()).encode()
 
 
 def test_write_csv_of_chunks_without_fraction_cells(tmp_path):
@@ -473,6 +473,8 @@ def test_writer_on_library_diagrams_and_specs(tmp_path):
 
 
 def test_every_text_writer_writes_utf8_with_lf_newlines(tmp_path, monkeypatch):
+    # Every writer passes its own UTF-8 bytes to a binary stream: no text
+    # layer encodes them or translates their newlines.
     opened = []
 
     def spy(path, mode="r", **kwargs):
@@ -487,8 +489,11 @@ def test_every_text_writer_writes_utf8_with_lf_newlines(tmp_path, monkeypatch):
     out = tmp_path / "grid.dot"
     assert main(["export-dot", "--diagram", str(tmp_path / "grid.json"), "-o", str(out)]) == 0
     writes = [call for call in opened if "w" in call[0]]
-    assert writes == [("w", "utf-8", "\n")] * 5
-    assert b"\r" not in out.read_bytes()
+    assert writes == [("wb", None, None)] * 5
+    for name in ("grid.json", "spec.json", "t.csv", "t.svg", "grid.dot"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        data.decode("utf-8")
 
 
 def test_load_then_dump_is_byte_identical(tmp_path):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from dynwire import (
     ArityError,
+    ConfigError,
     CPGraph,
     DWDiagram,
     FinFunction,
@@ -324,6 +326,16 @@ class TestEuler:
         s = ResourceSharer(0, 1, FinFunction(0, 1, ()), lambda x: x, "discrete")
         with pytest.raises(KindError):
             euler_undirected(s, 0.1)
+
+    @pytest.mark.parametrize("h", [float("nan"), 0.0, -0.0, -0.1])
+    def test_step_that_is_not_positive_is_a_config_error_naming_it(self, h):
+        m = Machine(0, 1, 0, lambda a, x: x, lambda x: np.zeros(0), "continuous")
+        s = ResourceSharer(0, 1, FinFunction(0, 1, ()), lambda x: x, "continuous")
+        message = re.escape(f"step size h must be positive, got {h!r}")
+        with pytest.raises(ConfigError, match=message):
+            euler_directed(m, h)
+        with pytest.raises(ConfigError, match=message):
+            euler_undirected(s, h)
 
 
 class TestHeatGrid:

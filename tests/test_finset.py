@@ -14,6 +14,7 @@ from dynwire import (
     compose,
     cospan_compose,
     identity,
+    merge_classes,
     pullback_vec,
     pushforward_vec,
     pushout,
@@ -118,6 +119,10 @@ class TestPushout:
             assert hit == set(range(po.apex_size))
             assert po.apex_size <= b + c
             assert compose(f, po.inj_left).map == compose(g, po.inj_right).map
+
+    def test_merge_classes_of_a_negative_size_is_a_size_error_naming_it(self):
+        with pytest.raises(SizeMismatchError, match=r"^set size -1 is not an integer in \[0, "):
+            merge_classes(-1, [])
 
 
 class TestVectorTransport:

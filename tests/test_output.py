@@ -9,14 +9,14 @@ import pytest
 
 from dynwire.cli import main
 from dynwire.errors import DynwireError
-from dynwire.fileio import _output, _write_text
+from dynwire.fileio import _output
 
 
 def test_shorter_and_longer_rewrites_give_exactly_the_new_bytes(tmp_path):
     path = tmp_path / "out.txt"
-    for text in ("a" * 5000 + "\n", "bc\n", "", "d\ne\n" * 3000, "f"):
-        _write_text(path, text)
-        assert path.read_bytes() == text.encode("utf-8")
+    for text in (b"a" * 5000 + b"\n", b"bc\n", b"", b"d\ne\n" * 3000, b"f"):
+        _output(path, [text[:3000], text[3000:]])
+        assert path.read_bytes() == text
 
 
 @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
@@ -24,7 +24,7 @@ def test_symlink_is_written_through_and_stays_a_link(tmp_path):
     target, link = tmp_path / "target.txt", tmp_path / "link.txt"
     target.write_text("old content that is longer\n", encoding="utf-8")
     link.symlink_to(target)
-    _write_text(link, "new\n")
+    _output(link, [b"new\n"])
     assert link.is_symlink()
     assert target.read_bytes() == b"new\n"
 
@@ -34,7 +34,7 @@ def test_existing_file_keeps_its_mode(tmp_path):
     path = tmp_path / "private.txt"
     path.write_text("secret and longer\n", encoding="utf-8")
     path.chmod(0o600)
-    _write_text(path, "new\n")
+    _output(path, [b"new\n"])
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
     assert path.read_bytes() == b"new\n"
 
@@ -44,7 +44,7 @@ def test_hard_link_sees_the_new_bytes(tmp_path):
     path, other = tmp_path / "a.txt", tmp_path / "b.txt"
     path.write_text("old content that is longer\n", encoding="utf-8")
     os.link(path, other)
-    _write_text(path, "new\n")
+    _output(path, [b"new\n"])
     assert other.read_bytes() == b"new\n"
 
 
@@ -55,16 +55,17 @@ def test_export_dot_to_dev_null_exits_0(repo_root, capsys):
     assert capsys.readouterr().out == "wrote /dev/null\n"
 
 
+def pieces_then(first: bytes, exc: Exception):
+    yield first
+    raise exc
+
+
 def test_failure_inside_the_block_cuts_the_file_where_it_stopped(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("x" * 10000, encoding="utf-8")
     with pytest.raises(DynwireError, match=r"out\.txt: \[Errno 28\] No space left on device"):
-        with _output(path) as fh:
-            fh.write("written\n")
-            raise OSError(28, "No space left on device")
+        _output(path, pieces_then(b"written\n", OSError(28, "No space left on device")))
     assert path.read_bytes() == b"written\n"
     with pytest.raises(KeyError):
-        with _output(path) as fh:
-            fh.write("ab")
-            raise KeyError("not an OSError")
+        _output(path, pieces_then(b"ab", KeyError("not an OSError")))
     assert path.read_bytes() == b"ab"

@@ -11,6 +11,7 @@ from dynwire import (
     DiagramError,
     DWDiagram,
     DynwireError,
+    SizeMismatchError,
     UWDiagram,
     canonical,
     cpg_to_dwd,
@@ -144,6 +145,12 @@ class TestOcomposeUWD:
             junc_out=[0],
         )
         assert canonical(flattened) == canonical(expected)
+
+    def test_junctions_past_np_intp_are_a_size_error_naming_their_count(self):
+        # 2**62 junctions twice over: np.arange(2**63) would come back empty.
+        d = UWDiagram.from_tables(1, 2**62, (0,), (0,), (0,))
+        with pytest.raises(SizeMismatchError, match=f"^set size {2**63} is not an integer"):
+            ocompose_uwd(d, [d])
 
 
 class TestOcomposeDWD:
