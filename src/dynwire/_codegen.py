@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import ExprEvalError, SizeMismatchError
-from .finset import FinFunction, fiber_sum
+from .finset import _ARRAY_ENTRIES, FinFunction, fiber_sum
 from .wiring import _Fibers
 
 # ---------------------------------------------------------------------------
@@ -119,8 +119,10 @@ class Emitter:
 
     ``arrays`` emits array code: an operand is one float64 array of all of
     a system's inputs (none for a sharer) or states.  Its statements are
-    never shared: two equal buffers made by ``_np.empty`` must stay apart.
-    Only a nested composite's readouts are, between the phases of its
+    never shared.  Its work buffers (:meth:`buffer`) are made in ``setup``,
+    once per run of a loop (per call of a function), and the lines of
+    ``fresh`` run only when the loop's input vector ``a`` is a new one.
+    Only a nested composite's buffer is shared, between the phases of its
     parent (``readouts``): its states are a slice of the parent's, which
     nothing writes into.
     """
@@ -132,7 +134,8 @@ class Emitter:
         self.checks: list[str] = []
         self.constants: dict[str, object] = {}
         self._seen: dict[str, str] = {}  # statement text -> temporary
-        self.readouts: dict[tuple[Program, str], str] = {}  # (program, states) -> readouts
+        self.readouts: dict[tuple[Program, str], str] = {}  # (program, states) -> its buffer
+        self.setup, self.fresh, self.buffers = [], [], []  # array code, see above
         self._temporaries = 0
         self._checked: set[tuple[str, str]] = set()  # (check, operand) pairs emitted
         self._plain: set[str] = set()  # temporaries assigned outside a ``try``
@@ -152,6 +155,17 @@ class Emitter:
         name = f"_c{len(self.constants)}"
         self.constants[name] = obj
         return name
+
+    def buffer(self, n: int) -> str:
+        """A float64 array of ``n`` zeros made in ``setup``."""
+        name = f"_b{len(self.buffers)}"
+        self.buffers.append(name)
+        self.setup.append(f"{name} = _np.zeros({n})")
+        return name
+
+    def plus_zero(self, target: str, v: str) -> None:
+        """``v + 0.0`` into ``target``: only on a new input vector if ``v`` is the bound inputs."""
+        (self.fresh if v == "a" else self.lines).append(f"_np.add({v}, 0.0, out={target})")
 
     def statement(self, rhs: str, caught: str = "", message: str = "") -> str:
         """Assign ``rhs`` to a fresh temporary; with ``caught``, turn that
@@ -231,8 +245,8 @@ class Emitter:
         floats) or columns (batched) of ``source``; for array code, the
         argument itself, size-checked as ``as_vector`` does."""
         if self.arrays:
-            what = "input vector" if source == "a" else "state vector"
-            self.lines.append(f"{source} = _vec({source}, {n}, {what!r})")
+            into, what = (self.fresh, "input vector") if source == "a" else (self.lines, "state vector")
+            into.append(f"{source} = _vec({source}, {n}, {what!r})")
             return [source]
         operands = [f"_{source}{k}" for k in range(n)]
         if self.batched:
@@ -244,15 +258,12 @@ class Emitter:
     def sums(
         self, src: Sequence[int], dst: Sequence[int], values: Sequence[str], n: int
     ) -> list[str]:
-        """``out[j]`` = the sum of ``values[src[w]]`` over ``dst[w] == j``.
+        """Fused code: ``out[j]`` = the sum of ``values[src[w]]`` over ``dst[w] == j``.
 
         Each sum starts from 0.0 and adds in the order of ``w``, as
         ``finset.fiber_sum`` does, so a lone ``-0.0`` sums to ``0.0`` and an
-        empty fiber reads exactly ``0.0``.  Array code calls ``fiber_sum``.
+        empty fiber reads exactly ``0.0``.  Array code sums with :class:`_Sum`.
         """
-        if self.arrays:
-            gather = f"{values[0]}[{self.name(src)}]"
-            return [self.statement(f"_fiber_sum({self.name(dst)}, {gather}, {n})")]
         out = ["(0.0)"] * n
         for s, d in zip(src, dst):
             out[d] = self.statement(f"{out[d]} + {values[s]}")
@@ -313,7 +324,7 @@ class Emitter:
         ``(block, ok)``, one column per result and one row per row of the
         last parameter."""
         if self.arrays:
-            body = [*self.lines, f"return {self.pack(results)}"]
+            body = [*self.setup, *self.fresh, *self.lines, f"return {self.pack(results)}"]
         elif not self.batched:
             body = self.folded([f"return {self.pack(results)}"])
         else:
@@ -392,6 +403,7 @@ class Program:
     ``array_readout(x)`` are its array callables, made on first use and
     kept on it: array code, or, for a fused program, its function over
     Python floats between ``as_vector`` on each argument and ``np.array``.
+    ``projections`` holds, per readout, the state it reads out bare, or -1.
     """
 
     def __init__(self, key: tuple | None, n_inputs: int, n_states: int, n_outputs: int, statements: int):
@@ -399,6 +411,7 @@ class Program:
         self.n_inputs, self.n_states, self.n_outputs = n_inputs, n_states, n_outputs
         self.statements = statements
         self._hash = id(self) if key is None else hash(key)
+        self.projections = (-1,) * n_outputs
 
     def __hash__(self) -> int:
         return self._hash
@@ -468,6 +481,8 @@ class Leaf(Program):
         outputs = (*self.equations, *self.readouts)
         statements = sum(map(_operations, outputs)) + len(outputs)
         super().__init__(key, len(inputs), len(states), len(readouts), statements)
+        index = {s: k for k, s in enumerate(self.states)}
+        self.projections = tuple(index.get(e.name, -1) if type(e) is Var else -1 for e in self.readouts)
 
     def _scope(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> None:
         em.names = {p: em.constant(v) for p, v in self.params}
@@ -485,8 +500,9 @@ class Leaf(Program):
 
 class Opaque(Program):
     """A system given by its callables alone: they are its only code, so it
-    is never fused or grouped, and array code calls them.  ``machine`` says
-    whether ``dynamics`` takes ``(a, x)`` or, for a sharer, ``(x)``."""
+    is never fused or grouped, and array code calls them and size-checks
+    what they return.  ``machine`` says whether ``dynamics`` takes
+    ``(a, x)`` or, for a sharer, ``(x)``."""
 
     def __init__(
         self, n_inputs: int, n_states: int, n_outputs: int,
@@ -497,115 +513,134 @@ class Opaque(Program):
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
         f = em.name(self.callables[1])
-        return [em.statement(f"_np.asarray({f}({x[0]}), dtype=_np.float64)")]
+        return [em.statement(f"_vec({f}({x[0]}), {self.n_outputs}, 'readout result')")]
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         f, args = em.name(self.callables[0]), ", ".join([*a, *x] if self.machine else x)
-        return [em.statement(f"_np.asarray({f}({args}), dtype=_np.float64)")]
+        return [em.statement(f"_vec({f}({args}), {self.n_states}, 'dynamics result')")]
 
 
-def _composite(boxes: Sequence[Program], glue: int) -> tuple[np.ndarray, int, bool]:
-    """Of a composite whose wiring adds ``glue`` statements to its boxes':
-    where each box's states start among the box states, and their count
-    last (box ``i``'s are ``offs[i]:offs[i + 1]``); its statements; and
-    whether it is fused: its boxes are and those fit the cutoff."""
-    n = map(attrgetter("n_states"), boxes)
-    offs = np.fromiter(itertools.accumulate(n, initial=0), np.intp, len(boxes) + 1)
-    statements = sum(map(attrgetter("statements"), boxes)) + glue
-    fused = statements <= _FUSE_MAX_STATEMENTS and all(map(attrgetter("fused"), boxes))
-    return offs, statements, fused
+class _Composite(Program):
+    """A program over boxes, box ``i`` running ``programs[column[i]]`` on the
+    states ``offs[i]:offs[i + 1]`` of the sum of theirs."""
+
+    def _compose(self, programs: Sequence[Program], column: np.ndarray, glue: int) -> tuple[int, bool]:
+        """Take the boxes; the statements of the composite, its wiring adding
+        ``glue``, and whether it is fused: its boxes are, within the cutoff."""
+        self.programs, self.column = programs, column
+        self.boxes = tuple(map(programs.__getitem__, column.tolist()))
+        self.offs = _offsets([p.n_states for p in programs], column)
+        statements = sum(map(attrgetter("statements"), self.boxes)) + glue
+        return statements, statements <= _FUSE_MAX_STATEMENTS and all(p.fused for p in programs)
 
 
-class Transport(Program):
+class Transport(_Composite):
     """A directed composite: readouts and outer inputs summed into in-ports.
 
-    A composite's states, in-ports and out-ports are the sums of its boxes':
-    box ``i``'s are ``offs[i]:offs[i + 1]``, ``ins[i]:ins[i + 1]`` and
-    ``outs[i]:outs[i + 1]``.  The tables are index arrays over those sums:
-    ``inward`` gathers from ``concat(readouts, inputs)`` and scatters into
-    in-ports, ``outward`` gathers from readouts into outer out-ports.  Only a
-    fused transport turns them into tuples, for its key and its code; any
-    other makes its :class:`BoxPlan` with itself.
+    Its states, in-ports and out-ports are the sums of its boxes': box
+    ``i``'s are ``offs[i]:offs[i + 1]``, ``ins[i]:ins[i + 1]`` and
+    ``outs[i]:outs[i + 1]``.  ``inward`` maps wires from
+    ``concat(readouts, inputs)`` to in-ports, ``outward`` from readouts to
+    outer out-ports; a fused transport makes them tuples, for its key and
+    code.  Array code steps over one buffer of ``size``, ``concat(x, a, r,
+    0.0) + 0.0``, ``r`` the readouts its boxes compute, if any do: an
+    out-port whose box reads a state out bare (``Program.projections``) is
+    that state's slot, so both tables, composed with the projections once,
+    are sums (:class:`_Sum`) over the buffer, one gather where no port has
+    two wires, else ``fiber_sum``.  The inputs are copied in only when the
+    loop's input vector is a new one (:meth:`Emitter.plus_zero`).
     """
 
     def __init__(
-        self, boxes: Sequence[Program], n_inputs: int, n_outputs: int, ins: np.ndarray,
-        outs: np.ndarray, inward: tuple[np.ndarray, np.ndarray], outward: tuple[np.ndarray, np.ndarray],
+        self, programs: Sequence[Program], column: np.ndarray, n_inputs: int, n_outputs: int,
+        ins: np.ndarray, outs: np.ndarray, inward: tuple[np.ndarray, np.ndarray],
+        outward: tuple[np.ndarray, np.ndarray],
     ):
-        self.boxes = tuple(boxes)
         self.ins, self.outs, self.inward, self.outward = ins, outs, inward, outward
         # An addition per wire.
-        self.offs, statements, fused = _composite(self.boxes, len(inward[0]) + len(outward[0]))
+        statements, fused = self._compose(programs, column, len(inward[0]) + len(outward[0]))
         wires = (tuple(c.tolist()) for c in (*inward, *outward))
         key = (self.boxes, n_inputs, n_outputs, *wires) if fused else None
         super().__init__(key, n_inputs, int(self.offs[-1]), n_outputs, statements)
-        self.plan = None if fused else BoxPlan(self.boxes, (self.offs, ins, outs), True)
+        self.plan = None if fused else BoxPlan(programs, column, (self.offs, ins, outs), True)
+        if not fused:
+            n, r, n_out = self.n_states, self.n_states + n_inputs, int(outs[-1])
+            state, box = _per_port([p.projections for p in programs], column, outs)
+            slot = np.where(state >= 0, self.offs[box] + state, r + np.arange(n_out))  # of each out-port
+            zero = r + n_out * self.plan.reads  # the last slot
+            self.size, src = zero + 1, np.concatenate((slot, np.arange(n, r)))[inward[0]]
+            self.sums = (_Sum(src, inward[1], int(ins[-1]), zero),
+                         _Sum(slot[outward[0]], outward[1], n_outputs, zero))
+
+    def _buffer(self, em: Emitter, x: str) -> str:
+        """Array code: the buffer at the states ``x``, with the readouts;
+        kept per ``x``, so that a nested composite's, made in its parent's
+        readout phase, serves its own dynamics in the phase after."""
+        buf = em.readouts.get((self, x))
+        if buf is None:
+            buf = em.readouts[self, x] = em.buffer(self.size)
+            r = f"{buf}[{self.n_states + self.n_inputs}:{self.size - 1}]"
+            em.plus_zero(f"{buf}[:{self.n_states}]", x)
+            if self.plan.emit(em, x, r if self.plan.reads else None, readout=True):
+                em.plus_zero(r, r)
+        return buf
+
+    def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
+        if em.arrays:
+            return [self.sums[1].emit(em, self._buffer(em, x[0]))]
+        return em.sums(*self.outward, self._readouts(em, x), self.n_outputs)
 
     def _readouts(self, em: Emitter, x: Sequence[str], a: Sequence[str] = ()) -> list[str]:
-        """Every box's readout in box order, then ``a``."""
-        if em.arrays:
-            n = int(self.outs[-1])
-            # A nested composite's readouts, made for its parent's readout
-            # phase, serve its own dynamics in the phase after.
-            values = em.readouts.get((self, x[0]))
-            if values is None:
-                values = em.statement(f"_np.empty({n + self.n_inputs if a else n})")
-                self.plan.emit(em, x[0], values, readout=True)
-                if a:
-                    em.lines.append(f"{values}[{n}:] = {a[0]}")
-                else:
-                    em.readouts[self, x[0]] = values
-            elif a:
-                values = em.statement(f"_np.concatenate(({values}, {a[0]}))")
-            return [values]
+        """Fused code: every box's readout in box order, then ``a``."""
         r = []
         for box, states in zip(self.boxes, _slices(self.offs)):
             r += box.readout(em, x[states])
         return [*r, *a]
 
-    def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
-        return em.sums(*self.outward, self._readouts(em, x), self.n_outputs)
-
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
-        feed = em.sums(*self.inward, self._readouts(em, x, a), int(self.ins[-1]))
         if em.arrays:
-            out = em.statement(f"_np.empty({self.n_states})")
-            self.plan.emit(em, x[0], out, feed[0])
-            return [out]
+            buf, n = self._buffer(em, x[0]), self.n_states
+            if self.n_inputs:
+                em.plus_zero(f"{buf}[{n}:{n + self.n_inputs}]", a[0])
+            return [self.plan.emit(em, x[0], feed=self.sums[0].emit(em, buf))]
+        feed = em.sums(*self.inward, self._readouts(em, x, a), int(self.ins[-1]))
         out: list[str] = []
         for box, states, ports in zip(self.boxes, _slices(self.offs), _slices(self.ins)):
             out += box.dynamics(em, feed[ports], x[states])
         return out
 
 
-class Gluing(Program):
+class Gluing(_Composite):
     """An undirected composite: box states are pulled back from the glued
     states along ``injection`` and their dynamics pushed forward, summed per
     glued state.  A discrete composite adds the summed increments to the
-    glued state instead.  ``offs`` and ``plan`` are as for :class:`Transport`."""
+    glued state instead.  ``offs`` and ``plan`` are as for
+    :class:`Transport`; array code pulls back by one gather and pushes
+    forward by a :class:`_Sum`, a gather plus 0.0 unless some glued state
+    takes two box states or none, where it stays ``fiber_sum``."""
 
-    def __init__(self, boxes: Sequence[Program], injection: FinFunction, discrete: bool):
-        self.boxes = tuple(boxes)
+    def __init__(self, programs: Sequence[Program], column: np.ndarray, injection: FinFunction,
+                 discrete: bool):
         self.injection, self.discrete = injection, discrete
-        n_states = injection.cod_size
-        # An addition per box state; a discrete composite also takes an
-        # increment per box state and adds one sum per glued state.
-        glue = 2 * injection.dom_size + n_states if discrete else injection.dom_size
-        self.offs, statements, fused = _composite(self.boxes, glue)
+        n_states, glued = injection.cod_size, injection.dom_size
+        # A sum per box state; a discrete composite also takes an increment
+        # per box state and adds one sum per glued state.
+        statements, fused = self._compose(programs, column, 2 * glued + n_states if discrete else glued)
         key = (self.boxes, injection.map, n_states, discrete) if fused else None
         super().__init__(key, 0, n_states, 0, statements)
         none = np.zeros_like(self.offs)  # a sharer has no in- or out-ports
-        self.plan = None if fused else BoxPlan(self.boxes, (self.offs, none, none), False)
+        self.plan = None if fused else BoxPlan(programs, column, (self.offs, none, none), False)
+        if not fused:
+            glue = injection._indices
+            self.pull, self.push = _view(glue), _Sum(np.arange(glued), glue, n_states)
 
     def dynamics(self, em: Emitter, a: Sequence[str], x: Sequence[str]) -> list[str]:
         if em.arrays:
-            glue, n = em.name(self.injection._indices), self.n_states
-            y = em.statement(f"{x[0]}[{glue}]")
-            out = em.statement(f"_np.empty({self.injection.dom_size})")
-            self.plan.emit(em, y, out)
+            y = em.statement(_read(em, x[0], self.pull))
+            out = self.plan.emit(em, y)
             if not self.discrete:
-                return [em.statement(f"_fiber_sum({glue}, {out}, {n})")]
-            return [em.statement(f"{x[0]} + _fiber_sum({glue}, {out} - {y}, {n})")]
+                return [self.push.emit(em, out)]
+            return [em.statement(f"{x[0]} + {self.push.emit(em, em.statement(f'{out} - {y}'))}")]
         injection = self.injection.map
         y = [x[c] for c in injection]
         out: list[str] = []
@@ -630,6 +665,7 @@ class Euler(Program):
         n = inner.n_states  # and one statement per state, its step
         key = (inner, self.h) if inner.fused else None
         super().__init__(key, inner.n_inputs, n, inner.n_outputs, inner.statements + n)
+        self.projections = inner.projections
 
     def readout(self, em: Emitter, x: Sequence[str]) -> list[str]:
         return self.inner.readout(em, x)
@@ -641,42 +677,44 @@ class Euler(Program):
 
 
 class BoxPlan:
-    """How the array code of a box-by-box composite runs its boxes.
+    """How the array code of a box-by-box composite runs its boxes, box
+    ``i`` running ``programs[column[i]]``; ``machine`` says whether they are
+    machines, ``offs`` where each box's states, in-ports and out-ports start
+    in the composite's sums of them, and their counts last.
 
-    Boxes whose fused programs are equal form a group, evaluated by one call
-    of that program's batch kernel on a ``(k, n)`` block.  One pass over the
-    boxes' programs forms the groups, hashing each distinct object once.
-    ``offs`` holds where each box's states, in-ports and out-ports start in
-    the composite's, and their counts last, as the sums of the boxes' they
-    are: a group's blocks are its boxes' offsets plus ``arange(n)``, and a
-    box's own are slices.  ``machine`` says whether the boxes are machines.
-    The other boxes, the ``singles``, run one by one.  Groups run first and
-    only flag trouble; if one does, :meth:`walk` redoes the phase through
-    every box's array callables in box order, so it raises exactly the
-    error, from exactly the box, that unbatched code would; if it raises
-    none, the singles run as usual after it, to the same values.  Its
-    records, :attr:`boxes`, are built on the first flag, then kept.
+    Boxes whose fused programs are equal, found over the distinct programs
+    alone, form a group: one call of that program's batch kernel on
+    ``(k, n)`` blocks, its boxes' offsets plus ``arange(n)``, which for
+    consecutive boxes are views (a basic slice and a reshape).  A group
+    whose readouts are all bare states (``Program.projections``) makes no
+    readout call: its composite gathers those states, and the readout phase
+    screens them with one ``isfinite``.  The other boxes, the ``singles``,
+    run one by one, on slices.  Groups and screens only flag trouble; on a
+    flag, :meth:`walk` redoes the phase through every box's array callables
+    in box order, so it raises exactly the error, from exactly the box, that
+    unbatched code would; if it raises none, the singles run after it as
+    usual, to the same values.  Its records, :attr:`boxes`, are built on
+    the first flag, then kept.
     """
 
-    def __init__(self, programs: Sequence[Program], offs: Sequence[np.ndarray], machine: bool):
-        self.programs, self.machine, self.bounds = programs, machine, [o.tolist() for o in offs]
-        # By value, each distinct object hashed once: ``id`` is a C call,
-        # hashing a program's value a Python one.
-        ids = list(map(id, programs))
-        objects = dict(zip(ids, programs))
+    def __init__(self, programs: Sequence[Program], column: np.ndarray, offs: Sequence[np.ndarray],
+                 machine: bool):
+        self.programs, self.column, self.offs, self.machine = programs, column, offs, machine
         heads: dict[Program, int] = {}  # one program per value, in first-seen order
-        code = {k: heads.setdefault(p, len(heads)) for k, p in objects.items()}
-        column = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
-        groups = _Fibers(column, len(heads)).split(range(len(heads)))
+        value = np.array([heads.setdefault(p, len(heads)) for p in programs], np.intp)[column]
         self.groups, alone = [], []
-        for program, rows in zip(heads, groups):
+        for program, rows in zip(heads, _Fibers(value, len(heads)).split(range(len(heads)))):
             if not program.fused or len(rows) < 2:
                 alone += rows.tolist()
                 continue
             sizes = (program.n_states, program.n_inputs, program.n_outputs)
             blocks = [o[rows][:, None] + np.arange(n) for o, n in zip(offs, sizes)]
-            self.groups.append((*kernels(program, machine), *blocks))
+            read = sorted(set(program.projections))  # the states read out, -1 first if one computes
+            screen = None if read[:1] == [-1] else _view(blocks[0][:, read].ravel())
+            self.groups.append((*kernels(program, machine), *map(_view, blocks), screen))
         self.singles = sorted(alone)
+        self.whole = len(self.groups) == 1 and not alone  # every box in one group
+        self.reads = bool(alone) or any(g[-1] is None for g in self.groups)  # a readout computed
         # Singles in box order: a box-by-box composite or Euler map inlined,
         # or a run of other boxes (fused or opaque) walked by their callables.
         self.runs: list[tuple | list[tuple]] = []
@@ -688,20 +726,33 @@ class BoxPlan:
             else:
                 self.runs.append([record])
 
-    def emit(self, em: Emitter, x: str, out: str, feed: str | None = None, readout: bool = False):
-        """Emit one phase of array code over the states ``x`` into ``out``:
-        every box's readout at its out-ports (``readout``), or its dynamics
-        at its states, a machine reading its inputs from ``feed``."""
+    def emit(self, em: Emitter, x: str, out: str | None = None, feed: str | None = None,
+             readout: bool = False) -> str | None:
+        """Emit one phase of array code over the states ``x``: every box's
+        readout at its out-ports of ``out`` (``readout``), or its dynamics at
+        its states, a machine reading its inputs from ``feed``.  Returns
+        where the values are: ``out``, else, for dynamics, the kernel's
+        block where one group holds every box, or a buffer."""
+        if out is None and not (readout or self.whole):
+            out = em.buffer(int(self.offs[0][-1]))
         oks = []
-        for dynamics, readouts, states, ins, outs in self.groups:
-            s = em.name(states)
-            args = ([] if feed is None else [f"{feed}[{em.name(ins)}]"]) + [f"{x}[{s}]"]
+        for dynamics, readouts, states, ins, outs, screen in self.groups:
+            if readout and screen is not None:
+                if isinstance(screen, str) or screen.size:
+                    oks.append(f"_np.isfinite({_read(em, x, screen)}).all()")
+                continue
+            args = ([] if feed is None else [_read(em, feed, ins)]) + [_read(em, x, states)]
             block = em.statement(f"{em.name(readouts if readout else dynamics)}({', '.join(args)})")
-            em.lines.append(f"{out}[{em.name(outs) if readout else s}] = {block}[0]")
+            if out is None:
+                out = em.statement(f"{block}[0].ravel()")
+            else:  # a view is written through, an index array into
+                at = outs if readout else states
+                em.lines.append(f"{_read(em, out, at)}{'[...]' * isinstance(at, str)} = {block}[0]")
             oks.append(f"{block}[1]")
         walk = em.name(self.walk)
         if oks:  # a flag redoes the phase box by box; the singles then run again alike
-            em.lines.append(f"if not ({' and '.join(oks)}): {walk}({x}, {out}, {feed}, {readout})")
+            into = f"_np.empty({int(self.offs[2 if readout else 0][-1])})" if out is None else out
+            em.lines.append(f"if not ({' and '.join(oks)}): {walk}({x}, {into}, {feed}, {readout})")
         for run in self.runs:
             if isinstance(run, list):
                 em.lines.append(f"{walk}({x}, {out}, {feed}, {readout}, {em.name(run)})")
@@ -711,22 +762,22 @@ class BoxPlan:
             xs = [f"{x}[{states}]"]  # one operand text in both phases
             a = [] if feed is None else [em.statement(f"{feed}[{ins}]")]
             value = (box.readout(em, xs) if readout else box.dynamics(em, a, xs))[0]
-            n, target = (box.n_outputs, outs) if readout else (box.n_states, states)
-            what = f"{'readout' if readout else 'dynamics'} of box {i}"
-            em.lines.append(f"{out}[{target}] = _vec({value}, {n}, {what!r})")
+            em.lines.append(f"{out}[{outs if readout else states}] = {value}")
+        return out
 
     def _records(self, boxes: list[int]) -> list[tuple]:
         """Of each of ``boxes``: index, program, array callables, state and port slices."""
-        return [
-            (i, self.programs[i], *callables_of(self.programs[i], self.machine),
-             *(slice(b[i], b[i + 1]) for b in self.bounds))
-            for i in boxes
-        ]
+        bounds, column = ([o.tolist() for o in self.offs], self.column.tolist()) if boxes else ((), ())
+        records = []
+        for i in boxes:
+            p, slices = self.programs[column[i]], (slice(b[i], b[i + 1]) for b in bounds)
+            records.append((i, p, *callables_of(p, self.machine), *slices))
+        return records
 
     @functools.cached_property
     def boxes(self) -> list[tuple]:
         """The records of every box, in box order: what the fallback walks."""
-        return self._records(list(range(len(self.programs))))
+        return self._records(list(range(self.column.size)))
 
     def walk(self, x: np.ndarray, out: np.ndarray, feed: np.ndarray | None, readout: bool,
              records: list[tuple] | None = None) -> None:
@@ -738,6 +789,74 @@ class BoxPlan:
             else:
                 v = dynamics(x[states]) if feed is None else dynamics(feed[ins], x[states])
                 out[states] = as_vector(v, p.n_states, f"dynamics of box {i}")
+
+
+def _view(index: np.ndarray) -> str | np.ndarray:
+    """How array code reads the positions ``index`` of a vector: where they
+    are consecutive, a basic slice reshaped to ``index``'s shape (a view),
+    else ``index``."""
+    flat = index.ravel()
+    lo = int(flat[0]) if flat.size else -1
+    if lo < 0 or int(flat[-1]) - lo != flat.size - 1 or (np.diff(flat) != 1).any():
+        return index
+    return f"[{lo}:{lo + flat.size}]" + (f".reshape{index.shape}" if index.ndim > 1 else "")
+
+
+def _read(em: Emitter, v: str, view: str | np.ndarray) -> str:
+    """Source of ``v`` read at a :func:`_view`."""
+    return f"{v}{view}" if isinstance(view, str) else f"{v}[{em.name(view)}]"
+
+
+class _Sum:
+    """Array code of ``values[src[w]]`` summed per target ``dst[w]`` into
+    ``n`` targets, bitwise as ``fiber_sum`` adds, chosen once from the
+    table: where no target has two entries, one gather, a target with none
+    reading the slot ``zero`` of ``values`` (a Transport's buffer, whose
+    entries had 0.0 added), else plus 0.0: ``0.0 + v`` and ``v + 0.0``
+    have the same bits, and both turn -0.0 into 0.0; else ``fiber_sum``,
+    whose sums that addition leaves alike."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, n: int, zero: int | None = None):
+        counts = np.bincount(dst, minlength=n)
+        self.gather, self.added, self.dst, self.n = None, zero is not None, dst, n
+        if (counts > 1).any() or zero is None and not counts.all():
+            self.src = _view(src)
+        else:
+            gather = np.full(n, -1 if zero is None else zero, np.intp)
+            gather[dst] = src
+            self.gather = _view(gather)
+
+    def emit(self, em: Emitter, values: str) -> str:
+        if self.gather is None:
+            src = _read(em, values, self.src)
+            return em.statement(f"_fiber_sum({em.name(self.dst)}, {src}, {self.n})")
+        gathered = _read(em, values, self.gather)
+        return em.statement(gathered if self.added else f"{gathered} + 0.0")
+
+
+def _offsets(sizes: list[int], column: np.ndarray) -> np.ndarray:
+    """Where each box ``i`` starts in the sum of the boxes, of ``sizes[column[i]]``
+    each, and the sum last.  Below ``_ARRAY_ENTRIES`` boxes Python ints cost
+    less than numpy's calls (1.6 against 4.5 us for 3 boxes); at 1024 boxes,
+    92 against 10 us."""
+    if column.size < _ARRAY_ENTRIES:
+        boxes = map(sizes.__getitem__, column.tolist())
+        return np.fromiter(itertools.accumulate(boxes, initial=0), np.intp, column.size + 1)
+    offs = np.zeros(column.size + 1, np.intp)
+    offs[1:] = np.array(sizes, np.intp)[column]
+    return offs.cumsum(out=offs)
+
+
+def _per_port(tables: list, column: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of each port, box-major, of the boxes ``i`` whose ports are
+    ``bounds[i]:bounds[i + 1]``: its entry, by its place among its box's, in
+    ``tables[column[i]]`` (an integer sequence per distinct system); its box."""
+    lengths = list(map(len, tables))
+    table = np.fromiter(itertools.chain.from_iterable(tables), np.intp, sum(lengths))
+    box = np.repeat(np.arange(column.size), bounds[1:] - bounds[:-1])
+    starts = np.array([0, *itertools.accumulate(lengths)], np.intp)[column]  # of each box's table
+    at = starts[box] + np.arange(box.size) - bounds[box]
+    return table[at], box
 
 
 def _slices(offs: np.ndarray) -> list[slice]:
@@ -796,13 +915,15 @@ def runner(program: Program, scheme: str, h: float) -> Callable:
     steps, step ``k`` holding the inputs of the ``k``-th entry of ``inputs``
     over it, and writes the state after step ``k`` into the columns ``1:``
     of row ``k``.  Fused, the state lives in local floats and each row is
-    packed into the block's bytes; else it is one float64 array,
-    size-checked as it is written.  ``direct`` runs
-    the program's own dynamics, the next-state map of a discrete system (an
-    :class:`Euler` map among them), inline.  ``rk4`` is classic RK4 of a
-    continuous system, its four stages the program's dynamics emitted inline
-    the same way, at ``x`` and at the stage points ``x_i + (0.5*h)*k_i``
-    and ``x_i + h*k3_i`` (in array code, size-checked), then
+    packed into the block's bytes.  Else it is one float64 array: the work
+    buffers are made once per run, an entry of ``inputs`` is size-checked
+    and copied in only when it is not the entry before (constant inputs
+    are one object), and only opaque callables' results are size-checked.
+    ``direct`` runs the program's own dynamics, the next-state map of a
+    discrete system (an :class:`Euler` map among them), inline.  ``rk4`` is
+    classic RK4 of a continuous system, its four stages the program's
+    dynamics emitted inline the same way, at ``x`` and at the stage points
+    ``x_i + (0.5*h)*k_i`` and ``x_i + h*k3_i``, then
     ``x_i + (h/6.0)*(((k1_i + 2.0*k2_i) + 2.0*k3_i) + k4_i)``.
     """
     return (_fused_runner if program.fused else _runner)(program, scheme, h)
@@ -820,16 +941,19 @@ def _runner(program: Program, scheme: str, h: float) -> Callable:
         ks = [program.dynamics(em, a, x)]
         for c in map(em.constant, (0.5 * h, 0.5 * h, h)):
             point = [em.statement(f"{v} + {c} * {d}") for v, d in zip(x, ks[-1])]
-            # In array code each stage point is size-checked, as array functions check x.
-            ks.append(program.dynamics(em, a, em.bind(n, point[0]) if em.arrays else point))
+            ks.append(program.dynamics(em, a, point))
         sixth = em.constant(h / 6.0)
         new = [
             f"{v} + {sixth} * ((({p} + 2.0 * {q}) + 2.0 * {r}) + {s})"
             for v, p, q, r, s in zip(x, *ks)
         ]
     if not fused:
-        loop = "for _k, a in zip(range(1, steps + 1), inputs):"
-        body = [*em.lines, f"x = _vec({new[0]}, {n}, 'state vector')", "rows[_k, 1:] = x"]
+        # A buffer is made once per run: a next state in one is copied out.
+        head += [*em.setup, "_in = None"]
+        loop = "for _k, _a in zip(range(1, steps + 1), inputs):"
+        fresh = ["if _a is not _in:", "    _in = a = _a", *("    " + line for line in em.fresh)]
+        new = [f"{new[0]}.copy()" if new[0] in em.buffers else new[0]]
+        body = [*fresh, *em.lines, f"x = {new[0]}", "rows[_k, 1:] = x"]
     else:
         # Row ``k``'s states start 8 bytes into its ``8 * (1 + n)``.
         stride, first = 8 * (1 + n), 8 * (2 + n)

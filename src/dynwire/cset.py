@@ -333,11 +333,16 @@ def _coproduct(schema: Schema, instances: Sequence[CSetInstance]) -> tuple[dict,
     # A start falls at a negative card, and at a sum past the index limit, which wraps.
     if (after < starts[:-1]).any():
         raise SchemaError(f"a coproduct's cards and their sums must lie in [0, {_INDEX_LIMIT})")
-    parts = {}
-    for m in schema.morphisms:
-        columns = [x.parts[m.name] for x in instances]
-        shifts = np.repeat(starts[:-1, objects.index(m.cod)], list(map(len, columns)))
-        parts[m.name] = np.concatenate(columns) + shifts if columns else _EMPTY
+    # Every column of every summand, morphism-major, in one concatenation;
+    # each morphism's shifts are then added in place, one repeat per
+    # morphism: a repeat of them all would be a second temporary as large as
+    # the result, whose fresh pages cost more than the calls it saves.
+    columns = [x.parts[m.name] for m in schema.morphisms for x in instances]
+    entries, k, lo, parts = np.concatenate([_EMPTY, *columns]), len(instances), 0, {}
+    for j, m in enumerate(schema.morphisms):
+        sizes = list(map(len, columns[j * k:(j + 1) * k]))
+        parts[m.name], lo = entries[lo:lo + sum(sizes)], lo + sum(sizes)
+        parts[m.name] += np.repeat(starts[:-1, objects.index(m.cod)], sizes)
     return dict(zip(objects, starts[-1].tolist())), parts, starts
 
 

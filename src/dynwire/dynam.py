@@ -9,58 +9,54 @@ one, where it is the next-state map.
 A composite's states, inputs and outputs are the sums (coproducts) of its
 boxes', and each wire end is renumbered once to match: box-major, by its
 port's rank among the ports of its box column.  Both directed syntaxes (a
-CPG read as a DWD through ``DWD_FROM_CPG``) become one gather/scatter
-transport over those numbers: merged wires sum, wireless in-ports read
-exactly 0.0.  Undirected composition glues states by a pushout.
-Explicit Euler discretization commutes with both compositions, which the
-test suite exercises as the central oracle.
+CPG read as a DWD through ``DWD_FROM_CPG``) become one transport over those
+numbers: merged wires sum, wireless in-ports read exactly 0.0.  Undirected
+composition glues states by a pushout.  Explicit Euler discretization
+commutes with both, which the test suite exercises as the central oracle.
 
 Every system carries a program (``_codegen``): a spec-built model's
 equations, a composite over its boxes' programs (one ``Transport`` for both
 directed syntaxes, a ``Gluing`` for the undirected one), the Euler map of a
-program, or, for a system built from callables alone, an ``Opaque`` leaf
-holding them.  Whether a program is **fused** is decided once, when it is
-built: a model always is, an opaque leaf never, an Euler map when its
-system is, and a composite when all its boxes are and its code, nested
-composites and wiring included, has at most
-``_codegen._FUSE_MAX_STATEMENTS`` statements.  Either way it runs as one
-generated function.  ``_system`` builds every system that a program makes,
-with the program's sizes and the callables ``callables_of`` gives: an
-opaque leaf's own, else calls of the program's array callables, generated
-per system on the first call; ``_codegen._compile`` compiles equal sources
-once.
+program, or an ``Opaque`` leaf holding the callables of a system built from
+them alone.  A program is **fused**, decided once when it is built, if it
+is a model, an Euler map of a fused program, or a composite whose boxes all
+are and whose code has at most ``_codegen._FUSE_MAX_STATEMENTS``
+statements.  Either way it runs as one generated function.  ``_system``
+builds every system that a program makes, its callables those
+``callables_of`` gives; ``_codegen._compile`` compiles equal sources once.
+The boxes are numbered by distinct system once (``_distinct``), and every
+check and plan reads that column.
 
-- **Fused:** a function over Python floats (its array callables convert
-  each argument with ``as_vector``): each box's equations inlined
+- **Fused:** a function over Python floats: each box's equations inlined
   with its parameters as literals, the transport and the gluing unrolled
-  into sums in the order ``finset.fiber_sum`` adds, so a composite of
-  composites flattens into one function, and so does the Euler map of a
-  composite or a composite of Euler maps.
-- **Box by box** otherwise: a function over float64 arrays.  Boxes whose
-  fused programs are equal (as those of equal
-  instantiated specs and of their Euler maps are, however made) run as one
-  batch kernel call per group (``_codegen.BoxPlan``), on blocks of their
-  box-major offsets; another fused box is called on slices, a box-by-box
-  composite or Euler map is inlined, and an opaque leaf's callables are
-  called.
+  into sums in the order ``finset.fiber_sum`` adds, so nested composites
+  and Euler maps of them flatten into one function.
+- **Box by box** otherwise: index maps over float64 arrays.  A composite's
+  wiring, composed once with the readouts that are bare states, gathers
+  each step's box inputs from one buffer of its states, inputs and
+  computed readouts, and sums only where a port has two wires or more;
+  boxes whose fused programs are equal run as one batch kernel call on
+  views of their box-major blocks (``_codegen.BoxPlan``); other fused
+  boxes are called on slices, box-by-box composites and Euler maps are
+  inlined, and opaque leaves' callables called.
 
 Values and errors are bitwise those of the boxes' closures called in turn.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import chain, repeat
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._codegen import Euler, Gluing, Opaque, Program, Transport, callables_of
+from ._codegen import Euler, Gluing, Opaque, Program, Transport, _offsets, callables_of
 from ._codegen import as_vector as _as_vector
 from .errors import ArityError, ConfigError, KindError, SizeMismatchError
-from .finset import FinFunction, compose, pushout
-from .wiring import CPGraph, DWDiagram, UWDiagram, _Fibers, cpg_to_dwd
+from .finset import _ARRAY_ENTRIES, FinFunction, compose, pushout
+from .wiring import CPGraph, DWDiagram, UWDiagram, cpg_to_dwd
 
 __all__ = [
     "Kind",
@@ -179,24 +175,44 @@ def eval_sharer(s: ResourceSharer, state: Sequence[float] | np.ndarray) -> np.nd
     return _as_vector(s.dynamics(x), s.n_states, "dynamics result")
 
 
-def _common_kind(kinds: list[Kind], what: str) -> Kind:
-    """The kind of every box; mixed kinds are refused, naming the first box
+def _distinct(boxes: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``boxes``, in first-seen order, and the index
+    among them of each box's: what every later check and plan reads, made
+    once and by ``id``, without hashing any system or program."""
+    # One object, as in a grid: at 1024 boxes, 21 us against 150 by the dicts.
+    if boxes and all(map(operator.is_, boxes, repeat(boxes[0]))):
+        return [boxes[0]], np.zeros(len(boxes), np.intp)
+    ids = list(map(id, boxes))
+    objects = dict(zip(ids, boxes))
+    index = dict(zip(objects, range(len(objects))))
+    return list(objects.values()), np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+
+
+def _checked(
+    d, systems: list, column: np.ndarray, have: list, want: list, misfit: Callable, what: str
+) -> Kind:
+    """The kind of the boxes ``systems[column[i]]`` of ``d``, checked: their
+    count; each box's port counts, of its system in each list of ``have``
+    and of the diagram in each array of ``want``, the first misfit refused
+    with ``misfit(i)``; and a common kind, refused naming the first box
     whose kind is not box 0's."""
-    distinct = set(kinds)
-    if len(distinct) > 1:
-        i = next(i for i, k in enumerate(kinds) if k != kinds[0])
-        where = f"box {i} is {kinds[i]}, box 0 is {kinds[0]}"
-        raise KindError(f"cannot compose mixed kinds {sorted(distinct)} of {what}: {where}")
+    if column.size != d.n_boxes:
+        raise ArityError(f"diagram has {d.n_boxes} boxes but {column.size} {what} were given")
+    # As in ``_codegen._offsets``, Python ints below ``_ARRAY_ENTRIES`` boxes: per
+    # list 2.0 against 6.7 us for 3 boxes, and 57 against 10 us at 1024.
+    if column.size < _ARRAY_ENTRIES:
+        fits = all(list(map(h.__getitem__, column.tolist())) == w.tolist() for h, w in zip(have, want))
+    else:
+        fits = all((np.array(h, np.intp)[column] == w).all() for h, w in zip(have, want))
+    if not fits:
+        bad = np.logical_or.reduce([np.array(h, np.intp)[column] != w for h, w in zip(have, want)])
+        raise ArityError(misfit(int(bad.argmax())))
+    kinds = [s.kind for s in systems]
+    if len(set(kinds)) > 1:
+        i = int(np.argmax(np.array(kinds)[column] != kinds[0]))
+        where = f"box {i} is {kinds[column[i]]}, box 0 is {kinds[0]}"
+        raise KindError(f"cannot compose mixed kinds {sorted(set(kinds))} of {what}: {where}")
     return kinds[0] if kinds else "continuous"
-
-
-def _misfit(machines: Sequence[Machine], ins: _Fibers, outs: _Fibers) -> int | None:
-    """The first box whose machine's (inputs, outputs) differ from its port counts."""
-    have = list(map(attrgetter("n_inputs"), machines)), list(map(attrgetter("n_outputs"), machines))
-    want = ins.sizes().tolist(), outs.sizes().tolist()
-    if have == want:
-        return None
-    return next(i for i, h, w in zip(range(len(machines)), zip(*have), zip(*want)) if h != w)
 
 
 def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
@@ -209,34 +225,36 @@ def oapply_directed(d: DWDiagram, machines: Sequence[Machine]) -> Machine:
     ``Transport`` over the machines' programs, fused or evaluated box by box
     as the module docstring says.
     """
-    ins, outs = d.ports("box_in"), d.ports("box_out")
-    return _directed(d, machines, ins, outs, "box {i} expects (in, out) = ({n_in}, {n_out})")
+    return _directed(d, *_distinct(machines))
 
 
-def _directed(
-    d: DWDiagram, machines: Sequence[Machine], ins: _Fibers, outs: _Fibers, expects: str
-) -> Machine:
-    """The composite over ``d``, whose ports are grouped by box in ``ins`` and
-    ``outs``; a misfit is refused with ``expects`` on ``i``, ``n_in``, ``n_out``."""
-    if len(machines) != d.n_boxes:
-        raise ArityError(f"diagram has {d.n_boxes} boxes but {len(machines)} machines were given")
-    i = _misfit(machines, ins, outs)
-    if i is not None:
-        n_in, n_out = ins.sizes()[i], outs.sizes()[i]
-        raise ArityError(
-            f"{expects.format(i=i, n_in=n_in, n_out=n_out)}, "
-            f"machine has ({machines[i].n_inputs}, {machines[i].n_outputs})"
-        )
-    kind = _common_kind([m.kind for m in machines], "machines")
+def _directed(d: DWDiagram | CPGraph, machines: list[Machine], column: np.ndarray) -> Machine:
+    """The composite over ``d`` (a CPG: over ``cpg_to_dwd(d)``, each port
+    both an in-port and an out-port) of the boxes ``machines[column[i]]``."""
+    if isinstance(d, CPGraph):
+        ins = outs = d.ports("box")
+        d, expects = cpg_to_dwd(d), "box {i} expects {n_in} inputs and outputs"
+    else:
+        ins, outs = d.ports("box_in"), d.ports("box_out")
+        expects = "box {i} expects (in, out) = ({n_in}, {n_out})"
+
+    def misfit(i: int) -> str:
+        m, n_in, n_out = machines[column[i]], ins.sizes()[i], outs.sizes()[i]
+        has = f"machine has ({m.n_inputs}, {m.n_outputs})"
+        return f"{expects.format(i=i, n_in=n_in, n_out=n_out)}, {has}"
+
+    have = [m.n_inputs for m in machines], [m.n_outputs for m in machines]
+    kind = _checked(d, machines, column, have, [ins.sizes(), outs.sizes()], misfit, "machines")
     # Wire ends renumbered box-major: the composite's ports are the sums of its boxes'.
     in_rank = ins.rank()
     out_rank = in_rank if outs is ins else outs.rank()
     src = np.concatenate((out_rank[d.column("src")], d.column("src_in") + out_rank.size))
     inward = (src, in_rank[np.concatenate((d.column("tgt"), d.column("tgt_in")))])
     outward = (out_rank[d.column("src_out")], d.column("tgt_out"))
-    boxes = list(map(attrgetter("program"), machines))
-    transport = Transport(boxes, d.n_outer_in, d.n_outer_out, ins.bounds, outs.bounds, inward, outward)
-    return _system(transport, kind)
+    programs = [m.program for m in machines]
+    return _system(Transport(
+        programs, column, d.n_outer_in, d.n_outer_out, ins.bounds, outs.bounds, inward, outward
+    ), kind)
 
 
 @dataclass(frozen=True)
@@ -262,25 +280,31 @@ def oapply_undirected_with_layout(
     ``Gluing`` over the sharers' programs, fused or evaluated box by box as
     the module docstring says.
     """
-    if len(sharers) != d.n_boxes:
-        raise ArityError(f"diagram has {d.n_boxes} boxes but {len(sharers)} sharers were given")
-    ports = d.ports("box")
-    have, sizes = [s.n_ports for s in sharers], ports.sizes().tolist()
-    if have != sizes:
-        i = next(i for i, (h, w) in enumerate(zip(have, sizes)) if h != w)
-        raise ArityError(f"box {i} expects {sizes[i]} ports, sharer has {have[i]}")
-    kind = _common_kind([s.kind for s in sharers], "sharers")
+    return _undirected(d, *_distinct(sharers))
 
-    offs = np.fromiter(accumulate(map(attrgetter("n_states"), sharers), initial=0), np.intp)
+
+def _undirected(
+    d: UWDiagram, sharers: list[ResourceSharer], column: np.ndarray
+) -> tuple[ResourceSharer, UndirectedLayout]:
+    """``oapply_undirected_with_layout`` of the boxes ``sharers[column[i]]``."""
+    ports = d.ports("box")
+    sizes = ports.sizes()
+
+    def misfit(i: int) -> str:
+        return f"box {i} expects {sizes[i]} ports, sharer has {sharers[column[i]].n_ports}"
+
+    kind = _checked(d, sharers, column, [[s.n_ports for s in sharers]], [sizes], misfit, "sharers")
+    offs, maps = _offsets([s.n_states for s in sharers], column), [s.portmap.map for s in sharers]
     # The ports box-major, the sum of the sharers' (the pushout's classes do not
     # depend on that order): each maps by its box's portmap, shifted, and to its junction.
-    slots = np.fromiter(chain.from_iterable(s.portmap.map for s in sharers), np.intp, ports.order.size)
-    p_total = FinFunction(ports.order.size, int(offs[-1]), slots + np.repeat(offs[:-1], sizes))
-    q_junc = FinFunction(ports.order.size, d.n_junctions, d.column("junc_in")[ports.order])
+    n = ports.order.size
+    slots = np.fromiter(chain.from_iterable(map(maps.__getitem__, column.tolist())), np.intp, n)
+    p_total = FinFunction(n, int(offs[-1]), slots + np.repeat(offs[:-1], sizes))
+    q_junc = FinFunction(n, d.n_junctions, d.column("junc_in")[ports.order])
 
     po = pushout(p_total, q_junc)
     portmap = compose(d.data.part_fn("junc_out"), po.inj_right)
-    program = Gluing(list(map(attrgetter("program"), sharers)), po.inj_left, kind == "discrete")
+    program = Gluing([s.program for s in sharers], column, po.inj_left, kind == "discrete")
     return _system(program, kind, portmap), UndirectedLayout(po.inj_left, po.inj_right)
 
 
@@ -293,8 +317,7 @@ def oapply_cpg(g: CPGraph, machines: Sequence[Machine]) -> Machine:
     """Compose machines over a circular port graph: the composite over
     ``cpg_to_dwd(g)``, where each port is both an in-port and an out-port
     of its box, and outer port ``q`` feeds and reads ``expose[q]``."""
-    ports, expects = g.ports("box"), "box {i} expects {n_in} inputs and outputs"
-    return _directed(cpg_to_dwd(g), machines, ports, ports, expects)
+    return _directed(g, *_distinct(machines))
 
 
 def _euler(system: Machine | ResourceSharer, h: float, directed: bool) -> Euler:

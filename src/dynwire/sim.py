@@ -16,14 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._codegen import as_vector, runner
-from .dynam import (
-    Machine,
-    ResourceSharer,
-    _euler,
-    oapply_cpg,
-    oapply_directed,
-    oapply_undirected_with_layout,
-)
+from .dynam import Machine, ResourceSharer, _directed, _distinct, _euler, _undirected
 from .errors import ArityError, ConfigError, ExprEvalError, KindError
 from .fileio import SimulationConfig
 from .modelspec import ModelSpec, instantiate
@@ -54,10 +47,11 @@ def _labels(n: int, labels: Sequence[str] | None) -> list[str] | None:
     return list(labels)
 
 
-def _qualified(specs: Sequence[ModelSpec], labels: list[str] | None) -> list[str]:
-    """``<label>.<state>`` for every state of every box, box by box."""
-    head, keys = ("b", list(map(str, range(len(specs))))) if labels is None else ("", labels)
-    return [f"{head}{key}.{s}" for key, spec in zip(keys, specs) for s in spec.states]
+def _qualified(specs: Sequence[ModelSpec], column: np.ndarray, labels: list[str] | None) -> list[str]:
+    """``<label>.<state>`` for every state of every box ``specs[column[i]]``, box by box."""
+    head, keys = ("b", range(column.size)) if labels is None else ("", labels)
+    states = [spec.states for spec in specs]
+    return [f"{head}{key}.{s}" for key, c in zip(keys, column.tolist()) for s in states[c]]
 
 
 def build_system(
@@ -68,50 +62,44 @@ def build_system(
     """Instantiate the specs and compose them over the diagram.
 
     Each distinct spec is instantiated once and its model shared by every
-    box that uses it.  The composite is fused or evaluated box by box as
-    ``dynam``'s module docstring says.  A system's callables are generated
-    per system on their first call, and ``_codegen._compile`` compiles equal
-    sources once, so rebuilding the same system compiles nothing again.  Box
-    labels must be distinct.
+    box that uses it: the boxes are numbered by distinct spec once, and the
+    composite and the state names are made from those numbers.  The
+    composite is fused or evaluated box by box as ``dynam``'s module
+    docstring says.  A system's callables are generated per system on their
+    first call, and ``_codegen._compile`` compiles equal sources once, so
+    rebuilding the same system compiles nothing again.  Box labels must be
+    distinct.
     """
     if len(specs) != diagram.n_boxes:
         raise ArityError(f"diagram has {diagram.n_boxes} boxes but {len(specs)} models were given")
     box_labels = _labels(diagram.n_boxes, labels)
-    distinct = {id(s): s for s in specs}
-    model_of = {i: instantiate(s) for i, s in distinct.items()}
-    models = [model_of[id(s)] for s in specs]
+    distinct, column = _distinct(specs)
+    models = [instantiate(s) for s in distinct]
 
     undirected = isinstance(diagram, UWDiagram)
     kind = ResourceSharer if undirected else Machine
-    if not all(isinstance(m, kind) for m in model_of.values()):
-        i = next(i for i, m in enumerate(models) if not isinstance(m, kind))
+    if not all(isinstance(m, kind) for m in models):
+        i = int(np.flatnonzero(~np.array([isinstance(m, kind) for m in models])[column])[0])
         need = "an undirected diagram needs sharer" if undirected else "a directed diagram needs machine"
         raise ArityError(f"{need} models: box {i} is a {'machine' if undirected else 'sharer'}")
+    names = _qualified(distinct, column, box_labels)
     if undirected:
-        sharer, layout = oapply_undirected_with_layout(diagram, models)
-        names = _undirected_names(sharer.n_states, specs, box_labels, layout)
+        sharer, layout = _undirected(diagram, models, column)
+        names = _undirected_names(sharer.n_states, names, layout)
         return ComposedSystem(sharer, names, sharer.kind, directed=False)
-
-    if isinstance(diagram, DWDiagram):
-        machine = oapply_directed(diagram, models)
-    else:
-        machine = oapply_cpg(diagram, models)
-    names = tuple(_qualified(specs, box_labels))
-    return ComposedSystem(machine, names, machine.kind, directed=True)
+    machine = _directed(diagram, models, column)
+    return ComposedSystem(machine, tuple(names), machine.kind, directed=True)
 
 
-def _undirected_names(n_states, specs, box_labels, layout) -> tuple[str, ...]:
-    flat = _qualified(specs, box_labels)
-    names: list[str | None] = [None] * n_states
-    # Smallest contributing component state names the class; junction-only
-    # classes fall back to the smallest junction index.
-    for g in reversed(range(layout.state_injection.dom_size)):
-        names[layout.state_injection.map[g]] = flat[g]
-    for j in reversed(range(layout.junction_injection.dom_size)):
-        c = layout.junction_injection.map[j]
-        if names[c] is None:
-            names[c] = f"j{j}"
-    return tuple(n if n is not None else "?" for n in names)
+def _undirected_names(n_states: int, flat: list[str], layout) -> tuple[str, ...]:
+    """Each glued state's name.  The pushout numbers its classes by their
+    smallest member, box states before junctions (``PushoutResult``): the
+    classes of a box state come first, each named after its smallest, then
+    those of junctions alone, ``j<the smallest>``."""
+    first = [dict(zip(reversed(f.map), reversed(range(f.dom_size))))  # class -> its smallest
+             for f in (layout.state_injection, layout.junction_injection)]
+    named = list(map(flat.__getitem__, map(first[0].__getitem__, range(len(first[0])))))
+    return (*named, *(f"j{first[1][c]}" for c in range(len(named), n_states)))
 
 
 def _initial_state(config: SimulationConfig, names: tuple[str, ...]) -> np.ndarray:

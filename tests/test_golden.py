@@ -42,6 +42,7 @@ CASES = {
     ),
     "heat_3x3": ("grid3.json", [f"{HEAT}/heat_node.json"] * 9, f"{HEAT}/sim3x3.json", None),
     "heat_32x32": ("grid32.json", [f"{HEAT}/heat_node.json"] * 1024, "sim32x32.json", None),
+    "diffusion_32x32": ("diffusion32.json", ["edge.json"] * 1984, "sim_diffusion32.json", None),
 }
 
 # (case, scheme) -> (CSV digest, sidecar digest)
@@ -70,6 +71,15 @@ DIGESTS = {
     ("heat_32x32", "rk4"): (
         "175af23964d573029c4f63625e8c45eadba03bad2c8679638b60f98d12373d3c",
         "8bd3c5dcc402e7f20858b3dcb0d92020a3f248871657d46193b154879c902abc",
+    ),
+    # Recorded before the array code of ``Gluing`` gathered its box states.
+    ("diffusion_32x32", "euler"): (
+        "f5ce472b8ca548182e180856a111319af187da2e3c5d4ad73957394fb0ba3072",
+        "54f47a15814c7b2a19d2b231b28b44b6cde3ac8e186f5e43e1d6209043f1c1c1",
+    ),
+    ("diffusion_32x32", "rk4"): (
+        "8eb2ce645d22988162e6526a5581cc1155d3511e457ff44ae935244ad6cd9d3b",
+        "ec35633c9641d08580d858aadeceb24746ffff30fdba1b0b614fd02abf41f9cf",
     ),
     ("sir_cyclic", "euler"): (
         "fd96f077f6e2fcd7592aed8ac3ace64bd9f08f575a3fbb798d560769279aa733",
@@ -115,6 +125,39 @@ def _prepare(tmp_path: Path, repo_root: Path, case: str) -> None:
     if case == "heat_32x32":
         assert main(["grid", "32", "32", "-o", str(tmp_path / "grid32.json")]) == 0
         (tmp_path / "sim32x32.json").write_text(json.dumps(heat_32x32_config()), encoding="utf-8")
+    if case == "diffusion_32x32":
+        write_diffusion_32x32(tmp_path)
+
+
+def write_diffusion_32x32(root: Path | str) -> None:
+    """Write the inputs of the ``diffusion_32x32`` case to ``root``: a 32x32
+    UWD of two-state edge sharers, one box per pair of neighbouring cells
+    (1984 boxes) glued at one junction per cell (1024), horizontal and
+    vertical edges interleaved; the sharer as an explicit model; and a
+    config whose seeded start state holds both zeros and values of every
+    size, as ``heat_32x32_config``'s does."""
+    n = 32
+    edges = [(r * n + c, r * n + c + 1) for r in range(n) for c in range(n - 1)]
+    edges += [(r * n + c, (r + 1) * n + c) for r in range(n - 1) for c in range(n)]
+    edges = [e for pair in zip(edges[: len(edges) // 2], edges[len(edges) // 2:]) for e in pair]
+    diagram = {
+        "schema": "UWD", "B": len(edges), "P": 2 * len(edges), "J": n * n, "Q": 0,
+        "box": [b for b in range(len(edges)) for _ in range(2)],
+        "junc_in": [j for e in edges for j in e], "junc_out": [],
+    }
+    edge = {
+        "kind": "sharer", "flavor": "continuous", "states": ["u", "v"], "params": {"k": 0.3},
+        "dynamics": {"u": "k*(v - u)", "v": "k*(u - v)"}, "ports": ["u", "v"],
+    }
+    rng = random.Random(1984)
+    init = [
+        rng.choice((0.0, -0.0, rng.random(), rng.uniform(-1, 1) * 10.0 ** rng.randint(-9, 9)))
+        for _ in range(n * n)
+    ]
+    config = {"h": 0.05, "steps": 6, "init": init}
+    files = {"diffusion32": diagram, "edge": edge, "sim_diffusion32": config}
+    for name, data in files.items():
+        (Path(root) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
 
 
 def heat_32x32_config() -> dict:
